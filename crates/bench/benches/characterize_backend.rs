@@ -37,7 +37,7 @@ use morph_linalg::C64;
 use morph_qprog::Circuit;
 use morph_qsim::{Gate, NoiseModel};
 use morph_tomography::ReadoutMode;
-use morphqpv::{characterize, BackendMode, CharacterizationConfig, SweepMode};
+use morphqpv::{characterize, BackendMode, CharacterizationConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -191,7 +191,6 @@ fn config(backend: BackendMode, samples: usize) -> CharacterizationConfig {
         input_qubits: (0..4).collect(),
         noise: NoiseModel::noiseless(),
         parallelism: 1,
-        sweep: SweepMode::default(),
         backend,
     }
 }

@@ -1,15 +1,12 @@
 //! Characterization-sweep benches.
 //!
-//! Two axes are measured on shot-readout workloads whose sampled traces and
-//! cost ledgers are bit-identical between all arms (see DESIGN.md
-//! "Deterministic parallelism"):
-//!
-//! - `characterize_parallel`: serial vs all-cores per-state sweeps (8
-//!   qubits, 8 inputs, two traced half registers).
-//! - `characterize_batched`: per-state vs gate-major batched sweeps at
-//!   n = 10 qubits, batch = 32 — the ISSUE-6 headline comparison. Both arms
-//!   run single-worker so the speedup isolates the loop inversion, and a
-//!   small noisy (density-batch) group covers the channel path.
+//! - `characterize_parallel`: serial vs all-cores sweeps on a shot-readout
+//!   workload (8 qubits, 8 inputs, two traced half registers) whose
+//!   sampled traces and cost ledgers are bit-identical between the arms
+//!   (see DESIGN.md "Deterministic parallelism").
+//! - `characterize_batched`: the gate-major sweep at n = 10 qubits over 32
+//!   inputs (one full lane range), single-worker, so the figure tracks the
+//!   batched kernels themselves.
 //!
 //! Set `MORPH_BENCH_QUICK=1` for the CI smoke subset (fewer samples, fewer
 //! timing repetitions). Set `MORPH_BENCH_JSON=path` to record the medians.
@@ -18,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use morph_qprog::Circuit;
 use morph_qsim::NoiseModel;
 use morph_tomography::ReadoutMode;
-use morphqpv::{characterize, CharacterizationConfig, SweepMode};
+use morphqpv::{characterize, CharacterizationConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -63,7 +60,6 @@ fn config(parallelism: usize) -> CharacterizationConfig {
         input_qubits: (0..N_QUBITS).collect(),
         noise: NoiseModel::noiseless(),
         parallelism,
-        sweep: SweepMode::default(),
         // Pin the dense path: this bench measures the dense sweep's
         // parallel scaling, not backend selection.
         backend: morphqpv::BackendMode::Dense,
@@ -86,9 +82,8 @@ fn bench_characterize(c: &mut Criterion) {
     group.finish();
 }
 
-/// The ISSUE-6 headline workload: a deep layered 10-qubit circuit with a
-/// cheap exact tracepoint at the end, so execution (not tomography)
-/// dominates and the loop-inversion speedup is what's measured.
+/// A deep layered circuit with a cheap exact tracepoint at the end, so
+/// execution (not tomography) dominates.
 fn batched_workload(n: usize, layers: usize) -> Circuit {
     let mut c = Circuit::new(n);
     for layer in 0..layers {
@@ -104,71 +99,37 @@ fn batched_workload(n: usize, layers: usize) -> Circuit {
     c
 }
 
-fn batched_config(sweep: SweepMode, n: usize, samples: usize) -> CharacterizationConfig {
+fn batched_config(n: usize, samples: usize) -> CharacterizationConfig {
     CharacterizationConfig {
         n_samples: samples,
         ensemble: morph_clifford::InputEnsemble::Clifford,
         readout: ReadoutMode::Exact,
         // Input on a 4-qubit subregister: Clifford sampling on the full
         // 10-qubit register would spend most of the bench building 1024²
-        // input ρ matrices, hiding the sweep being measured. Both arms
-        // still execute the full n-qubit circuit per input.
+        // input ρ matrices, hiding the sweep being measured. The sweep
+        // still executes the full n-qubit circuit per input.
         input_qubits: (0..4.min(n)).collect(),
         noise: NoiseModel::noiseless(),
         parallelism: 1,
-        sweep,
         backend: morphqpv::BackendMode::Dense,
     }
 }
 
 fn bench_batched(c: &mut Criterion) {
     let n = 10;
-    let samples = 32; // = the default MORPH_CHAR_BATCH, so one full batch
+    let samples = 32; // one full dense lane range
     let circuit = batched_workload(n, if quick() { 2 } else { 16 });
     let mut group = c.benchmark_group("characterize_batched");
     group.sample_size(if quick() { 3 } else { 10 });
-    for (label, sweep) in [
-        ("per_state", SweepMode::PerState),
-        ("batched", SweepMode::Batched),
-    ] {
-        group.bench_with_input(BenchmarkId::new(label, samples), &sweep, |b, &sweep| {
-            let cfg = batched_config(sweep, n, samples);
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(11);
-                characterize(std::hint::black_box(&circuit), &cfg, &mut rng)
-            });
+    group.bench_function(BenchmarkId::new("batched", samples), |b| {
+        let cfg = batched_config(n, samples);
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(11);
+            characterize(std::hint::black_box(&circuit), &cfg, &mut rng)
         });
-    }
+    });
     group.finish();
 }
 
-/// The channel-noise counterpart on a density-batch-sized register.
-fn bench_batched_noisy(c: &mut Criterion) {
-    let n = 6;
-    let samples = if quick() { 4 } else { 16 };
-    let circuit = batched_workload(n, 3);
-    let mut group = c.benchmark_group("characterize_batched_noisy");
-    group.sample_size(if quick() { 2 } else { 5 });
-    for (label, sweep) in [
-        ("per_state", SweepMode::PerState),
-        ("batched", SweepMode::Batched),
-    ] {
-        group.bench_with_input(BenchmarkId::new(label, samples), &sweep, |b, &sweep| {
-            let mut cfg = batched_config(sweep, n, samples);
-            cfg.noise = NoiseModel::ibm_cairo();
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(13);
-                characterize(std::hint::black_box(&circuit), &cfg, &mut rng)
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_characterize,
-    bench_batched,
-    bench_batched_noisy
-);
+criterion_group!(benches, bench_characterize, bench_batched);
 criterion_main!(benches);

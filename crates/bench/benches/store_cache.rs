@@ -44,7 +44,6 @@ fn config() -> CharacterizationConfig {
         input_qubits: (0..N_QUBITS).collect(),
         noise: NoiseModel::noiseless(),
         parallelism: 1,
-        sweep: morphqpv::SweepMode::default(),
         backend: morphqpv::BackendMode::Auto,
     }
 }

@@ -117,7 +117,6 @@ fn compare_programs_impl(
         input_qubits: config.input_qubits.clone(),
         noise: morph_qsim::NoiseModel::noiseless(),
         parallelism: config.parallelism,
-        sweep: morphqpv::SweepMode::default(),
         backend: morphqpv::BackendMode::Auto,
     };
     let inputs = char_config

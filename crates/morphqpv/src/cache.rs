@@ -45,9 +45,8 @@ use crate::characterize::{characterize_with_inputs, Characterization, Characteri
 /// v3: the sweep fuses the shared main circuit once and applies input
 /// preparation per lane, unfused, instead of fusing `prep + main` per
 /// input — the fusion boundary moved, so results differ from v2 by
-/// rounding. `CharacterizationConfig::sweep` and `MORPH_CHAR_BATCH` are
-/// excluded like `parallelism`: batched and per-state sweeps are
-/// bit-identical at every batch size and worker count.
+/// rounding. The sweep's lane grouping is excluded like `parallelism`:
+/// results are bit-identical at every batch size and worker count.
 ///
 /// v4: S/S† execute as exact component swaps (`diag(1, ±i)` without a
 /// complex multiply), changing rounding on any circuit containing them,

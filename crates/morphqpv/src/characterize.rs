@@ -22,37 +22,13 @@ use rand::rngs::StdRng;
 
 use crate::approx::ApproximationFunction;
 use crate::cancel::{CancelToken, Cancelled};
+use crate::error::{MorphError, Precondition, MAX_NOISY_QUBITS};
 
-/// How the sampling sweep walks the `(input, gate)` grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepMode {
-    /// State-major: one full program execution per sampled input. Kept as
-    /// the oracle the batched path is property-tested against.
-    PerState,
-    /// Gate-major (the default): inputs are grouped into batches of
-    /// [`char_batch_size`] lanes and each gate is applied across all lanes
-    /// of a batch in one strided pass. Bit-identical to [`SweepMode::PerState`]
-    /// at every batch size and worker count, so the mode is excluded from
-    /// the cache fingerprint.
-    #[default]
-    Batched,
-}
-
-/// Lanes per batch for [`SweepMode::Batched`]: the `MORPH_CHAR_BATCH`
-/// environment variable when set to a positive integer, else 32.
-///
-/// Batch size never changes results (each lane's readout RNG stream is keyed
-/// by its global input index), only the memory/locality trade-off.
-pub fn char_batch_size() -> usize {
-    match morph_trace::env_knob::<usize>("MORPH_CHAR_BATCH") {
-        Some(0) => {
-            morph_trace::warn_invalid_knob("MORPH_CHAR_BATCH", "0", "batch size must be >= 1");
-            32
-        }
-        Some(b) => b,
-        None => 32,
-    }
-}
+/// Lanes per task on the dense path: each task applies every gate across
+/// this many inputs in one strided pass. Never changes results (each lane's
+/// readout RNG stream is keyed by its global input index), only the
+/// memory/locality trade-off.
+const DENSE_LANES: usize = 32;
 
 /// Configuration of the characterization stage.
 #[derive(Debug, Clone)]
@@ -75,15 +51,12 @@ pub struct CharacterizationConfig {
     /// scheduling never reaches the sampled data (see DESIGN.md
     /// "Deterministic parallelism").
     pub parallelism: usize,
-    /// Sweep loop order (default: [`SweepMode::Batched`]). Bit-identical
-    /// either way; `PerState` exists as the test oracle and a debugging aid.
-    pub sweep: SweepMode,
     /// Which simulation backend executes the sweep (default:
     /// [`BackendMode::Auto`]). The `MORPH_BACKEND` environment variable
     /// replaces `Auto` at plan time (explicitly forced modes keep their
     /// say); the effective choice is recorded in
-    /// [`Characterization::backend`]. Like `parallelism` and `sweep`, the
-    /// mode is excluded from the cache fingerprint — fast paths are
+    /// [`Characterization::backend`]. Like `parallelism`, the mode is
+    /// excluded from the cache fingerprint — fast paths are
     /// value-equivalent to the dense kernels (bit-identical on the sparse
     /// path; see DESIGN.md "Pluggable simulation backends").
     pub backend: BackendMode,
@@ -100,7 +73,6 @@ impl CharacterizationConfig {
             input_qubits,
             noise: NoiseModel::noiseless(),
             parallelism: 0,
-            sweep: SweepMode::default(),
             backend: BackendMode::Auto,
         }
     }
@@ -179,12 +151,6 @@ impl CharacterizationConfigBuilder {
         self
     }
 
-    /// Selects the sweep loop order (default: [`SweepMode::Batched`]).
-    pub fn sweep(mut self, sweep: SweepMode) -> Self {
-        self.config.sweep = sweep;
-        self
-    }
-
     /// Selects the simulation backend (default: [`BackendMode::Auto`]).
     pub fn backend(mut self, backend: BackendMode) -> Self {
         self.config.backend = backend;
@@ -246,71 +212,56 @@ impl Characterization {
 /// input (exactly, or with channel noise for small registers), reads each
 /// tracepoint through the configured tomography mode, and accounts costs.
 ///
+/// Thin panicking wrapper over [`try_characterize`].
+///
 /// # Panics
 ///
-/// Panics if the circuit has no tracepoints, the input qubits are invalid,
-/// or a noisy run is requested for a register too large for density-matrix
-/// simulation (> 12 qubits).
+/// On any [`MorphError`] [`try_characterize`] reports: a program without
+/// tracepoints, missing or out-of-range input qubits, zero samples, or a
+/// noisy register too wide for density-matrix simulation (> 12 qubits).
 pub fn characterize(
     circuit: &Circuit,
     config: &CharacterizationConfig,
     rng: &mut StdRng,
 ) -> Characterization {
-    try_characterize(circuit, config, rng, &CancelToken::new())
-        .expect("a fresh token never cancels")
+    try_characterize(circuit, config, rng, &CancelToken::new()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`characterize`] with cooperative cancellation: `cancel` is checked
 /// before input generation and at the start of each sampling task, so a
-/// deadline fires within one program execution's latency.
+/// deadline fires within one task's latency.
 ///
 /// A run that completes is bit-identical to an uncancellable run — the
 /// checks never touch the RNG streams.
 ///
 /// # Errors
 ///
-/// [`Cancelled`] when the token fires before the sweep finishes.
-///
-/// # Panics
-///
-/// Same caller-bug conditions as [`characterize`].
+/// [`MorphError::Precondition`] when the request cannot run (checked
+/// before any work), [`MorphError::Cancelled`] when the token fires
+/// before the sweep finishes.
 pub fn try_characterize(
     circuit: &Circuit,
     config: &CharacterizationConfig,
     rng: &mut StdRng,
     cancel: &CancelToken,
-) -> Result<Characterization, Cancelled> {
-    assert!(
-        !circuit.tracepoints().is_empty(),
-        "program has no tracepoints to characterize"
-    );
-    let n = circuit.n_qubits();
-    let n_in = config.input_qubits.len();
-    assert!(n_in > 0, "no input qubits configured");
-    for &q in &config.input_qubits {
-        assert!(q < n, "input qubit {q} out of range");
-    }
-
+) -> Result<Characterization, MorphError> {
+    check_preconditions(circuit, config, config.n_samples)?;
     cancel.check()?;
-    let inputs =
-        config
-            .ensemble
-            .generate_with_workers(n_in, config.n_samples, rng, config.parallelism);
+    let inputs = config.ensemble.generate_with_workers(
+        config.input_qubits.len(),
+        config.n_samples,
+        rng,
+        config.parallelism,
+    );
     try_characterize_with_inputs(circuit, config, inputs, rng, cancel)
 }
 
 /// Characterization with an explicit input set — used by Strategy-adapt,
 /// which picks eigenvector inputs instead of sampling an ensemble.
 ///
-/// Inputs are swept in parallel according to `config.parallelism`. Input `i`
-/// reads its tracepoints with an RNG stream derived from one master seed
-/// (drawn from `rng`) and `i`, and each worker accumulates costs in a local
-/// [`CostLedger`] merged exactly through a [`SharedLedger`], so the traces
-/// and the ledger are bit-identical at every worker count.
-///
 /// # Panics
 ///
-/// See [`characterize`].
+/// See [`characterize`] (an empty `inputs` counts as zero samples).
 pub fn characterize_with_inputs(
     circuit: &Circuit,
     config: &CharacterizationConfig,
@@ -318,39 +269,38 @@ pub fn characterize_with_inputs(
     rng: &mut StdRng,
 ) -> Characterization {
     try_characterize_with_inputs(circuit, config, inputs, rng, &CancelToken::new())
-        .expect("a fresh token never cancels")
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`characterize_with_inputs`] with cooperative cancellation (see
 /// [`try_characterize`]).
 ///
+/// The sweep splits the inputs into lane ranges and runs them in parallel
+/// according to `config.parallelism`: 32 lanes per range on the dense
+/// path, where noiseless lanes share one gate-major
+/// [`morph_qsim::StateBatch`] pass and noisy lanes run
+/// [`Executor::run_expected_noisy`] each, and one lane per range on the
+/// stabilizer, sparse and Clifford-prefix paths. Input `i` reads its
+/// tracepoints with an RNG stream derived from one master seed (drawn from
+/// `rng`) and `i`, and each range accumulates costs in a local
+/// [`CostLedger`] merged exactly through a [`SharedLedger`], so the traces
+/// and the ledger are bit-identical at every worker count.
+///
 /// # Errors
 ///
-/// [`Cancelled`] when the token fires before the sweep finishes.
-///
-/// # Panics
-///
-/// See [`characterize`].
+/// See [`try_characterize`].
 pub fn try_characterize_with_inputs(
     circuit: &Circuit,
     config: &CharacterizationConfig,
     inputs: Vec<InputState>,
     rng: &mut StdRng,
     cancel: &CancelToken,
-) -> Result<Characterization, Cancelled> {
+) -> Result<Characterization, MorphError> {
+    check_preconditions(circuit, config, inputs.len())?;
     let n = circuit.n_qubits();
     let n_in = config.input_qubits.len();
     let ops_per_shot = circuit.op_cost() as u64;
-    let executor = Executor::builder()
-        .noise(config.noise)
-        .backend(config.backend)
-        .build();
-    if !config.noise.is_noiseless() {
-        assert!(
-            n <= 12,
-            "noisy characterization needs density-matrix simulation (≤ 12 qubits)"
-        );
-    }
+    let executor = Executor::builder().noise(config.noise).build();
 
     cancel.check()?;
     let trace = morph_trace::span("characterize");
@@ -358,11 +308,8 @@ pub fn try_characterize_with_inputs(
     morph_trace::counter("characterize/inputs", inputs.len() as u64);
 
     // Fuse the shared main circuit once per sweep (noiseless only — channel
-    // noise attaches per physical gate). Input preparation is applied
-    // per lane, unfused, so both sweep modes execute the same gate
-    // arithmetic: prep gates, then the fused main circuit. The per-state
-    // sweep re-fuses per input (see below) but `fuse_circuit` is
-    // deterministic, so it executes these exact gates too.
+    // noise attaches per physical gate). Input preparation is applied per
+    // lane, unfused, then the fused main circuit runs across the lanes.
     let fused_main;
     let main: &Circuit = if config.noise.is_noiseless() {
         fused_main = executor.fuse_for_run(circuit);
@@ -388,32 +335,26 @@ pub fn try_characterize_with_inputs(
         n_input_qubits: n_in,
         preps_clifford,
     });
+    // The stabilizer prefix runs the *raw* instruction stream (fusion
+    // emits `Gate::Unitary` payloads the tableau cannot represent); the
+    // spliced suffix benefits from fusion.
+    let suffix_fused = match plan.choice {
+        BackendChoice::CliffordPrefix { split } => {
+            Some(executor.fuse_for_run(&suffix_circuit(circuit, split)))
+        }
+        _ => None,
+    };
+    let no_prep = Circuit::new(n);
 
     let master = morph_parallel::derive_master(rng);
     let shared = SharedLedger::new();
 
-    // Prepares lane `i`'s initial state the way the state-major sweep
-    // always has: the remapped input-prep gates applied to the full-width
-    // |0…0⟩ (plus per-gate channel noise on the noisy path, mirroring what
-    // executing the prep as a circuit prefix would do).
-    let prep_state = |i: usize| -> StateVector {
-        let prep = inputs[i].prep.remap_qubits(&config.input_qubits, n);
-        let mut state = StateVector::zero_state(n);
-        for inst in prep.instructions() {
-            match inst {
-                Instruction::Gate(g) => g.apply(&mut state),
-                Instruction::Barrier => {}
-                other => panic!("input preparation must be unitary, got {other:?}"),
-            }
-        }
-        state
-    };
-    // Gate-major fast path: the prep only touches the `n_in` input qubits,
-    // so simulate it on the narrow input register and scatter the 2^n_in
-    // amplitudes into the lane. The per-pair gate arithmetic is register-
-    // width independent, so every supported amplitude carries the exact
-    // bits the full-width prep produces, and off-support amplitudes are
-    // exactly zero either way (see `StateVector::embed`).
+    // The prep only touches the `n_in` input qubits, so simulate it on the
+    // narrow input register and scatter the 2^n_in amplitudes into the
+    // lane. The per-pair gate arithmetic is register-width independent, so
+    // every supported amplitude carries the exact bits the full-width prep
+    // produces, and off-support amplitudes are exactly zero either way (see
+    // `StateVector::embed`).
     let prep_state_narrow = |i: usize| -> StateVector {
         let mut sub = StateVector::zero_state(n_in);
         for inst in inputs[i].prep.instructions() {
@@ -425,6 +366,8 @@ pub fn try_characterize_with_inputs(
         }
         StateVector::embed(&sub, &config.input_qubits, n)
     };
+    // The noisy prep runs full width with per-gate channel noise, as
+    // executing the prep as a circuit prefix would.
     let prep_density = |i: usize| -> DensityMatrix {
         let prep = inputs[i].prep.remap_qubits(&config.input_qubits, n);
         let mut rho = DensityMatrix::zero_state(n);
@@ -440,177 +383,118 @@ pub fn try_characterize_with_inputs(
         }
         rho
     };
-    // Tracepoint readout for lane `i`: its RNG stream is keyed by the
-    // *global* input index, so batch size, sweep mode, and worker count all
-    // produce bit-identical traces.
-    let read_record = |i: usize,
-                       tracepoints: &BTreeMap<TracepointId, CMatrix>,
-                       local: &mut CostLedger|
-     -> Vec<(TracepointId, CMatrix)> {
-        let mut task_rng = morph_parallel::child_rng(master, i as u64);
-        tracepoints
-            .iter()
-            .map(|(id, rho)| {
-                (
-                    *id,
-                    read_state(rho, config.readout, ops_per_shot, local, &mut task_rng),
-                )
-            })
-            .collect()
-    };
-
-    let mut fast_path = FastPathStats::default();
-    let per_input: Vec<Result<Vec<(TracepointId, CMatrix)>, Cancelled>> = if plan.choice
-        != BackendChoice::Dense
-    {
-        // Fast paths sweep state-major regardless of `config.sweep`: each
-        // lane is an O(n²) tableau walk or a support-sized sparse run, so
-        // gate-major batching has nothing to amortize. Readout stays keyed
-        // by the global input index, so results are bit-identical at every
-        // worker count and `SweepMode`.
-        let suffix_fused = match plan.choice {
-            // The stabilizer prefix runs the *raw* instruction stream
-            // (fusion emits `Gate::Unitary` payloads the tableau cannot
-            // represent); the spliced suffix benefits from fusion.
+    // Runs lane `i` on the planned fast-path backend.
+    let run_fast_path = |i: usize| -> (BTreeMap<TracepointId, CMatrix>, FastPathStats) {
+        let prep = inputs[i].prep.remap_qubits(&config.input_qubits, n);
+        match plan.choice {
+            BackendChoice::Stabilizer => {
+                let mut sim = StabilizerSim::new(n);
+                let tracepoints = run_on_simulator(&mut sim, &prep, circuit.instructions());
+                (tracepoints, FastPathStats::default())
+            }
+            BackendChoice::Sparse => {
+                let mut sim = SparseSim::new(n);
+                let tracepoints = run_on_simulator(&mut sim, &prep, main.instructions());
+                (tracepoints, sim.stats())
+            }
             BackendChoice::CliffordPrefix { split } => {
-                Some(executor.fuse_for_run(&suffix_circuit(circuit, split)))
+                // Staged splice: tableau over the Clifford prefix, then
+                // hand the materialized state to the adaptive sparse
+                // register, which runs the fused suffix and spills/switches
+                // itself to dense if the support saturates. Every stage is
+                // bitwise-faithful, so the traces match the dense sweep on
+                // monomial-Clifford inputs.
+                let mut tableau = StabilizerSim::new(n);
+                let mut tracepoints =
+                    run_on_simulator(&mut tableau, &prep, &circuit.instructions()[..split]);
+                let mut sim = SparseSim::from_statevector(&tableau.to_statevector());
+                sim.record_splice();
+                let suffix = suffix_fused.as_ref().expect("suffix fused above");
+                tracepoints.extend(run_on_simulator(&mut sim, &no_prep, suffix.instructions()));
+                (tracepoints, sim.stats())
             }
-            _ => None,
-        };
-        let no_prep = Circuit::new(n);
-        type LaneTraces = Vec<(TracepointId, CMatrix)>;
-        let lanes: Vec<Result<(LaneTraces, FastPathStats), Cancelled>> =
-            morph_parallel::parallel_map(config.parallelism, &inputs, |i, input| {
-                cancel.check()?;
-                let _input_span = morph_trace::span_under(trace_parent, "input");
-                let mut local = CostLedger::new();
-                let prep = input.prep.remap_qubits(&config.input_qubits, n);
-                let (tracepoints, stats) = match plan.choice {
-                    BackendChoice::Stabilizer => {
-                        let mut sim = StabilizerSim::new(n);
-                        let tracepoints = run_on_simulator(&mut sim, &prep, circuit.instructions());
-                        (tracepoints, FastPathStats::default())
-                    }
-                    BackendChoice::Sparse => {
-                        let mut sim = SparseSim::new(n);
-                        let tracepoints = run_on_simulator(&mut sim, &prep, main.instructions());
-                        (tracepoints, sim.stats())
-                    }
-                    BackendChoice::CliffordPrefix { split } => {
-                        // Staged splice: tableau over the Clifford
-                        // prefix, then hand the materialized state to
-                        // the adaptive sparse register, which runs the
-                        // fused suffix and spills/switches itself to
-                        // dense if the support saturates. Every stage
-                        // is bitwise-faithful, so the traces match the
-                        // dense sweep on monomial-Clifford inputs just
-                        // as the direct handoff did.
-                        let mut tableau = StabilizerSim::new(n);
-                        let mut tracepoints =
-                            run_on_simulator(&mut tableau, &prep, &circuit.instructions()[..split]);
-                        let mut sim = SparseSim::from_statevector(&tableau.to_statevector());
-                        sim.record_splice();
-                        tracepoints.extend(run_on_simulator(
-                            &mut sim,
-                            &no_prep,
-                            suffix_fused
-                                .as_ref()
-                                .expect("suffix fused above")
-                                .instructions(),
-                        ));
-                        (tracepoints, sim.stats())
-                    }
-                    BackendChoice::Dense => unreachable!("dense handled by the sweep arms"),
-                };
-                let captured = read_record(i, &tracepoints, &mut local);
-                shared.merge(&local);
-                Ok((captured, stats))
-            });
-        // Lane order is the input order, so this fold — and therefore
-        // the merged stats — is identical at any worker count.
-        lanes
-            .into_iter()
-            .map(|lane| {
-                lane.map(|(captured, stats)| {
-                    fast_path.merge(&stats);
-                    captured
-                })
-            })
-            .collect()
-    } else {
-        match config.sweep {
-            SweepMode::PerState => {
-                morph_parallel::parallel_map(config.parallelism, &inputs, |i, _input| {
-                    // One check per sampling task: a firing deadline stops the
-                    // sweep within one program execution's latency. The abandoned
-                    // partial result is discarded wholesale, so completed runs
-                    // remain bit-identical to uncancellable ones.
-                    cancel.check()?;
-                    // Telemetry never touches the task RNG streams, so traces
-                    // stay bit-identical whether or not the recorder is enabled.
-                    let _input_span = morph_trace::span_under(trace_parent, "input");
-                    let mut local = CostLedger::new();
-                    let record = if config.noise.is_noiseless() {
-                        // The legacy state-major pipeline ran the fusion
-                        // pre-pass once per input; `run_expected` (not
-                        // `run_expected_prefused`) preserves that cost so the
-                        // oracle stays faithful to the sweep the gate-major
-                        // mode replaces. `fuse_circuit` is deterministic, so
-                        // the re-fused gates — and therefore the traces — are
-                        // bitwise identical to the shared-fusion batched arm.
-                        executor.run_expected(circuit, &prep_state(i))
-                    } else {
-                        executor.run_expected_noisy(main, &prep_density(i))
-                    };
-                    let captured = read_record(i, &record.tracepoints, &mut local);
-                    shared.merge(&local);
-                    Ok(captured)
-                })
-            }
-            SweepMode::Batched => {
-                let ranges = morph_parallel::batch_ranges(inputs.len(), char_batch_size());
-                morph_trace::counter("characterize/batches", ranges.len() as u64);
-                #[allow(clippy::type_complexity)]
-                let per_batch: Vec<
-                    Result<Vec<Vec<(TracepointId, CMatrix)>>, Cancelled>,
-                > = morph_parallel::parallel_map(config.parallelism, &ranges, |_, range| {
-                    // One check per batch: same granularity guarantee as the
-                    // per-state path, one batched execution's latency.
-                    cancel.check()?;
-                    let _batch_span = morph_trace::span_under(trace_parent, "batch");
-                    let mut local = CostLedger::new();
-                    let records = if config.noise.is_noiseless() {
-                        let states: Vec<StateVector> =
-                            range.clone().map(prep_state_narrow).collect();
-                        executor.run_expected_batch_prefused(main, &states)
-                    } else {
-                        let densities: Vec<DensityMatrix> =
-                            range.clone().map(prep_density).collect();
-                        executor.run_expected_noisy_batch(main, &densities)
-                    };
-                    let captured = records
-                        .iter()
-                        .zip(range.clone())
-                        .map(|(record, i)| read_record(i, &record.tracepoints, &mut local))
-                        .collect();
-                    shared.merge(&local);
-                    Ok(captured)
-                });
-                let mut flat = Vec::with_capacity(inputs.len());
-                for batch in per_batch {
-                    match batch {
-                        Ok(captured) => flat.extend(captured.into_iter().map(Ok)),
-                        Err(c) => flat.push(Err(c)),
-                    }
-                }
-                flat
-            }
+            BackendChoice::Dense => unreachable!("dense lanes run batched"),
         }
     };
 
+    // Dense ranges amortize each gate over many lanes; a fast-path lane is
+    // an O(n²) tableau walk or a support-sized sparse run, so batching has
+    // nothing to amortize there.
+    let dense = plan.choice == BackendChoice::Dense;
+    let ranges = morph_parallel::batch_ranges(inputs.len(), if dense { DENSE_LANES } else { 1 });
+    if dense {
+        morph_trace::counter("characterize/batches", ranges.len() as u64);
+    }
+    type LaneTraces = Vec<(TracepointId, CMatrix)>;
+    let per_range: Vec<Result<(Vec<LaneTraces>, FastPathStats), Cancelled>> =
+        morph_parallel::parallel_map(config.parallelism, &ranges, |_, range| {
+            // One check per range: a firing deadline stops the sweep within
+            // one range's latency. The abandoned partial result is discarded
+            // wholesale, so completed runs stay bit-identical to
+            // uncancellable ones.
+            cancel.check()?;
+            // Telemetry never touches the readout RNG streams, so traces
+            // stay bit-identical whether or not the recorder is enabled.
+            let _span =
+                morph_trace::span_under(trace_parent, if dense { "batch" } else { "input" });
+            let (records, stats) = if !dense {
+                let (tracepoints, stats) = run_fast_path(range.start);
+                (vec![tracepoints], stats)
+            } else if config.noise.is_noiseless() {
+                let states: Vec<StateVector> = range.clone().map(prep_state_narrow).collect();
+                let records = executor
+                    .run_expected_batch_prefused(main, &states)
+                    .into_iter()
+                    .map(|r| r.tracepoints)
+                    .collect();
+                (records, FastPathStats::default())
+            } else {
+                let records = range
+                    .clone()
+                    .map(|i| {
+                        executor
+                            .run_expected_noisy(main, &prep_density(i))
+                            .tracepoints
+                    })
+                    .collect();
+                (records, FastPathStats::default())
+            };
+            // Tracepoint readout for lane `i`: its RNG stream is keyed by
+            // the *global* input index, so range size and worker count
+            // never reach the traces.
+            let mut local = CostLedger::new();
+            let captured = records
+                .iter()
+                .zip(range.clone())
+                .map(|(tracepoints, i)| {
+                    let mut task_rng = morph_parallel::child_rng(master, i as u64);
+                    tracepoints
+                        .iter()
+                        .map(|(id, rho)| {
+                            let observed = read_state(
+                                rho,
+                                config.readout,
+                                ops_per_shot,
+                                &mut local,
+                                &mut task_rng,
+                            );
+                            (*id, observed)
+                        })
+                        .collect()
+                })
+                .collect();
+            shared.merge(&local);
+            Ok((captured, stats))
+        });
+
+    // Ranges come back in input order, so this fold — and therefore the
+    // merged fast-path stats — is identical at any worker count.
     let mut traces: BTreeMap<TracepointId, Vec<CMatrix>> = BTreeMap::new();
-    for captured in per_input {
-        for (id, observed) in captured? {
+    let mut fast_path = FastPathStats::default();
+    for range in per_range {
+        let (captured, stats) = range?;
+        fast_path.merge(&stats);
+        for (id, observed) in captured.into_iter().flatten() {
             traces.entry(id).or_default().push(observed);
         }
     }
@@ -621,7 +505,7 @@ pub fn try_characterize_with_inputs(
     morph_trace::counter("characterize/quantum_ops", ledger.quantum_ops);
     if fast_path.peak_nonzeros > 0 {
         // One gauge sample per sweep: the max over lanes, which is
-        // worker-count- and batch-size-invariant.
+        // worker-count-invariant.
         morph_trace::gauge("backend/sparse_nonzero_hwm", fast_path.peak_nonzeros as f64);
     }
 
@@ -632,6 +516,32 @@ pub fn try_characterize_with_inputs(
         backend: plan.choice,
         fast_path,
     })
+}
+
+/// Checks everything a characterization sweep of `n_inputs` inputs needs
+/// before any input is sampled or any state allocated.
+pub(crate) fn check_preconditions(
+    circuit: &Circuit,
+    config: &CharacterizationConfig,
+    n_inputs: usize,
+) -> Result<(), Precondition> {
+    let n_qubits = circuit.n_qubits();
+    if circuit.tracepoints().is_empty() {
+        return Err(Precondition::NoTracepoints);
+    }
+    if config.input_qubits.is_empty() {
+        return Err(Precondition::NoInputQubits);
+    }
+    if let Some(&qubit) = config.input_qubits.iter().find(|&&q| q >= n_qubits) {
+        return Err(Precondition::InputQubitOutOfRange { qubit, n_qubits });
+    }
+    if n_inputs == 0 {
+        return Err(Precondition::NoSamples);
+    }
+    if !config.noise.is_noiseless() && n_qubits > MAX_NOISY_QUBITS {
+        return Err(Precondition::NoisyRegisterTooWide { n_qubits });
+    }
+    Ok(())
 }
 
 /// Applies `prep` then walks `instructions` on a fast-path backend,
@@ -681,43 +591,6 @@ mod tests {
         c.h(1).cx(0, 1);
         c.tracepoint(2, &[0, 1]);
         c
-    }
-
-    #[test]
-    fn garbage_char_batch_warns_and_keeps_default() {
-        // `set_var` is UB in a threaded harness; each garbage value is
-        // probed in a re-exec'd child whose environment is fixed at spawn.
-        // The child re-enters this test, checks the fallback, and exits 3
-        // (ok) or 4; the parent also asserts the stderr warning.
-        if std::env::var_os("MORPH_CHAR_ENV_PROBE").is_some() {
-            std::process::exit(if char_batch_size() == 32 { 3 } else { 4 });
-        }
-        let exe = std::env::current_exe().expect("test binary path");
-        let probe = |value: &str| {
-            let out = std::process::Command::new(&exe)
-                .args([
-                    "--exact",
-                    "characterize::tests::garbage_char_batch_warns_and_keeps_default",
-                    "--nocapture",
-                ])
-                .env("MORPH_CHAR_ENV_PROBE", "1")
-                .env("MORPH_CHAR_BATCH", value)
-                .stdout(std::process::Stdio::null())
-                .output()
-                .expect("spawn probe child");
-            (
-                out.status.code(),
-                String::from_utf8_lossy(&out.stderr).to_string(),
-            )
-        };
-        for garbage in ["not-a-number", "-3", "0", "4.5"] {
-            let (code, stderr) = probe(garbage);
-            assert_eq!(code, Some(3), "default survives {garbage:?}");
-            assert!(
-                stderr.contains("MORPH_CHAR_BATCH"),
-                "{garbage:?} warns on stderr, got: {stderr}"
-            );
-        }
     }
 
     #[test]
@@ -871,36 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_per_state_sweeps_are_bit_identical() {
-        // The batched sweep must agree bitwise with the per-state oracle —
-        // noiseless and noisy, shot readout (exercising per-lane RNG
-        // streams), every worker count.
-        for noise in [NoiseModel::noiseless(), NoiseModel::ibm_cairo()] {
-            let run = |sweep: SweepMode, parallelism: usize| {
-                let mut rng = StdRng::seed_from_u64(21);
-                let config = CharacterizationConfig {
-                    sweep,
-                    parallelism,
-                    noise,
-                    readout: ReadoutMode::Shots(40),
-                    ..CharacterizationConfig::exact(vec![0], 6)
-                };
-                characterize(&sample_program(), &config, &mut rng)
-            };
-            let oracle = run(SweepMode::PerState, 1);
-            for parallelism in [1usize, 3] {
-                let batched = run(SweepMode::Batched, parallelism);
-                assert_eq!(oracle.ledger, batched.ledger);
-                for (id, states) in &oracle.traces {
-                    for (a, b) in states.iter().zip(&batched.traces[id]) {
-                        assert_eq!(a, b, "trace at {id} differs from oracle");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn builder_matches_exact_defaults() {
         let built = CharacterizationConfig::builder(vec![0, 1]).build();
         let exact = CharacterizationConfig::exact(vec![0, 1], 8);
@@ -925,7 +768,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let config = CharacterizationConfig::exact(vec![0], 4);
         let result = try_characterize(&sample_program(), &config, &mut rng, &token);
-        assert_eq!(result.unwrap_err(), crate::Cancelled::Requested);
+        assert!(matches!(
+            result,
+            Err(MorphError::Cancelled(crate::Cancelled::Requested))
+        ));
     }
 
     #[test]
@@ -948,11 +794,68 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no tracepoints")]
-    fn rejects_program_without_tracepoints() {
-        let mut c = Circuit::new(1);
-        c.h(0);
+    fn broken_preconditions_are_errors_before_any_work() {
+        let untraced = {
+            let mut c = Circuit::new(1);
+            c.h(0);
+            c
+        };
+        let mut wide = Circuit::new(13);
+        wide.tracepoint(1, &[0]);
+        let noisy = |config: CharacterizationConfig| CharacterizationConfig {
+            noise: NoiseModel::ibm_cairo(),
+            ..config
+        };
+        let cases = [
+            (
+                untraced,
+                CharacterizationConfig::exact(vec![0], 2),
+                Precondition::NoTracepoints,
+            ),
+            (
+                sample_program(),
+                CharacterizationConfig::exact(vec![], 2),
+                Precondition::NoInputQubits,
+            ),
+            (
+                sample_program(),
+                CharacterizationConfig::exact(vec![0, 2], 2),
+                Precondition::InputQubitOutOfRange {
+                    qubit: 2,
+                    n_qubits: 2,
+                },
+            ),
+            (
+                sample_program(),
+                CharacterizationConfig::exact(vec![0], 0),
+                Precondition::NoSamples,
+            ),
+            (
+                wide,
+                noisy(CharacterizationConfig::exact(vec![0], 2)),
+                Precondition::NoisyRegisterTooWide { n_qubits: 13 },
+            ),
+        ];
+        for (circuit, config, want) in cases {
+            let mut rng = StdRng::seed_from_u64(0);
+            let before = rng.clone().gen::<u64>();
+            match try_characterize(&circuit, &config, &mut rng, &CancelToken::new()) {
+                Err(MorphError::Precondition(got)) => assert_eq!(got, want),
+                other => panic!("expected {want:?}, got {other:?}"),
+            }
+            assert_eq!(rng.gen::<u64>(), before, "{want:?}: no input was sampled");
+        }
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = characterize(&c, &CharacterizationConfig::exact(vec![0], 2), &mut rng);
+        let empty = try_characterize_with_inputs(
+            &sample_program(),
+            &CharacterizationConfig::exact(vec![0], 4),
+            Vec::new(),
+            &mut rng,
+            &CancelToken::new(),
+        );
+        assert!(matches!(
+            empty,
+            Err(MorphError::Precondition(Precondition::NoSamples))
+        ));
     }
 }

@@ -13,10 +13,10 @@
 //! The convention, shared by the `verify` CLI and the `morph-serve`
 //! protocol: **0** — ran to completion and every assertion passed; **2** —
 //! ran to completion and at least one assertion was refuted; **1** — the
-//! pipeline could not complete (parse error, solver failure, I/O,
-//! cancellation). `morph-serve`'s `JobError` wraps `MorphError` on the
-//! service side (`From<MorphError> for JobError`), keeping the dependency
-//! arrow pointing downstream.
+//! pipeline could not complete (parse error, broken precondition, solver
+//! failure, I/O, cancellation). `morph-serve`'s `JobError` wraps
+//! `MorphError` on the service side (`From<MorphError> for JobError`),
+//! keeping the dependency arrow pointing downstream.
 
 use std::fmt;
 use std::io;
@@ -28,6 +28,70 @@ use crate::cancel::Cancelled;
 use crate::incremental::SegmentError;
 use crate::spec::ParseSpecError;
 use crate::validate::ValidationError;
+
+/// Widest register the noisy characterization sweep simulates: channel
+/// noise needs a `4^n`-element density matrix per sampled input.
+pub(crate) const MAX_NOISY_QUBITS: usize = 12;
+
+/// A verification request the pipeline refuses before doing any work: the
+/// precondition it breaks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Precondition {
+    /// The program has no tracepoints, so there is nothing to characterize.
+    NoTracepoints,
+    /// The verifier has no assertions to check.
+    NoAssertions,
+    /// No input qubits were configured.
+    NoInputQubits,
+    /// An input qubit lies outside the program's register.
+    InputQubitOutOfRange {
+        /// The offending input qubit.
+        qubit: usize,
+        /// The program's register width.
+        n_qubits: usize,
+    },
+    /// Nothing to sample: zero samples, or an empty explicit input set.
+    NoSamples,
+    /// Channel noise needs density-matrix simulation, which is capped at
+    /// 12 qubits.
+    NoisyRegisterTooWide {
+        /// The program's register width.
+        n_qubits: usize,
+    },
+    /// Explicit inputs were supplied to an incremental run, which samples
+    /// its own ensemble (the ensemble is part of each segment's content
+    /// address).
+    ExplicitInputsWithIncremental,
+}
+
+impl fmt::Display for Precondition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Precondition::NoTracepoints => {
+                write!(f, "program has no tracepoints to characterize")
+            }
+            Precondition::NoAssertions => write!(f, "no assertions to verify"),
+            Precondition::NoInputQubits => write!(f, "no input qubits configured"),
+            Precondition::InputQubitOutOfRange { qubit, n_qubits } => write!(
+                f,
+                "input qubit {qubit} out of range for a {n_qubits}-qubit program"
+            ),
+            Precondition::NoSamples => write!(f, "characterization needs at least one sample"),
+            Precondition::NoisyRegisterTooWide { n_qubits } => write!(
+                f,
+                "noisy characterization needs density-matrix simulation \
+                 (at most {MAX_NOISY_QUBITS} qubits), got {n_qubits}"
+            ),
+            Precondition::ExplicitInputsWithIncremental => write!(
+                f,
+                "incremental verification samples its own ensemble inputs; \
+                 explicit inputs are not supported"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for Precondition {}
 
 /// Any way the verification pipeline can fail to produce a verdict.
 #[derive(Debug)]
@@ -46,6 +110,8 @@ pub enum MorphError {
     Segment(SegmentError),
     /// A cooperative cancellation point fired (deadline or explicit).
     Cancelled(Cancelled),
+    /// The request broke a precondition and no work was done.
+    Precondition(Precondition),
 }
 
 impl MorphError {
@@ -67,6 +133,7 @@ impl fmt::Display for MorphError {
             MorphError::Store(e) => write!(f, "artifact store error: {e}"),
             MorphError::Segment(e) => write!(f, "{e}"),
             MorphError::Cancelled(e) => write!(f, "cancelled: {e}"),
+            MorphError::Precondition(e) => write!(f, "{e}"),
         }
     }
 }
@@ -80,6 +147,7 @@ impl std::error::Error for MorphError {
             MorphError::Store(e) => Some(e),
             MorphError::Segment(e) => Some(e),
             MorphError::Cancelled(e) => Some(e),
+            MorphError::Precondition(e) => Some(e),
         }
     }
 }
@@ -120,9 +188,21 @@ impl From<Cancelled> for MorphError {
     }
 }
 
+impl From<Precondition> for MorphError {
+    fn from(e: Precondition) -> Self {
+        MorphError::Precondition(e)
+    }
+}
+
 impl From<SegmentError> for MorphError {
+    /// A broken precondition reads the same on every path, so the
+    /// incremental surface's [`SegmentError::Precondition`] unwraps to
+    /// [`MorphError::Precondition`].
     fn from(e: SegmentError) -> Self {
-        MorphError::Segment(e)
+        match e {
+            SegmentError::Precondition(p) => MorphError::Precondition(p),
+            other => MorphError::Segment(other),
+        }
     }
 }
 

@@ -63,7 +63,8 @@ use crate::cache::{
     artifact_envelope, check_artifact_envelope, decode_backend, decode_fast_path, encode_fast_path,
     record_store_delta,
 };
-use crate::characterize::{Characterization, CharacterizationConfig};
+use crate::characterize::{check_preconditions, Characterization, CharacterizationConfig};
+use crate::error::Precondition;
 
 /// Domain tag for per-segment artifact fingerprints. Bump the version
 /// suffix whenever segment characterization changes meaning for the same
@@ -127,18 +128,17 @@ impl SegmentedConfig {
     }
 }
 
-/// Structured failure modes of the segmented/incremental surface
-/// (replacing the `assert!` preconditions of the original
-/// `characterize_segmented` helper).
+/// Structured failure modes of the segmented/incremental surface.
 #[derive(Debug)]
 pub enum SegmentError {
     /// The program contains measurement, reset, or classical feedback.
     NotUnitary,
     /// The program has no gates to segment.
     NoGates,
-    /// The program has no tracepoints, so there is nothing to
-    /// characterize.
-    NoTracepoints,
+    /// The program or configuration cannot be characterized (no
+    /// tracepoints, bad input qubits, zero samples, an over-wide noisy
+    /// register).
+    Precondition(Precondition),
     /// `n_segments == 0` was requested.
     ZeroSegments,
     /// `segment_gates == 0` was configured.
@@ -166,9 +166,7 @@ impl fmt::Display for SegmentError {
             SegmentError::NoGates => {
                 write!(f, "segmented characterization requires at least one gate")
             }
-            SegmentError::NoTracepoints => {
-                write!(f, "program has no tracepoints to characterize")
-            }
+            SegmentError::Precondition(e) => write!(f, "{e}"),
             SegmentError::ZeroSegments => write!(f, "need at least one segment"),
             SegmentError::ZeroSegmentGates => {
                 write!(f, "segment size must be at least one gate")
@@ -185,6 +183,7 @@ impl fmt::Display for SegmentError {
 impl std::error::Error for SegmentError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            SegmentError::Precondition(e) => Some(e),
             SegmentError::Compose(e) => Some(e),
             _ => None,
         }
@@ -661,11 +660,8 @@ pub struct IncrementalCharacterization {
 ///
 /// # Errors
 ///
-/// See [`SegmentError`].
-///
-/// # Panics
-///
-/// Same input-qubit/sample-count conditions as [`crate::characterize`].
+/// See [`SegmentError`]; a configuration [`crate::try_characterize`]
+/// would refuse is a [`SegmentError::Precondition`].
 pub fn try_characterize_incremental(
     circuit: &Circuit,
     config: &CharacterizationConfig,
@@ -677,28 +673,8 @@ pub fn try_characterize_incremental(
     incremental_for_seed(circuit, config, seg, master_seed, cache)
 }
 
-/// Panicking convenience wrapper around [`try_characterize_incremental`].
-///
-/// # Panics
-///
-/// On any [`SegmentError`].
-pub fn characterize_incremental(
-    circuit: &Circuit,
-    config: &CharacterizationConfig,
-    seg: &SegmentedConfig,
-    rng: &mut StdRng,
-    cache: &mut SegmentedCache,
-) -> IncrementalCharacterization {
-    try_characterize_incremental(circuit, config, seg, rng, cache).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`try_characterize_incremental`] with an explicit master seed (the
-/// deterministic entry point used by the serve batch mode).
-///
-/// # Errors
-///
-/// See [`SegmentError`].
-pub fn incremental_for_seed(
+/// [`try_characterize_incremental`] with the master seed already drawn.
+fn incremental_for_seed(
     circuit: &Circuit,
     config: &CharacterizationConfig,
     seg: &SegmentedConfig,
@@ -706,18 +682,9 @@ pub fn incremental_for_seed(
     cache: &mut SegmentedCache,
 ) -> Result<IncrementalCharacterization, SegmentError> {
     let plan = segment_plan(circuit, seg)?;
-    if plan.tracepoints.is_empty() {
-        return Err(SegmentError::NoTracepoints);
-    }
+    check_preconditions(circuit, config, config.n_samples).map_err(SegmentError::Precondition)?;
     let n = plan.n_qubits;
     let n_in = config.input_qubits.len();
-    assert!(
-        n_in > 0,
-        "characterization requires at least one input qubit"
-    );
-    for &q in &config.input_qubits {
-        assert!(q < n, "input qubit {q} out of range for {n} qubits");
-    }
 
     // Fingerprint every segment, then fetch-or-characterize each unique
     // fingerprint once. A position is a hit when its artifact came from
@@ -1136,13 +1103,33 @@ mod tests {
         untraced.h(0);
         assert!(matches!(
             try_characterize_incremental(&untraced, &config, &seg, &mut rng, &mut cache),
-            Err(SegmentError::NoTracepoints)
+            Err(SegmentError::Precondition(Precondition::NoTracepoints))
         ));
 
         let zero = SegmentedConfig::new().segment_gates(0);
         assert!(matches!(
             try_characterize_incremental(&traced_circuit(), &config, &zero, &mut rng, &mut cache),
             Err(SegmentError::ZeroSegmentGates)
+        ));
+
+        let off_register = CharacterizationConfig {
+            input_qubits: vec![0, 2],
+            ..exact_config()
+        };
+        assert!(matches!(
+            try_characterize_incremental(
+                &traced_circuit(),
+                &off_register,
+                &seg,
+                &mut rng,
+                &mut cache
+            ),
+            Err(SegmentError::Precondition(
+                Precondition::InputQubitOutOfRange {
+                    qubit: 2,
+                    n_qubits: 2
+                }
+            ))
         ));
     }
 }

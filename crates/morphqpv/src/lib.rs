@@ -28,14 +28,25 @@
 //!
 //! ## Parallelism
 //!
-//! Characterization fans the per-input sampling runs out over worker
-//! threads: set [`CharacterizationConfig::parallelism`] to `0` for all
-//! available cores (the default), `1` for a serial run, or `k` for exactly
-//! `k` workers. Each sampled input owns an RNG stream derived from one
-//! master seed and its input index, and per-worker cost ledgers merge
-//! exactly, so the traces and the [`Characterization::ledger`] are
-//! **bit-identical at every setting** — worker count changes wall-clock
-//! time only (see DESIGN.md "Deterministic parallelism").
+//! Characterization is one sweep over lane ranges fanned out to worker
+//! threads: 32 sampled inputs per range on the dense backend, where the
+//! noiseless lanes share one gate-major pass, and one input per range on
+//! the stabilizer and sparse fast paths. Set
+//! [`CharacterizationConfig::parallelism`] to `0` for all available cores
+//! (the default), `1` for a serial run, or `k` for exactly `k` workers.
+//! Each sampled input owns an RNG stream derived from one master seed and
+//! its input index, and per-range cost ledgers merge exactly, so the
+//! traces and the [`Characterization::ledger`] are **bit-identical at
+//! every setting** — worker count changes wall-clock time only (see
+//! DESIGN.md "Deterministic parallelism").
+//!
+//! ## Errors
+//!
+//! The `try_*` entry points check a request before doing any work and
+//! report a broken precondition (no tracepoints, bad input qubits, zero
+//! samples, a noisy register too wide for density-matrix simulation) as
+//! [`MorphError::Precondition`]; the panicking wrappers such as
+//! [`characterize`] turn the same error into a panic.
 //!
 //! ## Quickstart
 //!
@@ -89,21 +100,19 @@ pub use cache::{
 };
 pub use cancel::{CancelToken, Cancelled};
 pub use characterize::{
-    char_batch_size, characterize, characterize_with_inputs, try_characterize,
-    try_characterize_with_inputs, Characterization, CharacterizationConfig,
-    CharacterizationConfigBuilder, SweepMode,
+    characterize, characterize_with_inputs, try_characterize, try_characterize_with_inputs,
+    Characterization, CharacterizationConfig, CharacterizationConfigBuilder,
 };
 pub use confidence::{regularized_incomplete_beta, ConfidenceModel};
 // Backend selection surfaces in configs and reports; re-export the types
 // so downstream crates don't need direct morph-backend/morph-qprog deps.
 pub use counterexample::CounterExample;
-pub use error::MorphError;
+pub use error::{MorphError, Precondition};
 pub use incremental::{
-    characterize_incremental, characterize_segment, incremental_for_seed, segment_fingerprint,
-    segment_plan, segment_seed, stage_function, try_characterize_incremental,
-    IncrementalCharacterization, SegmentArtifact, SegmentError, SegmentPlan, SegmentReport,
-    SegmentStage, SegmentedCache, SegmentedConfig, DEFAULT_SEGMENT_GATES, SEGMENT_CUT_DOMAIN,
-    SEGMENT_DOMAIN,
+    characterize_segment, segment_fingerprint, segment_plan, segment_seed, stage_function,
+    try_characterize_incremental, IncrementalCharacterization, SegmentArtifact, SegmentError,
+    SegmentPlan, SegmentReport, SegmentStage, SegmentedCache, SegmentedConfig,
+    DEFAULT_SEGMENT_GATES, SEGMENT_CUT_DOMAIN, SEGMENT_DOMAIN,
 };
 pub use landscape::{input_landscape, landscape_peak, LandscapePoint};
 pub use morph_backend::{BackendChoice, BackendKind};
@@ -115,8 +124,6 @@ pub use morph_qprog::BackendMode;
 pub use predicate::{RelationPredicate, StatePredicate};
 pub use prune::{adaptive_inputs, adaptive_operator_inputs, constant_pinned_inputs};
 pub use ptm::PauliTransferMatrix;
-#[allow(deprecated)]
-pub use segmented::characterize_segmented;
 pub use segmented::{try_characterize_segmented, SegmentedCharacterization};
 pub use spec::{assertions_from_source, parse_assertion, ParseSpecError};
 pub use validate::{

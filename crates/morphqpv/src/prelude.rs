@@ -36,10 +36,10 @@ pub use crate::characterize::{
 };
 pub use crate::confidence::ConfidenceModel;
 pub use crate::counterexample::CounterExample;
-pub use crate::error::MorphError;
+pub use crate::error::{MorphError, Precondition};
 pub use crate::incremental::{
-    characterize_incremental, try_characterize_incremental, IncrementalCharacterization,
-    SegmentError, SegmentReport, SegmentedCache, SegmentedConfig,
+    try_characterize_incremental, IncrementalCharacterization, SegmentError, SegmentReport,
+    SegmentedCache, SegmentedConfig,
 };
 pub use crate::predicate::{RelationPredicate, StatePredicate};
 pub use crate::spec::{assertions_from_source, parse_assertion};

@@ -16,7 +16,7 @@ use morph_qprog::{Circuit, Instruction, TracepointId};
 use rand::rngs::StdRng;
 
 use crate::approx::{ApproximationFunction, ChainedApproximation};
-use crate::characterize::{characterize, CharacterizationConfig};
+use crate::characterize::{characterize, check_preconditions, CharacterizationConfig};
 use crate::incremental::SegmentError;
 use morph_tomography::CostLedger;
 
@@ -44,12 +44,10 @@ pub struct SegmentedCharacterization {
 /// [`SegmentError::NotUnitary`] for programs with measurement/feedback,
 /// [`SegmentError::NoGates`] for gate-free programs,
 /// [`SegmentError::TooManySegments`] when `n_segments` exceeds the gate
-/// count, and [`SegmentError::Compose`] if the stages do not chain.
-///
-/// # Panics
-///
-/// Panics if the register is too large for the configured (noisy)
-/// execution backend, as in [`characterize`].
+/// count, [`SegmentError::Precondition`] for a configuration
+/// [`crate::try_characterize`] would refuse (zero samples, a noisy register
+/// wider than 12 qubits), and [`SegmentError::Compose`] if the stages do
+/// not chain.
 pub fn try_characterize_segmented(
     circuit: &Circuit,
     config: &CharacterizationConfig,
@@ -79,6 +77,10 @@ pub fn try_characterize_segmented(
         });
     }
     let per = gates.len().div_ceil(n_segments);
+    let seg_config = CharacterizationConfig {
+        input_qubits: (0..n).collect(),
+        ..config.clone()
+    };
 
     let mut stages: Vec<ApproximationFunction> = Vec::new();
     let mut ledger = CostLedger::new();
@@ -88,10 +90,8 @@ pub fn try_characterize_segmented(
             segment.push(inst.clone());
         }
         segment.tracepoint(0, &(0..n).collect::<Vec<_>>());
-        let seg_config = CharacterizationConfig {
-            input_qubits: (0..n).collect(),
-            ..config.clone()
-        };
+        check_preconditions(&segment, &seg_config, seg_config.n_samples)
+            .map_err(SegmentError::Precondition)?;
         let ch = characterize(&segment, &seg_config, rng);
         ledger.merge(&ch.ledger);
         stages.push(ch.approximation(TracepointId(0)));
@@ -100,23 +100,7 @@ pub fn try_characterize_segmented(
     Ok(SegmentedCharacterization { chain, ledger })
 }
 
-/// Panicking forwarder kept for source compatibility.
-///
-/// # Panics
-///
-/// On any [`SegmentError`] (the conditions the original version asserted).
-#[deprecated(note = "use `try_characterize_segmented`, which reports structured `SegmentError`s")]
-pub fn characterize_segmented(
-    circuit: &Circuit,
-    config: &CharacterizationConfig,
-    n_segments: usize,
-    rng: &mut StdRng,
-) -> SegmentedCharacterization {
-    try_characterize_segmented(circuit, config, n_segments, rng).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::approx::Mitigation;
@@ -160,12 +144,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let circuit = test_circuit();
         for k in [1usize, 2, 3] {
-            let seg = characterize_segmented(
+            let seg = try_characterize_segmented(
                 &circuit,
                 &full_span_config(NoiseModel::noiseless()),
                 k,
                 &mut rng,
-            );
+            )
+            .unwrap();
             assert_eq!(seg.chain.len(), k.min(circuit.gate_count()));
             let probe = InputEnsemble::Clifford.generate(2, 1, &mut rng).remove(0);
             let predicted = seg.chain.predict(&probe.rho).unwrap();
@@ -183,7 +168,8 @@ mod tests {
         let circuit = test_circuit();
         let noise = NoiseModel::ibm_cairo();
         let accuracy = |k: usize, rng: &mut StdRng| -> f64 {
-            let seg = characterize_segmented(&circuit, &full_span_config(noise), k, rng);
+            let seg =
+                try_characterize_segmented(&circuit, &full_span_config(noise), k, rng).unwrap();
             let probes = InputEnsemble::Clifford.generate(2, 6, rng);
             probes
                 .iter()
@@ -209,28 +195,32 @@ mod tests {
     fn ledger_accumulates_across_segments() {
         let mut rng = StdRng::seed_from_u64(2);
         let circuit = test_circuit();
-        let one = characterize_segmented(
+        let one = try_characterize_segmented(
             &circuit,
             &full_span_config(NoiseModel::noiseless()),
             1,
             &mut rng,
-        );
-        let three = characterize_segmented(
+        )
+        .unwrap();
+        let three = try_characterize_segmented(
             &circuit,
             &full_span_config(NoiseModel::noiseless()),
             3,
             &mut rng,
-        );
+        )
+        .unwrap();
         assert!(three.ledger.executions > one.ledger.executions);
     }
 
     #[test]
-    #[should_panic(expected = "measurement-free")]
     fn feedback_programs_rejected() {
         let mut c = Circuit::new(2);
         c.h(0).measure(0, 0);
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = characterize_segmented(&c, &full_span_config(NoiseModel::noiseless()), 2, &mut rng);
+        assert!(matches!(
+            try_characterize_segmented(&c, &full_span_config(NoiseModel::noiseless()), 2, &mut rng),
+            Err(SegmentError::NotUnitary)
+        ));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::characterize::{
     characterize, characterize_with_inputs, try_characterize, try_characterize_with_inputs,
     Characterization, CharacterizationConfig,
 };
-use crate::error::MorphError;
+use crate::error::{MorphError, Precondition};
 use crate::incremental::{try_characterize_incremental, SegmentedCache, SegmentedConfig};
 use crate::validate::{
     try_validate_assertion, ValidationConfig, ValidationError, ValidationOutcome, Verdict,
@@ -82,7 +82,6 @@ impl Verifier {
                 input_qubits,
                 noise: NoiseModel::noiseless(),
                 parallelism: 0,
-                sweep: crate::SweepMode::default(),
                 backend: morph_qprog::BackendMode::Auto,
             },
             validation_config: ValidationConfig::default(),
@@ -147,9 +146,8 @@ impl Verifier {
     }
 
     /// Configures segment-granular incremental characterization for
-    /// [`Self::run_incremental`]/[`Self::try_run_incremental`] (the
-    /// revision loop: re-verifying an edited program recomputes only the
-    /// segments the edit touched).
+    /// [`Self::try_run_incremental`] (the revision loop: re-verifying an
+    /// edited program recomputes only the segments the edit touched).
     pub fn incremental(mut self, config: SegmentedConfig) -> Self {
         self.segmented = Some(config);
         self
@@ -212,33 +210,30 @@ impl Verifier {
     ///
     /// # Errors
     ///
+    /// [`MorphError::Precondition`] when the program or configuration
+    /// cannot be characterized (see [`crate::try_characterize`]),
     /// [`MorphError::Cancelled`] when `cancel` fires mid-sweep.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`crate::characterize`].
     pub fn try_characterize_for_seed(
         &self,
         char_seed: u64,
         cancel: &CancelToken,
     ) -> Result<Characterization, MorphError> {
         let mut run_rng = StdRng::seed_from_u64(char_seed);
-        let ch = match &self.explicit_inputs {
+        match &self.explicit_inputs {
             Some(inputs) => try_characterize_with_inputs(
                 &self.circuit,
                 &self.characterization_config,
                 inputs.clone(),
                 &mut run_rng,
                 cancel,
-            )?,
+            ),
             None => try_characterize(
                 &self.circuit,
                 &self.characterization_config,
                 &mut run_rng,
                 cancel,
-            )?,
-        };
-        Ok(ch)
+            ),
+        }
     }
 
     /// Validates every assertion against an already-computed
@@ -247,13 +242,14 @@ impl Verifier {
     ///
     /// # Errors
     ///
+    /// [`MorphError::Precondition`] when no assertions were added,
     /// [`MorphError::Validation`] on solver failure,
     /// [`MorphError::Cancelled`] when `cancel` fires between assertions.
     ///
     /// # Panics
     ///
-    /// Panics if no assertions were added or an assertion references a
-    /// tracepoint absent from `characterization`.
+    /// Panics if an assertion references a tracepoint absent from
+    /// `characterization`.
     pub fn try_validate_with(
         &self,
         characterization: Characterization,
@@ -261,7 +257,9 @@ impl Verifier {
         cache: Option<CacheSummary>,
         cancel: &CancelToken,
     ) -> Result<VerificationReport, MorphError> {
-        assert!(!self.assertions.is_empty(), "no assertions to verify");
+        if self.assertions.is_empty() {
+            return Err(Precondition::NoAssertions.into());
+        }
         let mut outcomes = Vec::with_capacity(self.assertions.len());
         for a in &self.assertions {
             cancel.check()?;
@@ -320,29 +318,6 @@ impl Verifier {
         self.validate_all(characterization, rng, None)
     }
 
-    /// [`Self::run`] with a characterization artifact cache: the
-    /// characterization stage is looked up in (and populated into) `cache`.
-    /// On a hit the validation runs against the restored artifact and the
-    /// report's ledger is the cost of the *original* characterization — no
-    /// new simulator cost is charged.
-    ///
-    /// Note: `run` and `run_with_cache` consume the caller's RNG stream
-    /// differently (`run_with_cache` draws one seed; `run` hands the stream
-    /// to characterization), so reports are comparable across repeated
-    /// `run_with_cache` calls, not between the two entry points.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::run`].
-    pub fn run_with_cache(
-        &self,
-        rng: &mut StdRng,
-        cache: &mut CharacterizationCache,
-    ) -> VerificationReport {
-        self.try_run_with_cache(rng, cache)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// [`Self::try_run`] with a characterization artifact cache; the
     /// report's [`RunReport::cache`] summarizes the hits, misses, and cost
     /// saved by *this* run (a delta, not the cache's lifetime stats).
@@ -376,49 +351,32 @@ impl Verifier {
         self.validate_all(characterization, rng, Some(cache_summary))
     }
 
-    /// [`Self::run_with_cache`]'s incremental counterpart: characterizes
-    /// per segment against `cache`, reusing every cached segment artifact
-    /// (see [`crate::try_characterize_incremental`]), then validates every
+    /// Incremental [`Self::try_run_with_cache`]: characterizes per segment
+    /// against `cache`, reusing every cached segment artifact (see
+    /// [`crate::try_characterize_incremental`]), then validates every
     /// assertion. The report's [`CacheSummary`] carries the per-segment
     /// hit/miss counts.
     ///
-    /// # Panics
-    ///
-    /// On any [`MorphError`], and under [`Self::try_run_incremental`]'s
-    /// precondition panics.
-    pub fn run_incremental(
-        &self,
-        rng: &mut StdRng,
-        cache: &mut SegmentedCache,
-    ) -> VerificationReport {
-        self.try_run_incremental(rng, cache)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::run_incremental`], reporting failures as errors.
-    ///
     /// # Errors
     ///
-    /// [`MorphError::Segment`] when the program cannot be segmented (see
-    /// [`crate::SegmentError`]), [`MorphError::Validation`] on solver
-    /// failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no assertions were added or explicit inputs were supplied
-    /// ([`Self::with_inputs`] and incremental characterization are
-    /// mutually exclusive — the ensemble is part of each segment's content
-    /// address).
+    /// [`MorphError::Precondition`] when no assertions were added, explicit
+    /// inputs were supplied ([`Self::with_inputs`] and incremental
+    /// characterization are mutually exclusive — the ensemble is part of
+    /// each segment's content address), or the program or configuration
+    /// cannot be characterized; [`MorphError::Segment`] when the program
+    /// cannot be segmented (see [`crate::SegmentError`]);
+    /// [`MorphError::Validation`] on solver failure.
     pub fn try_run_incremental(
         &self,
         rng: &mut StdRng,
         cache: &mut SegmentedCache,
     ) -> Result<VerificationReport, MorphError> {
-        assert!(!self.assertions.is_empty(), "no assertions to verify");
-        assert!(
-            self.explicit_inputs.is_none(),
-            "incremental verification samples its own ensemble inputs"
-        );
+        if self.assertions.is_empty() {
+            return Err(Precondition::NoAssertions.into());
+        }
+        if self.explicit_inputs.is_some() {
+            return Err(Precondition::ExplicitInputsWithIncremental.into());
+        }
         let _trace = morph_trace::span("verify/run");
         let stats_before = *cache.stats();
         let seg = self.segmented_config();
@@ -712,6 +670,46 @@ mod tests {
     }
 
     #[test]
+    fn broken_preconditions_reach_the_caller_as_errors() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut cache = SegmentedCache::in_memory();
+        let precondition = |result: Result<VerificationReport, MorphError>| match result {
+            Err(MorphError::Precondition(p)) => p,
+            other => panic!("expected a precondition error, got {other:?}"),
+        };
+        let bare = Verifier::new(ghz_with_traces())
+            .input_qubits(&[0])
+            .samples(4);
+        assert_eq!(
+            precondition(bare.try_run_incremental(&mut rng, &mut cache)),
+            Precondition::NoAssertions
+        );
+        let explicit = Verifier::new(ghz_with_traces())
+            .input_qubits(&[0])
+            .with_inputs(morph_clifford::InputEnsemble::Clifford.generate(1, 2, &mut rng))
+            .assert_that(pure_assertion());
+        assert_eq!(
+            precondition(explicit.try_run_incremental(&mut rng, &mut cache)),
+            Precondition::ExplicitInputsWithIncremental
+        );
+        let off_register = Verifier::new(ghz_with_traces())
+            .input_qubits(&[5])
+            .assert_that(pure_assertion());
+        let want = Precondition::InputQubitOutOfRange {
+            qubit: 5,
+            n_qubits: 3,
+        };
+        assert_eq!(
+            precondition(off_register.try_run_incremental(&mut rng, &mut cache)),
+            want
+        );
+        match off_register.try_characterize_for_seed(0, &CancelToken::new()) {
+            Err(MorphError::Precondition(p)) => assert_eq!(p, want),
+            other => panic!("expected a precondition error, got {other:?}"),
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "no assertions")]
     fn empty_verifier_rejected() {
         let _ = Verifier::new(ghz_with_traces()).run(&mut StdRng::seed_from_u64(0));
@@ -753,13 +751,17 @@ mod tests {
             .ensemble(morph_clifford::InputEnsemble::PauliProduct)
             .assert_that(pure_assertion());
 
-        let first = verifier.run_with_cache(&mut StdRng::seed_from_u64(3), &mut cache);
+        let first = verifier
+            .try_run_with_cache(&mut StdRng::seed_from_u64(3), &mut cache)
+            .unwrap();
         let cold = first.run.cache.expect("cached run carries a summary");
         assert_eq!(cold.hits, 0);
         assert_eq!(cold.misses, 1);
         assert_eq!(cold.writes, 1);
 
-        let second = verifier.run_with_cache(&mut StdRng::seed_from_u64(3), &mut cache);
+        let second = verifier
+            .try_run_with_cache(&mut StdRng::seed_from_u64(3), &mut cache)
+            .unwrap();
         let warm = second.run.cache.expect("cached run carries a summary");
         assert_eq!(warm.hits, 1, "identical run should hit: {warm:?}");
         assert_eq!(warm.misses, 0);
@@ -777,7 +779,9 @@ mod tests {
             .incremental(SegmentedConfig::new().segment_gates(1))
             .assert_that(pure_assertion());
 
-        let cold = verifier.run_incremental(&mut StdRng::seed_from_u64(3), &mut cache);
+        let cold = verifier
+            .try_run_incremental(&mut StdRng::seed_from_u64(3), &mut cache)
+            .unwrap();
         assert!(cold.all_passed());
         let cold_cache = cold.run.cache.expect("incremental run carries a summary");
         assert_eq!(cold_cache.segment_hits, 0);
@@ -793,7 +797,9 @@ mod tests {
             .ensemble(morph_clifford::InputEnsemble::PauliProduct)
             .incremental(SegmentedConfig::new().segment_gates(1))
             .assert_that(pure_assertion());
-        let warm = verifier.run_incremental(&mut StdRng::seed_from_u64(3), &mut cache);
+        let warm = verifier
+            .try_run_incremental(&mut StdRng::seed_from_u64(3), &mut cache)
+            .unwrap();
         let warm_cache = warm.run.cache.expect("incremental run carries a summary");
         assert!(warm_cache.segment_hits >= 3, "{warm_cache:?}");
         assert!(warm_cache.segment_misses <= 1, "{warm_cache:?}");

@@ -14,10 +14,9 @@
 use std::collections::BTreeMap;
 
 use morph_linalg::CMatrix;
-use morph_qsim::{DensityBatch, DensityMatrix, Gate, NoiseModel, StateBatch, StateVector};
+use morph_qsim::{DensityMatrix, Gate, NoiseModel, StateBatch, StateVector};
 use rand::Rng;
 
-use crate::backend_mode::BackendMode;
 use crate::circuit::{Circuit, Instruction, TracepointId};
 use crate::fusion::fuse_circuit;
 
@@ -58,9 +57,6 @@ impl ExpectedRecord {
     }
 }
 
-/// Shot count used when [`ExecutorBuilder::shots`] is not configured.
-pub const DEFAULT_SHOTS: usize = 1024;
-
 /// Runs programs against the simulator substrate.
 ///
 /// An `Executor` holds only plain configuration data, so a single instance
@@ -73,8 +69,6 @@ pub const DEFAULT_SHOTS: usize = 1024;
 pub struct Executor {
     noise: NoiseModel,
     fuse: bool,
-    default_shots: usize,
-    backend: BackendMode,
 }
 
 impl Default for Executor {
@@ -84,7 +78,7 @@ impl Default for Executor {
 }
 
 /// Builder for [`Executor`] — the one construction path for every
-/// configuration axis (noise model, gate fusion, default shot budget).
+/// configuration axis (noise model, gate fusion).
 ///
 /// # Examples
 ///
@@ -95,17 +89,13 @@ impl Default for Executor {
 /// let noisy = Executor::builder()
 ///     .noise(NoiseModel::ibm_cairo())
 ///     .fusion(false)
-///     .shots(256)
 ///     .build();
 /// assert!(!noisy.noise().is_noiseless());
-/// assert_eq!(noisy.default_shots(), 256);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExecutorBuilder {
     noise: NoiseModel,
     fusion: bool,
-    shots: usize,
-    backend: BackendMode,
 }
 
 impl ExecutorBuilder {
@@ -123,29 +113,11 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Sets the shot budget used by [`Executor::sample_counts_default`]
-    /// (default: [`DEFAULT_SHOTS`]).
-    pub fn shots(mut self, shots: usize) -> Self {
-        self.shots = shots;
-        self
-    }
-
-    /// Requests a simulation backend (default: [`BackendMode::Auto`]).
-    /// The executor itself always runs dense kernels; the request is read
-    /// by the `morph-backend` dispatch layer, and the `MORPH_BACKEND`
-    /// environment variable replaces `Auto` at resolution time.
-    pub fn backend(mut self, backend: BackendMode) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Finalizes the configuration.
     pub fn build(self) -> Executor {
         Executor {
             noise: self.noise,
             fuse: self.fusion,
-            default_shots: self.shots,
-            backend: self.backend,
         }
     }
 }
@@ -155,8 +127,6 @@ impl Default for ExecutorBuilder {
         ExecutorBuilder {
             noise: NoiseModel::noiseless(),
             fusion: true,
-            shots: DEFAULT_SHOTS,
-            backend: BackendMode::Auto,
         }
     }
 }
@@ -171,46 +141,14 @@ const _: () = {
 
 impl Executor {
     /// Starts an [`ExecutorBuilder`] with the default configuration
-    /// (noiseless, fusion on, [`DEFAULT_SHOTS`]).
+    /// (noiseless, fusion on).
     pub fn builder() -> ExecutorBuilder {
         ExecutorBuilder::default()
-    }
-
-    /// Noiseless executor.
-    #[deprecated(note = "use `Executor::default()` or `Executor::builder()`")]
-    pub fn new() -> Self {
-        Executor::default()
-    }
-
-    /// Executor with a hardware noise model.
-    #[deprecated(note = "use `Executor::builder().noise(noise).build()`")]
-    pub fn with_noise(noise: NoiseModel) -> Self {
-        Executor::builder().noise(noise).build()
-    }
-
-    /// Disables the gate-fusion pre-pass. Fusion preserves semantics, so
-    /// this exists for debugging and for oracle comparisons in tests.
-    #[deprecated(note = "use `Executor::builder().fusion(false)`")]
-    pub fn without_fusion(mut self) -> Self {
-        self.fuse = false;
-        self
     }
 
     /// The configured noise model.
     pub fn noise(&self) -> &NoiseModel {
         &self.noise
-    }
-
-    /// The shot budget [`Executor::sample_counts_default`] spends.
-    pub fn default_shots(&self) -> usize {
-        self.default_shots
-    }
-
-    /// The requested simulation backend, before the `MORPH_BACKEND`
-    /// environment override (apply [`BackendMode::resolve`] for the
-    /// effective mode).
-    pub fn backend_mode(&self) -> BackendMode {
-        self.backend
     }
 
     /// Returns the circuit to execute on a noiseless path: the fused form
@@ -373,22 +311,9 @@ impl Executor {
         acc.into_record()
     }
 
-    /// [`Self::run_expected`] over a batch of inputs: fuses once, then
-    /// applies each gate across all inputs in one gate-major pass.
-    ///
-    /// Results are bit-identical to calling [`Self::run_expected`] per
-    /// input.
-    pub fn run_expected_batch(
-        &self,
-        circuit: &Circuit,
-        inputs: &[StateVector],
-    ) -> Vec<ExpectedRecord> {
-        let prepared = self.fuse_for_run(circuit);
-        self.run_expected_batch_prefused(&prepared, inputs)
-    }
-
-    /// [`Self::run_expected_batch`] on a circuit already prepared by
-    /// [`Self::fuse_for_run`].
+    /// [`Self::run_expected`] over a batch of inputs, on a circuit already
+    /// prepared by [`Self::fuse_for_run`]. Results are bit-identical to
+    /// calling [`Self::run_expected_prefused`] per input.
     ///
     /// Purely unitary circuits (gates, tracepoints, barriers) execute on a
     /// [`StateBatch`] so every gate touches all lanes in one strided pass;
@@ -449,105 +374,6 @@ impl Executor {
         records
     }
 
-    /// [`Self::run_expected_noisy`] over a batch of inputs, gate-major on a
-    /// [`DensityBatch`]. Never fuses (channel noise attaches per physical
-    /// gate); circuits with measurement, reset, or classical feedback fall
-    /// back to per-lane enumeration. Inputs are chunked internally to respect
-    /// the density-batch memory budget.
-    ///
-    /// Results are bit-identical to calling [`Self::run_expected_noisy`] per
-    /// input.
-    pub fn run_expected_noisy_batch(
-        &self,
-        circuit: &Circuit,
-        inputs: &[DensityMatrix],
-    ) -> Vec<ExpectedRecord> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        if morph_trace::enabled() {
-            morph_trace::counter("executor/batch_runs", 1);
-            morph_trace::counter("executor/batch_lanes", inputs.len() as u64);
-        }
-        if circuit.has_nonunitary() {
-            morph_trace::counter("executor/batch_fallbacks", 1);
-            return inputs
-                .iter()
-                .map(|input| self.run_expected_noisy(circuit, input))
-                .collect();
-        }
-        for input in inputs {
-            assert_eq!(
-                input.n_qubits(),
-                circuit.n_qubits(),
-                "input register mismatch"
-            );
-        }
-        morph_trace::counter("executor/gates_unfused", gate_count(circuit));
-        let n = circuit.n_qubits();
-        let mut records = Vec::with_capacity(inputs.len());
-        let mut start = 0;
-        while start < inputs.len() {
-            let lanes = DensityBatch::max_lanes(n, inputs.len() - start);
-            let chunk = &inputs[start..start + lanes];
-            let mut batch = DensityBatch::from_densities(chunk);
-            let mut chunk_records: Vec<ExpectedRecord> = (0..lanes)
-                .map(|_| ExpectedRecord {
-                    tracepoints: BTreeMap::new(),
-                    branch_count: 1,
-                })
-                .collect();
-            for inst in circuit.instructions() {
-                match inst {
-                    Instruction::Gate(g) => {
-                        batch.apply_gate(g);
-                        batch.apply_noise(&self.noise, g);
-                    }
-                    Instruction::Tracepoint { id, qubits } => {
-                        for (lane, rec) in chunk_records.iter_mut().enumerate() {
-                            let rho = batch.lane(lane).partial_trace(qubits);
-                            record_weighted(&mut rec.tracepoints, *id, rho, 1.0);
-                        }
-                    }
-                    Instruction::Barrier => {}
-                    other => {
-                        unreachable!("nonunitary instruction {other:?} on batched fast path")
-                    }
-                }
-            }
-            records.extend(chunk_records);
-            start += lanes;
-        }
-        records
-    }
-
-    /// Averages tracepoint states over `n_trajectories` stochastic noisy
-    /// runs — the large-register stand-in for [`Self::run_expected_noisy`].
-    pub fn run_average(
-        &self,
-        circuit: &Circuit,
-        input: &StateVector,
-        n_trajectories: usize,
-        rng: &mut impl Rng,
-    ) -> ExpectedRecord {
-        assert!(n_trajectories > 0, "need at least one trajectory");
-        let mut tracepoints: BTreeMap<TracepointId, CMatrix> = BTreeMap::new();
-        for _ in 0..n_trajectories {
-            let rec = self.run_trajectory(circuit, input, rng);
-            for (id, rho) in rec.tracepoints {
-                let scaled = rho.scale_re(1.0 / n_trajectories as f64);
-                tracepoints
-                    .entry(id)
-                    .and_modify(|acc| *acc += &scaled)
-                    .or_insert(scaled);
-            }
-        }
-        ExpectedRecord {
-            tracepoints,
-            branch_count: n_trajectories,
-        }
-    }
-
     /// Samples `shots` final-register measurement outcomes. For programs
     /// without mid-circuit measurement/noise a single run is reused for all
     /// shots; otherwise each shot is its own trajectory.
@@ -568,17 +394,6 @@ impl Executor {
             counts[rec.final_state.sample(rng)] += 1;
         }
         counts
-    }
-
-    /// [`Executor::sample_counts`] spending the builder-configured default
-    /// shot budget ([`ExecutorBuilder::shots`]).
-    pub fn sample_counts_default(
-        &self,
-        circuit: &Circuit,
-        input: &StateVector,
-        rng: &mut impl Rng,
-    ) -> Vec<usize> {
-        self.sample_counts(circuit, input, self.default_shots, rng)
     }
 
     /// Estimated wall-clock duration of one shot on hardware, in
@@ -896,19 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn run_average_approaches_expected() {
-        let c = bell_with_traces();
-        let mut rng = StdRng::seed_from_u64(11);
-        let ex = Executor::default();
-        let avg = ex.run_average(&c, &StateVector::zero_state(2), 10, &mut rng);
-        let exp = ex.run_expected(&c, &StateVector::zero_state(2));
-        // Unitary program: every trajectory is identical.
-        assert!(avg
-            .state(TracepointId(2))
-            .approx_eq(exp.state(TracepointId(2)), 1e-12));
-    }
-
-    #[test]
     fn sample_counts_total_and_distribution() {
         let c = bell_with_traces();
         let mut rng = StdRng::seed_from_u64(2);
@@ -960,7 +762,7 @@ mod tests {
         for count in [1usize, 3, 8] {
             let inputs = random_inputs(4, count, 17 + count as u64);
             let prepared = ex.fuse_for_run(&c);
-            let batched = ex.run_expected_batch(&c, &inputs);
+            let batched = ex.run_expected_batch_prefused(&prepared, &inputs);
             assert_eq!(batched.len(), count);
             for (rec, input) in batched.iter().zip(&inputs) {
                 let oracle = ex.run_expected_prefused(&prepared, input);
@@ -983,7 +785,7 @@ mod tests {
         let ex = Executor::default();
         let inputs = random_inputs(2, 3, 5);
         let prepared = ex.fuse_for_run(&c);
-        let batched = ex.run_expected_batch(&c, &inputs);
+        let batched = ex.run_expected_batch_prefused(&prepared, &inputs);
         for (rec, input) in batched.iter().zip(&inputs) {
             let oracle = ex.run_expected_prefused(&prepared, input);
             assert_eq!(rec.branch_count, oracle.branch_count);
@@ -992,28 +794,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_noisy_is_bitwise_identical_to_per_state() {
-        let c = deep_circuit(3);
-        let ex = Executor::builder().noise(NoiseModel::ibm_cairo()).build();
-        let inputs: Vec<DensityMatrix> = random_inputs(3, 4, 23)
-            .iter()
-            .map(DensityMatrix::from_state_vector)
-            .collect();
-        let batched = ex.run_expected_noisy_batch(&c, &inputs);
-        assert_eq!(batched.len(), inputs.len());
-        for (rec, input) in batched.iter().zip(&inputs) {
-            let oracle = ex.run_expected_noisy(&c, input);
-            assert_eq!(rec.branch_count, oracle.branch_count);
-            assert_eq!(rec.tracepoints, oracle.tracepoints);
-        }
-    }
-
-    #[test]
-    fn batched_paths_handle_empty_input_slices() {
+    fn batched_path_handles_an_empty_input_slice() {
         let c = deep_circuit(2);
         let ex = Executor::default();
-        assert!(ex.run_expected_batch(&c, &[]).is_empty());
-        assert!(ex.run_expected_noisy_batch(&c, &[]).is_empty());
+        assert!(ex.run_expected_batch_prefused(&c, &[]).is_empty());
     }
 
     #[test]

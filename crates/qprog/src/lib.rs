@@ -38,7 +38,7 @@ mod writer;
 
 pub use backend_mode::{BackendMode, ParseBackendModeError};
 pub use circuit::{Circuit, Instruction, TracepointId};
-pub use executor::{ExecutionRecord, Executor, ExecutorBuilder, ExpectedRecord, DEFAULT_SHOTS};
+pub use executor::{ExecutionRecord, Executor, ExecutorBuilder, ExpectedRecord};
 pub use fusion::fuse_circuit;
 pub use optimize_pass::{simplify, SimplifyStats};
 pub use parser::{parse_program, ParseProgramError};

@@ -4,33 +4,26 @@
 //! The characterization sweep executes the *same* circuit over dozens of
 //! sampled input states. The per-state path walks the gate list once per
 //! state, re-reading every gate matrix and re-deriving every kernel index
-//! `B` times. [`StateBatch`] and [`DensityBatch`] invert that loop: storage
-//! is batch-innermost (`data[amp_index * batch + lane]`), so each gate's
-//! index arithmetic is computed once per amplitude block and the per-lane
-//! update becomes a contiguous, autovectorization-friendly inner loop.
+//! `B` times. [`StateBatch`] inverts that loop: storage is batch-innermost
+//! (`re[amp_index * batch + lane]`), so each gate's index arithmetic is
+//! computed once per amplitude block and the per-lane update becomes a
+//! contiguous, autovectorization-friendly inner loop.
 //!
 //! # Bit-identity contract
 //!
 //! Every batched kernel uses the *same arithmetic expressions per element*
-//! as the per-state kernels in [`crate::StateVector`] and
-//! [`crate::DensityMatrix`] — including the `C64::ZERO`-seeded accumulation
-//! folds and the `.scale(h)` forms, which differ at the last bit from
-//! algebraically equal alternatives (`0.0 + (-0.0)` is `+0.0`). Lanes never
-//! mix, so every lane of a batch is **bitwise identical** to running the
-//! per-state kernel on that lane alone, at any batch size. The unit tests
-//! below and the workspace-level proptests enforce this with exact
+//! as the per-state kernels in [`crate::StateVector`] — including the
+//! `C64::ZERO`-seeded accumulation folds, which differ at the last bit
+//! from algebraically equal alternatives (`0.0 + (-0.0)` is `+0.0`). Lanes
+//! never mix, so every lane of a batch is **bitwise identical** to running
+//! the per-state kernel on that lane alone, at any batch size. The unit
+//! tests below and the workspace-level proptests enforce this with exact
 //! equality, keeping the per-state path as the oracle.
-//!
-//! [`StateBatchF32`] is the opt-in single-precision variant for
-//! confidence-only sweeps: it is *not* bit-identical to the `f64` path and
-//! instead tracks an accumulated Euclidean-norm error bound.
 
 use morph_linalg::{CMatrix, C64};
 
 use crate::bits;
-use crate::density::DensityMatrix;
 use crate::gate::{matrices, Gate};
-use crate::noise::NoiseModel;
 use crate::state::StateVector;
 
 /// Disjoint mutable lane slices at `i0` and `j0` (requires `i0 + len <= j0`).
@@ -789,851 +782,6 @@ impl StateBatch {
     }
 }
 
-/// A batch of `B` mixed states, stored batch-innermost: element `(r, c)` of
-/// lane `l` lives at `data[(r * d + c) * batch + lane]`. Row passes operate
-/// on whole `d·B`-element rows, so the density path's cache-blocked sweeps
-/// become long contiguous lane loops.
-///
-/// The per-element arithmetic mirrors the [`DensityMatrix`] qubit-local
-/// kernels and closed-form channels exactly; worker chunking there never
-/// changes element values, so every lane is bitwise identical to the
-/// per-state path at any worker count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DensityBatch {
-    n_qubits: usize,
-    batch: usize,
-    data: Vec<C64>,
-}
-
-impl DensityBatch {
-    /// Largest lane count that keeps an `n`-qubit density batch inside the
-    /// memory budget (2^26 complex elements ≈ 1 GiB), at least 1 and at
-    /// most `requested`.
-    pub fn max_lanes(n_qubits: usize, requested: usize) -> usize {
-        assert!(n_qubits <= 13, "density batch would exceed memory budget");
-        let elems = 1usize << (2 * n_qubits);
-        ((1usize << 26) / elems).clamp(1, requested.max(1))
-    }
-
-    fn assert_budget(n_qubits: usize, batch: usize) {
-        assert!(batch >= 1, "density batch cannot be empty");
-        assert_eq!(
-            batch,
-            Self::max_lanes(n_qubits, batch),
-            "density batch of {batch} lanes at {n_qubits} qubits exceeds memory budget; \
-             cap the request with DensityBatch::max_lanes"
-        );
-    }
-
-    /// `B` copies of `|0…0⟩⟨0…0|`.
-    pub fn zero_states(n_qubits: usize, batch: usize) -> Self {
-        Self::assert_budget(n_qubits, batch);
-        let d = 1usize << n_qubits;
-        let mut data = vec![C64::ZERO; d * d * batch];
-        data[..batch].fill(C64::ONE);
-        DensityBatch {
-            n_qubits,
-            batch,
-            data,
-        }
-    }
-
-    /// Packs per-lane density matrices into batch-innermost storage,
-    /// bit-exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` is empty or qubit counts differ.
-    pub fn from_densities(states: &[DensityMatrix]) -> Self {
-        assert!(!states.is_empty(), "density batch cannot be empty");
-        let n_qubits = states[0].n_qubits();
-        assert!(
-            states.iter().all(|s| s.n_qubits() == n_qubits),
-            "all lanes must share one register size"
-        );
-        let batch = states.len();
-        Self::assert_budget(n_qubits, batch);
-        let d = 1usize << n_qubits;
-        let mut data = vec![C64::ZERO; d * d * batch];
-        for (l, s) in states.iter().enumerate() {
-            for (i, &a) in s.matrix().as_slice().iter().enumerate() {
-                data[i * batch + l] = a;
-            }
-        }
-        DensityBatch {
-            n_qubits,
-            batch,
-            data,
-        }
-    }
-
-    /// Number of qubits per lane.
-    #[inline]
-    pub fn n_qubits(&self) -> usize {
-        self.n_qubits
-    }
-
-    /// Number of lanes.
-    #[inline]
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    #[inline]
-    fn dim(&self) -> usize {
-        1usize << self.n_qubits
-    }
-
-    #[inline]
-    fn shift(&self, qubit: usize) -> usize {
-        assert!(qubit < self.n_qubits, "qubit {qubit} out of range");
-        self.n_qubits - 1 - qubit
-    }
-
-    /// Extracts lane `lane` as a [`DensityMatrix`], bit-exactly.
-    pub fn lane(&self, lane: usize) -> DensityMatrix {
-        assert!(lane < self.batch, "lane {lane} out of range");
-        let d = self.dim();
-        let rho: Vec<C64> = (0..d * d)
-            .map(|i| self.data[i * self.batch + lane])
-            .collect();
-        DensityMatrix::from_matrix(CMatrix::from_vec(d, d, rho))
-    }
-
-    /// Applies `gate` to every lane, dispatching exactly as
-    /// [`DensityMatrix::apply_gate`] does for a single state.
-    pub fn apply_gate(&mut self, gate: &Gate) {
-        morph_trace::counter("qsim/batch_density_gates", 1);
-        match gate {
-            Gate::Z(q)
-            | Gate::S(q)
-            | Gate::Sdg(q)
-            | Gate::T(q)
-            | Gate::Tdg(q)
-            | Gate::RZ(q, _)
-            | Gate::Phase(q, _) => {
-                let u = gate.local_matrix();
-                self.diag_1q(*q, u[(0, 0)], u[(1, 1)]);
-            }
-            Gate::H(q) | Gate::X(q) | Gate::Y(q) | Gate::RX(q, _) | Gate::RY(q, _) => {
-                self.apply_1q(&gate.local_matrix(), *q);
-            }
-            Gate::CZ(c, t) => self.diag_controlled(&[*c], *t, C64::ONE, -C64::ONE),
-            Gate::CPhase(c, t, a) => {
-                self.diag_controlled(&[*c], *t, C64::ONE, C64::cis(*a));
-            }
-            Gate::CRZ(c, t, a) => {
-                self.diag_controlled(&[*c], *t, C64::cis(-a / 2.0), C64::cis(a / 2.0));
-            }
-            Gate::MCZ(qs) => {
-                let (last, rest) = qs.split_last().expect("MCZ over at least one qubit");
-                self.diag_controlled(rest, *last, C64::ONE, -C64::ONE);
-            }
-            Gate::CX(c, t) => self.apply_controlled(&matrices::x(), &[*c], *t),
-            Gate::CCX(c1, c2, t) => {
-                self.apply_controlled(&matrices::x(), &[*c1, *c2], *t);
-            }
-            Gate::MCRX(cs, t, a) => {
-                self.apply_controlled(&matrices::rx(*a), cs, *t);
-            }
-            Gate::MCRY(cs, t, a) => {
-                self.apply_controlled(&matrices::ry(*a), cs, *t);
-            }
-            Gate::Swap(a, b) => self.apply_swap(*a, *b),
-            Gate::Unitary(qs, u) => match qs.len() {
-                1 => self.apply_1q(u, qs[0]),
-                2 => self.apply_2q(u, qs[0], qs[1]),
-                _ => self.apply_kq(u, qs),
-            },
-        }
-    }
-
-    /// Applies the channel noise that follows `gate`, mirroring
-    /// [`NoiseModel::apply_to_density`] on every lane.
-    pub fn apply_noise(&mut self, noise: &NoiseModel, gate: &Gate) {
-        if noise.is_noiseless() {
-            return;
-        }
-        let qs = gate.qubits();
-        if qs.len() <= 1 {
-            if noise.p1 > 0.0 {
-                self.depolarize(qs[0], noise.p1);
-            }
-        } else if noise.p2 > 0.0 {
-            for q in qs {
-                self.depolarize(q, noise.p2);
-            }
-        }
-    }
-
-    /// Batched 1-qubit conjugation `ρ ← U ρ U†` on every lane.
-    pub fn apply_1q(&mut self, u: &CMatrix, qubit: usize) {
-        assert_eq!(u.rows(), 2, "apply_1q expects a 2×2 unitary");
-        let shift = self.shift(qubit);
-        let d = self.dim();
-        let b = self.batch;
-        let m = 1usize << shift;
-        let (u00, u01, u10, u11) = (u[(0, 0)], u[(0, 1)], u[(1, 0)], u[(1, 1)]);
-        // Row pass: whole d·B-element rows paired on the target bit.
-        for base in 0..d / 2 {
-            let r0 = bits::deposit(base, shift);
-            let (row0, row1) = lane_pair(&mut self.data, r0 * d * b, (r0 | m) * d * b, d * b);
-            for (x, y) in row0.iter_mut().zip(row1.iter_mut()) {
-                let a0 = *x;
-                let a1 = *y;
-                *x = u00 * a0 + u01 * a1;
-                *y = u10 * a0 + u11 * a1;
-            }
-        }
-        // Column pass: per row, mix the B-element column segments.
-        let (c00, c01, c10, c11) = (u00.conj(), u01.conj(), u10.conj(), u11.conj());
-        for row in self.data.chunks_mut(d * b) {
-            for base in 0..d / 2 {
-                let col0 = bits::deposit(base, shift);
-                let (x0, x1) = lane_pair(row, col0 * b, (col0 | m) * b, b);
-                for (x, y) in x0.iter_mut().zip(x1.iter_mut()) {
-                    let b0 = *x;
-                    let b1 = *y;
-                    *x = b0 * c00 + b1 * c01;
-                    *y = b0 * c10 + b1 * c11;
-                }
-            }
-        }
-    }
-
-    /// Batched 2-qubit conjugation; `q_a` indexes the unitary's more
-    /// significant qubit.
-    pub fn apply_2q(&mut self, u: &CMatrix, q_a: usize, q_b: usize) {
-        assert_eq!(u.rows(), 4, "apply_2q expects a 4×4 unitary");
-        assert_ne!(q_a, q_b, "two-qubit gate requires distinct qubits");
-        let sa = self.shift(q_a);
-        let sb = self.shift(q_b);
-        let d = self.dim();
-        let b = self.batch;
-        let ma = 1usize << sa;
-        let mb = 1usize << sb;
-        let (lo, hi) = (sa.min(sb), sa.max(sb));
-        let (mlo, mhi) = (1usize << lo, 1usize << hi);
-        let mut uu = [[C64::ZERO; 4]; 4];
-        for r in 0..4 {
-            for c in 0..4 {
-                uu[r][c] = u[(r, c)];
-            }
-        }
-        // Row pass over whole-row quads.
-        for base in 0..d / 4 {
-            let r00 = bits::deposit(bits::deposit(base, lo), hi);
-            let starts = [
-                r00 * d * b,
-                (r00 | mlo) * d * b,
-                (r00 | mhi) * d * b,
-                (r00 | mlo | mhi) * d * b,
-            ];
-            let [q0, qlo, qhi, q3] = lane_quad(&mut self.data, starts, d * b);
-            let (q1, q2) = if mb < ma { (qlo, qhi) } else { (qhi, qlo) };
-            for idx in 0..d * b {
-                let a = [q0[idx], q1[idx], q2[idx], q3[idx]];
-                let mut out = [C64::ZERO; 4];
-                for (j, o) in out.iter_mut().enumerate() {
-                    for (k, &ak) in a.iter().enumerate() {
-                        *o += uu[j][k] * ak;
-                    }
-                }
-                q0[idx] = out[0];
-                q1[idx] = out[1];
-                q2[idx] = out[2];
-                q3[idx] = out[3];
-            }
-        }
-        // Column pass: per row, mix the column-segment quad with conj(u).
-        for row in self.data.chunks_mut(d * b) {
-            for base in 0..d / 4 {
-                let c00 = bits::deposit(bits::deposit(base, lo), hi);
-                let starts = [
-                    c00 * b,
-                    (c00 | mlo) * b,
-                    (c00 | mhi) * b,
-                    (c00 | mlo | mhi) * b,
-                ];
-                let [q0, qlo, qhi, q3] = lane_quad(row, starts, b);
-                let (q1, q2) = if mb < ma { (qlo, qhi) } else { (qhi, qlo) };
-                for l in 0..b {
-                    let bb = [q0[l], q1[l], q2[l], q3[l]];
-                    let mut out = [C64::ZERO; 4];
-                    for (j, o) in out.iter_mut().enumerate() {
-                        for (k, &bk) in bb.iter().enumerate() {
-                            *o += bk * uu[j][k].conj();
-                        }
-                    }
-                    q0[l] = out[0];
-                    q1[l] = out[1];
-                    q2[l] = out[2];
-                    q3[l] = out[3];
-                }
-            }
-        }
-    }
-
-    /// Batched multi-controlled 1-qubit conjugation.
-    pub fn apply_controlled(&mut self, u: &CMatrix, controls: &[usize], target: usize) {
-        assert_eq!(u.rows(), 2, "controlled payload must be 2×2");
-        if controls.is_empty() {
-            return self.apply_1q(u, target);
-        }
-        let mut cmask = 0usize;
-        for &c in controls {
-            assert_ne!(c, target, "control equals target");
-            cmask |= 1usize << self.shift(c);
-        }
-        let tshift = self.shift(target);
-        let tm = 1usize << tshift;
-        let d = self.dim();
-        let b = self.batch;
-        let (u00, u01, u10, u11) = (u[(0, 0)], u[(0, 1)], u[(1, 0)], u[(1, 1)]);
-        let mut fixed: Vec<usize> = (0..usize::BITS as usize)
-            .filter(|&s| cmask & (1 << s) != 0)
-            .collect();
-        fixed.push(tshift);
-        fixed.sort_unstable();
-        let n_base = d >> fixed.len();
-        // Row pass: rows with controls set, paired on the target bit.
-        for base in 0..n_base {
-            let r0 = bits::deposit_multi(base, &fixed) | cmask;
-            let (row0, row1) = lane_pair(&mut self.data, r0 * d * b, (r0 | tm) * d * b, d * b);
-            for (x, y) in row0.iter_mut().zip(row1.iter_mut()) {
-                let a0 = *x;
-                let a1 = *y;
-                *x = u00 * a0 + u01 * a1;
-                *y = u10 * a0 + u11 * a1;
-            }
-        }
-        // Column pass.
-        let (c00, c01, c10, c11) = (u00.conj(), u01.conj(), u10.conj(), u11.conj());
-        for row in self.data.chunks_mut(d * b) {
-            for base in 0..n_base {
-                let col0 = bits::deposit_multi(base, &fixed) | cmask;
-                let (x0, x1) = lane_pair(row, col0 * b, (col0 | tm) * b, b);
-                for (x, y) in x0.iter_mut().zip(x1.iter_mut()) {
-                    let b0 = *x;
-                    let b1 = *y;
-                    *x = b0 * c00 + b1 * c01;
-                    *y = b0 * c10 + b1 * c11;
-                }
-            }
-        }
-    }
-
-    /// Batched SWAP conjugation: row exchanges then column exchanges, no
-    /// arithmetic at all.
-    pub fn apply_swap(&mut self, q_a: usize, q_b: usize) {
-        assert_ne!(q_a, q_b, "swap requires distinct qubits");
-        let sa = self.shift(q_a);
-        let sb = self.shift(q_b);
-        let d = self.dim();
-        let b = self.batch;
-        let ma = 1usize << sa;
-        let mb = 1usize << sb;
-        let (lo, hi) = (sa.min(sb), sa.max(sb));
-        for base in 0..d / 4 {
-            let r00 = bits::deposit(bits::deposit(base, lo), hi);
-            let (ra, rb) = (r00 | ma, r00 | mb);
-            let (rlo, rhi) = (ra.min(rb), ra.max(rb));
-            let (x0, x1) = lane_pair(&mut self.data, rlo * d * b, rhi * d * b, d * b);
-            for (x, y) in x0.iter_mut().zip(x1.iter_mut()) {
-                std::mem::swap(x, y);
-            }
-        }
-        for row in self.data.chunks_mut(d * b) {
-            for base in 0..d / 4 {
-                let c00 = bits::deposit(bits::deposit(base, lo), hi);
-                let (ca, cb) = (c00 | ma, c00 | mb);
-                let (clo, chi) = (ca.min(cb), ca.max(cb));
-                let (x0, x1) = lane_pair(row, clo * b, chi * b, b);
-                for (x, y) in x0.iter_mut().zip(x1.iter_mut()) {
-                    std::mem::swap(x, y);
-                }
-            }
-        }
-    }
-
-    /// Batched diagonal-unitary conjugation:
-    /// `ρ[r][c] ← diag[r] · ρ[r][c] · conj(diag[c])` on every lane.
-    pub fn apply_diag(&mut self, diag: &[C64]) {
-        let d = self.dim();
-        let b = self.batch;
-        assert_eq!(diag.len(), d, "diagonal length mismatch");
-        for (r, row) in self.data.chunks_mut(d * b).enumerate() {
-            let dr = diag[r];
-            for (c, seg) in row.chunks_mut(b).enumerate() {
-                let dc = diag[c];
-                for x in seg.iter_mut() {
-                    *x = dr * *x * dc.conj();
-                }
-            }
-        }
-    }
-
-    fn diag_1q(&mut self, qubit: usize, d0: C64, d1: C64) {
-        let m = 1usize << self.shift(qubit);
-        let d = self.dim();
-        let diag: Vec<C64> = (0..d).map(|i| if i & m != 0 { d1 } else { d0 }).collect();
-        self.apply_diag(&diag);
-    }
-
-    fn diag_controlled(&mut self, controls: &[usize], target: usize, p0: C64, p1: C64) {
-        let mut cmask = 0usize;
-        for &c in controls {
-            assert_ne!(c, target, "control equals target");
-            cmask |= 1usize << self.shift(c);
-        }
-        let tm = 1usize << self.shift(target);
-        let d = self.dim();
-        let diag: Vec<C64> = (0..d)
-            .map(|i| {
-                if i & cmask != cmask {
-                    C64::ONE
-                } else if i & tm != 0 {
-                    p1
-                } else {
-                    p0
-                }
-            })
-            .collect();
-        self.apply_diag(&diag);
-    }
-
-    /// Batched k-qubit conjugation on `targets` (most significant first),
-    /// mirroring [`DensityMatrix::apply_kq_local`] per lane.
-    pub fn apply_kq(&mut self, u: &CMatrix, targets: &[usize]) {
-        let k = targets.len();
-        let dk = 1usize << k;
-        assert_eq!(u.rows(), dk, "unitary does not match target count");
-        let d = self.dim();
-        let b = self.batch;
-        let mut sorted: Vec<usize> = targets.iter().map(|&q| self.shift(q)).collect();
-        sorted.sort_unstable();
-        assert!(
-            sorted.windows(2).all(|w| w[0] != w[1]),
-            "duplicate target qubit"
-        );
-        let spread: Vec<usize> = (0..dk)
-            .map(|j| {
-                let mut mask = 0usize;
-                for (bit, &q) in targets.iter().rev().enumerate() {
-                    if j & (1 << bit) != 0 {
-                        mask |= 1usize << self.shift(q);
-                    }
-                }
-                mask
-            })
-            .collect();
-        let n_rest = d >> k;
-        let mut block = vec![C64::ZERO; dk * dk];
-        let mut tmp = vec![C64::ZERO; dk * dk];
-        for lane in 0..b {
-            for rr in 0..n_rest {
-                let row_base = bits::deposit_multi(rr, &sorted);
-                for cr in 0..n_rest {
-                    let col_base = bits::deposit_multi(cr, &sorted);
-                    for j in 0..dk {
-                        let row = (row_base | spread[j]) * d + col_base;
-                        for l in 0..dk {
-                            block[j * dk + l] = self.data[(row + spread[l]) * b + lane];
-                        }
-                    }
-                    // tmp = U · block
-                    for j in 0..dk {
-                        for l in 0..dk {
-                            let mut acc = C64::ZERO;
-                            for p in 0..dk {
-                                acc += u[(j, p)] * block[p * dk + l];
-                            }
-                            tmp[j * dk + l] = acc;
-                        }
-                    }
-                    // out = tmp · U†, scattered back in place.
-                    for j in 0..dk {
-                        let row = (row_base | spread[j]) * d + col_base;
-                        for l in 0..dk {
-                            let mut acc = C64::ZERO;
-                            for p in 0..dk {
-                                acc += tmp[j * dk + p] * u[(l, p)].conj();
-                            }
-                            self.data[(row + spread[l]) * b + lane] = acc;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batched closed-form single-qubit channel, mirroring
-    /// [`DensityMatrix`]'s `kernel_channel_1q` per lane.
-    fn channel_1q<F>(&mut self, shift: usize, f: F)
-    where
-        F: Fn(C64, C64, C64, C64) -> (C64, C64, C64, C64),
-    {
-        let d = self.dim();
-        let b = self.batch;
-        let m = 1usize << shift;
-        for rbase in 0..d / 2 {
-            let r0 = bits::deposit(rbase, shift);
-            let (row0, row1) = lane_pair(&mut self.data, r0 * d * b, (r0 | m) * d * b, d * b);
-            for cbase in 0..d / 2 {
-                let c0 = bits::deposit(cbase, shift);
-                let c1 = c0 | m;
-                for l in 0..b {
-                    let (a, bb, c, dd) = (
-                        row0[c0 * b + l],
-                        row0[c1 * b + l],
-                        row1[c0 * b + l],
-                        row1[c1 * b + l],
-                    );
-                    let (na, nb, nc, nd) = f(a, bb, c, dd);
-                    row0[c0 * b + l] = na;
-                    row0[c1 * b + l] = nb;
-                    row1[c0 * b + l] = nc;
-                    row1[c1 * b + l] = nd;
-                }
-            }
-        }
-    }
-
-    /// Batched [`DensityMatrix::depolarize`].
-    pub fn depolarize(&mut self, qubit: usize, p: f64) {
-        let shift = self.shift(qubit);
-        let keep = 1.0 - p / 2.0;
-        let mix = p / 2.0;
-        let coh = 1.0 - p;
-        self.channel_1q(shift, |a, b, c, dd| {
-            (
-                a.scale(keep) + dd.scale(mix),
-                b.scale(coh),
-                c.scale(coh),
-                dd.scale(keep) + a.scale(mix),
-            )
-        });
-    }
-
-    /// Batched [`DensityMatrix::bit_flip`].
-    pub fn bit_flip(&mut self, qubit: usize, p: f64) {
-        let shift = self.shift(qubit);
-        let keep = 1.0 - p;
-        self.channel_1q(shift, |a, b, c, dd| {
-            (
-                a.scale(keep) + dd.scale(p),
-                b.scale(keep) + c.scale(p),
-                c.scale(keep) + b.scale(p),
-                dd.scale(keep) + a.scale(p),
-            )
-        });
-    }
-
-    /// Batched [`DensityMatrix::phase_damp`].
-    pub fn phase_damp(&mut self, qubit: usize, lambda: f64) {
-        let shift = self.shift(qubit);
-        let damp = (1.0 - lambda).sqrt();
-        self.channel_1q(shift, |a, b, c, dd| (a, b.scale(damp), c.scale(damp), dd));
-    }
-
-    /// Batched [`DensityMatrix::amplitude_damp`].
-    pub fn amplitude_damp(&mut self, qubit: usize, gamma: f64) {
-        let shift = self.shift(qubit);
-        let damp = (1.0 - gamma).sqrt();
-        let keep = 1.0 - gamma;
-        self.channel_1q(shift, |a, b, c, dd| {
-            (
-                a + dd.scale(gamma),
-                b.scale(damp),
-                c.scale(damp),
-                dd.scale(keep),
-            )
-        });
-    }
-}
-
-/// Single-precision batch for confidence-only sweeps: planar `f32` storage
-/// (`re`/`im` at `[amp_index * batch + lane]`) with a tracked Euclidean-norm
-/// error bound.
-///
-/// Results are **not** bit-identical to the `f64` path and must never feed
-/// cached characterization artifacts; the intended use is cheap confidence
-/// screening where [`Self::error_bound`] certifies how far any lane can
-/// have drifted from the exact `f64` amplitudes (2-norm). Permutation-only
-/// gates (X, CX, Swap) and pure sign flips (Z, CZ, MCZ) are exact and do
-/// not grow the bound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StateBatchF32 {
-    n_qubits: usize,
-    batch: usize,
-    re: Vec<f32>,
-    im: Vec<f32>,
-    error_bound: f64,
-}
-
-impl StateBatchF32 {
-    /// `B` copies of `|0…0⟩` (exact: no conversion error yet).
-    pub fn zero_states(n_qubits: usize, batch: usize) -> Self {
-        StateBatch::assert_budget(n_qubits, batch);
-        let len = (1usize << n_qubits) * batch;
-        let mut re = vec![0f32; len];
-        re[..batch].fill(1.0);
-        StateBatchF32 {
-            n_qubits,
-            batch,
-            re,
-            im: vec![0f32; len],
-            error_bound: 0.0,
-        }
-    }
-
-    /// Rounds per-lane `f64` states into planar `f32` storage; the initial
-    /// error bound is the conversion's relative rounding, `f32::EPSILON`.
-    pub fn from_states(states: &[StateVector]) -> Self {
-        assert!(!states.is_empty(), "state batch cannot be empty");
-        let n_qubits = states[0].n_qubits();
-        assert!(
-            states.iter().all(|s| s.n_qubits() == n_qubits),
-            "all lanes must share one register size"
-        );
-        let batch = states.len();
-        StateBatch::assert_budget(n_qubits, batch);
-        let dim = 1usize << n_qubits;
-        let mut re = vec![0f32; dim * batch];
-        let mut im = vec![0f32; dim * batch];
-        for (l, s) in states.iter().enumerate() {
-            for (i, &a) in s.amplitudes().iter().enumerate() {
-                re[i * batch + l] = a.re as f32;
-                im[i * batch + l] = a.im as f32;
-            }
-        }
-        StateBatchF32 {
-            n_qubits,
-            batch,
-            re,
-            im,
-            error_bound: f32::EPSILON as f64,
-        }
-    }
-
-    /// Number of qubits per lane.
-    #[inline]
-    pub fn n_qubits(&self) -> usize {
-        self.n_qubits
-    }
-
-    /// Number of lanes.
-    #[inline]
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Accumulated 2-norm error bound versus the exact `f64` evolution.
-    #[inline]
-    pub fn error_bound(&self) -> f64 {
-        self.error_bound
-    }
-
-    #[inline]
-    fn dim(&self) -> usize {
-        1usize << self.n_qubits
-    }
-
-    #[inline]
-    fn bit_shift(&self, qubit: usize) -> usize {
-        assert!(qubit < self.n_qubits, "qubit {qubit} out of range");
-        self.n_qubits - 1 - qubit
-    }
-
-    /// Widens lane `lane` back to a [`StateVector`]. The result is only
-    /// approximately normalized; its distance (2-norm) from the exact state
-    /// is at most [`Self::error_bound`].
-    pub fn lane(&self, lane: usize) -> StateVector {
-        assert!(lane < self.batch, "lane {lane} out of range");
-        let amps: Vec<C64> = (0..self.dim())
-            .map(|i| {
-                let at = i * self.batch + lane;
-                C64::new(self.re[at] as f64, self.im[at] as f64)
-            })
-            .collect();
-        StateVector::from_normalized_amplitudes(amps)
-    }
-
-    /// Applies `gate` to every lane, growing the error bound for every
-    /// non-exact gate by `2^k · 8 · ε_f32` (a forward bound on a length-2^k
-    /// complex dot product with unit-bounded coefficients).
-    pub fn apply_gate(&mut self, gate: &Gate) {
-        match gate {
-            Gate::X(q) => return self.apply_x(*q),
-            Gate::Z(q) => return self.negate_where(1usize << self.bit_shift(*q)),
-            Gate::CX(c, t) => return self.apply_cx(*c, *t),
-            Gate::CZ(a, b) => {
-                let mask = (1usize << self.bit_shift(*a)) | (1usize << self.bit_shift(*b));
-                return self.negate_where(mask);
-            }
-            Gate::MCZ(qs) => {
-                let mask = qs
-                    .iter()
-                    .map(|&q| 1usize << self.bit_shift(q))
-                    .fold(0usize, |m, x| m | x);
-                return self.negate_where(mask);
-            }
-            Gate::Swap(a, b) => return self.apply_swap(*a, *b),
-            _ => {}
-        }
-        let qs = gate.qubits();
-        let u = gate.local_matrix();
-        if qs.len() == 1 {
-            self.apply_1q(&u, qs[0]);
-        } else {
-            self.apply_kq(&u, &qs);
-        }
-        self.error_bound += (1usize << qs.len()) as f64 * 8.0 * f32::EPSILON as f64;
-    }
-
-    fn apply_1q(&mut self, u: &CMatrix, qubit: usize) {
-        let shift = self.bit_shift(qubit);
-        let mask = 1usize << shift;
-        let b = self.batch;
-        let (u00r, u00i) = (u[(0, 0)].re as f32, u[(0, 0)].im as f32);
-        let (u01r, u01i) = (u[(0, 1)].re as f32, u[(0, 1)].im as f32);
-        let (u10r, u10i) = (u[(1, 0)].re as f32, u[(1, 0)].im as f32);
-        let (u11r, u11i) = (u[(1, 1)].re as f32, u[(1, 1)].im as f32);
-        for base in 0..self.dim() / 2 {
-            let i = bits::deposit(base, shift) * b;
-            let j = (bits::deposit(base, shift) | mask) * b;
-            for l in 0..b {
-                let (a0r, a0i) = (self.re[i + l], self.im[i + l]);
-                let (a1r, a1i) = (self.re[j + l], self.im[j + l]);
-                self.re[i + l] = u00r * a0r - u00i * a0i + u01r * a1r - u01i * a1i;
-                self.im[i + l] = u00r * a0i + u00i * a0r + u01r * a1i + u01i * a1r;
-                self.re[j + l] = u10r * a0r - u10i * a0i + u11r * a1r - u11i * a1i;
-                self.im[j + l] = u10r * a0i + u10i * a0r + u11r * a1i + u11i * a1r;
-            }
-        }
-    }
-
-    fn apply_kq(&mut self, u: &CMatrix, targets: &[usize]) {
-        let k = targets.len();
-        let dk = 1usize << k;
-        assert_eq!(u.rows(), dk, "operator size does not match target count");
-        let shifts: Vec<usize> = targets.iter().map(|&q| self.bit_shift(q)).collect();
-        let sorted = {
-            let mut s = shifts.clone();
-            s.sort_unstable();
-            s.dedup();
-            assert_eq!(s.len(), k, "duplicate targets");
-            s
-        };
-        let spread: Vec<usize> = (0..dk)
-            .map(|t| {
-                let mut mask = 0usize;
-                for (bit, &s) in shifts.iter().enumerate() {
-                    if (t >> (k - 1 - bit)) & 1 == 1 {
-                        mask |= 1 << s;
-                    }
-                }
-                mask
-            })
-            .collect();
-        let mut ur = vec![0f32; dk * dk];
-        let mut ui = vec![0f32; dk * dk];
-        for r in 0..dk {
-            for c in 0..dk {
-                ur[r * dk + c] = u[(r, c)].re as f32;
-                ui[r * dk + c] = u[(r, c)].im as f32;
-            }
-        }
-        let b = self.batch;
-        let mut sr = vec![0f32; dk];
-        let mut si = vec![0f32; dk];
-        for rest in 0..self.dim() >> k {
-            let base = bits::deposit_multi(rest, &sorted);
-            for l in 0..b {
-                for t in 0..dk {
-                    sr[t] = self.re[(base | spread[t]) * b + l];
-                    si[t] = self.im[(base | spread[t]) * b + l];
-                }
-                for r in 0..dk {
-                    let mut ar = 0f32;
-                    let mut ai = 0f32;
-                    for c in 0..dk {
-                        let (urc, uic) = (ur[r * dk + c], ui[r * dk + c]);
-                        ar += urc * sr[c] - uic * si[c];
-                        ai += urc * si[c] + uic * sr[c];
-                    }
-                    self.re[(base | spread[r]) * b + l] = ar;
-                    self.im[(base | spread[r]) * b + l] = ai;
-                }
-            }
-        }
-    }
-
-    fn apply_x(&mut self, qubit: usize) {
-        let shift = self.bit_shift(qubit);
-        let mask = 1usize << shift;
-        let b = self.batch;
-        for base in 0..self.dim() / 2 {
-            let i = bits::deposit(base, shift);
-            self.swap_blocks(i * b, (i | mask) * b);
-        }
-    }
-
-    fn apply_cx(&mut self, control: usize, target: usize) {
-        assert_ne!(control, target, "control equals target");
-        let cs = self.bit_shift(control);
-        let ts = self.bit_shift(target);
-        let cmask = 1usize << cs;
-        let tmask = 1usize << ts;
-        let (lo, hi) = (cs.min(ts), cs.max(ts));
-        let b = self.batch;
-        for base in 0..self.dim() / 4 {
-            let i = bits::deposit(bits::deposit(base, lo), hi) | cmask;
-            self.swap_blocks(i * b, (i | tmask) * b);
-        }
-    }
-
-    fn apply_swap(&mut self, q_a: usize, q_b: usize) {
-        assert_ne!(q_a, q_b, "swap requires distinct qubits");
-        let sa = self.bit_shift(q_a);
-        let sb = self.bit_shift(q_b);
-        let (ma, mb) = (1usize << sa, 1usize << sb);
-        let (lo, hi) = (sa.min(sb), sa.max(sb));
-        let b = self.batch;
-        for base in 0..self.dim() / 4 {
-            let i00 = bits::deposit(bits::deposit(base, lo), hi);
-            let (pa, pb) = (i00 | ma, i00 | mb);
-            self.swap_blocks(pa.min(pb) * b, pa.max(pb) * b);
-        }
-    }
-
-    /// Negates every amplitude whose index has all bits of `mask` set.
-    fn negate_where(&mut self, mask: usize) {
-        let shifts: Vec<usize> = (0..self.n_qubits)
-            .filter(|&s| mask & (1 << s) != 0)
-            .collect();
-        let b = self.batch;
-        for base in 0..self.dim() >> shifts.len() {
-            let i = (bits::deposit_multi(base, &shifts) | mask) * b;
-            for x in &mut self.re[i..i + b] {
-                *x = -*x;
-            }
-            for x in &mut self.im[i..i + b] {
-                *x = -*x;
-            }
-        }
-    }
-
-    fn swap_blocks(&mut self, i0: usize, j0: usize) {
-        let b = self.batch;
-        debug_assert!(i0 + b <= j0);
-        for plane in [&mut self.re, &mut self.im] {
-            let (head, tail) = plane.split_at_mut(j0);
-            head[i0..i0 + b].swap_with_slice(&mut tail[..b]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1685,13 +833,6 @@ mod tests {
             .collect()
     }
 
-    fn random_densities(n: usize, count: usize, seed: u64) -> Vec<DensityMatrix> {
-        random_states(n, count, seed)
-            .iter()
-            .map(DensityMatrix::from_state_vector)
-            .collect()
-    }
-
     #[test]
     fn state_batch_matches_per_state_bitwise() {
         for batch_size in [1usize, 3, 8] {
@@ -1738,119 +879,9 @@ mod tests {
     }
 
     #[test]
-    fn density_batch_matches_per_state_bitwise() {
-        for batch_size in [1usize, 2, 5] {
-            let mut lanes = random_densities(3, batch_size, 31 + batch_size as u64);
-            let mut batch = DensityBatch::from_densities(&lanes);
-            for g in every_gate(4)
-                .into_iter()
-                .filter(|g| g.qubits().iter().all(|&q| q < 3))
-            {
-                batch.apply_gate(&g);
-                for rho in lanes.iter_mut() {
-                    rho.apply_gate(&g);
-                }
-                for (l, rho) in lanes.iter().enumerate() {
-                    assert_eq!(batch.lane(l), *rho, "{g:?} lane {l} (B={batch_size})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn density_batch_channels_match_per_state_bitwise() {
-        let mut lanes = random_densities(3, 4, 91);
-        let mut batch = DensityBatch::from_densities(&lanes);
-        batch.depolarize(1, 0.13);
-        batch.bit_flip(0, 0.21);
-        batch.phase_damp(2, 0.34);
-        batch.amplitude_damp(1, 0.08);
-        for rho in lanes.iter_mut() {
-            rho.depolarize(1, 0.13);
-            rho.bit_flip(0, 0.21);
-            rho.phase_damp(2, 0.34);
-            rho.amplitude_damp(1, 0.08);
-        }
-        for (l, rho) in lanes.iter().enumerate() {
-            assert_eq!(batch.lane(l), *rho, "channel lane {l}");
-        }
-    }
-
-    #[test]
-    fn density_batch_noise_matches_noise_model() {
-        let noise = NoiseModel::ibm_cairo();
-        let mut lanes = random_densities(3, 3, 17);
-        let mut batch = DensityBatch::from_densities(&lanes);
-        for g in [Gate::H(0), Gate::CX(0, 2), Gate::CCX(0, 1, 2)] {
-            batch.apply_gate(&g);
-            batch.apply_noise(&noise, &g);
-            for rho in lanes.iter_mut() {
-                rho.apply_gate(&g);
-                noise.apply_to_density(rho, &g);
-            }
-        }
-        for (l, rho) in lanes.iter().enumerate() {
-            assert_eq!(batch.lane(l), *rho, "noisy lane {l}");
-        }
-    }
-
-    #[test]
     fn zero_state_constructors_match_per_state() {
         let batch = StateBatch::zero_states(3, 2);
         assert_eq!(batch.lane(0), StateVector::zero_state(3));
         assert_eq!(batch.lane(1), StateVector::zero_state(3));
-        let dbatch = DensityBatch::zero_states(2, 2);
-        assert_eq!(dbatch.lane(1), DensityMatrix::zero_state(2));
-    }
-
-    #[test]
-    fn density_max_lanes_respects_budget() {
-        assert_eq!(DensityBatch::max_lanes(13, 64), 1);
-        assert_eq!(DensityBatch::max_lanes(10, 64), 64);
-        assert_eq!(DensityBatch::max_lanes(12, 64), 4);
-        assert_eq!(DensityBatch::max_lanes(3, 0), 1);
-    }
-
-    #[test]
-    fn f32_batch_stays_within_error_bound() {
-        let lanes = random_states(4, 6, 57);
-        let mut exact = StateBatch::from_states(&lanes);
-        let mut fast = StateBatchF32::from_states(&lanes);
-        for g in every_gate(4) {
-            exact.apply_gate(&g);
-            fast.apply_gate(&g);
-        }
-        assert!(fast.error_bound() > 0.0);
-        assert!(fast.error_bound() < 1e-3, "bound {}", fast.error_bound());
-        for l in 0..6 {
-            let e = exact.lane(l);
-            let f = fast.lane(l);
-            let dist: f64 = e
-                .amplitudes()
-                .iter()
-                .zip(f.amplitudes())
-                .map(|(a, b)| (*a - *b).norm_sqr())
-                .sum::<f64>()
-                .sqrt();
-            assert!(
-                dist <= fast.error_bound(),
-                "lane {l}: drift {dist} exceeds bound {}",
-                fast.error_bound()
-            );
-        }
-    }
-
-    #[test]
-    fn f32_permutation_gates_are_exact() {
-        let lanes = random_states(3, 2, 3);
-        let mut fast = StateBatchF32::from_states(&lanes);
-        let bound = fast.error_bound();
-        fast.apply_gate(&Gate::X(0));
-        fast.apply_gate(&Gate::CX(0, 2));
-        fast.apply_gate(&Gate::Swap(1, 2));
-        fast.apply_gate(&Gate::Z(1));
-        fast.apply_gate(&Gate::CZ(0, 1));
-        fast.apply_gate(&Gate::MCZ(vec![0, 1, 2]));
-        assert_eq!(fast.error_bound(), bound);
     }
 }

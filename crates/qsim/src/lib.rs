@@ -40,7 +40,7 @@ mod pauli;
 mod serde_impls;
 mod state;
 
-pub use batch::{DensityBatch, StateBatch, StateBatchF32};
+pub use batch::StateBatch;
 pub use density::DensityMatrix;
 pub use gate::{matrices, Gate};
 pub use noise::NoiseModel;

@@ -250,6 +250,52 @@ fn invalid_requests_are_rejected_in_band() {
     service.shutdown();
 }
 
+/// Requests the characterization stage refuses up front answer in band as
+/// `verification` errors, not as panics contained by the worker: a
+/// 13-qubit register under `ibm_cairo` channel noise (wider than
+/// density-matrix simulation allows) and a program with an assertion but
+/// no tracepoint.
+#[test]
+fn unrunnable_characterizations_are_verification_errors() {
+    let _g = serial();
+    let mut wide_noisy = JobRequest::new(
+        "wide-noisy",
+        "qreg q[13];\nT 1 q[0];\nh q[0];\nT 2 q[0,12];\n\
+         // assert assume is_pure(T1) guarantee is_pure(T2)\n",
+        vec![0],
+    );
+    wide_noisy.noise = Some("ibm_cairo".to_string());
+    let untraced = JobRequest::new(
+        "untraced",
+        "qreg q[2];\nh q[0];\ncx q[0],q[1];\n\
+         // assert assume is_pure(T1) guarantee is_pure(T2)\n",
+        vec![0],
+    );
+    let service = service_with(2, 8);
+    for (request, reason) in [
+        (wide_noisy, "at most 12 qubits"),
+        (untraced, "no tracepoints"),
+    ] {
+        let id = request.id.clone();
+        let err = service
+            .submit(request)
+            .expect("accepted")
+            .wait()
+            .expect_err("the precondition must fail the job");
+        let line = JobResponse::from_error(&id, &err).to_json_line();
+        assert!(line.contains(r#""kind":"verification""#), "{line}");
+        assert!(line.contains(reason), "{line}");
+    }
+    // The service is unharmed and still answers healthy jobs.
+    let ok = service
+        .submit(ghz_request("after-refusals", 3))
+        .expect("accepted")
+        .wait()
+        .expect("job completes");
+    assert!(ok.report.all_passed());
+    service.shutdown();
+}
+
 /// Regression for the poisoned-lock sweep: a job that panics *while
 /// leading a characterization flight* (inside locks, not during
 /// validation) must not wedge the service — the flight is abandoned, the
@@ -257,18 +303,22 @@ fn invalid_requests_are_rejected_in_band() {
 #[test]
 fn panicking_leader_mid_characterization_leaves_the_service_healthy() {
     let _g = serial();
-    // No `T` statements at all: the request parses and validates, wins
-    // the flight for its fingerprint, then panics inside
-    // characterization (the tracepoint list must be nonempty).
-    let no_tracepoints = "\
+    // `T 2` names qubit 1 twice: the request parses and passes every
+    // up-front check, wins the flight for its fingerprint, then panics
+    // inside the sweep's tracepoint readout (reduced density matrices need
+    // distinct qubits).
+    let duplicate_trace_qubit = "\
 qreg q[2];
+T 1 q[0];
 h q[0];
+t q[0];
 cx q[0],q[1];
+T 2 q[1,1];
 // assert assume is_pure(T1) guarantee is_pure(T2)
 ";
     let service = service_with(2, 8);
     let err = service
-        .submit(JobRequest::new("mid-boom", no_tracepoints, vec![0]))
+        .submit(JobRequest::new("mid-boom", duplicate_trace_qubit, vec![0]))
         .expect("accepted")
         .wait()
         .expect_err("characterization must panic");
@@ -277,7 +327,11 @@ cx q[0],q[1];
     // fresh leader (not deadlock on a stale entry or poisoned lock) and
     // fail the same way.
     let err = service
-        .submit(JobRequest::new("mid-boom-again", no_tracepoints, vec![0]))
+        .submit(JobRequest::new(
+            "mid-boom-again",
+            duplicate_trace_qubit,
+            vec![0],
+        ))
         .expect("accepted")
         .wait()
         .expect_err("the retry elects a fresh leader and panics again");

@@ -6,19 +6,17 @@
 //! path must be indistinguishable from unfused execution, and the fast
 //! simulation backends (stabilizer, sparse, Clifford-prefix splice) must
 //! reproduce the dense characterization sweep — bitwise where the backend
-//! contract promises it, within `TOL` elsewhere — at every worker count
-//! and [`SweepMode`].
+//! contract promises it, within `TOL` elsewhere — at every worker count.
+//! The dense sweep itself is checked against per-input execution.
 
 use morphqpv_suite::backend::{Simulator, SparseSim};
 use morphqpv_suite::clifford::InputEnsemble;
 use morphqpv_suite::core::{
-    characterize, BackendChoice, BackendMode, Characterization, CharacterizationConfig, SweepMode,
+    characterize, BackendChoice, BackendMode, Characterization, CharacterizationConfig,
 };
 use morphqpv_suite::linalg::{CMatrix, C64};
-use morphqpv_suite::qprog::{fuse_circuit, Circuit, Executor, TracepointId};
-use morphqpv_suite::qsim::{
-    matrices, DensityBatch, DensityMatrix, Gate, NoiseModel, StateBatch, StateVector,
-};
+use morphqpv_suite::qprog::{fuse_circuit, Circuit, Executor, Instruction, TracepointId};
+use morphqpv_suite::qsim::{matrices, DensityMatrix, Gate, NoiseModel, StateBatch, StateVector};
 use morphqpv_suite::tomography::ReadoutMode;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -93,14 +91,13 @@ fn traced_circuit(n: usize, gates: &[Gate]) -> Circuit {
 }
 
 /// Characterizes `circuit` (inputs on qubits 0–1, exact readout, noiseless)
-/// on the requested backend, worker count, and sweep mode.
+/// on the requested backend and worker count.
 fn characterize_on(
     circuit: &Circuit,
     ensemble: InputEnsemble,
     n_samples: usize,
     backend: BackendMode,
     parallelism: usize,
-    sweep: SweepMode,
     seed: u64,
 ) -> Characterization {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -108,7 +105,6 @@ fn characterize_on(
         ensemble,
         backend,
         parallelism,
-        sweep,
         ..CharacterizationConfig::exact(vec![0, 1], n_samples)
     };
     characterize(circuit, &config, &mut rng)
@@ -366,67 +362,6 @@ proptest! {
         }
     }
 
-    /// Batched density execution with channel noise is bit-identical to the
-    /// per-state density path (the noisy characterization arithmetic).
-    #[test]
-    fn density_batch_noisy_matches_per_state_bitwise(
-        gates in proptest::collection::vec(arb_gate(3), 1..6),
-        rhos in proptest::collection::vec(arb_density(3), 1..4),
-    ) {
-        let noise = NoiseModel::ibm_cairo();
-        let mut batch = DensityBatch::from_densities(&rhos);
-        let mut singles = rhos;
-        for gate in &gates {
-            batch.apply_gate(gate);
-            batch.apply_noise(&noise, gate);
-            for r in singles.iter_mut() {
-                r.apply_gate(gate);
-                noise.apply_to_density(r, gate);
-            }
-        }
-        for (lane, r) in singles.iter().enumerate() {
-            let got = batch.lane(lane);
-            for i in 0..r.matrix().rows() {
-                for j in 0..r.matrix().cols() {
-                    prop_assert_eq!(got.matrix()[(i, j)], r.matrix()[(i, j)]);
-                }
-            }
-        }
-    }
-
-    /// The batched characterization sweep is bit-identical to the per-state
-    /// oracle at every worker count, with shot readout exercising the
-    /// per-input RNG streams.
-    #[test]
-    fn batched_characterization_matches_per_state_oracle(
-        seed in 0u64..1000,
-        n_samples in 1usize..7,
-        workers in 1usize..5,
-    ) {
-        let mut c = Circuit::new(3);
-        c.tracepoint(1, &[0]);
-        c.h(1).cx(0, 1).t(2).cx(1, 2);
-        c.tracepoint(2, &[0, 1, 2]);
-        let run = |sweep: SweepMode, parallelism: usize| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let config = CharacterizationConfig {
-                sweep,
-                parallelism,
-                readout: ReadoutMode::Shots(30),
-                ..CharacterizationConfig::exact(vec![0, 1], n_samples)
-            };
-            characterize(&c, &config, &mut rng)
-        };
-        let oracle = run(SweepMode::PerState, 1);
-        let batched = run(SweepMode::Batched, workers);
-        prop_assert_eq!(&oracle.ledger, &batched.ledger);
-        for (id, states) in &oracle.traces {
-            for (a, b) in states.iter().zip(&batched.traces[id]) {
-                prop_assert_eq!(a, b, "trace at {} drifted from the oracle", id);
-            }
-        }
-    }
-
     /// Parallel density kernels are bit-identical at every worker count.
     #[test]
     fn density_workers_are_bit_identical(
@@ -451,10 +386,10 @@ proptest! {
     }
 
     /// The sparse backend's characterization is bit-identical to the dense
-    /// oracle on arbitrary unitary circuits — its kernels evaluate the same
+    /// sweep on arbitrary unitary circuits — its kernels evaluate the same
     /// scalar expressions as the dense bit-deposit kernels, and a budget
     /// spill hands the exact state to the dense engine — at every worker
-    /// count and sweep mode.
+    /// count.
     #[test]
     fn sparse_backend_characterization_is_bitwise_dense(
         gates in proptest::collection::vec(arb_gate(4), 1..8),
@@ -462,26 +397,22 @@ proptest! {
     ) {
         let c = traced_circuit(4, &gates);
         let dense = characterize_on(
-            &c, InputEnsemble::Clifford, 4,
-            BackendMode::Dense, 1, SweepMode::PerState, seed,
+            &c, InputEnsemble::Clifford, 4, BackendMode::Dense, 1, seed,
         );
         prop_assert_eq!(dense.backend, BackendChoice::Dense);
         for workers in [1usize, 2, 0] {
-            for sweep in [SweepMode::PerState, SweepMode::Batched] {
-                let sparse = characterize_on(
-                    &c, InputEnsemble::Clifford, 4,
-                    BackendMode::Sparse, workers, sweep, seed,
-                );
-                prop_assert_eq!(sparse.backend, BackendChoice::Sparse);
-                prop_assert_eq!(&sparse.traces, &dense.traces);
-                prop_assert_eq!(&sparse.ledger, &dense.ledger);
-            }
+            let sparse = characterize_on(
+                &c, InputEnsemble::Clifford, 4, BackendMode::Sparse, workers, seed,
+            );
+            prop_assert_eq!(sparse.backend, BackendChoice::Sparse);
+            prop_assert_eq!(&sparse.traces, &dense.traces);
+            prop_assert_eq!(&sparse.ledger, &dense.ledger);
         }
     }
 
     /// On monomial Clifford circuits with basis-state inputs the tableau
     /// tracks exact `{0, ±1, ±i}` amplitudes, so the stabilizer backend is
-    /// bit-identical to the dense oracle.
+    /// bit-identical to the dense sweep.
     #[test]
     fn stabilizer_backend_is_bitwise_dense_on_monomial_clifford(
         gates in proptest::collection::vec(arb_monomial_clifford(4), 1..12),
@@ -489,13 +420,11 @@ proptest! {
     ) {
         let c = traced_circuit(4, &gates);
         let dense = characterize_on(
-            &c, InputEnsemble::Basis, 4,
-            BackendMode::Dense, 1, SweepMode::PerState, seed,
+            &c, InputEnsemble::Basis, 4, BackendMode::Dense, 1, seed,
         );
         for workers in [1usize, 0] {
             let stab = characterize_on(
-                &c, InputEnsemble::Basis, 4,
-                BackendMode::Stabilizer, workers, SweepMode::PerState, seed,
+                &c, InputEnsemble::Basis, 4, BackendMode::Stabilizer, workers, seed,
             );
             prop_assert_eq!(stab.backend, BackendChoice::Stabilizer);
             prop_assert_eq!(&stab.traces, &dense.traces);
@@ -505,8 +434,8 @@ proptest! {
 
     /// On general Clifford circuits (superposing `H` included, stabilizer
     /// input ensemble) the tableau readout is algebraically exact: it
-    /// matches the dense oracle to `TOL` and is itself bit-identical at
-    /// every worker count and sweep mode.
+    /// matches the dense sweep to `TOL` and is itself bit-identical at
+    /// every worker count.
     #[test]
     fn stabilizer_backend_matches_dense_on_clifford_circuits(
         gates in proptest::collection::vec(arb_clifford(4), 1..12),
@@ -514,13 +443,11 @@ proptest! {
     ) {
         let c = traced_circuit(4, &gates);
         let stab = characterize_on(
-            &c, InputEnsemble::Clifford, 4,
-            BackendMode::Stabilizer, 1, SweepMode::PerState, seed,
+            &c, InputEnsemble::Clifford, 4, BackendMode::Stabilizer, 1, seed,
         );
         prop_assert_eq!(stab.backend, BackendChoice::Stabilizer);
         let dense = characterize_on(
-            &c, InputEnsemble::Clifford, 4,
-            BackendMode::Dense, 1, SweepMode::PerState, seed,
+            &c, InputEnsemble::Clifford, 4, BackendMode::Dense, 1, seed,
         );
         for (id, states) in &dense.traces {
             for (want, got) in states.iter().zip(&stab.traces[id]) {
@@ -530,10 +457,9 @@ proptest! {
                 );
             }
         }
-        for (workers, sweep) in [(2usize, SweepMode::PerState), (0, SweepMode::Batched)] {
+        for workers in [2usize, 0] {
             let again = characterize_on(
-                &c, InputEnsemble::Clifford, 4,
-                BackendMode::Stabilizer, workers, sweep, seed,
+                &c, InputEnsemble::Clifford, 4, BackendMode::Stabilizer, workers, seed,
             );
             prop_assert_eq!(&again.traces, &stab.traces);
             prop_assert_eq!(&again.ledger, &stab.ledger);
@@ -620,12 +546,77 @@ proptest! {
     }
 }
 
+/// The characterization sweep against a per-input reference: every trace
+/// equals, bit for bit, what `Executor::run_expected` (noiseless) or
+/// `Executor::run_expected_noisy` (`ibm_cairo`) computes for that input
+/// alone — inside one 32-lane range, at its boundary and across several
+/// ranges, at 1 and 3 workers. Shot readout draws one RNG stream per
+/// input, so it must not depend on the worker count either.
+#[test]
+fn characterization_sweep_matches_per_input_reference() {
+    let n = 3;
+    let input_qubits = [0usize, 1];
+    let mut c = Circuit::new(n);
+    c.tracepoint(1, &[0]);
+    c.h(1).cx(0, 1).t(2).cx(1, 2);
+    c.tracepoint(2, &[0, 1, 2]);
+    let sweep = |noise: NoiseModel, readout: ReadoutMode, samples: usize, workers: usize| {
+        let config = CharacterizationConfig {
+            noise,
+            readout,
+            parallelism: workers,
+            backend: BackendMode::Dense,
+            ..CharacterizationConfig::exact(input_qubits.to_vec(), samples)
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(samples as u64);
+        characterize(&c, &config, &mut rng)
+    };
+    for noise in [NoiseModel::noiseless(), NoiseModel::ibm_cairo()] {
+        let executor = Executor::builder().noise(noise).build();
+        for samples in [1usize, 31, 32, 33, 65] {
+            for workers in [1usize, 3] {
+                let ch = sweep(noise, ReadoutMode::Exact, samples, workers);
+                assert_eq!(ch.backend, BackendChoice::Dense);
+                for (i, input) in ch.inputs.iter().enumerate() {
+                    let prep = input.prep.remap_qubits(&input_qubits, n);
+                    let gates = prep.instructions().iter().map(|inst| match inst {
+                        Instruction::Gate(g) => g,
+                        other => panic!("unitary prep expected, got {other:?}"),
+                    });
+                    let reference = if noise.is_noiseless() {
+                        let mut psi = StateVector::zero_state(n);
+                        gates.for_each(|g| g.apply(&mut psi));
+                        executor.run_expected(&c, &psi)
+                    } else {
+                        let mut rho = DensityMatrix::zero_state(n);
+                        for g in gates {
+                            rho.apply_gate(g);
+                            noise.apply_to_density(&mut rho, g);
+                        }
+                        executor.run_expected_noisy(&c, &rho)
+                    };
+                    for (id, want) in &reference.tracepoints {
+                        assert_eq!(
+                            &ch.traces[id][i], want,
+                            "{noise:?}, {samples} samples, {workers} workers: input {i} at {id}"
+                        );
+                    }
+                }
+            }
+        }
+        let serial = sweep(noise, ReadoutMode::Shots(30), 33, 1);
+        let wide = sweep(noise, ReadoutMode::Shots(30), 33, 3);
+        assert_eq!(serial.ledger, wide.ledger);
+        assert_eq!(serial.traces, wide.traces, "{noise:?} shot readout");
+    }
+}
+
 /// The ISSUE 8 acceptance sweep: a 13-qubit non-Clifford circuit whose
 /// support saturates past the default switch threshold (`dim/8 = 1024`,
 /// also the floor) makes the forced-sparse characterization switch to the
 /// dense engine mid-run. The switch point is deterministic — bit-identical
-/// traces and identical fast-path event counters at every worker count and
-/// sweep mode — and the merged result is bit-identical to the dense oracle.
+/// traces and identical fast-path event counters at every worker count —
+/// and the merged result is bit-identical to the dense sweep.
 #[test]
 fn adaptive_switch_sweep_is_deterministic_and_bitwise_dense() {
     let n = 13;
@@ -643,24 +634,8 @@ fn adaptive_switch_sweep_is_deterministic_and_bitwise_dense() {
     c.t(0);
     c.tracepoint(2, &[0, 1, 2]);
 
-    let dense = characterize_on(
-        &c,
-        InputEnsemble::Clifford,
-        3,
-        BackendMode::Dense,
-        1,
-        SweepMode::PerState,
-        5,
-    );
-    let base = characterize_on(
-        &c,
-        InputEnsemble::Clifford,
-        3,
-        BackendMode::Sparse,
-        1,
-        SweepMode::PerState,
-        5,
-    );
+    let dense = characterize_on(&c, InputEnsemble::Clifford, 3, BackendMode::Dense, 1, 5);
+    let base = characterize_on(&c, InputEnsemble::Clifford, 3, BackendMode::Sparse, 1, 5);
     assert_eq!(base.backend, BackendChoice::Sparse);
     assert!(
         base.fast_path.switches > 0,
@@ -674,18 +649,13 @@ fn adaptive_switch_sweep_is_deterministic_and_bitwise_dense() {
     );
     assert_eq!(&base.traces, &dense.traces);
     assert_eq!(&base.ledger, &dense.ledger);
-    for (workers, sweep) in [
-        (2usize, SweepMode::PerState),
-        (4, SweepMode::Batched),
-        (0, SweepMode::Batched),
-    ] {
+    for workers in [2usize, 4, 0] {
         let again = characterize_on(
             &c,
             InputEnsemble::Clifford,
             3,
             BackendMode::Sparse,
             workers,
-            sweep,
             5,
         );
         assert_eq!(again.traces, base.traces);
@@ -701,7 +671,7 @@ fn adaptive_switch_sweep_is_deterministic_and_bitwise_dense() {
 /// planner onto the prefix-splice path: the tableau runs the Clifford
 /// prefix, hands the exact statevector to the dense engine, and the traces
 /// match an all-dense run to `TOL` while staying bit-identical across
-/// worker counts and sweep modes.
+/// worker counts.
 #[test]
 fn clifford_prefix_splice_matches_dense_and_is_deterministic() {
     let n = 14;
@@ -721,15 +691,7 @@ fn clifford_prefix_splice_matches_dense_and_is_deterministic() {
     c.t(1);
     c.tracepoint(2, &[0, 1, 2]);
 
-    let auto = characterize_on(
-        &c,
-        InputEnsemble::Clifford,
-        3,
-        BackendMode::Auto,
-        1,
-        SweepMode::PerState,
-        11,
-    );
+    let auto = characterize_on(&c, InputEnsemble::Clifford, 3, BackendMode::Auto, 1, 11);
     // Under the CI forced-backend matrix MORPH_BACKEND replaces `Auto`, so
     // only assert the splice when the planner actually got to choose. The
     // dense-parity and determinism checks below hold on every backend.
@@ -740,15 +702,7 @@ fn clifford_prefix_splice_matches_dense_and_is_deterministic() {
             auto.backend
         );
     }
-    let dense = characterize_on(
-        &c,
-        InputEnsemble::Clifford,
-        3,
-        BackendMode::Dense,
-        1,
-        SweepMode::PerState,
-        11,
-    );
+    let dense = characterize_on(&c, InputEnsemble::Clifford, 3, BackendMode::Dense, 1, 11);
     for (id, states) in &dense.traces {
         for (want, got) in states.iter().zip(&auto.traces[id]) {
             assert!(
@@ -757,15 +711,7 @@ fn clifford_prefix_splice_matches_dense_and_is_deterministic() {
             );
         }
     }
-    let wide = characterize_on(
-        &c,
-        InputEnsemble::Clifford,
-        3,
-        BackendMode::Auto,
-        0,
-        SweepMode::Batched,
-        11,
-    );
+    let wide = characterize_on(&c, InputEnsemble::Clifford, 3, BackendMode::Auto, 0, 11);
     assert_eq!(wide.backend, auto.backend);
     assert_eq!(wide.traces, auto.traces);
     assert_eq!(wide.ledger, auto.ledger);
@@ -774,7 +720,7 @@ fn clifford_prefix_splice_matches_dense_and_is_deterministic() {
 /// The ISSUE 7 acceptance sweep: a 20-qubit Clifford characterization —
 /// far past the dense comfort zone for a test suite — auto-selects the
 /// stabilizer backend, completes, yields unit-trace tracepoint states, and
-/// is bit-identical at every worker count and sweep mode.
+/// is bit-identical at every worker count.
 #[test]
 fn wide_clifford_sweep_completes_on_the_stabilizer_backend() {
     let n = 20;
@@ -791,15 +737,7 @@ fn wide_clifford_sweep_completes_on_the_stabilizer_backend() {
     }
     c.tracepoint(2, &[0, 1, 2]);
 
-    let serial = characterize_on(
-        &c,
-        InputEnsemble::Clifford,
-        4,
-        BackendMode::Auto,
-        1,
-        SweepMode::PerState,
-        3,
-    );
+    let serial = characterize_on(&c, InputEnsemble::Clifford, 4, BackendMode::Auto, 1, 3);
     // The forced-backend CI matrix replaces `Auto`; a forced stabilizer
     // run still selects the tableau here (the circuit is all-Clifford),
     // while forced dense/sparse runs only exercise the determinism checks.
@@ -815,15 +753,7 @@ fn wide_clifford_sweep_completes_on_the_stabilizer_backend() {
             assert!((rho.trace().re - 1.0).abs() < 1e-9, "trace drifted");
         }
     }
-    let wide = characterize_on(
-        &c,
-        InputEnsemble::Clifford,
-        4,
-        BackendMode::Auto,
-        0,
-        SweepMode::Batched,
-        3,
-    );
+    let wide = characterize_on(&c, InputEnsemble::Clifford, 4, BackendMode::Auto, 0, 3);
     assert_eq!(wide.backend, serial.backend);
     assert_eq!(wide.traces, serial.traces);
     assert_eq!(wide.ledger, serial.ledger);
