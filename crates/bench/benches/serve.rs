@@ -100,7 +100,9 @@ fn bench_serve(c: &mut Criterion) {
                 for a in &assertions {
                     verifier = verifier.assert_that(a.clone());
                 }
-                let report = verifier.run(&mut StdRng::seed_from_u64(7));
+                let report = verifier
+                    .try_run(&mut StdRng::seed_from_u64(7), None)
+                    .expect("the program verifies");
                 assert!(report.all_passed());
             }
         });

@@ -11,9 +11,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use morph_qprog::Circuit;
 use morph_qsim::NoiseModel;
 use morph_tomography::ReadoutMode;
-use morphqpv::{characterize_cached, CharacterizationCache, CharacterizationConfig};
+use morphqpv::{
+    characterization_fingerprint, characterize, Characterization, CharacterizationCache,
+    CharacterizationConfig,
+};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const N_QUBITS: usize = 6;
 const N_SAMPLES: usize = 8;
@@ -48,6 +51,24 @@ fn config() -> CharacterizationConfig {
     }
 }
 
+/// Fetch-or-characterize through `CharacterizationCache::{get, put}` with
+/// the discipline `Verifier::try_run` uses: one `u64` drawn from a fixed
+/// stream seeds the run and enters the fingerprint.
+fn characterize_through(
+    cache: &mut CharacterizationCache,
+    circuit: &Circuit,
+    cfg: &CharacterizationConfig,
+) -> Characterization {
+    let char_seed: u64 = StdRng::seed_from_u64(11).gen();
+    let fp = characterization_fingerprint(circuit, cfg, char_seed);
+    if let Some(hit) = cache.get(&fp) {
+        return hit;
+    }
+    let ch = characterize(circuit, cfg, &mut StdRng::seed_from_u64(char_seed));
+    cache.put(fp, &ch).expect("store the artifact");
+    ch
+}
+
 fn bench_store_cache(c: &mut Criterion) {
     let circuit = workload_circuit();
     let cfg = config();
@@ -58,8 +79,7 @@ fn bench_store_cache(c: &mut Criterion) {
     group.bench_function("cold_characterize", |b| {
         b.iter(|| {
             let mut cache = CharacterizationCache::in_memory();
-            let mut rng = StdRng::seed_from_u64(11);
-            characterize_cached(std::hint::black_box(&circuit), &cfg, &mut rng, &mut cache)
+            characterize_through(&mut cache, std::hint::black_box(&circuit), &cfg)
         });
     });
 
@@ -67,12 +87,8 @@ fn bench_store_cache(c: &mut Criterion) {
     // is a fingerprint computation plus an in-memory LRU hit.
     group.bench_function("warm_memory_hit", |b| {
         let mut cache = CharacterizationCache::in_memory();
-        let mut rng = StdRng::seed_from_u64(11);
-        characterize_cached(&circuit, &cfg, &mut rng, &mut cache);
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(11);
-            characterize_cached(std::hint::black_box(&circuit), &cfg, &mut rng, &mut cache)
-        });
+        characterize_through(&mut cache, &circuit, &cfg);
+        b.iter(|| characterize_through(&mut cache, std::hint::black_box(&circuit), &cfg));
     });
 
     // Warm (disk): artifacts persisted to a store directory; every
@@ -81,12 +97,10 @@ fn bench_store_cache(c: &mut Criterion) {
         let dir = std::env::temp_dir().join(format!("morph-store-bench-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut cache = CharacterizationCache::open(&dir).expect("open bench store dir");
-        let mut rng = StdRng::seed_from_u64(11);
-        characterize_cached(&circuit, &cfg, &mut rng, &mut cache);
+        characterize_through(&mut cache, &circuit, &cfg);
         b.iter(|| {
             cache.store_mut().drop_memory();
-            let mut rng = StdRng::seed_from_u64(11);
-            characterize_cached(std::hint::black_box(&circuit), &cfg, &mut rng, &mut cache)
+            characterize_through(&mut cache, std::hint::black_box(&circuit), &cfg)
         });
         let _ = std::fs::remove_dir_all(&dir);
     });

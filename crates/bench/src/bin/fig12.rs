@@ -9,7 +9,7 @@
 //! which has more counter-examples per bug.
 
 use morph_bench::rows::{fmt_f, print_table, save_csv};
-use morph_bench::{compare_programs_cached, CompareConfig};
+use morph_bench::{compare_programs, CompareConfig};
 use morph_qalgo::{mutation_battery, Benchmark};
 use morph_qprog::Circuit;
 use morphqpv::{characterize, fit_confidence_model, CharacterizationConfig};
@@ -21,11 +21,6 @@ const CASES: usize = 15;
 fn main() {
     let n = 5usize;
     let mut rows = Vec::new();
-    // One artifact cache for the whole sweep: every mutant comparison at a
-    // given budget reuses the reference characterization (same instrumented
-    // circuit, inputs, and seed), so only the mutant side is re-simulated.
-    // Set MORPH_CACHE_DIR to persist artifacts across reruns of the figure.
-    let mut cache = morph_bench::cache_from_env();
     for bench in [Benchmark::Qec, Benchmark::Shor] {
         let mut rng = StdRng::seed_from_u64(23);
         let reference = bench.circuit(n, &mut rng);
@@ -48,20 +43,13 @@ fn main() {
 
             // Measured success rate on the mutants. Each comparison reseeds
             // its RNG from the budget so every mutant sees the same sampled
-            // inputs and the reference characterization is a cache hit after
-            // the first mutant.
+            // inputs.
             let mut detected = 0;
             for (mutant, _) in &mutants {
                 let mut cmp_config = CompareConfig::new((0..n).collect(), (0..n).collect());
                 cmp_config.n_samples = n_samples;
                 let mut cmp_rng = StdRng::seed_from_u64(0x466_9673 ^ n_samples as u64);
-                let (bug, _, _) = compare_programs_cached(
-                    &reference,
-                    mutant,
-                    &cmp_config,
-                    &mut cmp_rng,
-                    &mut cache,
-                );
+                let (bug, _, _) = compare_programs(&reference, mutant, &cmp_config, &mut cmp_rng);
                 if bug {
                     detected += 1;
                 }
@@ -86,7 +74,6 @@ fn main() {
         &rows,
     );
     save_csv("fig12", &csv);
-    println!("\ncharacterization cache: {}", cache.stats());
     println!("\nExpected shape: both curves rise with N_sample; the measured success");
     println!("rate stays at or above the estimate (Theorem 3 is a lower bound), with");
     println!("Shor further above it than QEC (more counter-examples per bug).");

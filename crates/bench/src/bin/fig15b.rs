@@ -8,18 +8,14 @@ use morph_bench::rows::{fmt_f, print_table, save_csv};
 use morph_clifford::InputEnsemble;
 use morph_qprog::{Circuit, TracepointId};
 use morphqpv::{
-    characterize_cached, validate_assertion, AssumeGuarantee, CharacterizationConfig,
-    RelationPredicate, SolverKind, ValidationConfig,
+    characterize, validate_assertion, AssumeGuarantee, CharacterizationConfig, RelationPredicate,
+    SolverKind, ValidationConfig,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn main() {
     let n = 4usize;
-    // The solver comparison re-times validation only; the characterization
-    // at each sweep point is cacheable (set MORPH_CACHE_DIR to skip it
-    // entirely on reruns of this figure).
-    let mut cache = morph_bench::cache_from_env();
     let mut circuit = Circuit::new(n);
     circuit.tracepoint(1, &(0..n).collect::<Vec<_>>());
     circuit.extend_from(&morph_qalgo::shor_circuit(n));
@@ -42,7 +38,8 @@ fn main() {
             n_samples,
             ..CharacterizationConfig::exact((0..n).collect(), n_samples)
         };
-        let ch = characterize_cached(&circuit, &config, &mut rng, &mut cache);
+        // One drawn seed characterizes; the solvers continue from `rng`.
+        let ch = characterize(&circuit, &config, &mut StdRng::seed_from_u64(rng.gen()));
         for solver in [
             SolverKind::GradientAscent,
             SolverKind::Genetic,
@@ -78,7 +75,6 @@ fn main() {
         &rows,
     );
     save_csv("fig15b", &csv);
-    println!("\ncharacterization cache: {}", cache.stats());
     println!("\nExpected shape: cost grows polynomially with N_sample; QP is fastest");
     println!("at small dimension (the paper's Gurobi observation), population methods");
     println!("pay a larger constant.");

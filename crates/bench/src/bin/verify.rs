@@ -18,8 +18,9 @@
 //! Characterization caching: `--cache-dir DIR` (or the `MORPH_CACHE_DIR`
 //! environment variable) persists characterization artifacts in a
 //! morph-store directory, so re-verifying the same program/configuration/
-//! seed charges zero new simulator cost. `--no-cache` disables the cache
-//! even when the environment variable is set.
+//! seed charges zero new simulator cost. Cached and uncached runs print
+//! the same report (a cached run adds one `cache:` line). `--no-cache`
+//! disables the cache even when the environment variable is set.
 //!
 //! Incremental verification: `--incremental` (or `MORPH_INCREMENTAL=1`)
 //! characterizes the program segment by segment against the cache, so
@@ -200,11 +201,7 @@ fn run() -> i32 {
         }
     };
     let assertions = match morphqpv::assertions_from_source(&source) {
-        Ok(a) if !a.is_empty() => a,
-        Ok(_) => {
-            eprintln!("no `// assert` specifications in {path}");
-            return 1;
-        }
+        Ok(a) => a,
         Err(e) => {
             let e = MorphError::from(e);
             eprintln!("{e}");
@@ -236,46 +233,34 @@ fn run() -> i32 {
     }
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let persist = !no_cache && cache_dir.is_some();
+    // `--no-cache` wins over both `--cache-dir` and `MORPH_CACHE_DIR`.
+    let cache_dir = cache_dir.filter(|_| !no_cache);
     // Incremental runs key the cache by segment; whole-run caching keys
     // it by the full characterization. Only one of the two is open.
     let mut cache: Option<CharacterizationCache> = None;
     let mut seg_cache: Option<SegmentedCache> = None;
-    if incremental {
-        seg_cache = Some(match (&cache_dir, no_cache) {
-            (Some(dir), false) => match SegmentedCache::open(dir) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("cannot open cache directory {dir}: {e}");
-                    return 1;
-                }
-            },
-            _ => SegmentedCache::in_memory(),
-        });
-    } else if persist {
-        let dir = cache_dir.as_deref().expect("persist implies a directory");
-        cache = match CharacterizationCache::open(dir) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                eprintln!("cannot open cache directory {dir}: {e}");
-                return 1;
-            }
+    if let Some(dir) = &cache_dir {
+        let opened = if incremental {
+            SegmentedCache::open(dir).map(|c| seg_cache = Some(c))
+        } else {
+            CharacterizationCache::open(dir).map(|c| cache = Some(c))
         };
+        if let Err(e) = opened {
+            eprintln!("cannot open cache directory {dir}: {e}");
+            return 1;
+        }
     }
-    let result = if let Some(seg_cache) = &mut seg_cache {
+    let result = if incremental {
         let seg = match segment_gates {
             Some(g) => SegmentedConfig::new().segment_gates(g),
             None => SegmentedConfig::from_env(),
         };
+        let seg_cache = seg_cache.get_or_insert_with(SegmentedCache::in_memory);
         verifier
             .incremental(seg)
             .try_run_incremental(&mut rng, seg_cache)
     } else {
-        match &mut cache {
-            Some(cache) => verifier.try_run_with_cache(&mut rng, cache),
-            None => verifier.try_run(&mut rng),
-        }
-        .map_err(MorphError::from)
+        verifier.try_run(&mut rng, cache.as_mut())
     };
     let report = match result {
         Ok(report) => report,
@@ -327,7 +312,7 @@ fn run() -> i32 {
         println!("cache: {}", cache.stats());
     }
     if let Some(seg_cache) = &seg_cache {
-        if persist {
+        if cache_dir.is_some() {
             println!("cache: {}", seg_cache.stats());
         }
         let c = report.run.cache.unwrap_or_default();

@@ -23,20 +23,6 @@ mod qram_search;
 pub mod rows;
 pub mod schema_lint;
 
-pub use compare::{compare_programs, compare_programs_cached, CompareConfig, MorphDetector};
+pub use compare::{compare_programs, CompareConfig, MorphDetector};
 pub use lock_search::{quantum_lock_bisection, quantum_lock_bisection_cost, LockSearchResult};
 pub use qram_search::{qram_bisection, qram_bisection_cost, QramSearchResult};
-
-/// The characterization artifact cache the fig/table binaries share: rooted
-/// at `$MORPH_CACHE_DIR` when set (persisting artifacts across reruns and
-/// across binaries), memory-only otherwise. An unopenable directory warns
-/// and degrades to memory-only rather than failing the experiment.
-pub fn cache_from_env() -> morphqpv::CharacterizationCache {
-    match std::env::var("MORPH_CACHE_DIR") {
-        Ok(dir) => morphqpv::CharacterizationCache::open(&dir).unwrap_or_else(|e| {
-            eprintln!("warning: cannot open cache dir {dir}: {e}; using memory");
-            morphqpv::CharacterizationCache::in_memory()
-        }),
-        Err(_) => morphqpv::CharacterizationCache::in_memory(),
-    }
-}

@@ -5,7 +5,7 @@
 //! pure function of `(circuit, configuration, RNG seed)`. This module
 //! content-addresses that function: [`characterization_fingerprint`] hashes
 //! the canonical bytes of everything the output depends on, and
-//! [`characterize_cached`] consults a [`CharacterizationCache`] before
+//! [`crate::Verifier::try_run`] consults a [`CharacterizationCache`] before
 //! paying for simulation. On a hit the full [`Characterization`] (inputs,
 //! per-tracepoint traces, *and* the cost ledger of the original run) is
 //! restored from the artifact, so a warm verification run charges zero new
@@ -27,12 +27,10 @@ use morph_linalg::CMatrix;
 use morph_qprog::{Circuit, TracepointId};
 use morph_store::{Fingerprint, FingerprintBuilder, MorphStore, StoreStats};
 use morph_tomography::CostLedger;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::json::{FromValueError, Value};
 use serde::{Deserialize, Serialize};
 
-use crate::characterize::{characterize_with_inputs, Characterization, CharacterizationConfig};
+use crate::characterize::{Characterization, CharacterizationConfig};
 
 /// Domain tag prefixed to every characterization fingerprint. Bump the
 /// version suffix whenever the characterization algorithm itself changes
@@ -76,7 +74,7 @@ pub const ARTIFACT_VERSION: u32 = 4;
 /// Computes the content address of a characterization run.
 ///
 /// `char_seed` is the single `u64` drawn from the caller's RNG that seeds
-/// the run's internal RNG (see [`characterize_cached`]).
+/// the run's internal RNG (see [`crate::Verifier::try_run`]).
 pub fn characterization_fingerprint(
     circuit: &Circuit,
     config: &CharacterizationConfig,
@@ -279,7 +277,7 @@ pub(crate) fn record_store_delta(domain: &str, before: &StoreStats, after: &Stor
 /// A characterization artifact cache on top of [`MorphStore`].
 ///
 /// Construct one per process (or per `--cache-dir`) and pass it to
-/// [`characterize_cached`]. Artifact cost in the store's cost-aware LRU is
+/// [`crate::Verifier::try_run`]. Artifact cost in the store's cost-aware LRU is
 /// the run's `quantum_ops` ledger counter, so the most expensive
 /// characterizations are the last to be evicted.
 #[derive(Debug)]
@@ -355,69 +353,14 @@ impl CharacterizationCache {
     }
 }
 
-/// Cache-aware [`crate::characterize`]: on a hit the stored artifact is
-/// returned (zero new simulator cost — the returned ledger is the *restored*
-/// ledger of the original run); on a miss the characterization runs and the
-/// artifact is stored.
-///
-/// RNG discipline: exactly one `u64` is drawn from `rng` — it both seeds the
-/// run's internal RNG and enters the fingerprint. Hit and miss paths
-/// therefore advance the caller's RNG identically, so a warm run is
-/// bit-identical to a cold run for everything downstream.
-///
-/// # Panics
-///
-/// Same conditions as [`crate::characterize`].
-pub fn characterize_cached(
-    circuit: &Circuit,
-    config: &CharacterizationConfig,
-    rng: &mut StdRng,
-    cache: &mut CharacterizationCache,
-) -> Characterization {
-    let char_seed: u64 = rng.gen();
-    let fp = characterization_fingerprint(circuit, config, char_seed);
-    if let Some(hit) = cache.get(&fp) {
-        return hit;
-    }
-    let mut run_rng = StdRng::seed_from_u64(char_seed);
-    let ch = crate::characterize(circuit, config, &mut run_rng);
-    // Persistence is best-effort: a read-only cache dir degrades to
-    // memory-only caching rather than failing verification.
-    let _ = cache.put(fp, &ch);
-    ch
-}
-
-/// Cache-aware [`characterize_with_inputs`]; the explicit inputs'
-/// preparation circuits are part of the content address.
-///
-/// # Panics
-///
-/// Same conditions as [`characterize_with_inputs`].
-pub fn characterize_with_inputs_cached(
-    circuit: &Circuit,
-    config: &CharacterizationConfig,
-    inputs: Vec<morph_clifford::InputState>,
-    rng: &mut StdRng,
-    cache: &mut CharacterizationCache,
-) -> Characterization {
-    let char_seed: u64 = rng.gen();
-    let preps: Vec<&Circuit> = inputs.iter().map(|i| &i.prep).collect();
-    let fp = characterization_fingerprint_with_inputs(circuit, config, &preps, char_seed);
-    if let Some(hit) = cache.get(&fp) {
-        return hit;
-    }
-    let mut run_rng = StdRng::seed_from_u64(char_seed);
-    let ch = characterize_with_inputs(circuit, config, inputs, &mut run_rng);
-    let _ = cache.put(fp, &ch);
-    ch
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use morph_clifford::InputEnsemble;
     use morph_qsim::NoiseModel;
     use morph_tomography::ReadoutMode;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn sample_program() -> Circuit {
         let mut c = Circuit::new(2);
@@ -444,45 +387,6 @@ mod tests {
                 assert_eq!(x, y, "trace {id} differs");
             }
         }
-    }
-
-    #[test]
-    fn warm_run_is_bit_identical_and_free() {
-        let circuit = sample_program();
-        let config = CharacterizationConfig {
-            readout: ReadoutMode::Shots(40),
-            ..CharacterizationConfig::exact(vec![0], 4)
-        };
-        let mut cache = CharacterizationCache::in_memory();
-
-        let mut rng_cold = StdRng::seed_from_u64(7);
-        let cold = characterize_cached(&circuit, &config, &mut rng_cold, &mut cache);
-        assert_eq!(cache.stats().misses, 1);
-
-        let mut rng_warm = StdRng::seed_from_u64(7);
-        let warm = characterize_cached(&circuit, &config, &mut rng_warm, &mut cache);
-        assert_eq!(cache.stats().memory_hits, 1);
-        assert_same(&cold, &warm);
-
-        // Both paths drew exactly one u64 from the caller's stream.
-        assert_eq!(rng_cold.gen::<u64>(), rng_warm.gen::<u64>());
-    }
-
-    #[test]
-    fn cached_matches_uncached_results() {
-        // characterize_cached must produce the same characterization as a
-        // direct characterize() call seeded with the drawn char_seed.
-        let circuit = sample_program();
-        let config = CharacterizationConfig::exact(vec![0], 3);
-        let mut cache = CharacterizationCache::in_memory();
-        let mut rng = StdRng::seed_from_u64(11);
-        let cached = characterize_cached(&circuit, &config, &mut rng, &mut cache);
-
-        let mut seed_rng = StdRng::seed_from_u64(11);
-        let char_seed: u64 = seed_rng.gen();
-        let mut direct_rng = StdRng::seed_from_u64(char_seed);
-        let direct = crate::characterize(&circuit, &config, &mut direct_rng);
-        assert_same(&cached, &direct);
     }
 
     #[test]
@@ -567,27 +471,5 @@ mod tests {
             m.insert("artifact_version".to_string(), Value::UInt(999));
         }
         assert!(decode_artifact(&value).is_err());
-    }
-
-    #[test]
-    fn explicit_input_cache_hits_on_same_inputs() {
-        let circuit = sample_program();
-        let config = CharacterizationConfig::exact(vec![0], 4);
-        let mut cache = CharacterizationCache::in_memory();
-        let mut ensemble_rng = StdRng::seed_from_u64(21);
-        let inputs = InputEnsemble::PauliProduct.generate(1, 4, &mut ensemble_rng);
-
-        let mut rng = StdRng::seed_from_u64(5);
-        let cold = characterize_with_inputs_cached(
-            &circuit,
-            &config,
-            inputs.clone(),
-            &mut rng,
-            &mut cache,
-        );
-        let mut rng = StdRng::seed_from_u64(5);
-        let warm = characterize_with_inputs_cached(&circuit, &config, inputs, &mut rng, &mut cache);
-        assert_eq!(cache.stats().memory_hits, 1);
-        assert_same(&cold, &warm);
     }
 }

@@ -22,7 +22,7 @@ use std::fmt;
 use std::io;
 
 use morph_optimize::SolveError;
-use morph_qprog::ParseProgramError;
+use morph_qprog::{ParseProgramError, TracepointId};
 
 use crate::cancel::Cancelled;
 use crate::incremental::SegmentError;
@@ -41,6 +41,12 @@ pub enum Precondition {
     NoTracepoints,
     /// The verifier has no assertions to check.
     NoAssertions,
+    /// An assertion names a tracepoint the program does not declare (or,
+    /// for a supplied characterization, one it carries no traces for).
+    UnknownTracepoint {
+        /// The undeclared tracepoint.
+        id: TracepointId,
+    },
     /// No input qubits were configured.
     NoInputQubits,
     /// An input qubit lies outside the program's register.
@@ -71,6 +77,10 @@ impl fmt::Display for Precondition {
                 write!(f, "program has no tracepoints to characterize")
             }
             Precondition::NoAssertions => write!(f, "no assertions to verify"),
+            Precondition::UnknownTracepoint { id } => write!(
+                f,
+                "assertion references tracepoint {id}, which the program does not declare"
+            ),
             Precondition::NoInputQubits => write!(f, "no input qubits configured"),
             Precondition::InputQubitOutOfRange { qubit, n_qubits } => write!(
                 f,
@@ -105,7 +115,7 @@ pub enum MorphError {
     Validation(ValidationError),
     /// The artifact store could not be opened or written.
     Store(io::Error),
-    /// The segmented/incremental characterization surface rejected the
+    /// The incremental characterization surface rejected the
     /// program or configuration.
     Segment(SegmentError),
     /// A cooperative cancellation point fired (deadline or explicit).

@@ -128,7 +128,7 @@ impl SegmentedConfig {
     }
 }
 
-/// Structured failure modes of the segmented/incremental surface.
+/// Structured failure modes of the incremental surface.
 #[derive(Debug)]
 pub enum SegmentError {
     /// The program contains measurement, reset, or classical feedback.
@@ -139,17 +139,8 @@ pub enum SegmentError {
     /// tracepoints, bad input qubits, zero samples, an over-wide noisy
     /// register).
     Precondition(Precondition),
-    /// `n_segments == 0` was requested.
-    ZeroSegments,
     /// `segment_gates == 0` was configured.
     ZeroSegmentGates,
-    /// More segments were requested than the program has gates.
-    TooManySegments {
-        /// The requested segment count.
-        requested: usize,
-        /// The program's gate count.
-        gates: usize,
-    },
     /// The per-segment stages could not be composed into a chain.
     Compose(SolveError),
 }
@@ -167,14 +158,9 @@ impl fmt::Display for SegmentError {
                 write!(f, "segmented characterization requires at least one gate")
             }
             SegmentError::Precondition(e) => write!(f, "{e}"),
-            SegmentError::ZeroSegments => write!(f, "need at least one segment"),
             SegmentError::ZeroSegmentGates => {
                 write!(f, "segment size must be at least one gate")
             }
-            SegmentError::TooManySegments { requested, gates } => write!(
-                f,
-                "requested {requested} segments but the program has only {gates} gates"
-            ),
             SegmentError::Compose(e) => write!(f, "segment composition failed: {e}"),
         }
     }
@@ -654,7 +640,7 @@ pub struct IncrementalCharacterization {
 /// every cached segment artifact, characterizes only the deltas, and
 /// rebuilds the full characterization by composition.
 ///
-/// RNG discipline matches [`crate::characterize_cached`]: exactly one
+/// RNG discipline matches [`crate::Verifier::try_run`]: exactly one
 /// `u64` is drawn from `rng`, so hit and miss paths advance the caller's
 /// RNG identically and a warm run is bit-identical to a cold run.
 ///
@@ -709,7 +695,7 @@ fn incremental_for_seed(
         }
         let artifact = characterize_segment(segment, config, segment_seed(fp));
         misses += 1;
-        // Persistence is best-effort, as in `characterize_cached`.
+        // Persistence is best-effort, as in `Verifier::try_run`.
         let _ = cache.put(*fp, &artifact);
         artifacts.insert(*fp, artifact);
     }
@@ -836,7 +822,9 @@ fn incremental_for_seed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::approx::Mitigation;
     use morph_linalg::hs_accuracy;
+    use morph_qprog::Executor;
     use morph_qsim::NoiseModel;
 
     fn traced_circuit() -> Circuit {
@@ -1076,6 +1064,116 @@ mod tests {
             try_characterize_incremental(&circuit, &config, &seg, &mut rng, &mut cache).unwrap();
         assert!(inc.segments.misses >= 1);
         assert!(!inc.characterization.traces[&TracepointId(1)].is_empty());
+    }
+
+    fn six_gate_circuit() -> Circuit {
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1).ry(1, 0.7).cz(0, 1).h(1).cx(1, 0);
+        c
+    }
+
+    fn full_span_config(noise: NoiseModel) -> CharacterizationConfig {
+        CharacterizationConfig {
+            noise,
+            ..exact_config()
+        }
+    }
+
+    /// `circuit`'s gates in `k` chunks of `ceil(gates / k)` with a
+    /// full-register tracepoint before the first chunk and after every
+    /// chunk, characterized with cuts pinned to those tracepoints
+    /// (`segment_gates(usize::MAX)` adds no content-defined cut).
+    fn pinned_chain(
+        circuit: &Circuit,
+        k: usize,
+        noise: NoiseModel,
+        rng: &mut StdRng,
+    ) -> IncrementalCharacterization {
+        let n = circuit.n_qubits();
+        let all: Vec<usize> = (0..n).collect();
+        let gates: Vec<&Instruction> = circuit
+            .instructions()
+            .iter()
+            .filter(|i| matches!(i, Instruction::Gate(_)))
+            .collect();
+        let mut pinned = Circuit::new(n);
+        pinned.tracepoint(0, &all);
+        for (i, chunk) in gates.chunks(gates.len().div_ceil(k)).enumerate() {
+            for inst in chunk {
+                pinned.push((*inst).clone());
+            }
+            pinned.tracepoint(i as u32 + 1, &all);
+        }
+        let seg = SegmentedConfig::new().segment_gates(usize::MAX);
+        let mut cache = SegmentedCache::in_memory();
+        let inc =
+            try_characterize_incremental(&pinned, &full_span_config(noise), &seg, rng, &mut cache)
+                .unwrap();
+        assert_eq!(inc.segments.total, k as u64, "one segment per chunk");
+        inc
+    }
+
+    fn ideal_output(circuit: &Circuit, probe: &InputState) -> CMatrix {
+        let mut full = Circuit::new(2);
+        full.extend_from(&probe.prep);
+        full.extend_from(circuit);
+        full.tracepoint(9, &[0, 1]);
+        Executor::default()
+            .run_expected(&full, &StateVector::zero_state(2))
+            .state(TracepointId(9))
+            .clone()
+    }
+
+    #[test]
+    fn noiseless_segmentation_is_exact() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let circuit = six_gate_circuit();
+        for k in [1usize, 2, 3] {
+            let inc = pinned_chain(&circuit, k, NoiseModel::noiseless(), &mut rng);
+            assert_eq!(inc.chain.len(), k);
+            let probe = InputEnsemble::Clifford.generate(2, 1, &mut rng).remove(0);
+            let predicted = inc.chain.predict(&probe.rho).unwrap();
+            assert!(
+                hs_accuracy(&predicted, &ideal_output(&circuit, &probe)) > 0.999,
+                "k={k}: exact span must predict exactly"
+            );
+        }
+    }
+
+    #[test]
+    fn noisy_segmentation_with_purification_beats_single_segment() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let circuit = six_gate_circuit();
+        let accuracy = |k: usize, rng: &mut StdRng| -> f64 {
+            let inc = pinned_chain(&circuit, k, NoiseModel::ibm_cairo(), rng);
+            let probes = InputEnsemble::Clifford.generate(2, 6, rng);
+            probes
+                .iter()
+                .map(|p| {
+                    let predicted = inc
+                        .chain
+                        .predict_with_mitigation(&p.rho, Mitigation::Purify)
+                        .unwrap();
+                    hs_accuracy(&predicted, &ideal_output(&circuit, p))
+                })
+                .sum::<f64>()
+                / 6.0
+        };
+        let single = accuracy(1, &mut rng);
+        let segmented = accuracy(3, &mut rng);
+        assert!(
+            segmented >= single - 0.02,
+            "segmentation must not hurt: {segmented} vs {single}"
+        );
+    }
+
+    #[test]
+    fn ledger_accumulates_across_segments() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let circuit = six_gate_circuit();
+        let one = pinned_chain(&circuit, 1, NoiseModel::noiseless(), &mut rng);
+        let three = pinned_chain(&circuit, 3, NoiseModel::noiseless(), &mut rng);
+        assert!(three.characterization.ledger.executions > one.characterization.ledger.executions);
     }
 
     #[test]

@@ -43,7 +43,8 @@
 //! ## Errors
 //!
 //! The `try_*` entry points check a request before doing any work and
-//! report a broken precondition (no tracepoints, bad input qubits, zero
+//! report a broken precondition (no tracepoints, no assertions, an
+//! assertion naming an undeclared tracepoint, bad input qubits, zero
 //! samples, a noisy register too wide for density-matrix simulation) as
 //! [`MorphError::Precondition`]; the panicking wrappers such as
 //! [`characterize`] turn the same error into a panic.
@@ -69,8 +70,9 @@
 //!             .assume(TracepointId(1), StatePredicate::IsPure)
 //!             .guarantee_relation(TracepointId(1), TracepointId(2), RelationPredicate::Equal),
 //!     )
-//!     .run(&mut StdRng::seed_from_u64(0));
+//!     .try_run(&mut StdRng::seed_from_u64(0), None)?;
 //! assert!(report.all_passed());
+//! # Ok::<(), MorphError>(())
 //! ```
 
 mod approx;
@@ -87,7 +89,6 @@ mod predicate;
 pub mod prelude;
 mod prune;
 mod ptm;
-mod segmented;
 mod spec;
 mod validate;
 mod verifier;
@@ -95,8 +96,8 @@ mod verifier;
 pub use approx::{ApproximationFunction, ChainedApproximation, Mitigation};
 pub use assertion::{AssumeGuarantee, Guarantee, StateRef};
 pub use cache::{
-    characterization_fingerprint, characterization_fingerprint_with_inputs, characterize_cached,
-    characterize_with_inputs_cached, CharacterizationCache, ARTIFACT_VERSION, FINGERPRINT_DOMAIN,
+    characterization_fingerprint, characterization_fingerprint_with_inputs, CharacterizationCache,
+    ARTIFACT_VERSION, FINGERPRINT_DOMAIN,
 };
 pub use cancel::{CancelToken, Cancelled};
 pub use characterize::{
@@ -124,7 +125,6 @@ pub use morph_qprog::BackendMode;
 pub use predicate::{RelationPredicate, StatePredicate};
 pub use prune::{adaptive_inputs, adaptive_operator_inputs, constant_pinned_inputs};
 pub use ptm::PauliTransferMatrix;
-pub use segmented::{try_characterize_segmented, SegmentedCharacterization};
 pub use spec::{assertions_from_source, parse_assertion, ParseSpecError};
 pub use validate::{
     fit_confidence_model, try_validate_assertion, validate_assertion, SolverKind, ValidationConfig,

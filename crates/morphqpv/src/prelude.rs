@@ -19,9 +19,10 @@
 //!             .assume(TracepointId(1), StatePredicate::IsPure)
 //!             .guarantee_state(TracepointId(2), StatePredicate::IsPure),
 //!     )
-//!     .run(&mut StdRng::seed_from_u64(0));
+//!     .try_run(&mut StdRng::seed_from_u64(0), None)?;
 //! assert!(report.all_passed());
 //! assert_eq!(report.exit_code(), 0);
+//! # Ok::<(), MorphError>(())
 //! ```
 //!
 //! Anything *not* re-exported here (solver internals, approximation
@@ -29,7 +30,7 @@
 //! root, but its names are less settled.
 
 pub use crate::assertion::{AssumeGuarantee, StateRef};
-pub use crate::cache::{characterize_cached, CharacterizationCache};
+pub use crate::cache::CharacterizationCache;
 pub use crate::cancel::{CancelToken, Cancelled};
 pub use crate::characterize::{
     characterize, Characterization, CharacterizationConfig, CharacterizationConfigBuilder,

@@ -350,7 +350,8 @@ T 2 q[0];
             .input_qubits(&[0])
             .samples(4)
             .assert_that(spec)
-            .run(&mut rand::rngs::StdRng::seed_from_u64(0));
+            .try_run(&mut rand::rngs::StdRng::seed_from_u64(0), None)
+            .unwrap();
         assert!(report.all_passed());
     }
 }

@@ -2,25 +2,22 @@
 //! (assert → characterize → validate) behind one builder.
 
 use morph_clifford::{InputEnsemble, InputState};
-use morph_qprog::Circuit;
+use morph_qprog::{Circuit, TracepointId};
 use morph_qsim::NoiseModel;
 use morph_store::{Fingerprint, StoreStats};
 use morph_tomography::{CostLedger, ReadoutMode};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use crate::assertion::AssumeGuarantee;
-use crate::cache::{characterize_cached, characterize_with_inputs_cached, CharacterizationCache};
+use crate::assertion::{AssumeGuarantee, StateRef};
+use crate::cache::CharacterizationCache;
 use crate::cancel::CancelToken;
 use crate::characterize::{
-    characterize, characterize_with_inputs, try_characterize, try_characterize_with_inputs,
-    Characterization, CharacterizationConfig,
+    try_characterize, try_characterize_with_inputs, Characterization, CharacterizationConfig,
 };
 use crate::error::{MorphError, Precondition};
 use crate::incremental::{try_characterize_incremental, SegmentedCache, SegmentedConfig};
-use crate::validate::{
-    try_validate_assertion, ValidationConfig, ValidationError, ValidationOutcome, Verdict,
-};
+use crate::validate::{try_validate_assertion, ValidationConfig, ValidationOutcome, Verdict};
 
 /// A complete verification run over one program.
 ///
@@ -51,8 +48,9 @@ use crate::validate::{
 ///             }),
 ///         ),
 ///     )
-///     .run(&mut StdRng::seed_from_u64(7));
+///     .try_run(&mut StdRng::seed_from_u64(7), None)?;
 /// assert!(report.all_passed());
+/// # Ok::<(), morphqpv::MorphError>(())
 /// ```
 #[derive(Debug)]
 pub struct Verifier {
@@ -177,10 +175,10 @@ impl Verifier {
     }
 
     /// The content address of this verifier's characterization for a given
-    /// `char_seed` — the key services use to coalesce concurrent identical
-    /// jobs (see `morph-serve`). Identical to the fingerprint
-    /// [`Self::try_run_with_cache`] computes after drawing `char_seed` from
-    /// the caller's RNG.
+    /// `char_seed` — the key [`Self::try_run`] looks its cache up under
+    /// after drawing `char_seed` from the caller's RNG, and the key
+    /// services use to coalesce concurrent identical jobs (see
+    /// `morph-serve`).
     pub fn characterization_fingerprint(&self, char_seed: u64) -> Fingerprint {
         match &self.explicit_inputs {
             Some(inputs) => {
@@ -242,14 +240,11 @@ impl Verifier {
     ///
     /// # Errors
     ///
-    /// [`MorphError::Precondition`] when no assertions were added,
+    /// [`MorphError::Precondition`] when no assertions were added or an
+    /// assertion names a tracepoint `characterization` carries no traces
+    /// for (both checked before any solve),
     /// [`MorphError::Validation`] on solver failure,
     /// [`MorphError::Cancelled`] when `cancel` fires between assertions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an assertion references a tracepoint absent from
-    /// `characterization`.
     pub fn try_validate_with(
         &self,
         characterization: Characterization,
@@ -257,9 +252,7 @@ impl Verifier {
         cache: Option<CacheSummary>,
         cancel: &CancelToken,
     ) -> Result<VerificationReport, MorphError> {
-        if self.assertions.is_empty() {
-            return Err(Precondition::NoAssertions.into());
-        }
+        self.check_assertions(|id| characterization.traces.contains_key(&id))?;
         let mut outcomes = Vec::with_capacity(self.assertions.len());
         for a in &self.assertions {
             cancel.check()?;
@@ -278,80 +271,56 @@ impl Verifier {
         })
     }
 
-    /// Runs characterization once, then validates every assertion.
+    /// Verifies every assertion: checks the preconditions, draws one `u64`
+    /// characterization seed from `rng`, characterizes with it (or takes
+    /// the artifact `cache` holds under [`Self::characterization_fingerprint`]
+    /// for that seed, storing it on a miss), then validates from the same
+    /// `rng` through [`Self::try_validate_with`].
     ///
-    /// Thin panicking wrapper over [`Self::try_run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no assertions were added, the program has no tracepoints,
-    /// or the validation solver fails structurally
-    /// ([`crate::ValidationError`]).
-    pub fn run(&self, rng: &mut StdRng) -> VerificationReport {
-        self.try_run(rng).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs characterization once, then validates every assertion,
-    /// reporting solver failures as errors.
+    /// Uncached, cold and warm runs therefore report bit-identical results
+    /// and advance `rng` identically. With a cache, the report's
+    /// [`RunReport::cache`] summarizes the hits, misses, and cost saved by
+    /// *this* run (a delta, not the cache's lifetime stats). Persistence is
+    /// best-effort: a read-only cache directory degrades to memory-only
+    /// caching rather than failing the run.
     ///
     /// # Errors
     ///
-    /// [`crate::ValidationError`] when the validation solver cannot produce
-    /// an optimum (zero restarts configured, all-NaN objective).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no assertions were added or the program has no
-    /// tracepoints.
-    pub fn try_run(&self, rng: &mut StdRng) -> Result<VerificationReport, ValidationError> {
-        assert!(!self.assertions.is_empty(), "no assertions to verify");
-        let _trace = morph_trace::span("verify/run");
-        let characterization = match &self.explicit_inputs {
-            Some(inputs) => characterize_with_inputs(
-                &self.circuit,
-                &self.characterization_config,
-                inputs.clone(),
-                rng,
-            ),
-            None => characterize(&self.circuit, &self.characterization_config, rng),
-        };
-        self.validate_all(characterization, rng, None)
-    }
-
-    /// [`Self::try_run`] with a characterization artifact cache; the
-    /// report's [`RunReport::cache`] summarizes the hits, misses, and cost
-    /// saved by *this* run (a delta, not the cache's lifetime stats).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::try_run`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::try_run`].
-    pub fn try_run_with_cache(
+    /// [`MorphError::Precondition`] when no assertions were added or an
+    /// assertion names a tracepoint the program does not declare (both
+    /// checked before any characterization), or when the program or
+    /// configuration cannot be characterized (see
+    /// [`crate::try_characterize`]); [`MorphError::Validation`] when the
+    /// solver cannot produce an optimum (zero restarts configured,
+    /// all-NaN objective).
+    pub fn try_run(
         &self,
         rng: &mut StdRng,
-        cache: &mut CharacterizationCache,
-    ) -> Result<VerificationReport, ValidationError> {
-        assert!(!self.assertions.is_empty(), "no assertions to verify");
+        cache: Option<&mut CharacterizationCache>,
+    ) -> Result<VerificationReport, MorphError> {
+        self.check_assertions(|id| self.circuit.tracepoint_position(id).is_some())?;
         let _trace = morph_trace::span("verify/run");
-        let stats_before = *cache.stats();
-        let characterization = match &self.explicit_inputs {
-            Some(inputs) => characterize_with_inputs_cached(
-                &self.circuit,
-                &self.characterization_config,
-                inputs.clone(),
-                rng,
-                cache,
-            ),
-            None => characterize_cached(&self.circuit, &self.characterization_config, rng, cache),
+        let char_seed: u64 = rng.gen();
+        let never = CancelToken::new();
+        let Some(cache) = cache else {
+            let characterization = self.try_characterize_for_seed(char_seed, &never)?;
+            return self.try_validate_with(characterization, rng, None, &never);
         };
-        let cache_summary = CacheSummary::delta(&stats_before, cache.stats());
-        self.validate_all(characterization, rng, Some(cache_summary))
+        let stats_before = *cache.stats();
+        let fingerprint = self.characterization_fingerprint(char_seed);
+        let characterization = match cache.get(&fingerprint) {
+            Some(hit) => hit,
+            None => {
+                let characterization = self.try_characterize_for_seed(char_seed, &never)?;
+                let _ = cache.put(fingerprint, &characterization);
+                characterization
+            }
+        };
+        let summary = CacheSummary::delta(&stats_before, cache.stats());
+        self.try_validate_with(characterization, rng, Some(summary), &never)
     }
 
-    /// Incremental [`Self::try_run_with_cache`]: characterizes per segment
+    /// Incremental [`Self::try_run`]: characterizes per segment
     /// against `cache`, reusing every cached segment artifact (see
     /// [`crate::try_characterize_incremental`]), then validates every
     /// assertion. The report's [`CacheSummary`] carries the per-segment
@@ -359,11 +328,12 @@ impl Verifier {
     ///
     /// # Errors
     ///
-    /// [`MorphError::Precondition`] when no assertions were added, explicit
-    /// inputs were supplied ([`Self::with_inputs`] and incremental
-    /// characterization are mutually exclusive — the ensemble is part of
-    /// each segment's content address), or the program or configuration
-    /// cannot be characterized; [`MorphError::Segment`] when the program
+    /// [`MorphError::Precondition`] when no assertions were added, an
+    /// assertion names a tracepoint the program does not declare (both
+    /// checked before any characterization), explicit inputs were supplied
+    /// ([`Self::with_inputs`] and incremental characterization are mutually
+    /// exclusive — the ensemble is part of each segment's content address),
+    /// or the program or configuration cannot be characterized; [`MorphError::Segment`] when the program
     /// cannot be segmented (see [`crate::SegmentError`]);
     /// [`MorphError::Validation`] on solver failure.
     pub fn try_run_incremental(
@@ -371,9 +341,7 @@ impl Verifier {
         rng: &mut StdRng,
         cache: &mut SegmentedCache,
     ) -> Result<VerificationReport, MorphError> {
-        if self.assertions.is_empty() {
-            return Err(Precondition::NoAssertions.into());
-        }
+        self.check_assertions(|id| self.circuit.tracepoint_position(id).is_some())?;
         if self.explicit_inputs.is_some() {
             return Err(Precondition::ExplicitInputsWithIncremental.into());
         }
@@ -390,26 +358,36 @@ impl Verifier {
         let mut summary = CacheSummary::delta(&stats_before, cache.stats());
         summary.segment_hits = inc.segments.hits;
         summary.segment_misses = inc.segments.misses;
-        Ok(self.validate_all(inc.characterization, rng, Some(summary))?)
+        self.try_validate_with(
+            inc.characterization,
+            rng,
+            Some(summary),
+            &CancelToken::new(),
+        )
     }
 
-    fn validate_all(
+    /// The assertion preconditions every run checks before doing any work:
+    /// at least one assertion, and every tracepoint an assertion names
+    /// passes `declared`.
+    fn check_assertions(
         &self,
-        characterization: Characterization,
-        rng: &mut StdRng,
-        cache: Option<CacheSummary>,
-    ) -> Result<VerificationReport, ValidationError> {
-        let outcomes: Vec<ValidationOutcome> = self
+        declared: impl Fn(TracepointId) -> bool,
+    ) -> Result<(), Precondition> {
+        if self.assertions.is_empty() {
+            return Err(Precondition::NoAssertions);
+        }
+        let unknown = self
             .assertions
             .iter()
-            .map(|a| try_validate_assertion(a, &characterization, &self.validation_config, rng))
-            .collect::<Result<_, _>>()?;
-        let run = RunReport::new(&characterization, &outcomes, cache);
-        Ok(VerificationReport {
-            characterization,
-            outcomes,
-            run,
-        })
+            .flat_map(AssumeGuarantee::state_refs)
+            .find_map(|state| match state {
+                StateRef::Tracepoint(id) if !declared(id) => Some(id),
+                _ => None,
+            });
+        match unknown {
+            Some(id) => Err(Precondition::UnknownTracepoint { id }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -421,12 +399,9 @@ impl Verifier {
 /// # Errors
 ///
 /// [`MorphError::Parse`] / [`MorphError::Spec`] when the program or an
-/// assertion does not parse.
-///
-/// # Panics
-///
-/// Panics if the source contains no assertions or no tracepoints (a
-/// verification with nothing to check is a caller bug).
+/// assertion does not parse; [`MorphError::Precondition`]
+/// ([`Precondition::NoAssertions`]) when the source has no `// assert`
+/// comment; otherwise any error of [`Verifier::try_run`].
 ///
 /// # Examples
 ///
@@ -453,16 +428,11 @@ pub fn verify_source(
     rng: &mut StdRng,
 ) -> Result<VerificationReport, MorphError> {
     let circuit = morph_qprog::parse_program(source)?;
-    let assertions = crate::spec::assertions_from_source(source)?;
-    assert!(
-        !assertions.is_empty(),
-        "source contains no `// assert` specifications"
-    );
     let mut verifier = Verifier::new(circuit).input_qubits(input_qubits);
-    for a in assertions {
+    for a in crate::spec::assertions_from_source(source)? {
         verifier = verifier.assert_that(a);
     }
-    Ok(verifier.run(rng))
+    verifier.try_run(rng, None)
 }
 
 /// What one verification run cost and how it behaved: the shot budget
@@ -484,7 +454,7 @@ pub struct RunReport {
     pub solver_evaluations: u64,
     /// Solver iterations, summed over assertions.
     pub solver_iterations: u64,
-    /// Cache behaviour of this run — `None` for uncached entry points.
+    /// Cache behaviour of this run — `None` when the run used no cache.
     pub cache: Option<CacheSummary>,
     /// The simulation backend the characterization sweep executed on.
     pub backend: morph_backend::BackendChoice,
@@ -603,8 +573,6 @@ impl VerificationReport {
 mod tests {
     use super::*;
     use crate::predicate::{RelationPredicate, StatePredicate};
-    use morph_qprog::TracepointId;
-    use rand::SeedableRng;
 
     fn ghz_with_traces() -> Circuit {
         let mut c = Circuit::new(3);
@@ -633,7 +601,8 @@ mod tests {
                         - 1e-6
                 }),
             ))
-            .run(&mut StdRng::seed_from_u64(0));
+            .try_run(&mut StdRng::seed_from_u64(0), None)
+            .unwrap();
         assert!(
             report.all_passed(),
             "{:?}",
@@ -661,7 +630,8 @@ mod tests {
                     StatePredicate::equals(CMatrixFixtures::one()),
                 ),
             )
-            .run(&mut StdRng::seed_from_u64(1));
+            .try_run(&mut StdRng::seed_from_u64(1), None)
+            .unwrap();
         assert_eq!(report.outcomes.len(), 2);
         assert!(report.outcomes[0].verdict.passed());
         assert!(!report.outcomes[1].verdict.passed());
@@ -677,13 +647,6 @@ mod tests {
             Err(MorphError::Precondition(p)) => p,
             other => panic!("expected a precondition error, got {other:?}"),
         };
-        let bare = Verifier::new(ghz_with_traces())
-            .input_qubits(&[0])
-            .samples(4);
-        assert_eq!(
-            precondition(bare.try_run_incremental(&mut rng, &mut cache)),
-            Precondition::NoAssertions
-        );
         let explicit = Verifier::new(ghz_with_traces())
             .input_qubits(&[0])
             .with_inputs(morph_clifford::InputEnsemble::Clifford.generate(1, 2, &mut rng))
@@ -709,16 +672,152 @@ mod tests {
         }
     }
 
+    /// A verifier without assertions, or with one naming an undeclared
+    /// tracepoint, is refused by every run method before it draws from the
+    /// caller's RNG — so before any characterization or solve — and so is
+    /// a source without `// assert` comments by `verify_source`.
     #[test]
-    #[should_panic(expected = "no assertions")]
-    fn empty_verifier_rejected() {
-        let _ = Verifier::new(ghz_with_traces()).run(&mut StdRng::seed_from_u64(0));
+    fn assertion_preconditions_are_errors_before_any_work() {
+        let unknown =
+            AssumeGuarantee::new().guarantee_state(TracepointId(9), StatePredicate::IsPure);
+        let cases = [
+            (
+                Verifier::new(ghz_with_traces()).input_qubits(&[0]),
+                Precondition::NoAssertions,
+            ),
+            (
+                Verifier::new(ghz_with_traces())
+                    .input_qubits(&[0])
+                    .assert_that(pure_assertion())
+                    .assert_that(unknown),
+                Precondition::UnknownTracepoint {
+                    id: TracepointId(9),
+                },
+            ),
+        ];
+        let characterization = Verifier::new(ghz_with_traces())
+            .input_qubits(&[0])
+            .samples(2)
+            .try_characterize_for_seed(0, &CancelToken::new())
+            .unwrap();
+        for (verifier, want) in cases {
+            let mut rng = StdRng::seed_from_u64(4);
+            let mut cache = CharacterizationCache::in_memory();
+            let mut segments = SegmentedCache::in_memory();
+            let results = [
+                verifier.try_run(&mut rng, None),
+                verifier.try_run(&mut rng, Some(&mut cache)),
+                verifier.try_run_incremental(&mut rng, &mut segments),
+                verifier.try_validate_with(
+                    characterization.clone(),
+                    &mut rng,
+                    None,
+                    &CancelToken::new(),
+                ),
+            ];
+            for result in results {
+                match result {
+                    Err(MorphError::Precondition(p)) => assert_eq!(p, want),
+                    other => panic!("expected {want:?}, got {other:?}"),
+                }
+            }
+            assert_eq!(
+                rng.gen::<u64>(),
+                StdRng::seed_from_u64(4).gen::<u64>(),
+                "a refused run must not touch the caller's RNG"
+            );
+            assert_eq!(cache.stats().misses, 0);
+            assert_eq!(segments.stats().misses, 0);
+        }
+        let bare_source = "qreg q[1];\nT 1 q[0];\nh q[0];\nT 2 q[0];\n";
+        match verify_source(bare_source, &[0], &mut StdRng::seed_from_u64(0)) {
+            Err(MorphError::Precondition(p)) => assert_eq!(p, Precondition::NoAssertions),
+            other => panic!("expected NoAssertions from verify_source, got {other:?}"),
+        }
     }
 
     fn pure_assertion() -> AssumeGuarantee {
         AssumeGuarantee::new()
             .assume(crate::StateRef::Input, StatePredicate::IsPure)
             .guarantee_state(TracepointId(1), StatePredicate::IsPure)
+    }
+
+    /// Everything a report carries apart from its cache summary, rendered
+    /// with `Debug` — which prints every `f64` in round-trip form, so equal
+    /// strings mean bitwise-equal inputs, traces, ledgers, verdicts,
+    /// objectives and solver diagnostics.
+    fn observable(report: &VerificationReport) -> String {
+        let run = RunReport {
+            cache: None,
+            ..report.run
+        };
+        format!("{:?}", (&report.characterization, &report.outcomes, run))
+    }
+
+    /// Uncached, cold-cache, warm-cache and serve-style split runs share one
+    /// RNG discipline: one `u64` seeds (and, with a cache, addresses) the
+    /// characterization, and validation continues from the caller's stream.
+    #[test]
+    fn every_run_path_shares_one_rng_discipline() {
+        let failing = AssumeGuarantee::new().guarantee_state(
+            TracepointId(2),
+            StatePredicate::equals(CMatrixFixtures::one()),
+        );
+        let base = || {
+            Verifier::new(ghz_with_traces())
+                .input_qubits(&[0])
+                .samples(4)
+                .assert_that(pure_assertion())
+                .assert_that(failing.clone())
+        };
+        let ensemble = base()
+            .ensemble(morph_clifford::InputEnsemble::PauliProduct)
+            .readout(ReadoutMode::Shots(40));
+        let inputs = morph_clifford::InputEnsemble::PauliProduct.generate(
+            1,
+            4,
+            &mut StdRng::seed_from_u64(21),
+        );
+        for verifier in [ensemble, base().with_inputs(inputs)] {
+            // Each path's report plus the caller's next draw, which pins how
+            // far the path advanced the caller's RNG.
+            let run = |cache: Option<&mut CharacterizationCache>| {
+                let mut rng = StdRng::seed_from_u64(17);
+                let report = verifier.try_run(&mut rng, cache).unwrap();
+                (report, rng.gen::<u64>())
+            };
+            let uncached = run(None);
+            assert!(uncached.0.run.cache.is_none());
+            assert!(
+                !uncached.0.all_passed(),
+                "the failing assertion must refute"
+            );
+
+            let mut cache = CharacterizationCache::in_memory();
+            let cold = run(Some(&mut cache));
+            let summary = cold.0.run.cache.expect("cached run carries a summary");
+            assert_eq!((summary.hits, summary.misses, summary.writes), (0, 1, 1));
+            let warm = run(Some(&mut cache));
+            let summary = warm.0.run.cache.expect("cached run carries a summary");
+            assert_eq!((summary.hits, summary.misses, summary.writes), (1, 0, 0));
+            assert!(summary.cost_saved > 0);
+
+            let split = {
+                let mut rng = StdRng::seed_from_u64(17);
+                let never = CancelToken::new();
+                let ch = verifier
+                    .try_characterize_for_seed(rng.gen(), &never)
+                    .unwrap();
+                let report = verifier
+                    .try_validate_with(ch, &mut rng, None, &never)
+                    .unwrap();
+                (report, rng.gen::<u64>())
+            };
+            for (report, next) in [&cold, &warm, &split] {
+                assert_eq!(observable(report), observable(&uncached.0));
+                assert_eq!(*next, uncached.1, "the caller's RNG advanced differently");
+            }
+        }
     }
 
     #[test]
@@ -728,45 +827,13 @@ mod tests {
             .samples(4)
             .ensemble(morph_clifford::InputEnsemble::PauliProduct)
             .assert_that(pure_assertion())
-            .run(&mut StdRng::seed_from_u64(0));
+            .try_run(&mut StdRng::seed_from_u64(0), None)
+            .unwrap();
         assert_eq!(report.run.executions, report.ledger().executions);
         assert_eq!(report.run.quantum_ops, report.ledger().quantum_ops);
         assert!(report.run.solver_evaluations > 0);
         assert!(report.run.solver_iterations > 0);
         assert!(report.run.cache.is_none(), "uncached run reports no cache");
-    }
-
-    #[test]
-    fn cached_run_report_tracks_store_deltas() {
-        let dir = std::env::temp_dir().join(format!(
-            "morphqpv-verifier-cache-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cache = CharacterizationCache::open(&dir).unwrap();
-        let verifier = Verifier::new(ghz_with_traces())
-            .input_qubits(&[0])
-            .samples(4)
-            .ensemble(morph_clifford::InputEnsemble::PauliProduct)
-            .assert_that(pure_assertion());
-
-        let first = verifier
-            .try_run_with_cache(&mut StdRng::seed_from_u64(3), &mut cache)
-            .unwrap();
-        let cold = first.run.cache.expect("cached run carries a summary");
-        assert_eq!(cold.hits, 0);
-        assert_eq!(cold.misses, 1);
-        assert_eq!(cold.writes, 1);
-
-        let second = verifier
-            .try_run_with_cache(&mut StdRng::seed_from_u64(3), &mut cache)
-            .unwrap();
-        let warm = second.run.cache.expect("cached run carries a summary");
-        assert_eq!(warm.hits, 1, "identical run should hit: {warm:?}");
-        assert_eq!(warm.misses, 0);
-        assert!(warm.cost_saved > 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

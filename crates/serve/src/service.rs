@@ -15,7 +15,7 @@
 //!
 //! A job's results depend only on its request. The job RNG is seeded from
 //! `request.seed`; one `u64` (`char_seed`) is drawn from it to key and
-//! seed characterization — exactly the [`characterize_cached`] discipline
+//! seed characterization — exactly the [`Verifier::try_run`] discipline
 //! — and validation continues from the job's own stream. Whether a job
 //! computed its characterization, followed a coalesced flight, or hit the
 //! cache is therefore *invisible in its report* (the artifact round-trip
@@ -28,8 +28,6 @@
 //! - counter `serve/coalesced_hit` — jobs served by a concurrent leader
 //! - counter `serve/cache_hit` — jobs served from the artifact cache
 //! - gauge `serve/queue_depth` — queue depth sampled at each submission
-//!
-//! [`characterize_cached`]: morphqpv::prelude::characterize_cached
 
 use std::fmt;
 use std::io;
@@ -493,7 +491,7 @@ fn run_job(
         noise: request.noise.as_deref(),
     })?;
 
-    // The characterize_cached RNG discipline, spelled out so the flight
+    // The `Verifier::try_run` RNG discipline, spelled out so the flight
     // table can sit between the fingerprint and the computation: draw one
     // u64 for the characterization, validate from the job's own stream.
     let mut job_rng = StdRng::seed_from_u64(request.seed);

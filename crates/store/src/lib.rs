@@ -18,10 +18,10 @@
 //!
 //! The store is deliberately *untyped* — payloads are [`serde::json::Value`]
 //! trees — so it sits below every domain crate in the dependency graph.
-//! `morphqpv::characterize_cached` supplies the typed encoding of
-//! characterization artifacts and the cache-aware entry points; see
-//! DESIGN.md "Characterization cache" for the fingerprint definition and
-//! invalidation rules.
+//! `morphqpv::CharacterizationCache` supplies the typed encoding of
+//! characterization artifacts, and `morphqpv::Verifier::try_run` is the
+//! cache-aware entry point; see DESIGN.md "Characterization cache" for the
+//! fingerprint definition and invalidation rules.
 
 mod fingerprint;
 pub mod lock;

@@ -104,7 +104,8 @@ fn main() {
             ..Default::default()
         })
         .assert_that(assertion)
-        .run(&mut rng);
+        .try_run(&mut rng, None)
+        .expect("verification runs");
     match &report.outcomes[0].verdict {
         Verdict::Passed { confidence, .. } => {
             println!(

@@ -12,7 +12,7 @@ use morphqpv_suite::qalgo::Teleportation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), MorphError> {
     // 1. Program + tracepoints: a 1-qubit teleportation (3 qubits total).
     let layout = Teleportation::new(1);
     let mut program = Circuit::new(layout.n_qubits());
@@ -33,7 +33,7 @@ fn main() {
         .input_qubits(&layout.input_qubits())
         .samples(4)
         .assert_that(assertion)
-        .run(&mut rng);
+        .try_run(&mut rng, None)?;
 
     match &report.outcomes[0].verdict {
         Verdict::Passed {
@@ -68,7 +68,7 @@ fn main() {
         .input_qubits(&layout.input_qubits())
         .samples(4)
         .assert_that(assertion)
-        .run(&mut rng);
+        .try_run(&mut rng, None)?;
     match &report.outcomes[0].verdict {
         Verdict::Failed {
             max_objective,
@@ -80,4 +80,5 @@ fn main() {
         }
         Verdict::Passed { .. } => println!("\nbug missed — should not happen at this budget"),
     }
+    Ok(())
 }

@@ -17,7 +17,7 @@ cx q[0],q[1];
 cx q[1],q[2];
 T 2 q[0,1,2];
 // assert assume is_pure(T1) guarantee is_pure(T2)
-// assert guarantee prob_at_least(T2, 0, 0.4)
+// assert assume prob_at_least(T1, 0, 0.5) guarantee prob_at_least(T2, 0, 0.4)
 ";
 
 // A stray phase error: invisible to purity and probability predicates
@@ -38,11 +38,18 @@ T 2 q[0,1,2];
 fn verify(source: &str) -> bool {
     let circuit = parse_program(source).expect("valid program");
     let assertions = assertions_from_source(source).expect("valid specs");
-    let mut verifier = Verifier::new(circuit).input_qubits(&[0]).samples(4);
+    // Four Pauli-product inputs span the one input qubit's operator space,
+    // so the characterization, and with it every verdict, is exact.
+    let mut verifier = Verifier::new(circuit)
+        .input_qubits(&[0])
+        .samples(4)
+        .ensemble(InputEnsemble::PauliProduct);
     for a in assertions {
         verifier = verifier.assert_that(a);
     }
-    let report = verifier.run(&mut StdRng::seed_from_u64(3));
+    let report = verifier
+        .try_run(&mut StdRng::seed_from_u64(3), None)
+        .expect("verification runs");
     for (i, outcome) in report.outcomes.iter().enumerate() {
         match &outcome.verdict {
             Verdict::Passed { confidence, .. } => {

@@ -27,7 +27,8 @@ fn teleportation_round_trip_verifies() {
                 .assume(TracepointId(1), StatePredicate::IsPure)
                 .guarantee_relation(TracepointId(1), TracepointId(2), RelationPredicate::Equal),
         )
-        .run(&mut StdRng::seed_from_u64(1));
+        .try_run(&mut StdRng::seed_from_u64(1), None)
+        .unwrap();
     assert!(report.all_passed());
     assert!(report.ledger().executions > 0);
 }
@@ -48,7 +49,8 @@ fn broken_teleportation_yields_counterexample() {
             TracepointId(2),
             RelationPredicate::Equal,
         ))
-        .run(&mut StdRng::seed_from_u64(2));
+        .try_run(&mut StdRng::seed_from_u64(2), None)
+        .unwrap();
     let failure = report.first_failure().expect("bug must be detected");
     match &failure.verdict {
         Verdict::Failed {
@@ -84,7 +86,8 @@ fn measured_teleportation_with_feedback_verifies() {
             TracepointId(2),
             RelationPredicate::Equal,
         ))
-        .run(&mut StdRng::seed_from_u64(3));
+        .try_run(&mut StdRng::seed_from_u64(3), None)
+        .unwrap();
     assert!(
         report.all_passed(),
         "{:?}",
@@ -129,7 +132,8 @@ fn quantum_lock_bug_key_found_by_assertion() {
                 )
                 .guarantee_state(TracepointId(2), StatePredicate::equals(zero_out)),
         )
-        .run(&mut StdRng::seed_from_u64(4));
+        .try_run(&mut StdRng::seed_from_u64(4), None)
+        .unwrap();
     let failure = report
         .first_failure()
         .expect("unexpected key must be found");
@@ -159,7 +163,8 @@ fn qec_round_trip_preserves_logical_qubit() {
             TracepointId(2),
             RelationPredicate::Equal,
         ))
-        .run(&mut StdRng::seed_from_u64(5));
+        .try_run(&mut StdRng::seed_from_u64(5), None)
+        .unwrap();
     assert!(report.all_passed());
 }
 
@@ -196,7 +201,8 @@ fn bernstein_vazirani_verifies_against_its_spec() {
                     },
                 ),
         )
-        .run(&mut StdRng::seed_from_u64(8));
+        .try_run(&mut StdRng::seed_from_u64(8), None)
+        .unwrap();
     assert!(
         report.all_passed(),
         "{:?}",
@@ -234,7 +240,8 @@ fn grover_output_verified_and_wrong_mark_detected() {
         .samples(4)
         .ensemble(morphqpv_suite::clifford::InputEnsemble::PauliProduct)
         .assert_that(assertion())
-        .run(&mut StdRng::seed_from_u64(9));
+        .try_run(&mut StdRng::seed_from_u64(9), None)
+        .unwrap();
     assert!(
         good.all_passed(),
         "{:?}",
@@ -246,7 +253,8 @@ fn grover_output_verified_and_wrong_mark_detected() {
         .samples(4)
         .ensemble(morphqpv_suite::clifford::InputEnsemble::PauliProduct)
         .assert_that(assertion())
-        .run(&mut StdRng::seed_from_u64(9));
+        .try_run(&mut StdRng::seed_from_u64(9), None)
+        .unwrap();
     assert!(!bad.all_passed());
 }
 
@@ -301,7 +309,8 @@ fn shot_limited_characterization_still_verifies() {
                 }),
             ),
         )
-        .run(&mut StdRng::seed_from_u64(7));
+        .try_run(&mut StdRng::seed_from_u64(7), None)
+        .unwrap();
     assert!(
         report.all_passed(),
         "{:?}",

@@ -176,14 +176,13 @@ fn zero_deadline_reports_deadline_exceeded_and_service_survives() {
 #[test]
 fn panicking_job_is_contained_to_its_own_error() {
     let _g = serial();
-    // The assertion references tracepoint 9, which the program never
-    // declares — validation panics on the missing trace.
+    // `T 2` names qubit 1 twice, which panics in the tracepoint readout.
     let bad_program = "\
 qreg q[2];
 T 1 q[0];
 h q[0];
-T 2 q[0,1];
-// assert guarantee is_pure(T9)
+T 2 q[1,1];
+// assert assume is_pure(T1) guarantee is_pure(T2)
 ";
     let service = service_with(2, 8);
     let err = service
@@ -271,10 +270,16 @@ fn unrunnable_characterizations_are_verification_errors() {
          // assert assume is_pure(T1) guarantee is_pure(T2)\n",
         vec![0],
     );
+    let undeclared = JobRequest::new(
+        "undeclared",
+        "qreg q[2];\nT 1 q[0];\nh q[0];\nT 2 q[0,1];\n// assert guarantee is_pure(T9)\n",
+        vec![0],
+    );
     let service = service_with(2, 8);
     for (request, reason) in [
         (wide_noisy, "at most 12 qubits"),
         (untraced, "no tracepoints"),
+        (undeclared, "tracepoint T9"),
     ] {
         let id = request.id.clone();
         let err = service

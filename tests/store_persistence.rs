@@ -8,11 +8,11 @@ use std::fs;
 use std::path::PathBuf;
 
 use morphqpv_suite::core::{
-    characterization_fingerprint, characterize_cached, ApproximationFunction,
-    CharacterizationCache, CharacterizationConfig,
+    characterization_fingerprint, ApproximationFunction, AssumeGuarantee, CharacterizationCache,
+    CharacterizationConfig, StatePredicate, StateRef, Verifier,
 };
 use morphqpv_suite::linalg::{CMatrix, C64};
-use morphqpv_suite::qprog::Circuit;
+use morphqpv_suite::qprog::{Circuit, TracepointId};
 use morphqpv_suite::qsim::NoiseModel;
 use morphqpv_suite::store::{FingerprintBuilder, MorphStore};
 use morphqpv_suite::tomography::CostLedger;
@@ -170,6 +170,19 @@ fn sample_program() -> Circuit {
     c
 }
 
+/// A verifier over [`sample_program`] with `samples` inputs on qubit 0;
+/// its cache entries are keyed by that characterization.
+fn sample_verifier(samples: usize) -> Verifier {
+    Verifier::new(sample_program())
+        .input_qubits(&[0])
+        .samples(samples)
+        .assert_that(
+            AssumeGuarantee::new()
+                .assume(StateRef::Input, StatePredicate::IsPure)
+                .guarantee_state(TracepointId(2), StatePredicate::IsPure),
+        )
+}
+
 fn assert_characterizations_identical(
     a: &morphqpv_suite::core::Characterization,
     b: &morphqpv_suite::core::Characterization,
@@ -197,18 +210,21 @@ fn assert_characterizations_identical(
 #[test]
 fn repeated_characterization_is_free_and_bit_identical() {
     let dir = temp_dir("reuse");
-    let circuit = sample_program();
-    let config = CharacterizationConfig::exact(vec![0], 4);
+    let verifier = sample_verifier(4);
+    let run = |cache: &mut CharacterizationCache| {
+        verifier
+            .try_run(&mut StdRng::seed_from_u64(42), Some(cache))
+            .expect("verification runs")
+            .characterization
+    };
 
     let mut cache = CharacterizationCache::open(&dir).expect("open cache");
-    let mut rng = StdRng::seed_from_u64(42);
-    let cold = characterize_cached(&circuit, &config, &mut rng, &mut cache);
+    let cold = run(&mut cache);
     assert_eq!(cache.stats().misses, 1);
     drop(cache);
 
     let mut fresh = CharacterizationCache::open(&dir).expect("reopen cache");
-    let mut rng = StdRng::seed_from_u64(42);
-    let warm = characterize_cached(&circuit, &config, &mut rng, &mut fresh);
+    let warm = run(&mut fresh);
     assert_eq!(fresh.stats().misses, 0, "warm run must not re-simulate");
     assert_eq!(fresh.stats().disk_hits, 1);
     assert!(fresh.stats().cost_saved > 0);
@@ -221,14 +237,15 @@ fn repeated_characterization_is_free_and_bit_identical() {
 #[test]
 fn corrupted_artifact_degrades_to_miss_and_repairs() {
     let dir = temp_dir("corrupt");
-    let circuit = sample_program();
-    let config = CharacterizationConfig::exact(vec![0], 3);
+    let verifier = sample_verifier(3);
+    let run = |cache: &mut CharacterizationCache| {
+        verifier
+            .try_run(&mut StdRng::seed_from_u64(9), Some(cache))
+            .expect("verification runs")
+            .characterization
+    };
 
-    {
-        let mut cache = CharacterizationCache::open(&dir).expect("open cache");
-        let mut rng = StdRng::seed_from_u64(9);
-        characterize_cached(&circuit, &config, &mut rng, &mut cache);
-    }
+    run(&mut CharacterizationCache::open(&dir).expect("open cache"));
     // Truncate every stored artifact.
     for entry in fs::read_dir(&dir).expect("list dir") {
         let path = entry.expect("entry").path();
@@ -237,15 +254,13 @@ fn corrupted_artifact_degrades_to_miss_and_repairs() {
     }
 
     let mut cache = CharacterizationCache::open(&dir).expect("reopen cache");
-    let mut rng = StdRng::seed_from_u64(9);
-    let repaired = characterize_cached(&circuit, &config, &mut rng, &mut cache);
+    let repaired = run(&mut cache);
     assert_eq!(cache.stats().misses, 1, "corrupt entry is a miss");
     assert_eq!(cache.store().stats().corrupt_entries, 1);
 
     // The miss rewrote the artifact: a third handle hits disk cleanly.
     let mut again = CharacterizationCache::open(&dir).expect("third open");
-    let mut rng = StdRng::seed_from_u64(9);
-    let reloaded = characterize_cached(&circuit, &config, &mut rng, &mut again);
+    let reloaded = run(&mut again);
     assert_eq!(again.stats().disk_hits, 1);
     assert_characterizations_identical(&repaired, &reloaded);
     fs::remove_dir_all(&dir).expect("cleanup");

@@ -77,7 +77,8 @@ fn tracing_leaves_verdicts_and_reports_bit_identical() {
                 TracepointId(2),
                 RelationPredicate::custom(|_, _| -1.0),
             ))
-            .run(&mut StdRng::seed_from_u64(7));
+            .try_run(&mut StdRng::seed_from_u64(7), None)
+            .unwrap();
         trace::set_enabled(false);
         report
     };
@@ -112,7 +113,8 @@ fn recorder_captures_the_pipeline_spans_for_a_traced_run() {
             TracepointId(2),
             RelationPredicate::custom(|_, _| -1.0),
         ))
-        .run(&mut StdRng::seed_from_u64(7));
+        .try_run(&mut StdRng::seed_from_u64(7), None)
+        .unwrap();
     let names: Vec<String> = trace::span_summaries()
         .into_iter()
         .map(|s| s.name)
