@@ -7,7 +7,7 @@ use morph_clifford::InputEnsemble;
 use morph_qprog::{Circuit, Executor, TracepointId};
 use morph_qsim::StateVector;
 use morph_tomography::{read_state, CostLedger, ReadoutMode};
-use morphqpv::{characterize, CharacterizationConfig};
+use morphqpv::{try_characterize, CancelToken, CharacterizationConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,7 +25,8 @@ fn bench_tracepoint_state(c: &mut Criterion) {
             n_samples: 2 * n + 2,
             ..CharacterizationConfig::exact((0..n).collect(), 2 * n + 2)
         };
-        let ch = characterize(&circuit, &config, &mut rng);
+        let ch = try_characterize(&circuit, &config, &mut rng, &CancelToken::new())
+            .expect("characterization runs");
         let f = ch.approximation(TracepointId(1));
         let probe = InputEnsemble::Clifford.generate(n, 1, &mut rng).remove(0);
 

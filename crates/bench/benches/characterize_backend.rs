@@ -37,7 +37,7 @@ use morph_linalg::C64;
 use morph_qprog::Circuit;
 use morph_qsim::{Gate, NoiseModel};
 use morph_tomography::ReadoutMode;
-use morphqpv::{characterize, BackendMode, CharacterizationConfig};
+use morphqpv::{try_characterize, BackendMode, CancelToken, CharacterizationConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -213,7 +213,13 @@ fn bench_backends(c: &mut Criterion) {
                 let cfg = config(backend, samples);
                 b.iter(|| {
                     let mut rng = StdRng::seed_from_u64(17);
-                    characterize(std::hint::black_box(&circuit), &cfg, &mut rng)
+                    try_characterize(
+                        std::hint::black_box(&circuit),
+                        &cfg,
+                        &mut rng,
+                        &CancelToken::new(),
+                    )
+                    .expect("characterization runs")
                 });
             });
         }
@@ -241,7 +247,13 @@ fn bench_bounded_fill(c: &mut Criterion) {
                 let cfg = config(backend, samples);
                 b.iter(|| {
                     let mut rng = StdRng::seed_from_u64(17);
-                    characterize(std::hint::black_box(&circuit), &cfg, &mut rng)
+                    try_characterize(
+                        std::hint::black_box(&circuit),
+                        &cfg,
+                        &mut rng,
+                        &CancelToken::new(),
+                    )
+                    .expect("characterization runs")
                 });
             });
         }

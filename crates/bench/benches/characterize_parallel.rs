@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use morph_qprog::Circuit;
 use morph_qsim::NoiseModel;
 use morph_tomography::ReadoutMode;
-use morphqpv::{characterize, CharacterizationConfig};
+use morphqpv::{try_characterize, CancelToken, CharacterizationConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -75,7 +75,13 @@ fn bench_characterize(c: &mut Criterion) {
             let cfg = config(p);
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(7);
-                characterize(std::hint::black_box(&circuit), &cfg, &mut rng)
+                try_characterize(
+                    std::hint::black_box(&circuit),
+                    &cfg,
+                    &mut rng,
+                    &CancelToken::new(),
+                )
+                .expect("characterization runs")
             });
         });
     }
@@ -125,7 +131,13 @@ fn bench_batched(c: &mut Criterion) {
         let cfg = batched_config(n, samples);
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(11);
-            characterize(std::hint::black_box(&circuit), &cfg, &mut rng)
+            try_characterize(
+                std::hint::black_box(&circuit),
+                &cfg,
+                &mut rng,
+                &CancelToken::new(),
+            )
+            .expect("characterization runs")
         });
     });
     group.finish();

@@ -105,7 +105,7 @@ fn seg() -> SegmentedConfig {
 /// The incremental characterization sweep for one revision: plan,
 /// fingerprint, fetch-or-characterize. Returns (hits, misses) with the
 /// same accounting `try_characterize_incremental` reports.
-fn sweep(circuit: &Circuit, cache: &mut SegmentedCache) -> (u64, u64) {
+fn sweep(circuit: &Circuit, cache: &SegmentedCache) -> (u64, u64) {
     let config = config();
     let plan = segment_plan(circuit, &seg()).expect("benchmark program segments");
     let (mut hits, mut misses) = (0, 0);
@@ -128,11 +128,8 @@ fn bench_revise(c: &mut Criterion) {
 
     // Untimed pre-pass: one sequential replay records each revision's
     // first-encounter hit/miss split and primes the warm cache.
-    let mut warm_cache = SegmentedCache::in_memory();
-    let splits: Vec<(u64, u64)> = revisions
-        .iter()
-        .map(|r| sweep(r, &mut warm_cache))
-        .collect();
+    let warm_cache = SegmentedCache::in_memory();
+    let splits: Vec<(u64, u64)> = revisions.iter().map(|r| sweep(r, &warm_cache)).collect();
     let (hits, misses) = splits
         .iter()
         .fold((0, 0), |(h, m), &(rh, rm)| (h + rh, m + rm));
@@ -144,9 +141,9 @@ fn bench_revise(c: &mut Criterion) {
         format!("replay/{n}revs/hits{hits}of{}", hits + misses),
         |b| {
             b.iter(|| {
-                let mut cache = SegmentedCache::in_memory();
+                let cache = SegmentedCache::in_memory();
                 for r in &revisions {
-                    criterion::black_box(sweep(r, &mut cache));
+                    criterion::black_box(sweep(r, &cache));
                 }
             });
         },
@@ -155,14 +152,14 @@ fn bench_revise(c: &mut Criterion) {
     for (i, (r, &(rev_hits, rev_misses))) in revisions.iter().zip(&splits).enumerate() {
         group.bench_function(format!("cold/rev{i:02}"), |b| {
             b.iter(|| {
-                let mut cache = SegmentedCache::in_memory();
-                criterion::black_box(sweep(r, &mut cache));
+                let cache = SegmentedCache::in_memory();
+                criterion::black_box(sweep(r, &cache));
             });
         });
         group.bench_function(
             format!("warm/rev{i:02}/hits{rev_hits}of{}", rev_hits + rev_misses),
             |b| {
-                b.iter(|| criterion::black_box(sweep(r, &mut warm_cache)));
+                b.iter(|| criterion::black_box(sweep(r, &warm_cache)));
             },
         );
     }

@@ -3,8 +3,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use morph_qprog::{Circuit, TracepointId};
 use morphqpv::{
-    characterize, validate_assertion, AssumeGuarantee, CharacterizationConfig, RelationPredicate,
-    SolverKind, ValidationConfig,
+    try_characterize, try_validate_assertion, AssumeGuarantee, CancelToken, CharacterizationConfig,
+    RelationPredicate, SolverKind, ValidationConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,7 +28,8 @@ fn bench_solvers(c: &mut Criterion) {
         n_samples: 16,
         ..CharacterizationConfig::exact((0..n).collect(), 16)
     };
-    let ch = characterize(&circuit, &config, &mut rng);
+    let ch = try_characterize(&circuit, &config, &mut rng, &CancelToken::new())
+        .expect("characterization runs");
 
     for solver in [
         SolverKind::Quadratic,
@@ -43,7 +44,8 @@ fn bench_solvers(c: &mut Criterion) {
                     ..Default::default()
                 };
                 let mut inner_rng = StdRng::seed_from_u64(1);
-                validate_assertion(&assertion, &ch, &vconfig, &mut inner_rng)
+                try_validate_assertion(&assertion, &ch, &vconfig, &mut inner_rng)
+                    .expect("validation runs")
             });
         });
     }

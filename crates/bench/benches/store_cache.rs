@@ -1,19 +1,21 @@
 //! Characterization-cache bench: cold characterization (full simulator
-//! sweep + artifact encode) vs warm reuse (fingerprint + in-memory hit)
-//! vs disk reuse (fingerprint + JSON decode from the store directory).
+//! sweep into an empty cache) vs warm reuse (fingerprint + in-memory hit,
+//! a pointer clone) vs disk reuse (fingerprint + JSON decode from the
+//! store directory).
 //!
 //! The warm arms must be orders of magnitude cheaper than the cold arm —
-//! that gap is the entire value proposition of `morph-store` for the
-//! figure sweeps, which re-characterize the same reference program
-//! dozens of times.
+//! that gap is the entire value proposition of `morph-store` for
+//! re-verifying the same program.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use morph_qprog::Circuit;
 use morph_qsim::NoiseModel;
 use morph_tomography::ReadoutMode;
 use morphqpv::{
-    characterization_fingerprint, characterize, Characterization, CharacterizationCache,
-    CharacterizationConfig,
+    characterization_fingerprint, try_characterize, CancelToken, Characterization,
+    CharacterizationCache, CharacterizationConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,17 +57,25 @@ fn config() -> CharacterizationConfig {
 /// the discipline `Verifier::try_run` uses: one `u64` drawn from a fixed
 /// stream seeds the run and enters the fingerprint.
 fn characterize_through(
-    cache: &mut CharacterizationCache,
+    cache: &CharacterizationCache,
     circuit: &Circuit,
     cfg: &CharacterizationConfig,
-) -> Characterization {
+) -> Arc<Characterization> {
     let char_seed: u64 = StdRng::seed_from_u64(11).gen();
     let fp = characterization_fingerprint(circuit, cfg, char_seed);
     if let Some(hit) = cache.get(&fp) {
         return hit;
     }
-    let ch = characterize(circuit, cfg, &mut StdRng::seed_from_u64(char_seed));
-    cache.put(fp, &ch).expect("store the artifact");
+    let ch = Arc::new(
+        try_characterize(
+            circuit,
+            cfg,
+            &mut StdRng::seed_from_u64(char_seed),
+            &CancelToken::new(),
+        )
+        .expect("characterization runs"),
+    );
+    cache.put(fp, Arc::clone(&ch)).expect("store the artifact");
     ch
 }
 
@@ -78,17 +88,17 @@ fn bench_store_cache(c: &mut Criterion) {
     // Cold: every iteration characterizes into a fresh empty cache.
     group.bench_function("cold_characterize", |b| {
         b.iter(|| {
-            let mut cache = CharacterizationCache::in_memory();
-            characterize_through(&mut cache, std::hint::black_box(&circuit), &cfg)
+            let cache = CharacterizationCache::in_memory();
+            characterize_through(&cache, std::hint::black_box(&circuit), &cfg)
         });
     });
 
     // Warm (memory): one characterization up front, then every iteration
     // is a fingerprint computation plus an in-memory LRU hit.
     group.bench_function("warm_memory_hit", |b| {
-        let mut cache = CharacterizationCache::in_memory();
-        characterize_through(&mut cache, &circuit, &cfg);
-        b.iter(|| characterize_through(&mut cache, std::hint::black_box(&circuit), &cfg));
+        let cache = CharacterizationCache::in_memory();
+        characterize_through(&cache, &circuit, &cfg);
+        b.iter(|| characterize_through(&cache, std::hint::black_box(&circuit), &cfg));
     });
 
     // Warm (disk): artifacts persisted to a store directory; every
@@ -96,11 +106,11 @@ fn bench_store_cache(c: &mut Criterion) {
     group.bench_function("warm_disk_hit", |b| {
         let dir = std::env::temp_dir().join(format!("morph-store-bench-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cache = CharacterizationCache::open(&dir).expect("open bench store dir");
-        characterize_through(&mut cache, &circuit, &cfg);
+        let cache = CharacterizationCache::open(&dir).expect("open bench store dir");
+        characterize_through(&cache, &circuit, &cfg);
         b.iter(|| {
-            cache.store_mut().drop_memory();
-            characterize_through(&mut cache, std::hint::black_box(&circuit), &cfg)
+            cache.drop_memory();
+            characterize_through(&cache, std::hint::black_box(&circuit), &cfg)
         });
         let _ = std::fs::remove_dir_all(&dir);
     });

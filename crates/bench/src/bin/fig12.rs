@@ -12,7 +12,7 @@ use morph_bench::rows::{fmt_f, print_table, save_csv};
 use morph_bench::{compare_programs, CompareConfig};
 use morph_qalgo::{mutation_battery, Benchmark};
 use morph_qprog::Circuit;
-use morphqpv::{characterize, fit_confidence_model, CharacterizationConfig};
+use morphqpv::{fit_confidence_model, try_characterize, CancelToken, CharacterizationConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,7 +35,8 @@ fn main() {
                 n_samples,
                 ..CharacterizationConfig::exact((0..n).collect(), n_samples)
             };
-            let ch = characterize(&traced, &config, &mut rng);
+            let ch = try_characterize(&traced, &config, &mut rng, &CancelToken::new())
+                .expect("characterization runs");
             let model = fit_confidence_model(&ch, 40, &mut rng);
             // ε: the accuracy a counter-example needs before the optimizer can
             // see it. Exact readout makes even small overlaps actionable.

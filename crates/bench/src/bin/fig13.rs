@@ -14,8 +14,8 @@ use morph_qalgo::{iris_like_dataset, Qnn};
 use morph_qprog::{Circuit, TracepointId};
 use morph_tomography::ReadoutMode;
 use morphqpv::{
-    adaptive_operator_inputs, characterize, characterize_with_inputs, constant_pinned_inputs,
-    CharacterizationConfig,
+    adaptive_operator_inputs, constant_pinned_inputs, try_characterize,
+    try_characterize_with_inputs, CancelToken, CharacterizationConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,7 +85,8 @@ fn main() {
             n_samples: b,
             ..CharacterizationConfig::exact(vec![0, 1, 2, 3], b)
         };
-        let ch = characterize(&qnn, &config, &mut rng);
+        let ch = try_characterize(&qnn, &config, &mut rng, &CancelToken::new())
+            .expect("characterization runs");
         accuracy_on(&ch, &workload_rhos)
     });
     let (adapt_n, adapt_acc) = samples_needed(&budgets, target, |b| {
@@ -96,7 +97,8 @@ fn main() {
             n_samples: inputs.len(),
             ..CharacterizationConfig::exact(vec![0, 1, 2, 3], inputs.len())
         };
-        let ch = characterize_with_inputs(&qnn, &config, inputs, &mut rng);
+        let ch = try_characterize_with_inputs(&qnn, &config, inputs, &mut rng, &CancelToken::new())
+            .expect("characterization runs");
         accuracy_on(&ch, &workload_rhos)
     });
     rows_a.push(vec![
@@ -128,7 +130,8 @@ fn main() {
             n_samples: b,
             ..CharacterizationConfig::exact((0..6).collect(), b)
         };
-        let ch = characterize(&shor, &config, &mut rng);
+        let ch = try_characterize(&shor, &config, &mut rng, &CancelToken::new())
+            .expect("characterization runs");
         accuracy_on(&ch, &pinned_tests)
     });
     let (const_n, const_acc) = samples_needed(&budgets, target, |b| {
@@ -138,7 +141,9 @@ fn main() {
             n_samples: inputs.len(),
             ..CharacterizationConfig::exact((0..6).collect(), inputs.len())
         };
-        let ch = characterize_with_inputs(&shor, &config, inputs, &mut rng);
+        let ch =
+            try_characterize_with_inputs(&shor, &config, inputs, &mut rng, &CancelToken::new())
+                .expect("characterization runs");
         accuracy_on(&ch, &pinned_tests)
     });
     rows_a.push(vec![
@@ -171,19 +176,22 @@ fn main() {
             readout: ReadoutMode::Shots(shots),
             ..CharacterizationConfig::exact((0..n).collect(), 6)
         };
-        let full = characterize(&circ, &base_cfg, &mut rng);
+        let full = try_characterize(&circ, &base_cfg, &mut rng, &CancelToken::new())
+            .expect("characterization runs");
         let prop_cfg = CharacterizationConfig {
             readout: ReadoutMode::ProbabilitiesOnly(shots),
             ..base_cfg.clone()
         };
-        let prop = characterize(&circ, &prop_cfg, &mut rng);
+        let prop = try_characterize(&circ, &prop_cfg, &mut rng, &CancelToken::new())
+            .expect("characterization runs");
         // Extension: classical-shadow readout — flat single-shot snapshot
         // budget instead of 4^k − 1 settings.
         let shadow_cfg = CharacterizationConfig {
             readout: ReadoutMode::Shadow(shots),
             ..base_cfg
         };
-        let shadow = characterize(&circ, &shadow_cfg, &mut rng);
+        let shadow = try_characterize(&circ, &shadow_cfg, &mut rng, &CancelToken::new())
+            .expect("characterization runs");
         rows_b.push(vec![
             format!("Shor {n}q"),
             full.ledger.shots.to_string(),

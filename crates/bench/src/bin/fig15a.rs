@@ -13,7 +13,7 @@ use morph_linalg::hs_accuracy;
 use morph_qalgo::Benchmark;
 use morph_qprog::{Circuit, Executor, TracepointId};
 use morph_qsim::StateVector;
-use morphqpv::{characterize, CharacterizationConfig};
+use morphqpv::{try_characterize, CancelToken, CharacterizationConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,7 +39,8 @@ fn main() {
                     ensemble,
                     ..CharacterizationConfig::exact((0..n).collect(), n_samples)
                 };
-                let ch = characterize(&circuit, &config, &mut rng);
+                let ch = try_characterize(&circuit, &config, &mut rng, &CancelToken::new())
+                    .expect("characterization runs");
                 let f = ch.approximation(TracepointId(1));
                 let probes = InputEnsemble::Clifford.generate(n, 8, &mut rng);
                 let mut acc = 0.0;

@@ -8,8 +8,8 @@ use morph_bench::rows::{fmt_f, print_table, save_csv};
 use morph_clifford::InputEnsemble;
 use morph_qprog::{Circuit, TracepointId};
 use morphqpv::{
-    characterize, validate_assertion, AssumeGuarantee, CharacterizationConfig, RelationPredicate,
-    SolverKind, ValidationConfig,
+    try_characterize, try_validate_assertion, AssumeGuarantee, CancelToken, CharacterizationConfig,
+    RelationPredicate, SolverKind, ValidationConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +39,13 @@ fn main() {
             ..CharacterizationConfig::exact((0..n).collect(), n_samples)
         };
         // One drawn seed characterizes; the solvers continue from `rng`.
-        let ch = characterize(&circuit, &config, &mut StdRng::seed_from_u64(rng.gen()));
+        let ch = try_characterize(
+            &circuit,
+            &config,
+            &mut StdRng::seed_from_u64(rng.gen()),
+            &CancelToken::new(),
+        )
+        .expect("characterization runs");
         for solver in [
             SolverKind::GradientAscent,
             SolverKind::Genetic,
@@ -52,7 +58,8 @@ fn main() {
                 ..Default::default()
             };
             let t0 = Instant::now();
-            let outcome = validate_assertion(&assertion, &ch, &vconfig, &mut rng);
+            let outcome = try_validate_assertion(&assertion, &ch, &vconfig, &mut rng)
+                .expect("validation runs");
             let dt = t0.elapsed().as_secs_f64();
             rows.push(vec![
                 solver.name().to_string(),

@@ -12,7 +12,7 @@ use morph_clifford::InputEnsemble;
 use morph_linalg::CMatrix;
 use morph_qalgo::Teleportation;
 use morph_qprog::Circuit;
-use morphqpv::{characterize, CharacterizationConfig};
+use morphqpv::{try_characterize, CancelToken, CharacterizationConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,7 +38,8 @@ fn accuracy_sweep(payload: usize, rows: &mut Vec<Vec<String>>) {
             n_samples,
             ..CharacterizationConfig::exact(layout.input_qubits(), n_samples)
         };
-        let ch = characterize(&circuit, &config, &mut rng);
+        let ch = try_characterize(&circuit, &config, &mut rng, &CancelToken::new())
+            .expect("characterization runs");
         let f = ch.approximation(morph_qprog::TracepointId(1));
 
         // Case 1: convex mixtures of sampled inputs are inside the span.

@@ -5,7 +5,7 @@
 use morph_bench::rows::{fmt_f, print_table, save_csv};
 use morph_clifford::InputEnsemble;
 use morph_qprog::Circuit;
-use morphqpv::{characterize, CharacterizationConfig, ConfidenceModel};
+use morphqpv::{try_characterize, CancelToken, CharacterizationConfig, ConfidenceModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,7 +22,8 @@ fn main() {
         n_samples: 24,
         ..CharacterizationConfig::exact((0..n).collect(), 24)
     };
-    let ch = characterize(&circuit, &config, &mut rng);
+    let ch = try_characterize(&circuit, &config, &mut rng, &CancelToken::new())
+        .expect("characterization runs");
     let f = ch.approximation(morph_qprog::TracepointId(1));
 
     let probes = InputEnsemble::Clifford.generate(n, 300, &mut rng);

@@ -43,9 +43,12 @@
 //! tree as JSON. Tracing never changes the verification results or the
 //! stdout report — only stderr and the trace file carry the extra output.
 
+use std::io::{self, Write};
+
+use morph_store::StoreStats;
 use morphqpv::{
     CharacterizationCache, InputEnsemble, MorphError, SegmentedCache, SegmentedConfig,
-    ValidationConfig, Verdict,
+    ValidationConfig, Verdict, VerificationReport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -260,7 +263,7 @@ fn run() -> i32 {
             .incremental(seg)
             .try_run_incremental(&mut rng, seg_cache)
     } else {
-        verifier.try_run(&mut rng, cache.as_mut())
+        verifier.try_run(&mut rng, cache.as_ref())
     };
     let report = match result {
         Ok(report) => report,
@@ -271,56 +274,19 @@ fn run() -> i32 {
         }
     };
 
-    for (i, outcome) in report.outcomes.iter().enumerate() {
-        match &outcome.verdict {
-            Verdict::Passed {
-                max_objective,
-                confidence,
-            } => {
-                println!(
-                    "assertion {i}: PASSED (max objective {max_objective:.3e}, confidence {confidence:.3})"
-                );
-            }
-            Verdict::Failed {
-                max_objective,
-                counterexample,
-                ..
-            } => {
-                println!("assertion {i}: FAILED (objective {max_objective:.3})");
-                let refined = morphqpv::CounterExample::refine(counterexample);
-                println!(
-                    "  counter-example: dominant basis state |{:b}>, dominance {:.2}",
-                    refined.dominant_basis_state(),
-                    refined.dominance
-                );
-            }
-        }
-    }
-    println!("cost: {}", report.ledger());
-    println!("backend: {}", report.run.backend.tag());
-    // Printed only when a sparse register ran. The stats round-trip
-    // through the artifact store, so warm (cached) runs print the same
-    // line the cold run did and stdout stays byte-identical.
-    let fp = &report.run.fast_path;
-    if !fp.is_empty() {
-        println!(
-            "fast-path: {} spills, {} switches, {} splices, peak {} nonzeros",
-            fp.spills, fp.switches, fp.splices, fp.peak_nonzeros
-        );
-    }
-    if let Some(cache) = &cache {
-        println!("cache: {}", cache.stats());
-    }
-    if let Some(seg_cache) = &seg_cache {
-        if cache_dir.is_some() {
-            println!("cache: {}", seg_cache.stats());
-        }
-        let c = report.run.cache.unwrap_or_default();
-        println!(
-            "segments: {} hits, {} misses",
-            c.segment_hits, c.segment_misses
-        );
-    }
+    // An in-memory segment cache prints no `cache:` line.
+    let store_stats = match (&cache, &seg_cache) {
+        (Some(c), _) => Some(c.stats()),
+        (None, Some(c)) if cache_dir.is_some() => Some(c.stats()),
+        _ => None,
+    };
+    // A closed stdout (`verify … | head -1`) is an error exit, not a panic.
+    let printed = print_report(
+        &mut std::io::stdout().lock(),
+        &report,
+        store_stats,
+        incremental,
+    );
     if morph_trace::enabled() {
         let run = &report.run;
         eprintln!(
@@ -339,7 +305,75 @@ fn run() -> i32 {
         }
     }
     write_trace(trace_json.as_deref());
-    report.exit_code()
+    match printed {
+        Ok(()) => report.exit_code(),
+        Err(e) => {
+            eprintln!("cannot write the report to stdout: {e}");
+            1
+        }
+    }
+}
+
+/// Prints the verdicts, costs, the `cache:` line when `store_stats` is
+/// given, and the `segments:` line of an incremental run.
+fn print_report(
+    out: &mut impl Write,
+    report: &VerificationReport,
+    store_stats: Option<StoreStats>,
+    incremental: bool,
+) -> io::Result<()> {
+    for (i, outcome) in report.outcomes.iter().enumerate() {
+        match &outcome.verdict {
+            Verdict::Passed {
+                max_objective,
+                confidence,
+            } => {
+                writeln!(
+                    out,
+                    "assertion {i}: PASSED (max objective {max_objective:.3e}, confidence {confidence:.3})"
+                )?;
+            }
+            Verdict::Failed {
+                max_objective,
+                counterexample,
+                ..
+            } => {
+                writeln!(out, "assertion {i}: FAILED (objective {max_objective:.3})")?;
+                let refined = morphqpv::CounterExample::refine(counterexample);
+                writeln!(
+                    out,
+                    "  counter-example: dominant basis state |{:b}>, dominance {:.2}",
+                    refined.dominant_basis_state(),
+                    refined.dominance
+                )?;
+            }
+        }
+    }
+    writeln!(out, "cost: {}", report.ledger())?;
+    writeln!(out, "backend: {}", report.run.backend.tag())?;
+    // Printed only when a sparse register ran. The stats round-trip
+    // through the artifact store, so warm (cached) runs print the same
+    // line the cold run did and stdout stays byte-identical.
+    let fp = &report.run.fast_path;
+    if !fp.is_empty() {
+        writeln!(
+            out,
+            "fast-path: {} spills, {} switches, {} splices, peak {} nonzeros",
+            fp.spills, fp.switches, fp.splices, fp.peak_nonzeros
+        )?;
+    }
+    if let Some(stats) = store_stats {
+        writeln!(out, "cache: {stats}")?;
+    }
+    if incremental {
+        let c = report.run.cache.unwrap_or_default();
+        writeln!(
+            out,
+            "segments: {} hits, {} misses",
+            c.segment_hits, c.segment_misses
+        )?;
+    }
+    Ok(())
 }
 
 /// Writes the recorded span tree to `path` as JSON, if a path was given.

@@ -10,8 +10,8 @@ use morph_clifford::InputEnsemble;
 use morph_qprog::{Circuit, TracepointId};
 use morph_tomography::{CostLedger, ReadoutMode};
 use morphqpv::{
-    characterize_with_inputs, validate_assertion, AssumeGuarantee, Characterization,
-    CharacterizationConfig, RelationPredicate, ValidationConfig, Verdict,
+    try_characterize_with_inputs, try_validate_assertion, AssumeGuarantee, CancelToken,
+    Characterization, CharacterizationConfig, RelationPredicate, ValidationConfig, Verdict,
 };
 use rand::rngs::StdRng;
 
@@ -92,8 +92,22 @@ pub fn compare_programs(
     let inputs = char_config
         .ensemble
         .generate(config.input_qubits.len(), config.n_samples, rng);
-    let ch_ref = characterize_with_inputs(&ref_traced, &char_config, inputs.clone(), rng);
-    let ch_cand = characterize_with_inputs(&cand_traced, &char_config, inputs.clone(), rng);
+    let ch_ref = try_characterize_with_inputs(
+        &ref_traced,
+        &char_config,
+        inputs.clone(),
+        rng,
+        &CancelToken::new(),
+    )
+    .expect("characterization runs");
+    let ch_cand = try_characterize_with_inputs(
+        &cand_traced,
+        &char_config,
+        inputs.clone(),
+        rng,
+        &CancelToken::new(),
+    )
+    .expect("characterization runs");
 
     // Merge into one characterization: T1 = candidate output, T2 =
     // reference output, over the shared input basis.
@@ -121,7 +135,8 @@ pub fn compare_programs(
         },
     );
     let validation = ValidationConfig::default();
-    let outcome = validate_assertion(&assertion, &merged, &validation, rng);
+    let outcome =
+        try_validate_assertion(&assertion, &merged, &validation, rng).expect("validation runs");
     match outcome.verdict {
         Verdict::Failed { max_objective, .. } => (true, max_objective, merged.ledger),
         Verdict::Passed { max_objective, .. } => (false, max_objective, merged.ledger),

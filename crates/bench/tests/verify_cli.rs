@@ -7,7 +7,7 @@
 //! test` builds them first and no PATH assumptions are needed.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use serde::json::{parse, Value};
 
@@ -107,6 +107,46 @@ fn undeclared_tracepoint_is_a_structured_error_exit_one() {
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert!(stderr.contains("tracepoint T9"), "{stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn tracepoint_naming_a_qubit_twice_is_a_parse_error_exit_one() {
+    let dir = scratch("repeated");
+    let program = write_program(
+        &dir,
+        "qreg q[2];\nT 1 q[0];\nh q[0];\nT 2 q[1,1];\n\
+         // assert assume is_pure(T1) guarantee is_pure(T2)\n",
+    );
+    let out = run_verify(&program, &[], &[]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("line 4: tracepoint T2 names qubit 1 twice"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `verify … | head -1` closes stdout under the writer: the report cannot
+/// be written, which is an error exit, not a panic.
+#[test]
+fn closed_stdout_is_an_error_exit_one() {
+    let dir = scratch("closed-stdout");
+    let program = write_program(&dir, PASSING);
+    let mut child = Command::new(VERIFY)
+        .arg(&program)
+        .env_remove("MORPH_TRACE")
+        .env_remove("MORPH_CACHE_DIR")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("verify binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("verify exits");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

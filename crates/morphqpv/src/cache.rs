@@ -20,12 +20,10 @@
 //! cache.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 
 use morph_linalg::CMatrix;
 use morph_qprog::{Circuit, TracepointId};
-use morph_store::{Fingerprint, FingerprintBuilder, MorphStore, StoreStats};
+use morph_store::{Artifact, Fingerprint, FingerprintBuilder, MorphStore};
 use morph_tomography::CostLedger;
 use serde::json::{FromValueError, Value};
 use serde::{Deserialize, Serialize};
@@ -205,153 +203,70 @@ pub(crate) fn decode_backend(
         .ok_or_else(|| FromValueError::new("backend must be a known backend tag"))
 }
 
-/// Encodes a [`Characterization`] as the store payload.
-fn encode_artifact(ch: &Characterization) -> Value {
-    let traces: Vec<(u64, &Vec<CMatrix>)> = ch
-        .traces
-        .iter()
-        .map(|(id, states)| (u64::from(id.0), states))
-        .collect();
-    let traces_value = Value::Array(
-        traces
+impl Serialize for Characterization {
+    fn to_value(&self) -> Value {
+        let traces = self
+            .traces
             .iter()
-            .map(|(id, states)| Value::Array(vec![Value::UInt(*id), states.to_value()]))
-            .collect(),
-    );
-    let mut m = artifact_envelope("characterization");
-    m.insert("inputs".to_string(), ch.inputs.to_value());
-    m.insert("traces".to_string(), traces_value);
-    m.insert("ledger".to_string(), ch.ledger.to_value());
-    m.insert("backend".to_string(), Value::Str(ch.backend.tag()));
-    m.insert("fast_path".to_string(), encode_fast_path(&ch.fast_path));
-    Value::Object(m)
+            .map(|(id, states)| Value::Array(vec![id.to_value(), states.to_value()]))
+            .collect();
+        let mut m = artifact_envelope("characterization");
+        m.insert("inputs".to_string(), self.inputs.to_value());
+        m.insert("traces".to_string(), Value::Array(traces));
+        m.insert("ledger".to_string(), self.ledger.to_value());
+        m.insert("backend".to_string(), Value::Str(self.backend.tag()));
+        m.insert("fast_path".to_string(), encode_fast_path(&self.fast_path));
+        Value::Object(m)
+    }
 }
 
-/// Decodes a store payload back into a [`Characterization`].
-fn decode_artifact(value: &Value) -> Result<Characterization, FromValueError> {
-    check_artifact_envelope(value, "characterization")?;
-    let inputs = Vec::from_value(value.require("inputs")?)?;
-    let mut traces: BTreeMap<TracepointId, Vec<CMatrix>> = BTreeMap::new();
-    for pair in value
-        .require("traces")?
-        .as_array()
-        .ok_or_else(|| FromValueError::new("traces must be an array of pairs"))?
-    {
-        match pair.as_array() {
-            Some([id, states]) => {
-                let id = TracepointId::from_value(id)?;
-                traces.insert(id, Vec::from_value(states)?);
+impl<'de> Deserialize<'de> for Characterization {
+    fn from_value(value: &Value) -> Result<Self, FromValueError> {
+        check_artifact_envelope(value, "characterization")?;
+        let inputs = Vec::from_value(value.require("inputs")?)?;
+        let mut traces: BTreeMap<TracepointId, Vec<CMatrix>> = BTreeMap::new();
+        for pair in value
+            .require("traces")?
+            .as_array()
+            .ok_or_else(|| FromValueError::new("traces must be an array of pairs"))?
+        {
+            match pair.as_array() {
+                Some([id, states]) => {
+                    let id = TracepointId::from_value(id)?;
+                    traces.insert(id, Vec::from_value(states)?);
+                }
+                _ => return Err(FromValueError::new("trace entry must be [id, states]")),
             }
-            _ => return Err(FromValueError::new("trace entry must be [id, states]")),
         }
-    }
-    let ledger = CostLedger::from_value(value.require("ledger")?)?;
-    let backend = decode_backend(value)?;
-    let fast_path = decode_fast_path(value.require("fast_path")?)?;
-    Ok(Characterization {
-        inputs,
-        traces,
-        ledger,
-        backend,
-        fast_path,
-    })
-}
-
-/// Emits one counter per [`StoreStats`] field that moved across a store
-/// operation, keyed by `domain` (a fingerprint domain such as
-/// [`FINGERPRINT_DOMAIN`]). Only called with the recorder enabled.
-pub(crate) fn record_store_delta(domain: &str, before: &StoreStats, after: &StoreStats) {
-    let deltas = [
-        ("hit", after.hits() - before.hits()),
-        ("miss", after.misses - before.misses),
-        ("corrupt", after.corrupt_entries - before.corrupt_entries),
-        ("cost_saved", after.cost_saved - before.cost_saved),
-    ];
-    for (name, delta) in deltas {
-        if delta > 0 {
-            morph_trace::counter(&format!("store/{domain}/{name}"), delta);
-        }
-    }
-}
-
-/// A characterization artifact cache on top of [`MorphStore`].
-///
-/// Construct one per process (or per `--cache-dir`) and pass it to
-/// [`crate::Verifier::try_run`]. Artifact cost in the store's cost-aware LRU is
-/// the run's `quantum_ops` ledger counter, so the most expensive
-/// characterizations are the last to be evicted.
-#[derive(Debug)]
-pub struct CharacterizationCache {
-    store: MorphStore,
-}
-
-impl CharacterizationCache {
-    /// A memory-only cache (no persistence).
-    pub fn in_memory() -> Self {
-        CharacterizationCache {
-            store: MorphStore::in_memory(),
-        }
-    }
-
-    /// A persistent cache rooted at `dir` (created if absent).
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the directory cannot be created.
-    pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(CharacterizationCache {
-            store: MorphStore::open(dir.as_ref().to_path_buf())?,
+        Ok(Characterization {
+            inputs,
+            traces,
+            ledger: CostLedger::from_value(value.require("ledger")?)?,
+            backend: decode_backend(value)?,
+            fast_path: decode_fast_path(value.require("fast_path")?)?,
         })
     }
+}
 
-    /// Hit/miss/corruption counters.
-    pub fn stats(&self) -> &StoreStats {
-        self.store.stats()
-    }
+impl Artifact for Characterization {
+    const DOMAIN: &'static str = FINGERPRINT_DOMAIN;
 
-    /// Looks up an artifact, decoding it into a [`Characterization`].
-    /// A decode failure (artifact-version mismatch or damaged payload)
-    /// behaves as a miss, matching the store's corruption tolerance.
-    pub fn get(&mut self, fp: &Fingerprint) -> Option<Characterization> {
-        let before = *self.store.stats();
-        let result = self.store.get(fp).and_then(|v| decode_artifact(&v).ok());
-        // Counter names are keyed by the fingerprint domain so two caches
-        // with different domains stay distinguishable in one trace. The
-        // format! allocations only happen with the recorder enabled.
-        if morph_trace::enabled() {
-            let after = *self.store.stats();
-            record_store_delta(FINGERPRINT_DOMAIN, &before, &after);
-            if after.hits() > before.hits() && result.is_none() {
-                // The envelope was intact but the payload didn't decode —
-                // the characterization layer's own corruption repair.
-                morph_trace::counter(&format!("store/{FINGERPRINT_DOMAIN}/decode_miss"), 1);
-            }
-        }
-        result
-    }
-
-    /// Stores a characterization under its fingerprint. I/O failures are
-    /// reported but leave the in-memory tier populated.
-    pub fn put(&mut self, fp: Fingerprint, ch: &Characterization) -> io::Result<()> {
-        let cost = ch.ledger.quantum_ops.max(1);
-        let result = self.store.put(fp, encode_artifact(ch), cost);
-        if morph_trace::enabled() {
-            morph_trace::counter(&format!("store/{FINGERPRINT_DOMAIN}/write"), 1);
-        }
-        result
-    }
-
-    /// Direct access to the underlying store (stats, eviction counters).
-    pub fn store(&self) -> &MorphStore {
-        &self.store
-    }
-
-    /// Mutable access to the underlying store, e.g. to drop the in-memory
-    /// tier ([`MorphStore::drop_memory`]) and force disk reloads.
-    pub fn store_mut(&mut self) -> &mut MorphStore {
-        &mut self.store
+    /// The run's `quantum_ops`, so the most expensive characterizations
+    /// are the last to be evicted.
+    fn cost(&self) -> u64 {
+        self.ledger.quantum_ops.max(1)
     }
 }
+
+/// The whole-run characterization artifact cache: a [`MorphStore`] of
+/// decoded [`Characterization`]s, keyed by
+/// [`characterization_fingerprint`].
+///
+/// Construct one per process (or per `--cache-dir`) and pass it to
+/// [`crate::Verifier::try_run`], or address artifacts directly with
+/// `get`/`put`. A hit hands out the stored `Arc`; a payload that no longer
+/// decodes (for example an older [`ARTIFACT_VERSION`]) is a corrupt miss.
+pub type CharacterizationCache = MorphStore<Characterization>;
 
 #[cfg(test)]
 mod tests {
@@ -450,26 +365,26 @@ mod tests {
         }
     }
 
+    fn characterized(n_samples: usize, seed: u64) -> Characterization {
+        let config = CharacterizationConfig::exact(vec![0], n_samples);
+        let mut rng = StdRng::seed_from_u64(seed);
+        crate::try_characterize(&sample_program(), &config, &mut rng, &Default::default())
+            .expect("sample program characterizes")
+    }
+
     #[test]
     fn artifact_round_trips_through_encoding() {
-        let circuit = sample_program();
-        let config = CharacterizationConfig::exact(vec![0], 3);
-        let mut rng = StdRng::seed_from_u64(3);
-        let ch = crate::characterize(&circuit, &config, &mut rng);
-        let decoded = decode_artifact(&encode_artifact(&ch)).expect("decode");
+        let ch = characterized(3, 3);
+        let decoded = Characterization::from_value(&ch.to_value()).expect("decode");
         assert_same(&ch, &decoded);
     }
 
     #[test]
     fn artifact_version_mismatch_is_a_miss() {
-        let circuit = sample_program();
-        let config = CharacterizationConfig::exact(vec![0], 2);
-        let mut rng = StdRng::seed_from_u64(4);
-        let ch = crate::characterize(&circuit, &config, &mut rng);
-        let mut value = encode_artifact(&ch);
+        let mut value = characterized(2, 4).to_value();
         if let Value::Object(m) = &mut value {
             m.insert("artifact_version".to_string(), Value::UInt(999));
         }
-        assert!(decode_artifact(&value).is_err());
+        assert!(Characterization::from_value(&value).is_err());
     }
 }

@@ -16,7 +16,7 @@ use morph_backend::{
 use morph_clifford::{InputEnsemble, InputState};
 use morph_linalg::CMatrix;
 use morph_qprog::{BackendMode, Circuit, Executor, Instruction, TracepointId};
-use morph_qsim::{DensityMatrix, NoiseModel, StateVector};
+use morph_qsim::{DensityMatrix, NoiseModel, StateBatch, StateVector};
 use morph_tomography::{read_state, CostLedger, ReadoutMode, SharedLedger};
 use rand::rngs::StdRng;
 
@@ -25,10 +25,13 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::error::{MorphError, Precondition, MAX_NOISY_QUBITS};
 
 /// Lanes per task on the dense path: each task applies every gate across
-/// this many inputs in one strided pass. Never changes results (each lane's
-/// readout RNG stream is keyed by its global input index), only the
+/// this many inputs in one strided pass, fewer on registers too wide for
+/// 32 lanes to fit [`StateBatch::max_lanes`]. Never changes results (each
+/// lane's readout RNG stream is keyed by its global input index), only the
 /// memory/locality trade-off.
-const DENSE_LANES: usize = 32;
+fn dense_lanes(n_qubits: usize) -> usize {
+    StateBatch::max_lanes(n_qubits).min(32)
+}
 
 /// Configuration of the characterization stage.
 #[derive(Debug, Clone)]
@@ -212,24 +215,8 @@ impl Characterization {
 /// input (exactly, or with channel noise for small registers), reads each
 /// tracepoint through the configured tomography mode, and accounts costs.
 ///
-/// Thin panicking wrapper over [`try_characterize`].
-///
-/// # Panics
-///
-/// On any [`MorphError`] [`try_characterize`] reports: a program without
-/// tracepoints, missing or out-of-range input qubits, zero samples, or a
-/// noisy register too wide for density-matrix simulation (> 12 qubits).
-pub fn characterize(
-    circuit: &Circuit,
-    config: &CharacterizationConfig,
-    rng: &mut StdRng,
-) -> Characterization {
-    try_characterize(circuit, config, rng, &CancelToken::new()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`characterize`] with cooperative cancellation: `cancel` is checked
-/// before input generation and at the start of each sampling task, so a
-/// deadline fires within one task's latency.
+/// `cancel` is checked before input generation and at the start of each
+/// sampling task, so a deadline fires within one task's latency.
 ///
 /// A run that completes is bit-identical to an uncancellable run — the
 /// checks never touch the RNG streams.
@@ -257,27 +244,14 @@ pub fn try_characterize(
 }
 
 /// Characterization with an explicit input set — used by Strategy-adapt,
-/// which picks eigenvector inputs instead of sampling an ensemble.
-///
-/// # Panics
-///
-/// See [`characterize`] (an empty `inputs` counts as zero samples).
-pub fn characterize_with_inputs(
-    circuit: &Circuit,
-    config: &CharacterizationConfig,
-    inputs: Vec<InputState>,
-    rng: &mut StdRng,
-) -> Characterization {
-    try_characterize_with_inputs(circuit, config, inputs, rng, &CancelToken::new())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`characterize_with_inputs`] with cooperative cancellation (see
-/// [`try_characterize`]).
+/// which picks eigenvector inputs instead of sampling an ensemble — with
+/// cooperative cancellation as in [`try_characterize`]. An empty `inputs`
+/// counts as zero samples.
 ///
 /// The sweep splits the inputs into lane ranges and runs them in parallel
-/// according to `config.parallelism`: 32 lanes per range on the dense
-/// path, where noiseless lanes share one gate-major
+/// according to `config.parallelism`: up to 32 lanes per range on the
+/// dense path (fewer above 22 qubits, within
+/// [`morph_qsim::StateBatch::max_lanes`]), where noiseless lanes share one gate-major
 /// [`morph_qsim::StateBatch`] pass and noisy lanes run
 /// [`Executor::run_expected_noisy`] each, and one lane per range on the
 /// stabilizer, sparse and Clifford-prefix paths. Input `i` reads its
@@ -421,7 +395,7 @@ pub fn try_characterize_with_inputs(
     // an O(n²) tableau walk or a support-sized sparse run, so batching has
     // nothing to amortize there.
     let dense = plan.choice == BackendChoice::Dense;
-    let ranges = morph_parallel::batch_ranges(inputs.len(), if dense { DENSE_LANES } else { 1 });
+    let ranges = morph_parallel::batch_ranges(inputs.len(), if dense { dense_lanes(n) } else { 1 });
     if dense {
         morph_trace::counter("characterize/batches", ranges.len() as u64);
     }
@@ -526,8 +500,14 @@ pub(crate) fn check_preconditions(
     n_inputs: usize,
 ) -> Result<(), Precondition> {
     let n_qubits = circuit.n_qubits();
-    if circuit.tracepoints().is_empty() {
+    let tracepoints = circuit.tracepoints();
+    if tracepoints.is_empty() {
         return Err(Precondition::NoTracepoints);
+    }
+    for (id, qubits) in tracepoints {
+        if let Some(qubit) = morph_qprog::repeated_qubit(&qubits) {
+            return Err(Precondition::RepeatedTracepointQubit { id, qubit });
+        }
     }
     if config.input_qubits.is_empty() {
         return Err(Precondition::NoInputQubits);
@@ -597,7 +577,8 @@ mod tests {
     fn characterize_captures_all_tracepoints() {
         let mut rng = StdRng::seed_from_u64(0);
         let config = CharacterizationConfig::exact(vec![0], 4);
-        let ch = characterize(&sample_program(), &config, &mut rng);
+        let ch =
+            try_characterize(&sample_program(), &config, &mut rng, &CancelToken::new()).unwrap();
         assert_eq!(ch.inputs.len(), 4);
         assert_eq!(ch.traces.len(), 2);
         assert_eq!(ch.traces[&TracepointId(1)].len(), 4);
@@ -613,7 +594,8 @@ mod tests {
         // captured state equals the sampled input.
         let mut rng = StdRng::seed_from_u64(1);
         let config = CharacterizationConfig::exact(vec![0], 6);
-        let ch = characterize(&sample_program(), &config, &mut rng);
+        let ch =
+            try_characterize(&sample_program(), &config, &mut rng, &CancelToken::new()).unwrap();
         for (input, captured) in ch.inputs.iter().zip(&ch.traces[&TracepointId(1)]) {
             assert!(input.rho.approx_eq(captured, 1e-10));
         }
@@ -628,7 +610,7 @@ mod tests {
             ..CharacterizationConfig::exact(vec![0], 4)
         };
         let circuit = sample_program();
-        let ch = characterize(&circuit, &config, &mut rng);
+        let ch = try_characterize(&circuit, &config, &mut rng, &CancelToken::new()).unwrap();
         let f = ch.approximation(TracepointId(2));
 
         // Ground truth for a fresh input.
@@ -658,9 +640,11 @@ mod tests {
             readout: ReadoutMode::Shots(200),
             ..exact_cfg.clone()
         };
-        let exact = characterize(&sample_program(), &exact_cfg, &mut rng);
+        let exact =
+            try_characterize(&sample_program(), &exact_cfg, &mut rng, &CancelToken::new()).unwrap();
         let mut rng2 = StdRng::seed_from_u64(3);
-        let shot = characterize(&sample_program(), &shot_cfg, &mut rng2);
+        let shot =
+            try_characterize(&sample_program(), &shot_cfg, &mut rng2, &CancelToken::new()).unwrap();
         assert!(shot.ledger.shots > exact.ledger.shots * 10);
         // Same sampled inputs (same seed), different capture fidelity.
         let a = &exact.traces[&TracepointId(2)][0];
@@ -682,13 +666,16 @@ mod tests {
             noise: NoiseModel::ibm_cairo(),
             ..CharacterizationConfig::exact(vec![0], 3)
         };
-        let noisy = characterize(&sample_program(), &noisy_cfg, &mut rng);
+        let noisy =
+            try_characterize(&sample_program(), &noisy_cfg, &mut rng, &CancelToken::new()).unwrap();
         let mut rng2 = StdRng::seed_from_u64(4);
-        let ideal = characterize(
+        let ideal = try_characterize(
             &sample_program(),
             &CharacterizationConfig::exact(vec![0], 3),
             &mut rng2,
-        );
+            &CancelToken::new(),
+        )
+        .unwrap();
         let a = &noisy.traces[&TracepointId(2)][0];
         let b = &ideal.traces[&TracepointId(2)][0];
         assert!((a - b).frobenius_norm() > 1e-4);
@@ -728,7 +715,7 @@ mod tests {
                 readout: ReadoutMode::Shots(50),
                 ..CharacterizationConfig::exact(vec![0], 6)
             };
-            characterize(&sample_program(), &config, &mut rng)
+            try_characterize(&sample_program(), &config, &mut rng, &CancelToken::new()).unwrap()
         };
         let serial = run(1);
         let wide = run(4);
@@ -778,7 +765,8 @@ mod tests {
     fn completed_cancellable_run_matches_plain_run() {
         let config = CharacterizationConfig::exact(vec![0], 4);
         let mut rng_a = StdRng::seed_from_u64(5);
-        let plain = characterize(&sample_program(), &config, &mut rng_a);
+        let plain =
+            try_characterize(&sample_program(), &config, &mut rng_a, &CancelToken::new()).unwrap();
         let mut rng_b = StdRng::seed_from_u64(5);
         let token = crate::CancelToken::new();
         let checked =
@@ -794,6 +782,19 @@ mod tests {
     }
 
     #[test]
+    fn dense_lane_ranges_fit_the_batch_budget_at_every_width() {
+        for n in 0..28 {
+            let lanes = dense_lanes(n);
+            assert!((1..=32).contains(&lanes), "{lanes} lanes at {n} qubits");
+            assert!(lanes <= StateBatch::max_lanes(n), "{n} qubits");
+            assert!((lanes << n) <= 1 << 27, "{lanes} lanes at {n} qubits");
+        }
+        assert_eq!(dense_lanes(22), 32);
+        assert_eq!(dense_lanes(23), 16);
+        assert_eq!(dense_lanes(27), 1);
+    }
+
+    #[test]
     fn broken_preconditions_are_errors_before_any_work() {
         let untraced = {
             let mut c = Circuit::new(1);
@@ -802,6 +803,8 @@ mod tests {
         };
         let mut wide = Circuit::new(13);
         wide.tracepoint(1, &[0]);
+        let mut repeated = sample_program();
+        repeated.tracepoint(3, &[1, 0, 1]);
         let noisy = |config: CharacterizationConfig| CharacterizationConfig {
             noise: NoiseModel::ibm_cairo(),
             ..config
@@ -811,6 +814,14 @@ mod tests {
                 untraced,
                 CharacterizationConfig::exact(vec![0], 2),
                 Precondition::NoTracepoints,
+            ),
+            (
+                repeated,
+                CharacterizationConfig::exact(vec![0], 2),
+                Precondition::RepeatedTracepointQubit {
+                    id: TracepointId(3),
+                    qubit: 1,
+                },
             ),
             (
                 sample_program(),

@@ -39,6 +39,13 @@ pub(crate) const MAX_NOISY_QUBITS: usize = 12;
 pub enum Precondition {
     /// The program has no tracepoints, so there is nothing to characterize.
     NoTracepoints,
+    /// A tracepoint names one qubit twice, so it has no reduced state.
+    RepeatedTracepointQubit {
+        /// The offending tracepoint.
+        id: TracepointId,
+        /// The qubit it names more than once.
+        qubit: usize,
+    },
     /// The verifier has no assertions to check.
     NoAssertions,
     /// An assertion names a tracepoint the program does not declare (or,
@@ -75,6 +82,9 @@ impl fmt::Display for Precondition {
         match self {
             Precondition::NoTracepoints => {
                 write!(f, "program has no tracepoints to characterize")
+            }
+            Precondition::RepeatedTracepointQubit { id, qubit } => {
+                write!(f, "tracepoint {id} names qubit {qubit} twice")
             }
             Precondition::NoAssertions => write!(f, "no assertions to verify"),
             Precondition::UnknownTracepoint { id } => write!(

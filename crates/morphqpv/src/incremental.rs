@@ -41,17 +41,18 @@
 //! statevectors (cheap, scales to wide registers); noisy or shot-limited
 //! runs delegate to the density-matrix characterization per segment.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 use morph_backend::{BackendChoice, FastPathStats};
 use morph_clifford::{basis_prep, clifford_prep, pauli_product_prep, InputEnsemble, InputState};
 use morph_linalg::{CMatrix, SolveError};
 use morph_qprog::{Circuit, Instruction, TracepointId};
 use morph_qsim::{DensityMatrix, StateVector};
-use morph_store::{Fingerprint, FingerprintBuilder, MorphStore, StoreStats};
+use morph_store::{Artifact, Fingerprint, FingerprintBuilder, MorphStore, StoreStats};
 use morph_tomography::{CostLedger, ReadoutMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,8 +62,8 @@ use serde::{Deserialize, Serialize};
 use crate::approx::{ApproximationFunction, ChainedApproximation};
 use crate::cache::{
     artifact_envelope, check_artifact_envelope, decode_backend, decode_fast_path, encode_fast_path,
-    record_store_delta,
 };
+use crate::cancel::CancelToken;
 use crate::characterize::{check_preconditions, Characterization, CharacterizationConfig};
 use crate::error::Precondition;
 
@@ -355,8 +356,9 @@ fn pure_mode(config: &CharacterizationConfig) -> bool {
 ///
 /// # Panics
 ///
-/// Same conditions as [`crate::characterize`] on the density path
-/// (noisy registers wider than 12 qubits, zero samples).
+/// On the density path, when [`crate::try_characterize`] refuses the
+/// segment (noisy registers wider than 12 qubits, zero samples).
+/// [`try_characterize_incremental`] checks those preconditions first.
 pub fn characterize_segment(
     segment: &Circuit,
     config: &CharacterizationConfig,
@@ -404,7 +406,8 @@ pub fn characterize_segment(
             ..config.clone()
         };
         let mut seg_rng = StdRng::seed_from_u64(seg_seed);
-        let ch = crate::characterize(&seg_circ, &seg_config, &mut seg_rng);
+        let ch = crate::try_characterize(&seg_circ, &seg_config, &mut seg_rng, &CancelToken::new())
+            .unwrap_or_else(|e| panic!("{e}"));
         SegmentArtifact {
             stage: SegmentStage::Density(ch.approximation(TracepointId(0))),
             ledger: ch.ledger,
@@ -438,76 +441,75 @@ pub fn stage_function(stage: &SegmentStage) -> Result<ApproximationFunction, Sol
     }
 }
 
-fn encode_segment_artifact(a: &SegmentArtifact) -> Value {
-    let mut m = match &a.stage {
-        SegmentStage::Pure { inputs, outputs } => {
-            let mut m = artifact_envelope("segment-pure");
-            m.insert("inputs".to_string(), inputs.to_value());
-            m.insert("outputs".to_string(), outputs.to_value());
-            m
-        }
-        SegmentStage::Density(f) => {
-            let mut m = artifact_envelope("segment-density");
-            m.insert("stage".to_string(), f.to_value());
-            m
-        }
-    };
-    m.insert("ledger".to_string(), a.ledger.to_value());
-    m.insert("backend".to_string(), Value::Str(a.backend.tag()));
-    m.insert("fast_path".to_string(), encode_fast_path(&a.fast_path));
-    Value::Object(m)
+impl Serialize for SegmentArtifact {
+    fn to_value(&self) -> Value {
+        let mut m = match &self.stage {
+            SegmentStage::Pure { inputs, outputs } => {
+                let mut m = artifact_envelope("segment-pure");
+                m.insert("inputs".to_string(), inputs.to_value());
+                m.insert("outputs".to_string(), outputs.to_value());
+                m
+            }
+            SegmentStage::Density(f) => {
+                let mut m = artifact_envelope("segment-density");
+                m.insert("stage".to_string(), f.to_value());
+                m
+            }
+        };
+        m.insert("ledger".to_string(), self.ledger.to_value());
+        m.insert("backend".to_string(), Value::Str(self.backend.tag()));
+        m.insert("fast_path".to_string(), encode_fast_path(&self.fast_path));
+        Value::Object(m)
+    }
 }
 
-fn decode_segment_artifact(value: &Value) -> Result<SegmentArtifact, FromValueError> {
-    let kind = value
-        .require("kind")?
-        .as_str()
-        .ok_or_else(|| FromValueError::new("artifact kind must be a string"))?
-        .to_string();
-    // The kind is dispatched below; the envelope check still validates
-    // the artifact version.
-    check_artifact_envelope(value, &kind)?;
-    let stage = match kind.as_str() {
-        "segment-pure" => SegmentStage::Pure {
-            inputs: Vec::from_value(value.require("inputs")?)?,
-            outputs: Vec::from_value(value.require("outputs")?)?,
-        },
-        "segment-density" => {
-            SegmentStage::Density(ApproximationFunction::from_value(value.require("stage")?)?)
-        }
-        other => {
-            return Err(FromValueError::new(format!(
-                "unknown segment artifact kind {other:?}"
-            )))
-        }
-    };
-    Ok(SegmentArtifact {
-        stage,
-        ledger: CostLedger::from_value(value.require("ledger")?)?,
-        backend: decode_backend(value)?,
-        fast_path: decode_fast_path(value.require("fast_path")?)?,
-    })
+impl<'de> Deserialize<'de> for SegmentArtifact {
+    fn from_value(value: &Value) -> Result<Self, FromValueError> {
+        let kind = value
+            .require("kind")?
+            .as_str()
+            .ok_or_else(|| FromValueError::new("artifact kind must be a string"))?;
+        // The kind is dispatched below; the envelope check still validates
+        // the artifact version.
+        check_artifact_envelope(value, kind)?;
+        let stage = match kind {
+            "segment-pure" => SegmentStage::Pure {
+                inputs: Vec::from_value(value.require("inputs")?)?,
+                outputs: Vec::from_value(value.require("outputs")?)?,
+            },
+            "segment-density" => {
+                SegmentStage::Density(ApproximationFunction::from_value(value.require("stage")?)?)
+            }
+            other => {
+                return Err(FromValueError::new(format!(
+                    "unknown segment artifact kind {other:?}"
+                )))
+            }
+        };
+        Ok(SegmentArtifact {
+            stage,
+            ledger: CostLedger::from_value(value.require("ledger")?)?,
+            backend: decode_backend(value)?,
+            fast_path: decode_fast_path(value.require("fast_path")?)?,
+        })
+    }
 }
 
-/// Decoded artifacts kept per cache (FIFO-bounded). Decoding a wide
-/// segment's statevector pairs out of the store's [`Value`] form costs
-/// more than the hash-and-lookup around it, so revision loops that hit
-/// the same segments every pass keep the decoded form hot.
-const DECODED_CAP: usize = 64;
+impl Artifact for SegmentArtifact {
+    const DOMAIN: &'static str = SEGMENT_DOMAIN;
 
-/// A per-segment artifact cache over [`MorphStore`], plus the previous
-/// revision's segment-fingerprint list for prefix/suffix diff reporting.
-///
-/// Hits are served from a bounded decoded-artifact tier when possible
-/// (64 entries, FIFO; filled by earlier `get`/`put` calls in this
-/// process), skipping the store's [`Value`] round-trip; the store below
-/// remains the source of truth and the only persistent tier.
+    fn cost(&self) -> u64 {
+        self.ledger.quantum_ops.max(1)
+    }
+}
+
+/// A per-segment artifact cache: a [`MorphStore`] of decoded
+/// [`SegmentArtifact`]s plus the previous revision's segment-fingerprint
+/// list for prefix/suffix diff reporting.
 #[derive(Debug)]
 pub struct SegmentedCache {
-    store: MorphStore,
+    store: MorphStore<SegmentArtifact>,
     last_plan: Option<Vec<Fingerprint>>,
-    decoded: BTreeMap<Fingerprint, SegmentArtifact>,
-    decoded_order: VecDeque<Fingerprint>,
 }
 
 impl SegmentedCache {
@@ -516,8 +518,6 @@ impl SegmentedCache {
         SegmentedCache {
             store: MorphStore::in_memory(),
             last_plan: None,
-            decoded: BTreeMap::new(),
-            decoded_order: VecDeque::new(),
         }
     }
 
@@ -530,78 +530,27 @@ impl SegmentedCache {
     /// Returns the I/O error if the directory cannot be created.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         Ok(SegmentedCache {
-            store: MorphStore::open(dir.as_ref().to_path_buf())?,
+            store: MorphStore::open(dir.as_ref())?,
             last_plan: None,
-            decoded: BTreeMap::new(),
-            decoded_order: VecDeque::new(),
         })
     }
 
     /// Hit/miss/corruption counters.
-    pub fn stats(&self) -> &StoreStats {
+    pub fn stats(&self) -> StoreStats {
         self.store.stats()
     }
 
-    /// Looks up a segment artifact. Decode failures (version or kind
-    /// mismatch, damaged payload) behave as misses.
-    pub fn get(&mut self, fp: &Fingerprint) -> Option<SegmentArtifact> {
-        if let Some(artifact) = self.decoded.get(fp) {
-            if morph_trace::enabled() {
-                morph_trace::counter(&format!("store/{SEGMENT_DOMAIN}/decoded_hit"), 1);
-            }
-            return Some(artifact.clone());
-        }
-        let before = *self.store.stats();
-        let result = self
-            .store
-            .get(fp)
-            .and_then(|v| decode_segment_artifact(&v).ok());
-        if morph_trace::enabled() {
-            let after = *self.store.stats();
-            record_store_delta(SEGMENT_DOMAIN, &before, &after);
-            if after.hits() > before.hits() && result.is_none() {
-                morph_trace::counter(&format!("store/{SEGMENT_DOMAIN}/decode_miss"), 1);
-            }
-        }
-        if let Some(artifact) = &result {
-            self.memoize(*fp, artifact.clone());
-        }
-        result
+    /// Looks up a segment artifact. A stored payload that no longer
+    /// decodes (version or kind mismatch, damaged payload) is a corrupt
+    /// miss.
+    pub fn get(&self, fp: &Fingerprint) -> Option<Arc<SegmentArtifact>> {
+        self.store.get(fp)
     }
 
-    /// Inserts into the decoded tier, evicting oldest-first past
-    /// [`DECODED_CAP`].
-    fn memoize(&mut self, fp: Fingerprint, artifact: SegmentArtifact) {
-        if self.decoded.insert(fp, artifact).is_none() {
-            self.decoded_order.push_back(fp);
-            if self.decoded_order.len() > DECODED_CAP {
-                if let Some(oldest) = self.decoded_order.pop_front() {
-                    self.decoded.remove(&oldest);
-                }
-            }
-        }
-    }
-
-    /// Stores a segment artifact under its fingerprint. I/O failures are
-    /// reported but leave the in-memory tier populated.
-    pub fn put(&mut self, fp: Fingerprint, artifact: &SegmentArtifact) -> io::Result<()> {
-        self.memoize(fp, artifact.clone());
-        let cost = artifact.ledger.quantum_ops.max(1);
-        let result = self.store.put(fp, encode_segment_artifact(artifact), cost);
-        if morph_trace::enabled() {
-            morph_trace::counter(&format!("store/{SEGMENT_DOMAIN}/write"), 1);
-        }
-        result
-    }
-
-    /// Direct access to the underlying store.
-    pub fn store(&self) -> &MorphStore {
-        &self.store
-    }
-
-    /// Mutable access to the underlying store.
-    pub fn store_mut(&mut self) -> &mut MorphStore {
-        &mut self.store
+    /// Stores a copy of a segment artifact under its fingerprint. I/O
+    /// failures are reported but leave the in-memory tier populated.
+    pub fn put(&self, fp: Fingerprint, artifact: &SegmentArtifact) -> io::Result<()> {
+        self.store.put(fp, artifact.clone())
     }
 }
 
@@ -628,7 +577,7 @@ pub struct SegmentReport {
 #[derive(Debug, Clone)]
 pub struct IncrementalCharacterization {
     /// The synthesized whole-program characterization, consumable by
-    /// validation exactly like [`crate::characterize`]'s output.
+    /// validation exactly like [`crate::try_characterize`]'s output.
     pub characterization: Characterization,
     /// The per-segment stage chain.
     pub chain: ChainedApproximation,
@@ -636,7 +585,7 @@ pub struct IncrementalCharacterization {
     pub segments: SegmentReport,
 }
 
-/// Incremental [`crate::characterize`]: segments the program, reuses
+/// Incremental [`crate::try_characterize`]: segments the program, reuses
 /// every cached segment artifact, characterizes only the deltas, and
 /// rebuilds the full characterization by composition.
 ///
@@ -680,7 +629,7 @@ fn incremental_for_seed(
         .iter()
         .map(|s| segment_fingerprint(s, config, master_seed))
         .collect();
-    let mut artifacts: BTreeMap<Fingerprint, SegmentArtifact> = BTreeMap::new();
+    let mut artifacts: BTreeMap<Fingerprint, Arc<SegmentArtifact>> = BTreeMap::new();
     let mut hits = 0u64;
     let mut misses = 0u64;
     for (segment, fp) in plan.segments.iter().zip(&fps) {
@@ -693,10 +642,10 @@ fn incremental_for_seed(
             artifacts.insert(*fp, artifact);
             continue;
         }
-        let artifact = characterize_segment(segment, config, segment_seed(fp));
+        let artifact = Arc::new(characterize_segment(segment, config, segment_seed(fp)));
         misses += 1;
         // Persistence is best-effort, as in `Verifier::try_run`.
-        let _ = cache.put(*fp, &artifact);
+        let _ = cache.store.put(*fp, Arc::clone(&artifact));
         artifacts.insert(*fp, artifact);
     }
     morph_trace::counter("incremental/segments", fps.len() as u64);
@@ -899,7 +848,7 @@ mod tests {
         let config = exact_config();
         let plan = segment_plan(&traced_circuit(), &seg).unwrap();
         let artifact = characterize_segment(&plan.segments[0], &config, 99);
-        let decoded = decode_segment_artifact(&encode_segment_artifact(&artifact)).unwrap();
+        let decoded = SegmentArtifact::from_value(&artifact.to_value()).unwrap();
         assert_eq!(decoded.ledger, artifact.ledger);
         match (&artifact.stage, &decoded.stage) {
             (
@@ -922,11 +871,11 @@ mod tests {
         let config = exact_config();
         let plan = segment_plan(&traced_circuit(), &seg).unwrap();
         let artifact = characterize_segment(&plan.segments[0], &config, 1);
-        let mut value = encode_segment_artifact(&artifact);
+        let mut value = artifact.to_value();
         if let Value::Object(m) = &mut value {
             m.insert("artifact_version".to_string(), Value::UInt(999));
         }
-        assert!(decode_segment_artifact(&value).is_err());
+        assert!(SegmentArtifact::from_value(&value).is_err());
     }
 
     fn assert_char_identical(a: &Characterization, b: &Characterization) {

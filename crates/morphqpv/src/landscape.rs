@@ -110,7 +110,8 @@ pub fn landscape_peak(points: &[LandscapePoint]) -> Option<LandscapePoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterize::{characterize, CharacterizationConfig};
+    use crate::cancel::CancelToken;
+    use crate::characterize::{try_characterize, CharacterizationConfig};
     use crate::predicate::{RelationPredicate, StatePredicate};
     use morph_clifford::InputEnsemble;
     use morph_qprog::{Circuit, TracepointId};
@@ -127,7 +128,7 @@ mod tests {
             ensemble: InputEnsemble::PauliProduct,
             ..CharacterizationConfig::exact(vec![0], 4)
         };
-        characterize(&c, &config, &mut rng)
+        try_characterize(&c, &config, &mut rng, &CancelToken::new()).unwrap()
     }
 
     fn equality_assertion() -> AssumeGuarantee {
@@ -223,7 +224,13 @@ mod tests {
         c.h(0);
         c.tracepoint(2, &[0, 1]);
         let mut rng = StdRng::seed_from_u64(0);
-        let ch = characterize(&c, &CharacterizationConfig::exact(vec![0, 1], 4), &mut rng);
+        let ch = try_characterize(
+            &c,
+            &CharacterizationConfig::exact(vec![0, 1], 4),
+            &mut rng,
+            &CancelToken::new(),
+        )
+        .unwrap();
         let _ = input_landscape(&equality_assertion(), &ch, 4, 1e-6);
     }
 }

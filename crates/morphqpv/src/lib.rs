@@ -9,7 +9,7 @@
 //!    pragmas (`T <id> q[..]` in [`morph_qprog`]) and relate them with an
 //!    [`AssumeGuarantee`] assertion built from [`StatePredicate`]s and
 //!    [`RelationPredicate`]s (Definition 1).
-//! 2. **Isomorphism-based characterization** — [`characterize`] runs the
+//! 2. **Isomorphism-based characterization** — [`try_characterize`] runs the
 //!    program under a small sampled input ensemble and fits one
 //!    [`ApproximationFunction`] per tracepoint: because quantum evolution
 //!    is linear in the density matrix, the tracepoint state under *any*
@@ -18,7 +18,7 @@
 //!    Theorem 2; sampling cost can be pruned with the Section 5.4
 //!    strategies ([`adaptive_inputs`], [`constant_pinned_inputs`],
 //!    probabilities-only readout).
-//! 3. **Validation** — [`validate_assertion`] maximizes the guarantee
+//! 3. **Validation** — [`try_validate_assertion`] maximizes the guarantee
 //!    objective over the combination coefficients under the assumption
 //!    constraints (Section 6.1). A positive maximum yields a concrete
 //!    counter-example input; otherwise [`ConfidenceModel`] (Theorem 3)
@@ -29,7 +29,8 @@
 //! ## Parallelism
 //!
 //! Characterization is one sweep over lane ranges fanned out to worker
-//! threads: 32 sampled inputs per range on the dense backend, where the
+//! threads: up to 32 sampled inputs per range on the dense backend (fewer
+//! on registers wider than 22 qubits), where the
 //! noiseless lanes share one gate-major pass, and one input per range on
 //! the stabilizer and sparse fast paths. Set
 //! [`CharacterizationConfig::parallelism`] to `0` for all available cores
@@ -43,11 +44,10 @@
 //! ## Errors
 //!
 //! The `try_*` entry points check a request before doing any work and
-//! report a broken precondition (no tracepoints, no assertions, an
-//! assertion naming an undeclared tracepoint, bad input qubits, zero
-//! samples, a noisy register too wide for density-matrix simulation) as
-//! [`MorphError::Precondition`]; the panicking wrappers such as
-//! [`characterize`] turn the same error into a panic.
+//! report a broken precondition (no tracepoints, a tracepoint naming a
+//! qubit twice, no assertions, an assertion naming an undeclared
+//! tracepoint, bad input qubits, zero samples, a noisy register too wide
+//! for density-matrix simulation) as [`MorphError::Precondition`].
 //!
 //! ## Quickstart
 //!
@@ -101,8 +101,8 @@ pub use cache::{
 };
 pub use cancel::{CancelToken, Cancelled};
 pub use characterize::{
-    characterize, characterize_with_inputs, try_characterize, try_characterize_with_inputs,
-    Characterization, CharacterizationConfig, CharacterizationConfigBuilder,
+    try_characterize, try_characterize_with_inputs, Characterization, CharacterizationConfig,
+    CharacterizationConfigBuilder,
 };
 pub use confidence::{regularized_incomplete_beta, ConfidenceModel};
 // Backend selection surfaces in configs and reports; re-export the types
@@ -127,7 +127,7 @@ pub use prune::{adaptive_inputs, adaptive_operator_inputs, constant_pinned_input
 pub use ptm::PauliTransferMatrix;
 pub use spec::{assertions_from_source, parse_assertion, ParseSpecError};
 pub use validate::{
-    fit_confidence_model, try_validate_assertion, validate_assertion, SolverKind, ValidationConfig,
-    ValidationError, ValidationOutcome, Verdict,
+    fit_confidence_model, try_validate_assertion, SolverKind, ValidationConfig, ValidationError,
+    ValidationOutcome, Verdict,
 };
 pub use verifier::{verify_source, CacheSummary, RunReport, VerificationReport, Verifier};

@@ -33,7 +33,7 @@ pub use crate::assertion::{AssumeGuarantee, StateRef};
 pub use crate::cache::CharacterizationCache;
 pub use crate::cancel::{CancelToken, Cancelled};
 pub use crate::characterize::{
-    characterize, Characterization, CharacterizationConfig, CharacterizationConfigBuilder,
+    try_characterize, Characterization, CharacterizationConfig, CharacterizationConfigBuilder,
 };
 pub use crate::confidence::ConfidenceModel;
 pub use crate::counterexample::CounterExample;

@@ -293,26 +293,6 @@ impl<'a> Context<'a> {
     }
 }
 
-/// Validates an assertion against a characterization.
-///
-/// Thin panicking wrapper over [`try_validate_assertion`] for callers that
-/// treat a structurally failing solver configuration as a bug.
-///
-/// # Panics
-///
-/// Panics if the assertion has no guarantee, references a tracepoint that
-/// was not characterized, relates states of mismatched dimension, or the
-/// solver fails structurally ([`ValidationError`]).
-pub fn validate_assertion(
-    assertion: &AssumeGuarantee,
-    characterization: &Characterization,
-    config: &ValidationConfig,
-    rng: &mut StdRng,
-) -> ValidationOutcome {
-    try_validate_assertion(assertion, characterization, config, rng)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Validates an assertion against a characterization, reporting solver
 /// failures as errors.
 ///
@@ -536,7 +516,8 @@ pub fn fit_confidence_model(
 mod tests {
     use super::*;
     use crate::assertion::AssumeGuarantee;
-    use crate::characterize::{characterize, CharacterizationConfig};
+    use crate::cancel::CancelToken;
+    use crate::characterize::{try_characterize, CharacterizationConfig};
     use crate::predicate::{RelationPredicate, StatePredicate};
     use morph_clifford::InputEnsemble;
     use morph_qprog::Circuit;
@@ -566,7 +547,7 @@ mod tests {
             ensemble: InputEnsemble::PauliProduct,
             ..CharacterizationConfig::exact(vec![0], 4)
         };
-        characterize(circuit, &config, &mut rng)
+        try_characterize(circuit, &config, &mut rng, &CancelToken::new()).unwrap()
     }
 
     #[test]
@@ -580,7 +561,8 @@ mod tests {
                 RelationPredicate::Equal,
             );
         let mut rng = StdRng::seed_from_u64(1);
-        let out = validate_assertion(&assertion, &ch, &ValidationConfig::default(), &mut rng);
+        let out = try_validate_assertion(&assertion, &ch, &ValidationConfig::default(), &mut rng)
+            .unwrap();
         assert!(
             out.verdict.passed(),
             "identity must satisfy T1 == T2: {:?}",
@@ -603,7 +585,8 @@ mod tests {
             RelationPredicate::Equal,
         );
         let mut rng = StdRng::seed_from_u64(2);
-        let out = validate_assertion(&assertion, &ch, &ValidationConfig::default(), &mut rng);
+        let out = try_validate_assertion(&assertion, &ch, &ValidationConfig::default(), &mut rng)
+            .unwrap();
         match out.verdict {
             Verdict::Failed {
                 counterexample,
@@ -637,7 +620,8 @@ mod tests {
             }),
         );
         let mut rng = StdRng::seed_from_u64(3);
-        let out = validate_assertion(&assertion, &ch, &ValidationConfig::default(), &mut rng);
+        let out = try_validate_assertion(&assertion, &ch, &ValidationConfig::default(), &mut rng)
+            .unwrap();
         assert!(out.verdict.passed(), "{:?}", out.verdict);
     }
 
@@ -666,8 +650,8 @@ mod tests {
             decision_threshold: 0.05,
             ..Default::default()
         };
-        let out_u = validate_assertion(&unconstrained, &ch, &config, &mut rng);
-        let out_c = validate_assertion(&constrained, &ch, &config, &mut rng);
+        let out_u = try_validate_assertion(&unconstrained, &ch, &config, &mut rng).unwrap();
+        let out_c = try_validate_assertion(&constrained, &ch, &config, &mut rng).unwrap();
         assert!(
             !out_u.verdict.passed(),
             "without assumption some input violates"
@@ -699,7 +683,7 @@ mod tests {
                 solver,
                 ..Default::default()
             };
-            let out = validate_assertion(&assertion, &ch, &config, &mut rng);
+            let out = try_validate_assertion(&assertion, &ch, &config, &mut rng).unwrap();
             assert!(
                 out.verdict.passed(),
                 "{} failed the identity case",
@@ -728,7 +712,7 @@ mod tests {
                 solver,
                 ..Default::default()
             };
-            let out = validate_assertion(&assertion, &ch, &config, &mut rng);
+            let out = try_validate_assertion(&assertion, &ch, &config, &mut rng).unwrap();
             assert!(
                 !out.verdict.passed(),
                 "{} missed the flip bug: {:?} optimum {:?}",
@@ -746,7 +730,8 @@ mod tests {
         let assertion = AssumeGuarantee::new()
             .guarantee_state(morph_qprog::TracepointId(9), StatePredicate::IsPure);
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = validate_assertion(&assertion, &ch, &ValidationConfig::default(), &mut rng);
+        let _ = try_validate_assertion(&assertion, &ch, &ValidationConfig::default(), &mut rng)
+            .unwrap();
     }
 
     #[test]

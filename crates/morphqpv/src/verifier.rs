@@ -296,7 +296,7 @@ impl Verifier {
     pub fn try_run(
         &self,
         rng: &mut StdRng,
-        cache: Option<&mut CharacterizationCache>,
+        cache: Option<&CharacterizationCache>,
     ) -> Result<VerificationReport, MorphError> {
         self.check_assertions(|id| self.circuit.tracepoint_position(id).is_some())?;
         let _trace = morph_trace::span("verify/run");
@@ -306,17 +306,19 @@ impl Verifier {
             let characterization = self.try_characterize_for_seed(char_seed, &never)?;
             return self.try_validate_with(characterization, rng, None, &never);
         };
-        let stats_before = *cache.stats();
+        let stats_before = cache.stats();
         let fingerprint = self.characterization_fingerprint(char_seed);
+        // The report owns its characterization: one typed clone of the
+        // stored artifact on a hit, one into the store on a miss.
         let characterization = match cache.get(&fingerprint) {
-            Some(hit) => hit,
+            Some(hit) => Characterization::clone(&hit),
             None => {
                 let characterization = self.try_characterize_for_seed(char_seed, &never)?;
-                let _ = cache.put(fingerprint, &characterization);
+                let _ = cache.put(fingerprint, characterization.clone());
                 characterization
             }
         };
-        let summary = CacheSummary::delta(&stats_before, cache.stats());
+        let summary = CacheSummary::delta(&stats_before, &cache.stats());
         self.try_validate_with(characterization, rng, Some(summary), &never)
     }
 
@@ -346,7 +348,7 @@ impl Verifier {
             return Err(Precondition::ExplicitInputsWithIncremental.into());
         }
         let _trace = morph_trace::span("verify/run");
-        let stats_before = *cache.stats();
+        let stats_before = cache.stats();
         let seg = self.segmented_config();
         let inc = try_characterize_incremental(
             &self.circuit,
@@ -355,7 +357,7 @@ impl Verifier {
             rng,
             cache,
         )?;
-        let mut summary = CacheSummary::delta(&stats_before, cache.stats());
+        let mut summary = CacheSummary::delta(&stats_before, &cache.stats());
         summary.segment_hits = inc.segments.hits;
         summary.segment_misses = inc.segments.misses;
         self.try_validate_with(
@@ -702,11 +704,11 @@ mod tests {
             .unwrap();
         for (verifier, want) in cases {
             let mut rng = StdRng::seed_from_u64(4);
-            let mut cache = CharacterizationCache::in_memory();
+            let cache = CharacterizationCache::in_memory();
             let mut segments = SegmentedCache::in_memory();
             let results = [
                 verifier.try_run(&mut rng, None),
-                verifier.try_run(&mut rng, Some(&mut cache)),
+                verifier.try_run(&mut rng, Some(&cache)),
                 verifier.try_run_incremental(&mut rng, &mut segments),
                 verifier.try_validate_with(
                     characterization.clone(),
@@ -781,7 +783,7 @@ mod tests {
         for verifier in [ensemble, base().with_inputs(inputs)] {
             // Each path's report plus the caller's next draw, which pins how
             // far the path advanced the caller's RNG.
-            let run = |cache: Option<&mut CharacterizationCache>| {
+            let run = |cache: Option<&CharacterizationCache>| {
                 let mut rng = StdRng::seed_from_u64(17);
                 let report = verifier.try_run(&mut rng, cache).unwrap();
                 (report, rng.gen::<u64>())
@@ -793,11 +795,11 @@ mod tests {
                 "the failing assertion must refute"
             );
 
-            let mut cache = CharacterizationCache::in_memory();
-            let cold = run(Some(&mut cache));
+            let cache = CharacterizationCache::in_memory();
+            let cold = run(Some(&cache));
             let summary = cold.0.run.cache.expect("cached run carries a summary");
             assert_eq!((summary.hits, summary.misses, summary.writes), (0, 1, 1));
-            let warm = run(Some(&mut cache));
+            let warm = run(Some(&cache));
             let summary = warm.0.run.cache.expect("cached run carries a summary");
             assert_eq!((summary.hits, summary.misses, summary.writes), (1, 0, 0));
             assert!(summary.cost_saved > 0);

@@ -20,6 +20,16 @@ impl std::fmt::Display for TracepointId {
     }
 }
 
+/// The first qubit `qubits` names twice, if any. A tracepoint over such a
+/// list has no reduced state, so the parser and the characterization
+/// preconditions both reject it.
+pub fn repeated_qubit(qubits: &[usize]) -> Option<usize> {
+    qubits
+        .iter()
+        .enumerate()
+        .find_map(|(i, q)| qubits[..i].contains(q).then_some(*q))
+}
+
 /// One step of a quantum program.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instruction {

@@ -37,7 +37,7 @@ mod parser;
 mod writer;
 
 pub use backend_mode::{BackendMode, ParseBackendModeError};
-pub use circuit::{Circuit, Instruction, TracepointId};
+pub use circuit::{repeated_qubit, Circuit, Instruction, TracepointId};
 pub use executor::{ExecutionRecord, Executor, ExecutorBuilder, ExpectedRecord};
 pub use fusion::fuse_circuit;
 pub use optimize_pass::{simplify, SimplifyStats};

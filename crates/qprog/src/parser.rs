@@ -23,7 +23,7 @@
 
 use morph_qsim::Gate;
 
-use crate::circuit::{Circuit, Instruction, TracepointId};
+use crate::circuit::{repeated_qubit, Circuit, Instruction, TracepointId};
 
 /// Error reported when parsing a program fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,6 +147,9 @@ impl Parser {
                     .map_err(|_| self.err(line, format!("invalid tracepoint id {id_str:?}")))?;
                 let qubits = parse_qubit_list(qubit_str).map_err(|m| self.err(line, m))?;
                 self.validate_qubits(&qubits, line)?;
+                if let Some(q) = repeated_qubit(&qubits) {
+                    return Err(self.err(line, format!("tracepoint T{id} names qubit {q} twice")));
+                }
                 self.circuit_mut(line)?.push(Instruction::Tracepoint {
                     id: TracepointId(id),
                     qubits,
@@ -582,6 +585,15 @@ if (c[0]==1) x q[1];
     fn rejects_out_of_range_qubit() {
         let err = parse_program("qreg q[2];\nh q[5];").unwrap_err();
         assert!(err.message.contains("out of range"));
+    }
+
+    #[test]
+    fn rejects_tracepoint_naming_a_qubit_twice() {
+        let err = parse_program("qreg q[2];\nT 1 q[0];\nh q[0];\nT 2 q[1,1];").unwrap_err();
+        assert_eq!(err.line, 4);
+        assert!(err.message.contains("T2 names qubit 1 twice"), "{err}");
+        assert_eq!(repeated_qubit(&[0, 2, 1, 2]), Some(2));
+        assert_eq!(repeated_qubit(&[3, 1, 0]), None);
     }
 
     #[test]

@@ -332,11 +332,21 @@ impl StateBatch {
         }
     }
 
+    /// The most lanes one batch may hold at `n_qubits`: `2^27` amplitudes
+    /// across all lanes, and never fewer than one lane.
+    pub fn max_lanes(n_qubits: usize) -> usize {
+        u32::try_from(n_qubits)
+            .ok()
+            .and_then(|n| (1usize << 27).checked_shr(n))
+            .unwrap_or(0)
+            .max(1)
+    }
+
     fn assert_budget(n_qubits: usize, batch: usize) {
         assert!(batch >= 1, "state batch cannot be empty");
         assert!(n_qubits < 28, "state batch would exceed memory budget");
         assert!(
-            batch <= (1usize << 27) >> n_qubits || batch == 1,
+            batch <= Self::max_lanes(n_qubits),
             "state batch of {batch} lanes at {n_qubits} qubits exceeds memory budget"
         );
     }

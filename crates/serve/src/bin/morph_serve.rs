@@ -136,8 +136,8 @@ fn run_listener(config: &ServeConfig, listen: &ListenerConfig) -> io::Result<i32
         writeln!(stdout, "listening on {}", listener.local_addr())?;
         stdout.flush()?;
     }
-    // Stdin EOF is the shutdown signal: parents (tests, CI, the load
-    // generator) hold a pipe open and close it to stop the server.
+    // Stdin EOF is the shutdown signal: parents (tests, CI, the
+    // benchmark) hold a pipe open and close it to stop the server.
     let mut line = String::new();
     let mut stdin = io::stdin().lock();
     loop {

@@ -32,7 +32,6 @@
 pub mod listener;
 pub mod protocol;
 pub mod service;
-pub mod shard;
 pub mod singleflight;
 
 pub use listener::{serve_listener, Listener, ListenerConfig};
@@ -44,7 +43,6 @@ pub use service::{
     JobError, JobHandle, JobOutput, RevisionsHandle, RevisionsOutput, ServeConfig, Service,
     SubmitError,
 };
-pub use shard::{CharacterizationShards, DEFAULT_SHARDS};
 
 use std::io::{self, BufRead, Write};
 use std::time::Duration;

@@ -42,15 +42,15 @@ use morph_qsim::NoiseModel;
 use morph_store::{Fingerprint, FingerprintLock};
 use morph_trace::env_knob;
 use morphqpv::prelude::{
-    assertions_from_source, parse_program, CancelToken, Cancelled, Characterization, InputEnsemble,
-    MorphError, SegmentedCache, SegmentedConfig, VerificationReport, Verifier,
+    assertions_from_source, parse_program, CancelToken, Cancelled, Characterization,
+    CharacterizationCache, InputEnsemble, MorphError, SegmentedCache, SegmentedConfig,
+    VerificationReport, Verifier,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::protocol::{JobRequest, RevisionsRequest};
-use crate::shard::{CharacterizationShards, DEFAULT_SHARDS};
-use crate::singleflight::{FlightOutcome, Joined};
+use crate::singleflight::{FlightOutcome, Joined, SingleFlight};
 
 /// How often a coalesced follower re-checks its own deadline while waiting
 /// on a leader.
@@ -72,8 +72,6 @@ pub struct ServeConfig {
     pub cache_dir: Option<PathBuf>,
     /// Deadline applied to jobs whose request carries no `deadline_ms`.
     pub default_deadline_ms: Option<u64>,
-    /// Independent cache/flight stripes (clamped to at least 1).
-    pub shards: usize,
 }
 
 impl Default for ServeConfig {
@@ -83,17 +81,16 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             cache_dir: None,
             default_deadline_ms: None,
-            shards: DEFAULT_SHARDS,
         }
     }
 }
 
 impl ServeConfig {
-    /// Defaults overridden by the `MORPH_SERVE_WORKERS`,
-    /// `MORPH_SERVE_QUEUE_CAP`, and `MORPH_SERVE_SHARDS` environment
-    /// variables. Unset variables keep the default; unparseable or
-    /// out-of-range values (a zero queue capacity or stripe count) keep
-    /// the default *and* warn once via [`morph_trace::warn_invalid_knob`].
+    /// Defaults overridden by the `MORPH_SERVE_WORKERS` and
+    /// `MORPH_SERVE_QUEUE_CAP` environment variables. Unset variables keep
+    /// the default; unparseable or out-of-range values (a zero queue
+    /// capacity) keep the default *and* warn once via
+    /// [`morph_trace::warn_invalid_knob`].
     pub fn from_env() -> Self {
         let mut config = ServeConfig::default();
         if let Some(n) = env_knob::<usize>("MORPH_SERVE_WORKERS") {
@@ -106,15 +103,6 @@ impl ServeConfig {
                 "queue capacity must be >= 1",
             ),
             Some(n) => config.queue_capacity = n,
-            None => {}
-        }
-        match env_knob::<usize>("MORPH_SERVE_SHARDS") {
-            Some(0) => morph_trace::warn_invalid_knob(
-                "MORPH_SERVE_SHARDS",
-                "0",
-                "stripe count must be >= 1",
-            ),
-            Some(n) => config.shards = n,
             None => {}
         }
         config
@@ -318,8 +306,12 @@ impl RevisionsHandle {
     }
 }
 
+/// The artifact cache and the flight table every worker shares. The cache
+/// locks only around its LRU bookkeeping, and the flight table only around
+/// its map, so neither is wrapped here.
 struct ServiceShared {
-    shards: CharacterizationShards,
+    cache: CharacterizationCache,
+    flights: SingleFlight<Fingerprint, Arc<Characterization>>,
 }
 
 /// The verification service. See the module docs for the job lifecycle.
@@ -340,10 +332,16 @@ impl Service {
     ///
     /// Panics if `config.queue_capacity` is zero.
     pub fn start(config: &ServeConfig) -> io::Result<Service> {
-        let shards = CharacterizationShards::open(config.shards, config.cache_dir.as_deref())?;
+        let cache = match &config.cache_dir {
+            Some(dir) => CharacterizationCache::open(dir)?,
+            None => CharacterizationCache::in_memory(),
+        };
         Ok(Service {
             pool: WorkerPool::new(config.workers, config.queue_capacity),
-            shared: Arc::new(ServiceShared { shards }),
+            shared: Arc::new(ServiceShared {
+                cache,
+                flights: SingleFlight::new(),
+            }),
             default_deadline_ms: config.default_deadline_ms,
         })
     }
@@ -501,7 +499,12 @@ fn run_job(
     let characterization =
         obtain_characterization(shared, &verifier, fingerprint, char_seed, token)?;
     token.check()?;
-    let report = verifier.try_validate_with(characterization, &mut job_rng, None, token)?;
+    let report = verifier.try_validate_with(
+        Characterization::clone(&characterization),
+        &mut job_rng,
+        None,
+        token,
+    )?;
     Ok(JobOutput {
         fingerprint,
         report,
@@ -654,26 +657,26 @@ fn obtain_characterization(
     fingerprint: Fingerprint,
     char_seed: u64,
     token: &CancelToken,
-) -> Result<Characterization, JobError> {
+) -> Result<Arc<Characterization>, JobError> {
     loop {
         token.check()?;
-        if let Some(hit) = shared.shards.cache_get(&fingerprint) {
+        if let Some(hit) = shared.cache.get(&fingerprint) {
             morph_trace::counter("serve/cache_hit", 1);
             return Ok(hit);
         }
-        match shared.shards.join(fingerprint) {
+        match shared.flights.join(fingerprint) {
             Joined::Leader(guard) => {
                 // Double-check the cache: between this job's miss and
                 // winning the flight, a previous leader may have published
                 // its artifact and retired. Serving the hit (and completing
                 // the flight with it) keeps "characterizations computed"
                 // exactly equal to the `serve/characterize_leader` counter.
-                if let Some(hit) = shared.shards.cache_get(&fingerprint) {
+                if let Some(hit) = shared.cache.get(&fingerprint) {
                     morph_trace::counter("serve/cache_hit", 1);
-                    guard.complete(hit.clone());
+                    guard.complete(Arc::clone(&hit));
                     return Ok(hit);
                 }
-                let _store_lock = match shared.shards.cache_dir() {
+                let _store_lock = match shared.cache.dir() {
                     Some(dir) => {
                         let lock =
                             FingerprintLock::acquire(dir, &fingerprint, STORE_LOCK_TICK, || {
@@ -684,10 +687,10 @@ fn obtain_characterization(
                         // Holding the lock (or having given up on a
                         // cancelled token, caught above): another process
                         // may have published while this one waited.
-                        if let Some(hit) = shared.shards.cache_get(&fingerprint) {
+                        if let Some(hit) = shared.cache.get(&fingerprint) {
                             morph_trace::counter("serve/cache_hit", 1);
                             morph_trace::counter("serve/cross_process_hit", 1);
-                            guard.complete(hit.clone());
+                            guard.complete(Arc::clone(&hit));
                             return Ok(hit);
                         }
                         lock
@@ -697,11 +700,13 @@ fn obtain_characterization(
                 morph_trace::counter("serve/characterize_leader", 1);
                 // An error here drops `guard`, abandoning the flight and
                 // waking followers to re-elect.
-                let ch = verifier.try_characterize_for_seed(char_seed, token)?;
+                let ch = Arc::new(verifier.try_characterize_for_seed(char_seed, token)?);
                 // Publish to the cache *before* retiring the flight so a
-                // job arriving after removal finds the artifact.
-                shared.shards.cache_put(fingerprint, &ch);
-                guard.complete(ch.clone());
+                // job arriving after removal finds the artifact. A failed
+                // disk write leaves the memory tier populated, which is
+                // all correctness needs.
+                let _ = shared.cache.put(fingerprint, Arc::clone(&ch));
+                guard.complete(Arc::clone(&ch));
                 return Ok(ch);
             }
             Joined::Follower(slot) => {

@@ -11,17 +11,21 @@
 //!   offline, checked against the FIPS vectors).
 //! - [`CostAwareLru`] — the in-memory tier: LRU biased by each artifact's
 //!   recompute cost, so expensive characterizations outlive cheap ones.
-//! - [`MorphStore`] — the two-tier store: memory LRU over an on-disk JSON
-//!   directory with a schema-version field, atomic write-then-rename
-//!   persistence, and corruption-tolerant loads (a damaged entry is a miss
-//!   and gets rewritten, never a panic).
+//! - [`MorphStore`] — the two-tier store, generic over its [`Artifact`]
+//!   type: decoded artifacts behind `Arc` in memory (a hit is a pointer
+//!   clone) over an on-disk JSON directory with a schema-version field,
+//!   atomic write-then-rename persistence, and corruption-tolerant loads
+//!   (a damaged entry, or a payload that no longer decodes, is a miss and
+//!   gets rewritten, never a panic). Encoding and decoding happen only at
+//!   the disk.
 //!
-//! The store is deliberately *untyped* — payloads are [`serde::json::Value`]
-//! trees — so it sits below every domain crate in the dependency graph.
-//! `morphqpv::CharacterizationCache` supplies the typed encoding of
-//! characterization artifacts, and `morphqpv::Verifier::try_run` is the
-//! cache-aware entry point; see DESIGN.md "Characterization cache" for the
-//! fingerprint definition and invalidation rules.
+//! The store knows artifact types only through the [`Artifact`] trait, so
+//! it sits below every domain crate in the dependency graph.
+//! `morphqpv::CharacterizationCache` and `morphqpv::SegmentedCache` are its
+//! instances for whole-run and per-segment characterizations, and
+//! `morphqpv::Verifier::try_run` is the cache-aware entry point; see
+//! DESIGN.md "Characterization cache" for the fingerprint definition and
+//! invalidation rules.
 
 mod fingerprint;
 pub mod lock;
@@ -32,4 +36,4 @@ mod store;
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
 pub use lock::FingerprintLock;
 pub use lru::CostAwareLru;
-pub use store::{MorphStore, StoreStats, DEFAULT_CAPACITY, SCHEMA_VERSION};
+pub use store::{Artifact, MorphStore, StoreStats, MEMORY_CAPACITY, SCHEMA_VERSION};

@@ -158,6 +158,7 @@ impl Drop for FingerprintLock {
 mod tests {
     use super::*;
     use crate::fingerprint::FingerprintBuilder;
+    use crate::store::tests::probe;
 
     fn temp_dir(label: &str) -> PathBuf {
         let nanos = std::time::SystemTime::now()
@@ -265,13 +266,13 @@ mod tests {
     fn lock_files_do_not_disturb_store_entries() {
         let dir = temp_dir("coexist");
         let key = fp(6);
-        let mut store = crate::MorphStore::open(&dir).unwrap();
-        store.put(key, serde::json::Value::UInt(11), 5).unwrap();
+        let store = crate::MorphStore::open(&dir).unwrap();
+        store.put(key, probe(11, 5)).unwrap();
         let _lock = FingerprintLock::try_acquire(&dir, &key).unwrap().unwrap();
         store.drop_memory();
         assert_eq!(
-            store.get(&key),
-            Some(serde::json::Value::UInt(11)),
+            store.get(&key).as_deref(),
+            Some(&probe(11, 5)),
             "artifact loads fine while its lock file exists"
         );
         fs::remove_dir_all(&dir).unwrap();

@@ -19,7 +19,6 @@ pub struct CostAwareLru<K, V> {
     capacity: usize,
     /// Logical clock: bumped on every access, stored per entry as recency.
     clock: u64,
-    evictions: u64,
 }
 
 #[derive(Debug)]
@@ -36,7 +35,6 @@ impl<K: Eq + Hash + Clone, V> CostAwareLru<K, V> {
             entries: HashMap::new(),
             capacity: capacity.max(1),
             clock: 0,
-            evictions: 0,
         }
     }
 
@@ -48,11 +46,6 @@ impl<K: Eq + Hash + Clone, V> CostAwareLru<K, V> {
     /// `true` when no entries are resident.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Number of entries evicted over the cache's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Looks up a key, marking it most recently used on a hit.
@@ -87,7 +80,6 @@ impl<K: Eq + Hash + Clone, V> CostAwareLru<K, V> {
         while self.entries.len() > self.capacity {
             if let Some(victim) = self.pick_victim() {
                 if let Some(slot) = self.entries.remove(&victim) {
-                    self.evictions += 1;
                     evicted.push((victim, slot.value));
                 }
             } else {
@@ -97,12 +89,7 @@ impl<K: Eq + Hash + Clone, V> CostAwareLru<K, V> {
         evicted
     }
 
-    /// Removes an entry outright.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.entries.remove(key).map(|slot| slot.value)
-    }
-
-    /// Drops every entry (capacity and statistics are kept).
+    /// Drops every entry (the capacity is kept).
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -139,7 +126,6 @@ mod tests {
         let evicted = lru.insert("c", 3, 10);
         assert_eq!(evicted.len(), 1);
         assert_eq!(lru.len(), 2);
-        assert_eq!(lru.evictions(), 1);
     }
 
     #[test]
@@ -183,7 +169,7 @@ mod tests {
         assert_eq!(lru.len(), 1);
         assert_eq!(lru.get(&"k"), Some(&2));
         assert_eq!(lru.cost_of(&"k"), Some(9));
-        assert_eq!(lru.remove(&"k"), Some(2));
+        lru.clear();
         assert!(lru.is_empty());
     }
 }

@@ -1,19 +1,29 @@
-//! The two-tier artifact store: in-memory cost-aware LRU over an on-disk
-//! JSON directory.
+//! The two-tier artifact store: decoded artifacts behind [`Arc`] in a
+//! cost-aware LRU, over an on-disk JSON directory.
 //!
-//! Each artifact is a [`Value`] payload keyed by its [`Fingerprint`]. The
-//! disk tier stores one `<fingerprint-hex>.json` file per artifact, wrapped
-//! in an envelope carrying a schema version, the fingerprint, and the
-//! recompute cost. Writes are atomic (write to a temp file, then rename),
-//! and loads are corruption-tolerant: a truncated, malformed,
-//! schema-mismatched, or mislabeled entry is counted and treated as a
-//! cache miss — never a panic — so a later `put` simply rewrites it.
+//! Each artifact is keyed by its [`Fingerprint`]. The memory tier holds
+//! the decoded value, so a memory hit is a pointer clone. The disk tier is
+//! the only place an artifact is encoded or decoded: it stores one
+//! `<fingerprint-hex>.json` file per artifact, wrapped in an envelope
+//! carrying a schema version, the fingerprint, and the recompute cost.
+//! Writes are atomic (write to a temp file, then rename), and loads are
+//! corruption-tolerant: a truncated, malformed, schema-mismatched or
+//! mislabeled envelope, or a payload that no longer decodes as the
+//! artifact type, is counted as corrupt and treated as a miss — never a
+//! panic — and its file is removed so a later `put` rewrites it.
+//!
+//! One mutex covers the LRU and its [`StoreStats`]. It is never held
+//! during file I/O, encoding or decoding, so [`MorphStore::get`] and
+//! [`MorphStore::put`] take `&self` and one store can be shared by every
+//! worker of a service.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde::json::{self, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::fingerprint::Fingerprint;
 use crate::lru::CostAwareLru;
@@ -22,8 +32,21 @@ use crate::lru::CostAwareLru;
 /// changes; entries written under another revision load as misses.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// Default in-memory entry capacity.
-pub const DEFAULT_CAPACITY: usize = 64;
+/// In-memory entry capacity of every store.
+pub const MEMORY_CAPACITY: usize = 512;
+
+/// A type the store can hold. It is encoded to a JSON value tree only on
+/// the way to disk and decoded only on the way back.
+pub trait Artifact: Serialize + for<'de> Deserialize<'de> + Send + Sync {
+    /// The fingerprint domain of this artifact type. It names the store's
+    /// `store/<DOMAIN>/{hit,miss,corrupt,cost_saved,write}` trace counters,
+    /// so two stores of different types stay distinguishable in one trace.
+    const DOMAIN: &'static str;
+
+    /// Recompute cost (quantum ops), credited back on every hit and
+    /// weighed by the eviction policy.
+    fn cost(&self) -> u64;
+}
 
 /// Counters exposed by [`MorphStore::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -63,67 +86,85 @@ impl std::fmt::Display for StoreStats {
     }
 }
 
-/// Content-addressed artifact store with an LRU memory tier and an
+/// Content-addressed store of `T` artifacts with an LRU memory tier and an
 /// optional persistent JSON tier.
 ///
 /// # Examples
 ///
 /// ```
-/// use morph_store::{FingerprintBuilder, MorphStore};
-/// use serde::json::Value;
+/// use morph_store::{Artifact, FingerprintBuilder, MorphStore};
+/// use serde::json::{FromValueError, Value};
+/// use serde::{Deserialize, Serialize};
 ///
-/// let mut store = MorphStore::in_memory();
+/// struct Answer(u64);
+/// impl Serialize for Answer {
+///     fn to_value(&self) -> Value {
+///         Value::UInt(self.0)
+///     }
+/// }
+/// impl<'de> Deserialize<'de> for Answer {
+///     fn from_value(v: &Value) -> Result<Self, FromValueError> {
+///         v.as_u64().map(Answer).ok_or_else(|| FromValueError::new("integer"))
+///     }
+/// }
+/// impl Artifact for Answer {
+///     const DOMAIN: &'static str = "demo/v1";
+///     fn cost(&self) -> u64 {
+///         100
+///     }
+/// }
+///
+/// let store = MorphStore::in_memory();
 /// let fp = FingerprintBuilder::new("demo/v1").field_u64("k", 1).finish();
 /// assert!(store.get(&fp).is_none());
-/// store.put(fp, Value::UInt(42), 100).unwrap();
-/// assert_eq!(store.get(&fp), Some(Value::UInt(42)));
+/// store.put(fp, Answer(42)).unwrap();
+/// assert_eq!(store.get(&fp).map(|a| a.0), Some(42));
 /// assert_eq!(store.stats().cost_saved, 100);
 /// ```
 #[derive(Debug)]
-pub struct MorphStore {
+pub struct MorphStore<T> {
     dir: Option<PathBuf>,
-    memory: CostAwareLru<Fingerprint, Value>,
+    memory: Mutex<Memory<T>>,
+}
+
+#[derive(Debug)]
+struct Memory<T> {
+    lru: CostAwareLru<Fingerprint, Arc<T>>,
     stats: StoreStats,
 }
 
-impl MorphStore {
-    /// A memory-only store with the default capacity.
+/// What the disk tier holds for one fingerprint.
+enum DiskEntry<T> {
+    Absent,
+    Corrupt,
+    Loaded(T, u64),
+}
+
+impl<T: Artifact> MorphStore<T> {
+    /// A memory-only store.
     pub fn in_memory() -> Self {
-        MorphStore::with_capacity(DEFAULT_CAPACITY)
+        MorphStore::with_capacity(None, MEMORY_CAPACITY)
     }
 
-    /// A memory-only store holding at most `max_entries` artifacts.
-    pub fn with_capacity(max_entries: usize) -> Self {
-        MorphStore {
-            dir: None,
-            memory: CostAwareLru::new(max_entries),
-            stats: StoreStats::default(),
-        }
-    }
-
-    /// A persistent store rooted at `dir` (created if absent) with the
-    /// default memory capacity.
+    /// A persistent store rooted at `dir` (created if absent).
     ///
     /// # Errors
     ///
     /// Returns the underlying error when the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        MorphStore::open_with_capacity(dir, DEFAULT_CAPACITY)
-    }
-
-    /// [`MorphStore::open`] with an explicit memory capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying error when the directory cannot be created.
-    pub fn open_with_capacity(dir: impl Into<PathBuf>, max_entries: usize) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(MorphStore {
-            dir: Some(dir),
-            memory: CostAwareLru::new(max_entries),
-            stats: StoreStats::default(),
-        })
+        Ok(MorphStore::with_capacity(Some(dir), MEMORY_CAPACITY))
+    }
+
+    fn with_capacity(dir: Option<PathBuf>, capacity: usize) -> Self {
+        MorphStore {
+            dir,
+            memory: Mutex::new(Memory {
+                lru: CostAwareLru::new(capacity),
+                stats: StoreStats::default(),
+            }),
+        }
     }
 
     /// The persistent directory, when this store has one.
@@ -132,119 +173,154 @@ impl MorphStore {
     }
 
     /// Lifetime counters.
-    pub fn stats(&self) -> &StoreStats {
-        &self.stats
-    }
-
-    /// Number of memory-resident entries.
-    pub fn resident_entries(&self) -> usize {
-        self.memory.len()
-    }
-
-    /// Memory-tier evictions so far.
-    pub fn evictions(&self) -> u64 {
-        self.memory.evictions()
+    pub fn stats(&self) -> StoreStats {
+        self.lock().stats
     }
 
     /// Looks up an artifact: memory first, then disk (promoting the entry
-    /// into memory on a disk hit). Damaged disk entries count as misses.
-    pub fn get(&mut self, fp: &Fingerprint) -> Option<Value> {
-        if let Some(value) = self.memory.get(fp) {
-            let value = value.clone();
-            self.stats.memory_hits += 1;
-            self.stats.cost_saved += self.memory.cost_of(fp).unwrap_or(0);
-            return Some(value);
+    /// into memory on a disk hit). Damaged disk entries count as corrupt
+    /// misses.
+    pub fn get(&self, fp: &Fingerprint) -> Option<Arc<T>> {
+        {
+            let mut memory = self.lock();
+            if let Some(artifact) = memory.lru.get(fp).cloned() {
+                let cost = memory.lru.cost_of(fp).unwrap_or(0);
+                memory.stats.memory_hits += 1;
+                memory.stats.cost_saved += cost;
+                drop(memory);
+                Self::count_hit(cost);
+                return Some(artifact);
+            }
         }
-        if let Some((value, cost)) = self.load_from_disk(fp) {
-            self.stats.disk_hits += 1;
-            self.stats.cost_saved += cost;
-            self.memory.insert(*fp, value.clone(), cost);
-            return Some(value);
+        match self.load_from_disk(fp) {
+            DiskEntry::Loaded(artifact, cost) => {
+                let artifact = Arc::new(artifact);
+                let evicted = {
+                    let mut memory = self.lock();
+                    memory.stats.disk_hits += 1;
+                    memory.stats.cost_saved += cost;
+                    memory.lru.insert(*fp, Arc::clone(&artifact), cost)
+                };
+                drop(evicted);
+                Self::count_hit(cost);
+                Some(artifact)
+            }
+            DiskEntry::Corrupt => {
+                {
+                    let mut memory = self.lock();
+                    memory.stats.corrupt_entries += 1;
+                    memory.stats.misses += 1;
+                }
+                Self::count("corrupt", 1);
+                Self::count("miss", 1);
+                None
+            }
+            DiskEntry::Absent => {
+                self.lock().stats.misses += 1;
+                Self::count("miss", 1);
+                None
+            }
         }
-        self.stats.misses += 1;
-        None
     }
 
-    /// `true` when the artifact is resident in memory (no recency bump, no
-    /// disk probe).
-    pub fn contains_in_memory(&self, fp: &Fingerprint) -> bool {
-        self.memory.cost_of(fp).is_some()
-    }
-
-    /// Stores an artifact under its fingerprint. `cost` is the recompute
-    /// cost credited back on every future hit (and the weight the eviction
-    /// policy protects). The memory tier is always updated; the disk tier
-    /// is written atomically when configured.
+    /// Stores an artifact under its fingerprint. The memory tier is always
+    /// updated; the disk tier is encoded and written atomically when
+    /// configured.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error when the disk write fails (the
     /// memory tier keeps the artifact regardless).
-    pub fn put(&mut self, fp: Fingerprint, payload: Value, cost: u64) -> io::Result<()> {
-        self.stats.writes += 1;
-        self.memory.insert(fp, payload.clone(), cost);
-        if self.dir.is_some() {
-            self.persist(&fp, &payload, cost)?;
-        }
-        Ok(())
-    }
-
-    /// Drops the memory tier (disk entries survive). Useful in tests to
-    /// force disk loads.
-    pub fn drop_memory(&mut self) {
-        self.memory.clear();
-    }
-
-    fn entry_path(&self, fp: &Fingerprint) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("{}.json", fp.to_hex())))
-    }
-
-    fn persist(&self, fp: &Fingerprint, payload: &Value, cost: u64) -> io::Result<()> {
-        let path = self.entry_path(fp).expect("persist requires a directory");
-        let mut envelope = std::collections::BTreeMap::new();
-        envelope.insert("schema".to_string(), Value::UInt(u64::from(SCHEMA_VERSION)));
-        envelope.insert("fingerprint".to_string(), Value::Str(fp.to_hex()));
-        envelope.insert("cost".to_string(), Value::UInt(cost));
-        envelope.insert("payload".to_string(), payload.clone());
-        let text = json::to_string(&Value::Object(envelope));
-
-        // Atomic publish: a reader either sees the old entry or the new
-        // one, never a torn write. The temp name includes the pid so
-        // concurrent writers of the same artifact cannot collide; the final
-        // rename is last-writer-wins over identical content.
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        fs::write(&tmp, text.as_bytes())?;
-        match fs::rename(&tmp, &path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
+    pub fn put(&self, fp: Fingerprint, artifact: impl Into<Arc<T>>) -> io::Result<()> {
+        let artifact = artifact.into();
+        let cost = artifact.cost();
+        let evicted = {
+            let mut memory = self.lock();
+            memory.stats.writes += 1;
+            memory.lru.insert(fp, Arc::clone(&artifact), cost)
+        };
+        drop(evicted);
+        Self::count("write", 1);
+        match &self.dir {
+            Some(dir) => persist(&entry_path(dir, &fp), &fp, artifact.to_value(), cost),
+            None => Ok(()),
         }
     }
 
-    /// Reads and validates a disk entry; any failure is a tolerated miss.
-    fn load_from_disk(&mut self, fp: &Fingerprint) -> Option<(Value, u64)> {
-        let path = self.entry_path(fp)?;
-        let text = fs::read_to_string(&path).ok()?;
-        match decode_envelope(&text, fp) {
-            Some(entry) => Some(entry),
+    /// Drops the memory tier (disk entries survive). Useful in tests and
+    /// benches to force disk loads.
+    pub fn drop_memory(&self) {
+        self.lock().lru.clear();
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Memory<T>> {
+        morph_trace::lock_or_recover(&self.memory)
+    }
+
+    fn count_hit(cost: u64) {
+        Self::count("hit", 1);
+        Self::count("cost_saved", cost);
+    }
+
+    /// Emits `store/<DOMAIN>/<name>`. The `format!` allocation only
+    /// happens with the recorder enabled.
+    fn count(name: &str, delta: u64) {
+        if delta > 0 && morph_trace::enabled() {
+            morph_trace::counter(&format!("store/{}/{name}", T::DOMAIN), delta);
+        }
+    }
+
+    /// Reads and decodes a disk entry. A damaged or undecodable entry is
+    /// removed best-effort, so the next `put` rewrites a clean one.
+    fn load_from_disk(&self, fp: &Fingerprint) -> DiskEntry<T> {
+        let Some(dir) = &self.dir else {
+            return DiskEntry::Absent;
+        };
+        let path = entry_path(dir, fp);
+        let Ok(text) = fs::read_to_string(&path) else {
+            return DiskEntry::Absent;
+        };
+        match decode_entry(&text, fp) {
+            Some((artifact, cost)) => DiskEntry::Loaded(artifact, cost),
             None => {
-                // Damaged or version-mismatched: count it, remove the file
-                // best-effort so the next `put` rewrites a clean entry.
-                self.stats.corrupt_entries += 1;
                 let _ = fs::remove_file(&path);
-                None
+                DiskEntry::Corrupt
             }
         }
     }
 }
 
-/// Parses an envelope, returning `(payload, cost)` only when the schema
-/// version and fingerprint both check out.
-fn decode_envelope(text: &str, expected: &Fingerprint) -> Option<(Value, u64)> {
+fn entry_path(dir: &Path, fp: &Fingerprint) -> PathBuf {
+    dir.join(format!("{}.json", fp.to_hex()))
+}
+
+fn persist(path: &Path, fp: &Fingerprint, payload: Value, cost: u64) -> io::Result<()> {
+    let mut envelope = std::collections::BTreeMap::new();
+    envelope.insert("schema".to_string(), Value::UInt(u64::from(SCHEMA_VERSION)));
+    envelope.insert("fingerprint".to_string(), Value::Str(fp.to_hex()));
+    envelope.insert("cost".to_string(), Value::UInt(cost));
+    envelope.insert("payload".to_string(), payload);
+    let text = json::to_string(&Value::Object(envelope));
+
+    // Atomic publish: a reader either sees the old entry or the new
+    // one, never a torn write. The temp name includes the pid so
+    // concurrent writers of the same artifact cannot collide; the final
+    // rename is last-writer-wins over identical content.
+    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    fs::write(&tmp, text.as_bytes())?;
+    match fs::rename(&tmp, path) {
+        Ok(()) => Ok(()),
+        Err(e) => {
+            let _ = fs::remove_file(&tmp);
+            Err(e)
+        }
+    }
+}
+
+/// Parses an envelope and decodes its payload, returning `(artifact,
+/// cost)` only when the schema version and fingerprint check out and the
+/// payload decodes as `T`.
+fn decode_entry<T: Artifact>(text: &str, expected: &Fingerprint) -> Option<(T, u64)> {
     let root = json::parse(text).ok()?;
     let schema = root.get("schema")?.as_u64()?;
     if schema != u64::from(SCHEMA_VERSION) {
@@ -255,14 +331,51 @@ fn decode_envelope(text: &str, expected: &Fingerprint) -> Option<(Value, u64)> {
         return None;
     }
     let cost = root.get("cost")?.as_u64()?;
-    let payload = root.get("payload")?.clone();
-    Some((payload, cost))
+    let artifact = T::from_value(root.get("payload")?).ok()?;
+    Some((artifact, cost))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fingerprint::FingerprintBuilder;
+    use serde::json::FromValueError;
+
+    /// A test artifact: a number whose recompute cost is carried along.
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct Probe {
+        n: u64,
+        cost: u64,
+    }
+
+    pub(crate) fn probe(n: u64, cost: u64) -> Probe {
+        Probe { n, cost }
+    }
+
+    impl Serialize for Probe {
+        fn to_value(&self) -> Value {
+            Value::Array(vec![Value::UInt(self.n), Value::UInt(self.cost)])
+        }
+    }
+
+    impl<'de> Deserialize<'de> for Probe {
+        fn from_value(value: &Value) -> Result<Self, FromValueError> {
+            match value.as_array() {
+                Some([n, cost]) => Ok(probe(
+                    n.as_u64().ok_or_else(|| FromValueError::new("n"))?,
+                    cost.as_u64().ok_or_else(|| FromValueError::new("cost"))?,
+                )),
+                _ => Err(FromValueError::new("probe must be [n, cost]")),
+            }
+        }
+    }
+
+    impl Artifact for Probe {
+        const DOMAIN: &'static str = "test/v1";
+        fn cost(&self) -> u64 {
+            self.cost
+        }
+    }
 
     fn temp_dir(label: &str) -> PathBuf {
         let nanos = std::time::SystemTime::now()
@@ -283,13 +396,17 @@ mod tests {
             .finish()
     }
 
+    fn value_of(store: &MorphStore<Probe>, key: &Fingerprint) -> Option<Probe> {
+        store.get(key).map(|a| (*a).clone())
+    }
+
     #[test]
     fn memory_round_trip_and_stats() {
-        let mut store = MorphStore::in_memory();
+        let store = MorphStore::in_memory();
         let key = fp(1);
         assert!(store.get(&key).is_none());
-        store.put(key, Value::Str("artifact".into()), 7).unwrap();
-        assert_eq!(store.get(&key), Some(Value::Str("artifact".into())));
+        store.put(key, probe(5, 7)).unwrap();
+        assert_eq!(value_of(&store, &key), Some(probe(5, 7)));
         let stats = store.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.memory_hits, 1);
@@ -298,14 +415,33 @@ mod tests {
     }
 
     #[test]
+    fn memory_hits_share_one_decoded_artifact() {
+        let dir = temp_dir("shared");
+        let store = MorphStore::open(&dir).unwrap();
+        let put = Arc::new(probe(3, 1));
+        store.put(fp(1), Arc::clone(&put)).unwrap();
+        let (a, b) = (store.get(&fp(1)).unwrap(), store.get(&fp(1)).unwrap());
+        assert!(Arc::ptr_eq(&a, &b), "a memory hit is a pointer clone");
+        assert!(Arc::ptr_eq(&a, &put), "put keeps the caller's artifact");
+        // A disk load decodes once; later hits share that decoded value.
+        store.drop_memory();
+        let (c, d) = (store.get(&fp(1)).unwrap(), store.get(&fp(1)).unwrap());
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert!(Arc::ptr_eq(&c, &d));
+        assert_eq!(store.stats().disk_hits, 1);
+        assert_eq!(store.stats().memory_hits, 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn disk_entries_survive_reopen() {
         let dir = temp_dir("reopen");
         {
-            let mut store = MorphStore::open(&dir).unwrap();
-            store.put(fp(2), Value::UInt(99), 1234).unwrap();
+            let store = MorphStore::open(&dir).unwrap();
+            store.put(fp(2), probe(99, 1234)).unwrap();
         }
-        let mut fresh = MorphStore::open(&dir).unwrap();
-        assert_eq!(fresh.get(&fp(2)), Some(Value::UInt(99)));
+        let fresh = MorphStore::open(&dir).unwrap();
+        assert_eq!(value_of(&fresh, &fp(2)), Some(probe(99, 1234)));
         assert_eq!(fresh.stats().disk_hits, 1);
         assert_eq!(fresh.stats().cost_saved, 1234);
         // Promoted into memory: second lookup is a memory hit.
@@ -314,51 +450,68 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn truncated_entry_degrades_to_miss() {
-        let dir = temp_dir("truncated");
-        let mut store = MorphStore::open(&dir).unwrap();
-        store.put(fp(3), Value::UInt(1), 50).unwrap();
-        let path = store.entry_path(&fp(3)).unwrap();
-        let full = fs::read_to_string(&path).unwrap();
-        fs::write(&path, &full[..full.len() / 2]).unwrap();
+    /// Rewrites `key`'s entry file with `edit`, then empties the memory tier
+    /// so the next lookup reads it.
+    fn tamper(store: &MorphStore<Probe>, key: &Fingerprint, edit: impl Fn(String) -> String) {
+        let path = entry_path(store.dir().unwrap(), key);
+        let text = fs::read_to_string(&path).unwrap();
+        fs::write(&path, edit(text)).unwrap();
         store.drop_memory();
-        assert_eq!(store.get(&fp(3)), None);
-        assert_eq!(store.stats().corrupt_entries, 1);
-        assert!(!path.exists(), "damaged entry is cleaned up");
-        // Rewriting repairs the entry.
-        store.put(fp(3), Value::UInt(2), 50).unwrap();
-        store.drop_memory();
-        assert_eq!(store.get(&fp(3)), Some(Value::UInt(2)));
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn schema_mismatch_degrades_to_miss() {
-        let dir = temp_dir("schema");
-        let mut store = MorphStore::open(&dir).unwrap();
-        store.put(fp(4), Value::UInt(1), 5).unwrap();
-        let path = store.entry_path(&fp(4)).unwrap();
-        let hacked = fs::read_to_string(&path)
-            .unwrap()
-            .replace("\"schema\":1", "\"schema\":999");
-        fs::write(&path, hacked).unwrap();
-        store.drop_memory();
-        assert_eq!(store.get(&fp(4)), None);
+    fn truncated_entry_degrades_to_miss() {
+        let dir = temp_dir("truncated");
+        let store = MorphStore::open(&dir).unwrap();
+        store.put(fp(3), probe(1, 50)).unwrap();
+        tamper(&store, &fp(3), |full| full[..full.len() / 2].to_string());
+        assert_eq!(store.get(&fp(3)), None);
         assert_eq!(store.stats().corrupt_entries, 1);
+        assert_eq!(store.stats().misses, 1);
+        assert!(
+            !entry_path(&dir, &fp(3)).exists(),
+            "damaged entry is cleaned up"
+        );
+        // Rewriting repairs the entry.
+        store.put(fp(3), probe(2, 50)).unwrap();
+        store.drop_memory();
+        assert_eq!(value_of(&store, &fp(3)), Some(probe(2, 50)));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An envelope of another schema, and an intact envelope whose payload
+    /// no longer decodes as the artifact type, are both corrupt misses
+    /// that save nothing; the entry is removed.
+    #[test]
+    fn schema_or_payload_mismatch_degrades_to_miss() {
+        for (from, to) in [
+            ("\"schema\":1", "\"schema\":999"),
+            ("\"payload\":[1,5]", "\"payload\":\"x\""),
+        ] {
+            let dir = temp_dir("mismatch");
+            let store = MorphStore::open(&dir).unwrap();
+            store.put(fp(4), probe(1, 5)).unwrap();
+            tamper(&store, &fp(4), |t| t.replace(from, to));
+            assert_eq!(store.get(&fp(4)), None, "{to}");
+            let stats = store.stats();
+            assert_eq!(
+                (stats.hits(), stats.misses, stats.corrupt_entries),
+                (0, 1, 1)
+            );
+            assert_eq!(stats.cost_saved, 0);
+            assert!(!entry_path(&dir, &fp(4)).exists(), "{to}: entry removed");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
     fn mislabeled_fingerprint_degrades_to_miss() {
         let dir = temp_dir("mislabel");
-        let mut store = MorphStore::open(&dir).unwrap();
-        store.put(fp(5), Value::UInt(1), 5).unwrap();
+        let store = MorphStore::open(&dir).unwrap();
+        store.put(fp(5), probe(1, 5)).unwrap();
         // Copy entry 5's file into entry 6's slot: content hash no longer
         // matches the address.
-        let from = store.entry_path(&fp(5)).unwrap();
-        let to = store.entry_path(&fp(6)).unwrap();
-        fs::copy(&from, &to).unwrap();
+        fs::copy(entry_path(&dir, &fp(5)), entry_path(&dir, &fp(6))).unwrap();
         store.drop_memory();
         assert_eq!(store.get(&fp(6)), None);
         assert_eq!(store.stats().corrupt_entries, 1);
@@ -368,14 +521,14 @@ mod tests {
     #[test]
     fn eviction_is_memory_only() {
         let dir = temp_dir("evict");
-        let mut store = MorphStore::open_with_capacity(&dir, 2).unwrap();
+        fs::create_dir_all(&dir).unwrap();
+        let store = MorphStore::with_capacity(Some(dir.clone()), 2);
         for n in 0..5 {
-            store.put(fp(n), Value::UInt(n), 1).unwrap();
+            store.put(fp(n), probe(n, 1)).unwrap();
         }
-        assert_eq!(store.resident_entries(), 2);
-        assert!(store.evictions() >= 3);
         // Evicted artifacts still load from disk.
-        assert_eq!(store.get(&fp(0)), Some(Value::UInt(0)));
+        assert_eq!(value_of(&store, &fp(0)), Some(probe(0, 1)));
+        assert_eq!(store.stats().disk_hits, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -10,7 +10,7 @@ use morph_linalg::CMatrix;
 use morph_optimize::{Bounds, FnObjective, GradientAscent, Optimizer, QuadraticProgram};
 use morph_qprog::Circuit;
 use morph_tomography::{CostLedger, ReadoutMode, SharedLedger};
-use morphqpv::{characterize, Characterization, CharacterizationConfig};
+use morphqpv::{try_characterize, CancelToken, Characterization, CharacterizationConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,7 +31,7 @@ fn run_characterization(parallelism: usize, seed: u64) -> Characterization {
         ..CharacterizationConfig::exact(vec![0, 1, 2, 3], 6)
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    characterize(&circuit, &config, &mut rng)
+    try_characterize(&circuit, &config, &mut rng, &CancelToken::new()).unwrap()
 }
 
 fn assert_traces_equal(

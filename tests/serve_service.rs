@@ -28,6 +28,21 @@ T 2 q[0,1,2];
 // assert assume is_pure(T1) guarantee is_pure(T2)
 ";
 
+/// A 34-qubit non-Clifford program: `ry(0.3)` on every qubit, then a CX
+/// chain. It parses and passes every up-front check, then its dense sweep
+/// panics at the state-vector width limit before allocating anything.
+fn too_wide_program() -> String {
+    let n = 34;
+    let mut program = format!("qreg q[{n}];\nT 1 q[0];\n");
+    for q in 0..n {
+        program += &format!("ry(0.3) q[{q}];\n");
+    }
+    for q in 0..n - 1 {
+        program += &format!("cx q[{q}],q[{}];\n", q + 1);
+    }
+    program + "T 2 q[0,1];\n// assert assume is_pure(T1) guarantee is_pure(T2)\n"
+}
+
 fn ghz_request(id: &str, seed: u64) -> JobRequest {
     let mut req = JobRequest::new(id, GHZ_PROGRAM, vec![0]);
     req.seed = seed;
@@ -176,17 +191,9 @@ fn zero_deadline_reports_deadline_exceeded_and_service_survives() {
 #[test]
 fn panicking_job_is_contained_to_its_own_error() {
     let _g = serial();
-    // `T 2` names qubit 1 twice, which panics in the tracepoint readout.
-    let bad_program = "\
-qreg q[2];
-T 1 q[0];
-h q[0];
-T 2 q[1,1];
-// assert assume is_pure(T1) guarantee is_pure(T2)
-";
     let service = service_with(2, 8);
     let err = service
-        .submit(JobRequest::new("boom", bad_program, vec![0]))
+        .submit(JobRequest::new("boom", too_wide_program(), vec![0]))
         .expect("accepted")
         .wait()
         .expect_err("the job must fail");
@@ -252,8 +259,9 @@ fn invalid_requests_are_rejected_in_band() {
 /// Requests the characterization stage refuses up front answer in band as
 /// `verification` errors, not as panics contained by the worker: a
 /// 13-qubit register under `ibm_cairo` channel noise (wider than
-/// density-matrix simulation allows) and a program with an assertion but
-/// no tracepoint.
+/// density-matrix simulation allows), a program with an assertion but
+/// no tracepoint, one asserting on an undeclared tracepoint, and one
+/// whose tracepoint names a qubit twice (refused by the parser).
 #[test]
 fn unrunnable_characterizations_are_verification_errors() {
     let _g = serial();
@@ -275,11 +283,18 @@ fn unrunnable_characterizations_are_verification_errors() {
         "qreg q[2];\nT 1 q[0];\nh q[0];\nT 2 q[0,1];\n// assert guarantee is_pure(T9)\n",
         vec![0],
     );
+    let repeated = JobRequest::new(
+        "repeated",
+        "qreg q[2];\nT 1 q[0];\nh q[0];\nT 2 q[1,1];\n\
+         // assert assume is_pure(T1) guarantee is_pure(T2)\n",
+        vec![0],
+    );
     let service = service_with(2, 8);
     for (request, reason) in [
         (wide_noisy, "at most 12 qubits"),
         (untraced, "no tracepoints"),
         (undeclared, "tracepoint T9"),
+        (repeated, "line 4: tracepoint T2 names qubit 1 twice"),
     ] {
         let id = request.id.clone();
         let err = service
@@ -308,22 +323,13 @@ fn unrunnable_characterizations_are_verification_errors() {
 #[test]
 fn panicking_leader_mid_characterization_leaves_the_service_healthy() {
     let _g = serial();
-    // `T 2` names qubit 1 twice: the request parses and passes every
-    // up-front check, wins the flight for its fingerprint, then panics
-    // inside the sweep's tracepoint readout (reduced density matrices need
-    // distinct qubits).
-    let duplicate_trace_qubit = "\
-qreg q[2];
-T 1 q[0];
-h q[0];
-t q[0];
-cx q[0],q[1];
-T 2 q[1,1];
-// assert assume is_pure(T1) guarantee is_pure(T2)
-";
+    // The too-wide program parses and passes every up-front check, wins
+    // the flight for its fingerprint, then panics inside the sweep at the
+    // state-vector width limit.
+    let too_wide = too_wide_program();
     let service = service_with(2, 8);
     let err = service
-        .submit(JobRequest::new("mid-boom", duplicate_trace_qubit, vec![0]))
+        .submit(JobRequest::new("mid-boom", &too_wide, vec![0]))
         .expect("accepted")
         .wait()
         .expect_err("characterization must panic");
@@ -332,11 +338,7 @@ T 2 q[1,1];
     // fresh leader (not deadlock on a stale entry or poisoned lock) and
     // fail the same way.
     let err = service
-        .submit(JobRequest::new(
-            "mid-boom-again",
-            duplicate_trace_qubit,
-            vec![0],
-        ))
+        .submit(JobRequest::new("mid-boom-again", &too_wide, vec![0]))
         .expect("accepted")
         .wait()
         .expect_err("the retry elects a fresh leader and panics again");

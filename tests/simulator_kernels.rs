@@ -12,7 +12,8 @@
 use morphqpv_suite::backend::{Simulator, SparseSim};
 use morphqpv_suite::clifford::InputEnsemble;
 use morphqpv_suite::core::{
-    characterize, BackendChoice, BackendMode, Characterization, CharacterizationConfig,
+    try_characterize, BackendChoice, BackendMode, CancelToken, Characterization,
+    CharacterizationConfig,
 };
 use morphqpv_suite::linalg::{CMatrix, C64};
 use morphqpv_suite::qprog::{fuse_circuit, Circuit, Executor, Instruction, TracepointId};
@@ -107,7 +108,7 @@ fn characterize_on(
         parallelism,
         ..CharacterizationConfig::exact(vec![0, 1], n_samples)
     };
-    characterize(circuit, &config, &mut rng)
+    try_characterize(circuit, &config, &mut rng, &CancelToken::new()).unwrap()
 }
 
 /// A normalized random pure-state amplitude vector.
@@ -569,7 +570,7 @@ fn characterization_sweep_matches_per_input_reference() {
             ..CharacterizationConfig::exact(input_qubits.to_vec(), samples)
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(samples as u64);
-        characterize(&c, &config, &mut rng)
+        try_characterize(&c, &config, &mut rng, &CancelToken::new()).unwrap()
     };
     for noise in [NoiseModel::noiseless(), NoiseModel::ibm_cairo()] {
         let executor = Executor::builder().noise(noise).build();

@@ -14,12 +14,12 @@ use morphqpv_suite::core::{
 use morphqpv_suite::linalg::{CMatrix, C64};
 use morphqpv_suite::qprog::{Circuit, TracepointId};
 use morphqpv_suite::qsim::NoiseModel;
-use morphqpv_suite::store::{FingerprintBuilder, MorphStore};
+use morphqpv_suite::store::{Artifact, FingerprintBuilder, MorphStore};
 use morphqpv_suite::tomography::CostLedger;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::json::Value;
+use serde::json::{FromValueError, Value};
 use serde::{Deserialize, Serialize};
 
 fn temp_dir(label: &str) -> PathBuf {
@@ -35,6 +35,29 @@ fn temp_dir(label: &str) -> PathBuf {
     dir
 }
 
+/// A raw value tree as a store artifact, so each type's own encoding
+/// travels the store's real disk path.
+struct Payload(Value);
+
+impl Serialize for Payload {
+    fn to_value(&self) -> Value {
+        self.0.clone()
+    }
+}
+
+impl<'de> Deserialize<'de> for Payload {
+    fn from_value(value: &Value) -> Result<Self, FromValueError> {
+        Ok(Payload(value.clone()))
+    }
+}
+
+impl Artifact for Payload {
+    const DOMAIN: &'static str = "test/persist/v1";
+    fn cost(&self) -> u64 {
+        1
+    }
+}
+
 /// Pushes a value through the full persistence path — encode to the store,
 /// flush the memory tier, reload from the JSON file — and returns the
 /// reloaded payload.
@@ -45,10 +68,10 @@ fn disk_round_trip(label: &str, payload: Value) -> Value {
         .finish();
     let reloaded;
     {
-        let mut store = MorphStore::open(&dir).expect("open store");
-        store.put(fp, payload, 1).expect("persist");
+        let store = MorphStore::open(&dir).expect("open store");
+        store.put(fp, Payload(payload)).expect("persist");
         store.drop_memory();
-        reloaded = store.get(&fp).expect("reload from disk");
+        reloaded = store.get(&fp).expect("reload from disk").0.clone();
     }
     fs::remove_dir_all(&dir).expect("cleanup");
     reloaded
@@ -211,20 +234,20 @@ fn assert_characterizations_identical(
 fn repeated_characterization_is_free_and_bit_identical() {
     let dir = temp_dir("reuse");
     let verifier = sample_verifier(4);
-    let run = |cache: &mut CharacterizationCache| {
+    let run = |cache: &CharacterizationCache| {
         verifier
             .try_run(&mut StdRng::seed_from_u64(42), Some(cache))
             .expect("verification runs")
             .characterization
     };
 
-    let mut cache = CharacterizationCache::open(&dir).expect("open cache");
-    let cold = run(&mut cache);
+    let cache = CharacterizationCache::open(&dir).expect("open cache");
+    let cold = run(&cache);
     assert_eq!(cache.stats().misses, 1);
     drop(cache);
 
-    let mut fresh = CharacterizationCache::open(&dir).expect("reopen cache");
-    let warm = run(&mut fresh);
+    let fresh = CharacterizationCache::open(&dir).expect("reopen cache");
+    let warm = run(&fresh);
     assert_eq!(fresh.stats().misses, 0, "warm run must not re-simulate");
     assert_eq!(fresh.stats().disk_hits, 1);
     assert!(fresh.stats().cost_saved > 0);
@@ -238,14 +261,14 @@ fn repeated_characterization_is_free_and_bit_identical() {
 fn corrupted_artifact_degrades_to_miss_and_repairs() {
     let dir = temp_dir("corrupt");
     let verifier = sample_verifier(3);
-    let run = |cache: &mut CharacterizationCache| {
+    let run = |cache: &CharacterizationCache| {
         verifier
             .try_run(&mut StdRng::seed_from_u64(9), Some(cache))
             .expect("verification runs")
             .characterization
     };
 
-    run(&mut CharacterizationCache::open(&dir).expect("open cache"));
+    run(&CharacterizationCache::open(&dir).expect("open cache"));
     // Truncate every stored artifact.
     for entry in fs::read_dir(&dir).expect("list dir") {
         let path = entry.expect("entry").path();
@@ -253,16 +276,66 @@ fn corrupted_artifact_degrades_to_miss_and_repairs() {
         fs::write(&path, &text[..text.len() / 3]).expect("truncate");
     }
 
-    let mut cache = CharacterizationCache::open(&dir).expect("reopen cache");
-    let repaired = run(&mut cache);
+    let cache = CharacterizationCache::open(&dir).expect("reopen cache");
+    let repaired = run(&cache);
     assert_eq!(cache.stats().misses, 1, "corrupt entry is a miss");
-    assert_eq!(cache.store().stats().corrupt_entries, 1);
+    assert_eq!(cache.stats().corrupt_entries, 1);
 
     // The miss rewrote the artifact: a third handle hits disk cleanly.
-    let mut again = CharacterizationCache::open(&dir).expect("third open");
-    let reloaded = run(&mut again);
+    let again = CharacterizationCache::open(&dir).expect("third open");
+    let reloaded = run(&again);
     assert_eq!(again.stats().disk_hits, 1);
     assert_characterizations_identical(&repaired, &reloaded);
+    fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// An artifact whose envelope is intact but whose payload carries an older
+/// `artifact_version` no longer decodes: the run reports it as a corrupt
+/// miss that saved nothing, recomputes, and rewrites the entry, so the
+/// next run hits disk cleanly.
+#[test]
+fn stale_payload_version_is_a_corrupt_miss_and_repairs() {
+    let dir = temp_dir("stale-payload");
+    let verifier = sample_verifier(3);
+    let run = |cache: &CharacterizationCache| {
+        verifier
+            .try_run(&mut StdRng::seed_from_u64(5), Some(cache))
+            .expect("verification runs")
+    };
+
+    let cold = run(&CharacterizationCache::open(&dir).expect("open cache"));
+    let mut stamped = 0;
+    for entry in fs::read_dir(&dir).expect("list dir") {
+        let path = entry.expect("entry").path();
+        let text = fs::read_to_string(&path).expect("read artifact");
+        let stale = text.replace("\"artifact_version\":4", "\"artifact_version\":3");
+        stamped += usize::from(stale != text);
+        fs::write(&path, stale).expect("rewrite artifact");
+    }
+    assert_eq!(
+        stamped, 1,
+        "one artifact carries the current payload version"
+    );
+
+    let stale = run(&CharacterizationCache::open(&dir).expect("reopen cache"));
+    let summary = stale.run.cache.expect("cached run carries a summary");
+    assert_eq!(
+        (summary.hits, summary.misses, summary.corrupt_entries),
+        (0, 1, 1),
+        "{summary:?}"
+    );
+    assert_eq!(summary.cost_saved, 0);
+    assert_eq!(summary.writes, 1, "the miss rewrites the artifact");
+    assert_characterizations_identical(&cold.characterization, &stale.characterization);
+
+    let again = CharacterizationCache::open(&dir).expect("third open");
+    let warm = run(&again);
+    let stats = again.stats();
+    assert_eq!(
+        (stats.disk_hits, stats.misses, stats.corrupt_entries),
+        (1, 0, 0)
+    );
+    assert_characterizations_identical(&cold.characterization, &warm.characterization);
     fs::remove_dir_all(&dir).expect("cleanup");
 }
 

@@ -4,7 +4,8 @@
 //! streams, so everything downstream stays bit-identical.
 
 use morphqpv_suite::core::{
-    characterize, AssumeGuarantee, CharacterizationConfig, RelationPredicate, Verifier,
+    try_characterize, AssumeGuarantee, CancelToken, CharacterizationConfig, RelationPredicate,
+    Verifier,
 };
 use morphqpv_suite::qprog::{Circuit, TracepointId};
 use morphqpv_suite::tomography::ReadoutMode;
@@ -35,7 +36,7 @@ fn characterize_with(parallelism: usize, tracing: bool) -> morphqpv_suite::core:
         readout: ReadoutMode::Shots(40),
         ..CharacterizationConfig::exact(vec![0], 6)
     };
-    let ch = characterize(&flip_program(), &config, &mut rng);
+    let ch = try_characterize(&flip_program(), &config, &mut rng, &CancelToken::new()).unwrap();
     trace::set_enabled(false);
     ch
 }
