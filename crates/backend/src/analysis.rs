@@ -15,7 +15,7 @@ pub fn is_clifford_gate(gate: &Gate) -> bool {
 /// monomial Y) map one nonzero amplitude to one nonzero amplitude;
 /// everything else — H, X/Y rotations, arbitrary unitaries — can double
 /// the support. RZ and friends are diagonal, so they never branch.
-pub fn is_branching_gate(gate: &Gate) -> bool {
+fn is_branching_gate(gate: &Gate) -> bool {
     !matches!(
         gate,
         Gate::X(_)
@@ -51,9 +51,9 @@ pub struct CircuitAnalysis {
     pub gate_count: usize,
     /// Gates the stabilizer backend executes natively.
     pub clifford_gates: usize,
-    /// Gates that can enlarge the basis support (see
-    /// [`is_branching_gate`]); with `i` nonzero input amplitudes the final
-    /// support is at most `min(2^n, i · 2^branching_gates)`.
+    /// Gates that can enlarge the basis support (everything but diagonal
+    /// gates and basis permutations); with `i` nonzero input amplitudes
+    /// the final support is at most `min(2^n, i · 2^branching_gates)`.
     pub branching_gates: usize,
     /// Gates in the longest all-Clifford prefix.
     pub clifford_prefix_gates: usize,

@@ -4,16 +4,14 @@
 //! circuits are Clifford(-prefixed) or low-entanglement. This crate lets
 //! those workloads skip the dense O(2^n) register:
 //!
-//! - [`Simulator`]: the backend trait — prepare, apply gates, apply noise
-//!   channels where supported, read tracepoint reduced density matrices.
-//! - [`DenseSim`] / [`DenseDensitySim`]: the existing statevector and
-//!   density-matrix kernels behind the trait (the density backend is the
-//!   only one that supports channels).
+//! - [`Simulator`]: the backend trait — apply gates, read tracepoint
+//!   reduced density matrices. Dense runs (and every noisy run) stay on
+//!   the batched `morph_qsim` kernels and never go through the trait.
 //! - [`StabilizerSim`]: Aaronson–Gottesman tableau with exact global-phase
 //!   readout ([`morph_clifford::StabilizerState`]) — O(n²) per gate.
-//! - [`SparseSim`]: hash-map statevector mirroring the dense kernels'
-//!   per-amplitude arithmetic bit for bit, with a nonzero budget and
-//!   automatic spill to dense.
+//! - [`SparseSim`]: sorted-vec statevector mirroring the dense kernels'
+//!   per-amplitude arithmetic bit for bit, with a nonzero budget and a
+//!   growth monitor that hand the state to dense.
 //! - [`analyze`] / [`plan_characterization`]: the circuit-analysis pass
 //!   (Clifford-ness, Clifford-prefix split, nonzero-growth estimate) and
 //!   the selection policy behind `BackendMode::Auto`.
@@ -48,15 +46,7 @@ mod select;
 mod simulator;
 mod sparse;
 
-pub use analysis::{analyze, is_branching_gate, is_clifford_gate, suffix_circuit, CircuitAnalysis};
-pub use select::{
-    plan_characterization, BackendChoice, BackendPlan, PlanInputs, DENSE_HANDOFF_MAX_QUBITS,
-    PREFIX_MIN_GATES, PREFIX_MIN_QUBITS, SPARSE_HEADROOM_QUBITS, SPARSE_MIN_QUBITS,
-    STABILIZER_MIN_QUBITS,
-};
-pub use simulator::{
-    BackendError, BackendKind, DenseDensitySim, DenseSim, Simulator, StabilizerSim,
-};
-pub use sparse::{
-    default_budget, default_switch_threshold, FastPathStats, SparseSim, SPILL_MAX_QUBITS,
-};
+pub use analysis::{analyze, is_clifford_gate, suffix_circuit, CircuitAnalysis};
+pub use select::{plan_characterization, BackendChoice, BackendPlan, PlanInputs};
+pub use simulator::{Simulator, StabilizerSim};
+pub use sparse::{FastPathStats, SparseSim};

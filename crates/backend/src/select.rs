@@ -12,27 +12,27 @@ use crate::analysis::{analyze, CircuitAnalysis};
 
 /// Minimum register width before the stabilizer backend is auto-selected
 /// (below this the dense kernels win on constants).
-pub const STABILIZER_MIN_QUBITS: usize = 14;
+const STABILIZER_MIN_QUBITS: usize = 14;
 
 /// Minimum register width before the sparse backend is auto-selected.
-pub const SPARSE_MIN_QUBITS: usize = 12;
+const SPARSE_MIN_QUBITS: usize = 12;
 
 /// Minimum register width before Clifford-prefix splicing is considered.
-pub const PREFIX_MIN_QUBITS: usize = 14;
+const PREFIX_MIN_QUBITS: usize = 14;
 
 /// Minimum Clifford-prefix length (in gates) before splicing pays for the
 /// tableau → statevector handoff.
-pub const PREFIX_MIN_GATES: usize = 16;
+const PREFIX_MIN_GATES: usize = 16;
 
 /// Widest register a stabilizer prefix may hand off to a dense suffix (or
 /// a sparse register may spill into): 2^28 amplitudes is the dense
 /// ceiling.
-pub const DENSE_HANDOFF_MAX_QUBITS: usize = 28;
+const DENSE_HANDOFF_MAX_QUBITS: usize = 28;
 
 /// Required slack between the sparse support-size exponent bound and the
 /// register width: the sparse backend is only selected when the estimated
 /// final support is at most `2^(n - SPARSE_HEADROOM_QUBITS)`.
-pub const SPARSE_HEADROOM_QUBITS: usize = 2;
+const SPARSE_HEADROOM_QUBITS: usize = 2;
 
 /// The backend a characterization run will execute on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -100,8 +100,7 @@ impl std::fmt::Display for BackendChoice {
 pub struct PlanInputs<'a> {
     /// The main circuit to be characterized (unfused).
     pub circuit: &'a Circuit,
-    /// Requested mode, before the `MORPH_BACKEND` environment override
-    /// ([`plan_characterization`] applies [`BackendMode::resolve`]).
+    /// Requested mode.
     pub mode: BackendMode,
     /// `true` when the run uses no noise model.
     pub noiseless: bool,
@@ -113,31 +112,24 @@ pub struct PlanInputs<'a> {
     pub preps_clifford: bool,
 }
 
-/// A selection decision plus the reason it was made.
+/// A selection decision.
 #[derive(Debug, Clone)]
 pub struct BackendPlan {
     /// The selected backend.
     pub choice: BackendChoice,
-    /// Human-readable rationale (surfaces in trace logs and reports).
-    pub reason: &'static str,
-    /// The analysis the decision was based on.
-    pub analysis: CircuitAnalysis,
 }
 
 /// Selects the backend for a characterization run.
 ///
-/// Resolves the `MORPH_BACKEND` environment override first (it replaces
-/// `Auto`; explicitly forced modes win over it), then applies
-/// the `Auto` policy (or validates a forced mode, falling back to dense
-/// when the forced backend cannot represent the run — noise, non-Clifford
-/// gates on the stabilizer, non-unitary circuits). Decisions are
-/// published on `backend/selected_*` counters; forced-mode fallbacks add
-/// `backend/fallback_dense`.
+/// Applies the `Auto` policy, or validates a forced mode, falling back to
+/// dense when the forced backend cannot represent the run — noise,
+/// non-Clifford gates on the stabilizer, non-unitary circuits. Decisions
+/// are published on `backend/selected_*` counters; forced-mode fallbacks
+/// add `backend/fallback_dense`.
 pub fn plan_characterization(inputs: &PlanInputs<'_>) -> BackendPlan {
-    let analysis = analyze(inputs.circuit);
-    let plan = decide(inputs, analysis);
+    let choice = decide(inputs, &analyze(inputs.circuit));
     morph_trace::counter(
-        match plan.choice {
+        match choice {
             BackendChoice::Dense => "backend/selected_dense",
             BackendChoice::Stabilizer => "backend/selected_stabilizer",
             BackendChoice::Sparse => "backend/selected_sparse",
@@ -145,79 +137,48 @@ pub fn plan_characterization(inputs: &PlanInputs<'_>) -> BackendPlan {
         },
         1,
     );
-    plan
+    BackendPlan { choice }
 }
 
-fn dense(reason: &'static str, analysis: CircuitAnalysis) -> BackendPlan {
-    BackendPlan {
-        choice: BackendChoice::Dense,
-        reason,
-        analysis,
-    }
-}
-
-fn fallback(reason: &'static str, analysis: CircuitAnalysis) -> BackendPlan {
+fn fallback() -> BackendChoice {
     morph_trace::counter("backend/fallback_dense", 1);
-    dense(reason, analysis)
+    BackendChoice::Dense
 }
 
-fn decide(inputs: &PlanInputs<'_>, analysis: CircuitAnalysis) -> BackendPlan {
-    let mode = inputs.mode.resolve();
+fn decide(inputs: &PlanInputs<'_>, analysis: &CircuitAnalysis) -> BackendChoice {
+    let mode = inputs.mode;
     // Noise channels and non-unitary instructions only run on the dense
     // density/statevector paths, whatever the requested mode.
-    if !inputs.noiseless {
+    if !inputs.noiseless || !analysis.unitary {
         return if mode == BackendMode::Dense {
-            dense("dense requested", analysis)
+            BackendChoice::Dense
         } else {
-            fallback("noise model requires the dense density backend", analysis)
-        };
-    }
-    if !analysis.unitary {
-        return if mode == BackendMode::Dense {
-            dense("dense requested", analysis)
-        } else {
-            fallback("non-unitary circuit requires the dense backend", analysis)
+            fallback()
         };
     }
     match mode {
-        BackendMode::Dense => dense("dense requested", analysis),
+        BackendMode::Dense => BackendChoice::Dense,
         BackendMode::Stabilizer => {
             if analysis.all_clifford() && inputs.preps_clifford {
-                BackendPlan {
-                    choice: BackendChoice::Stabilizer,
-                    reason: "stabilizer requested",
-                    analysis,
-                }
+                BackendChoice::Stabilizer
             } else {
-                fallback("stabilizer requested but circuit is not Clifford", analysis)
+                fallback()
             }
         }
-        BackendMode::Sparse => BackendPlan {
-            choice: BackendChoice::Sparse,
-            reason: "sparse requested",
-            analysis,
-        },
+        BackendMode::Sparse => BackendChoice::Sparse,
         BackendMode::Auto => auto_decide(inputs, analysis),
     }
 }
 
-fn auto_decide(inputs: &PlanInputs<'_>, analysis: CircuitAnalysis) -> BackendPlan {
+fn auto_decide(inputs: &PlanInputs<'_>, analysis: &CircuitAnalysis) -> BackendChoice {
     let n = analysis.n_qubits;
     if analysis.all_clifford() && inputs.preps_clifford && n >= STABILIZER_MIN_QUBITS {
-        return BackendPlan {
-            choice: BackendChoice::Stabilizer,
-            reason: "all-Clifford circuit with Clifford input preparations",
-            analysis,
-        };
+        return BackendChoice::Stabilizer;
     }
     if n >= SPARSE_MIN_QUBITS
         && analysis.est_log2_nonzeros(inputs.n_input_qubits) + SPARSE_HEADROOM_QUBITS <= n
     {
-        return BackendPlan {
-            choice: BackendChoice::Sparse,
-            reason: "estimated basis support stays far below the register size",
-            analysis,
-        };
+        return BackendChoice::Sparse;
     }
     // The prefix no longer needs to dominate the circuit: the suffix
     // runs on the adaptive sparse register (which switches itself to
@@ -228,15 +189,11 @@ fn auto_decide(inputs: &PlanInputs<'_>, analysis: CircuitAnalysis) -> BackendPla
         && analysis.clifford_prefix_gates >= PREFIX_MIN_GATES
         && analysis.clifford_prefix_gates < analysis.gate_count
     {
-        return BackendPlan {
-            choice: BackendChoice::CliffordPrefix {
-                split: analysis.clifford_prefix_split,
-            },
-            reason: "long Clifford prefix ahead of a non-Clifford suffix",
-            analysis,
+        return BackendChoice::CliffordPrefix {
+            split: analysis.clifford_prefix_split,
         };
     }
-    dense("no fast path applies", analysis)
+    BackendChoice::Dense
 }
 
 #[cfg(test)]

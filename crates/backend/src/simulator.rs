@@ -1,211 +1,25 @@
-//! The [`Simulator`] trait and the dense + stabilizer implementations.
-
-use std::fmt;
+//! The [`Simulator`] trait and the stabilizer implementation.
 
 use morph_clifford::{NonCliffordGate, StabilizerState};
 use morph_linalg::CMatrix;
-use morph_qsim::{DensityMatrix, Gate, NoiseModel, StateVector};
-
-/// Which backend family a [`Simulator`] (or a selection decision) is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// Dense statevector.
-    Dense,
-    /// Dense density matrix (the only channel-capable backend).
-    DenseDensity,
-    /// Stabilizer tableau with exact readout.
-    Stabilizer,
-    /// Sparse statevector with spill-to-dense.
-    Sparse,
-}
-
-impl BackendKind {
-    /// Stable lowercase name for reports and counters.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BackendKind::Dense => "dense",
-            BackendKind::DenseDensity => "dense-density",
-            BackendKind::Stabilizer => "stabilizer",
-            BackendKind::Sparse => "sparse",
-        }
-    }
-}
-
-impl fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Why a backend refused an operation. Callers fall back to a dense
-/// simulator (the analysis pass exists to make this rare).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BackendError {
-    /// The stabilizer backend was handed a gate outside its Clifford set.
-    NonClifford(NonCliffordGate),
-    /// This backend cannot apply noise channels.
-    ChannelsUnsupported(BackendKind),
-}
-
-impl fmt::Display for BackendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendError::NonClifford(g) => write!(f, "{g}"),
-            BackendError::ChannelsUnsupported(kind) => {
-                write!(f, "the {kind} backend does not support noise channels")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BackendError {}
-
-impl From<NonCliffordGate> for BackendError {
-    fn from(err: NonCliffordGate) -> Self {
-        BackendError::NonClifford(err)
-    }
-}
+use morph_qsim::{Gate, StateVector};
 
 /// A simulation backend: holds a prepared state, advances it through a
-/// gate stream (plus noise channels where supported), and reads out
-/// tracepoint reduced density matrices.
-///
-/// Backends report refusals through [`BackendError`] instead of
-/// panicking so the dispatch layer can fall back to dense.
+/// gate stream, and reads out tracepoint reduced density matrices.
 pub trait Simulator {
-    /// Register width.
-    fn n_qubits(&self) -> usize;
-
-    /// Which backend family this is.
-    fn kind(&self) -> BackendKind;
-
     /// Advances the state by one gate.
     ///
     /// # Errors
     ///
-    /// [`BackendError::NonClifford`] when the backend cannot represent
-    /// the gate (stabilizer backend only).
-    fn apply_gate(&mut self, gate: &Gate) -> Result<(), BackendError>;
-
-    /// Applies the noise channel `noise` attaches to `gate` (called after
-    /// [`Simulator::apply_gate`] on the same gate).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::ChannelsUnsupported`] unless the backend tracks a
-    /// density matrix.
-    fn apply_channel(&mut self, noise: &NoiseModel, gate: &Gate) -> Result<(), BackendError> {
-        let _ = (noise, gate);
-        Err(BackendError::ChannelsUnsupported(self.kind()))
-    }
+    /// [`NonCliffordGate`] when the backend cannot represent the gate
+    /// (stabilizer backend only). The selection policy plans the
+    /// stabilizer only for all-Clifford runs, so the sweep treats this
+    /// as a broken plan.
+    fn apply_gate(&mut self, gate: &Gate) -> Result<(), NonCliffordGate>;
 
     /// Reduced density matrix of the listed qubits (`qubits[0]` the most
     /// significant reduced bit) — the tracepoint readout.
     fn tracepoint_rdm(&self, qubits: &[usize]) -> CMatrix;
-
-    /// `⟨Z_q⟩`, read from the one-qubit reduced density matrix.
-    fn expectation_z(&self, qubit: usize) -> f64 {
-        let rho = self.tracepoint_rdm(&[qubit]);
-        rho[(0, 0)].re - rho[(1, 1)].re
-    }
-}
-
-/// Dense statevector backend: the PR-3 kernels behind the trait.
-#[derive(Debug, Clone)]
-pub struct DenseSim {
-    state: StateVector,
-}
-
-impl DenseSim {
-    /// Starts from `|0…0⟩`.
-    pub fn new(n_qubits: usize) -> Self {
-        DenseSim {
-            state: StateVector::zero_state(n_qubits),
-        }
-    }
-
-    /// Starts from a prepared input state.
-    pub fn from_state(state: StateVector) -> Self {
-        DenseSim { state }
-    }
-
-    /// Read access to the register.
-    pub fn state(&self) -> &StateVector {
-        &self.state
-    }
-
-    /// Consumes the backend, returning the register.
-    pub fn into_state(self) -> StateVector {
-        self.state
-    }
-}
-
-impl Simulator for DenseSim {
-    fn n_qubits(&self) -> usize {
-        self.state.n_qubits()
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Dense
-    }
-
-    fn apply_gate(&mut self, gate: &Gate) -> Result<(), BackendError> {
-        gate.apply(&mut self.state);
-        Ok(())
-    }
-
-    fn tracepoint_rdm(&self, qubits: &[usize]) -> CMatrix {
-        self.state.reduced_density_matrix(qubits)
-    }
-}
-
-/// Dense density-matrix backend — the only one that applies channels.
-#[derive(Debug, Clone)]
-pub struct DenseDensitySim {
-    rho: DensityMatrix,
-}
-
-impl DenseDensitySim {
-    /// Starts from `|0…0⟩⟨0…0|`.
-    pub fn new(n_qubits: usize) -> Self {
-        DenseDensitySim {
-            rho: DensityMatrix::zero_state(n_qubits),
-        }
-    }
-
-    /// Starts from a prepared density matrix.
-    pub fn from_density(rho: DensityMatrix) -> Self {
-        DenseDensitySim { rho }
-    }
-
-    /// Read access to the density matrix.
-    pub fn density(&self) -> &DensityMatrix {
-        &self.rho
-    }
-}
-
-impl Simulator for DenseDensitySim {
-    fn n_qubits(&self) -> usize {
-        self.rho.n_qubits()
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::DenseDensity
-    }
-
-    fn apply_gate(&mut self, gate: &Gate) -> Result<(), BackendError> {
-        self.rho.apply_gate(gate);
-        Ok(())
-    }
-
-    fn apply_channel(&mut self, noise: &NoiseModel, gate: &Gate) -> Result<(), BackendError> {
-        noise.apply_to_density(&mut self.rho, gate);
-        Ok(())
-    }
-
-    fn tracepoint_rdm(&self, qubits: &[usize]) -> CMatrix {
-        self.rho.partial_trace(qubits)
-    }
 }
 
 /// Stabilizer backend: O(n²) per Clifford gate, exact tracepoint readout
@@ -224,11 +38,6 @@ impl StabilizerSim {
         }
     }
 
-    /// Read access to the stabilizer state.
-    pub fn state(&self) -> &StabilizerState {
-        &self.state
-    }
-
     /// Materializes the dense statevector (global phase included) — the
     /// Clifford-prefix handoff.
     ///
@@ -241,16 +50,8 @@ impl StabilizerSim {
 }
 
 impl Simulator for StabilizerSim {
-    fn n_qubits(&self) -> usize {
-        self.state.n_qubits()
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Stabilizer
-    }
-
-    fn apply_gate(&mut self, gate: &Gate) -> Result<(), BackendError> {
-        self.state.apply_gate(gate).map_err(BackendError::from)
+    fn apply_gate(&mut self, gate: &Gate) -> Result<(), NonCliffordGate> {
+        self.state.apply_gate(gate)
     }
 
     fn tracepoint_rdm(&self, qubits: &[usize]) -> CMatrix {
@@ -263,49 +64,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dense_and_stabilizer_agree_on_bell_tracepoint() {
+    fn stabilizer_matches_dense_on_bell_tracepoint() {
         let gates = [Gate::H(0), Gate::CX(0, 1)];
-        let mut dense = DenseSim::new(2);
+        let mut dense = StateVector::zero_state(2);
         let mut stab = StabilizerSim::new(2);
         for g in &gates {
-            dense.apply_gate(g).unwrap();
+            g.apply(&mut dense);
             stab.apply_gate(g).unwrap();
         }
-        let a = dense.tracepoint_rdm(&[0]);
+        let a = dense.reduced_density_matrix(&[0]);
         let b = stab.tracepoint_rdm(&[0]);
         assert!((&a - &b).frobenius_norm() < 1e-12);
-        assert!(dense.expectation_z(0).abs() < 1e-12);
-        assert!(stab.expectation_z(0).abs() < 1e-12);
     }
 
     #[test]
     fn stabilizer_rejects_t_gate() {
         let mut stab = StabilizerSim::new(1);
-        let err = stab.apply_gate(&Gate::T(0)).unwrap_err();
-        assert!(matches!(err, BackendError::NonClifford(_)));
-    }
-
-    #[test]
-    fn only_density_backend_accepts_channels() {
-        let noise = NoiseModel::ibm_cairo();
-        let g = Gate::X(0);
-        let mut dense = DenseSim::new(1);
-        assert!(matches!(
-            dense.apply_channel(&noise, &g),
-            Err(BackendError::ChannelsUnsupported(BackendKind::Dense))
-        ));
-        let mut density = DenseDensitySim::new(1);
-        density.apply_gate(&g).unwrap();
-        density.apply_channel(&noise, &g).unwrap();
-        let rho = density.tracepoint_rdm(&[0]);
-        assert!(rho[(1, 1)].re < 1.0, "noise must have acted");
-    }
-
-    #[test]
-    fn kind_names_are_stable() {
-        assert_eq!(BackendKind::Dense.as_str(), "dense");
-        assert_eq!(BackendKind::DenseDensity.as_str(), "dense-density");
-        assert_eq!(BackendKind::Stabilizer.as_str(), "stabilizer");
-        assert_eq!(BackendKind::Sparse.as_str(), "sparse");
+        assert!(stab.apply_gate(&Gate::T(0)).is_err());
     }
 }

@@ -33,17 +33,17 @@
 //! [`FastPathStats`].
 
 use std::cmp::Ordering;
-use std::sync::OnceLock;
 
+use morph_clifford::NonCliffordGate;
 use morph_linalg::{CMatrix, C64};
 use morph_qsim::{matrices, Gate, StateVector};
 
-use crate::simulator::{BackendError, BackendKind, Simulator};
+use crate::simulator::Simulator;
 
 /// Upper bound for the spill/switch register: past this width the dense
 /// fallback would not fit in memory, so the budget must hold (and the
 /// switch monitor is disabled).
-pub const SPILL_MAX_QUBITS: usize = 28;
+const SPILL_MAX_QUBITS: usize = 28;
 
 /// Sparse fast-path event counters for one simulation (or, merged, one
 /// characterization sweep).
@@ -83,30 +83,20 @@ impl FastPathStats {
 /// Default nonzero budget for an `n`-qubit register: a quarter of the
 /// full register (sparse stops paying off well before that), capped at
 /// 2^20 entries so wide registers don't hoard memory before spilling.
-pub fn default_budget(n_qubits: usize) -> usize {
+fn default_budget(n_qubits: usize) -> usize {
     1usize << n_qubits.saturating_sub(2).min(20)
-}
-
-fn switch_shift_override() -> Option<u32> {
-    static SHIFT: OnceLock<Option<u32>> = OnceLock::new();
-    *SHIFT.get_or_init(|| morph_trace::env_knob("MORPH_SPARSE_SWITCH_SHIFT"))
 }
 
 /// Default proactive-switch threshold for an `n`-qubit register: an
 /// eighth of the full register, floored at 1024 entries so narrow
-/// registers keep exercising the sparse kernels. `MORPH_SPARSE_SWITCH_SHIFT=s`
-/// overrides the policy with `max(2, 2^n >> s)` (no floor), and the
-/// monitor is disabled entirely (`usize::MAX`) at
-/// [`SPILL_MAX_QUBITS`] or wider, where no dense register could exist.
-pub fn default_switch_threshold(n_qubits: usize) -> usize {
+/// registers keep exercising the sparse kernels. The monitor is disabled
+/// entirely (`usize::MAX`) at [`SPILL_MAX_QUBITS`] or wider, where no
+/// dense register could exist.
+fn default_switch_threshold(n_qubits: usize) -> usize {
     if n_qubits >= SPILL_MAX_QUBITS {
         return usize::MAX;
     }
-    let dim = 1usize << n_qubits;
-    match switch_shift_override() {
-        Some(shift) => (dim >> shift.min(63)).max(2),
-        None => (dim >> 3).max(1024),
-    }
+    ((1usize << n_qubits) >> 3).max(1024)
 }
 
 type Entry = (usize, C64);
@@ -245,7 +235,8 @@ fn merge_pairs(
 ///     sim.apply_gate(&Gate::CX(q - 1, q)).unwrap();
 /// }
 /// assert_eq!(sim.nonzeros(), 2);
-/// assert!(sim.expectation_z(23).abs() < 1e-12);
+/// let rho = sim.tracepoint_rdm(&[23]);
+/// assert!((rho[(0, 0)].re - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SparseSim {
@@ -260,21 +251,15 @@ pub struct SparseSim {
 }
 
 impl SparseSim {
-    /// Starts from `|0…0⟩` with the [`default_budget`] and
-    /// [`default_switch_threshold`].
+    /// Starts from `|0…0⟩` with the default nonzero budget,
+    /// `min(2^(n−2), 2^20)`, and the default switch threshold,
+    /// `max(2^n/8, 1024)`, which is off at 28 qubits or wider.
     pub fn new(n_qubits: usize) -> Self {
         Self::with_thresholds(
             n_qubits,
             default_budget(n_qubits),
             default_switch_threshold(n_qubits),
         )
-    }
-
-    /// Starts from `|0…0⟩` with an explicit nonzero budget and the
-    /// proactive-switch monitor disabled (the PR-7 spill-only
-    /// semantics).
-    pub fn with_budget(n_qubits: usize, budget: usize) -> Self {
-        Self::with_thresholds(n_qubits, budget, usize::MAX)
     }
 
     /// Starts from `|0…0⟩` with explicit spill budget and switch
@@ -819,15 +804,7 @@ impl SparseSim {
 }
 
 impl Simulator for SparseSim {
-    fn n_qubits(&self) -> usize {
-        self.n
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sparse
-    }
-
-    fn apply_gate(&mut self, gate: &Gate) -> Result<(), BackendError> {
+    fn apply_gate(&mut self, gate: &Gate) -> Result<(), NonCliffordGate> {
         match &mut self.dense {
             Some(sv) => gate.apply(sv),
             None => {
@@ -962,7 +939,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for trial in 0..25 {
             let n = rng.gen_range(1..=6);
-            let mut sim = SparseSim::with_budget(n, 1 << n);
+            let mut sim = SparseSim::with_thresholds(n, 1 << n, usize::MAX);
             let mut dense = StateVector::zero_state(n);
             for step in 0..40 {
                 let g = random_gate(n, &mut rng);
@@ -996,7 +973,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..25 {
             let n = rng.gen_range(2..=6);
-            let mut sim = SparseSim::with_budget(n, 1 << n);
+            let mut sim = SparseSim::with_thresholds(n, 1 << n, usize::MAX);
             let mut dense = StateVector::zero_state(n);
             for _ in 0..30 {
                 let g = random_gate(n, &mut rng);
@@ -1041,7 +1018,7 @@ mod tests {
 
     #[test]
     fn budget_overflow_spills_and_stays_correct() {
-        let mut sim = SparseSim::with_budget(4, 4);
+        let mut sim = SparseSim::with_thresholds(4, 4, usize::MAX);
         let mut dense = StateVector::zero_state(4);
         for q in 0..4 {
             sim.apply_gate(&Gate::H(q)).unwrap();
@@ -1105,54 +1082,9 @@ mod tests {
     }
 
     #[test]
-    fn garbage_switch_shift_warns_and_keeps_default() {
-        // `set_var` is UB in a threaded harness, so the garbage value is
-        // probed in a re-exec'd child whose environment is fixed at spawn:
-        // the child re-enters this test, observes the thresholds fall back
-        // to their defaults, and reports through its exit code while the
-        // parent checks the warn-once line on the child's stderr.
-        if std::env::var_os("MORPH_SPARSE_ENV_PROBE").is_some() {
-            let ok = default_switch_threshold(4) == 1024 && default_switch_threshold(16) == 1 << 13;
-            std::process::exit(if ok { 3 } else { 4 });
-        }
-        let exe = std::env::current_exe().expect("test binary path");
-        let out = std::process::Command::new(&exe)
-            .args([
-                "--exact",
-                "sparse::tests::garbage_switch_shift_warns_and_keeps_default",
-                "--nocapture",
-            ])
-            .env("MORPH_SPARSE_ENV_PROBE", "1")
-            .env("MORPH_SPARSE_SWITCH_SHIFT", "not-a-shift")
-            .stdout(std::process::Stdio::null())
-            .output()
-            .expect("spawn probe child");
-        assert_eq!(out.status.code(), Some(3), "defaults survive garbage");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("MORPH_SPARSE_SWITCH_SHIFT"),
-            "invalid knob warns on stderr, got: {stderr}"
-        );
-    }
-
-    #[test]
-    fn default_threshold_respects_floor_and_override() {
-        // Env-aware: the CI adaptive leg runs the suite under
-        // MORPH_SPARSE_SWITCH_SHIFT, which replaces the floored default.
-        match std::env::var("MORPH_SPARSE_SWITCH_SHIFT")
-            .ok()
-            .and_then(|s| s.trim().parse::<u32>().ok())
-        {
-            None => {
-                assert_eq!(default_switch_threshold(4), 1024, "floor holds below 2^13");
-                assert_eq!(default_switch_threshold(16), 1 << 13, "2^16 >> 3");
-            }
-            Some(shift) => {
-                let expect = |n: usize| ((1usize << n) >> shift.min(63)).max(2);
-                assert_eq!(default_switch_threshold(4), expect(4));
-                assert_eq!(default_switch_threshold(16), expect(16));
-            }
-        }
+    fn default_threshold_respects_floor() {
+        assert_eq!(default_switch_threshold(4), 1024, "floor holds below 2^13");
+        assert_eq!(default_switch_threshold(16), 1 << 13, "2^16 >> 3");
         assert_eq!(
             default_switch_threshold(SPILL_MAX_QUBITS),
             usize::MAX,
@@ -1173,9 +1105,8 @@ mod tests {
         let sim = SparseSim::from_statevector(&dense);
         assert_eq!(sim.stats().peak_nonzeros, 1024);
         assert_eq!(sim.stats().spills, 0, "1024 nonzeros fit the 2048 budget");
-        let expect_switch = 1024 >= default_switch_threshold(13);
-        assert_eq!(sim.spilled(), expect_switch);
-        assert_eq!(sim.stats().switches, u64::from(expect_switch));
+        assert!(sim.spilled(), "1024 nonzeros reach the switch threshold");
+        assert_eq!(sim.stats().switches, 1);
     }
 
     #[test]
@@ -1211,7 +1142,7 @@ mod tests {
         // Fusion emits Gate::Unitary payloads; exercise the k-qubit path.
         let mut rng = StdRng::seed_from_u64(8);
         let n = 5;
-        let mut sim = SparseSim::with_budget(n, 1 << n);
+        let mut sim = SparseSim::with_thresholds(n, 1 << n, usize::MAX);
         let mut dense = StateVector::zero_state(n);
         for g in [Gate::H(0), Gate::H(2), Gate::CX(0, 3)] {
             sim.apply_gate(&g).unwrap();

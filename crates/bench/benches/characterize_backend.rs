@@ -9,33 +9,20 @@
 //! bench-feasible); the fast backends still run there, which is the point
 //! of having them.
 //!
-//! Two further groups probe the sparse fast path specifically:
+//! A second group, `bounded_fill`, probes the sparse fast path
+//! specifically: a **non-Clifford** workload (T walls between CX chains
+//! after an 8-qubit H prefix) whose support is permutation- and
+//! diagonal-bound at 2^8 nonzeros. The stabilizer cannot take it, the
+//! dense engine pays 2^n per gate, and the sparse register never grows,
+//! so this isolates the sparse kernels' per-nonzero cost.
 //!
-//! - `bounded_fill` — a **non-Clifford** workload (T walls between CX
-//!   chains after an 8-qubit H prefix) whose support is permutation- and
-//!   diagonal-bound at 2^8 nonzeros: the stabilizer cannot take it, the
-//!   dense engine pays 2^n per gate, and the sparse register never grows,
-//!   so this isolates the sparse kernels' per-nonzero cost.
-//! - `sparse_layout` — the same bounded-fill gate stream applied directly
-//!   (no characterization harness) to the current sorted-vec register and
-//!   to an in-bench `MapSparse` reference reproducing the previous
-//!   `BTreeMap` layout, so the layout change is measured apples-to-apples.
-//!
-//! Set `MORPH_BENCH_QUICK=1` for the CI smoke subset (fewer layers,
-//! samples, and timing repetitions). Set `MORPH_BENCH_JSON=path` to record
-//! the medians — BENCH_8.json in the repo root holds a full run (its
-//! predecessor BENCH_7.json predates the `bounded_fill`/`sparse_layout`
-//! groups and the sorted-vec layout); CI asserts the ≥ 10×
-//! dense-vs-stabilizer gap and the ≥ 3× sorted-vec-vs-map gap from a
-//! quick-mode report.
-
-use std::collections::BTreeMap;
+//! Set `MORPH_BENCH_QUICK=1` for a smoke subset (fewer layers, samples,
+//! and timing repetitions). The benchmark's `corpus` workload (see
+//! `perfbench/`) measures the backends end to end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use morph_backend::{Simulator, SparseSim};
-use morph_linalg::C64;
 use morph_qprog::Circuit;
-use morph_qsim::{Gate, NoiseModel};
+use morph_qsim::NoiseModel;
 use morph_tomography::ReadoutMode;
 use morphqpv::{try_characterize, BackendMode, CancelToken, CharacterizationConfig};
 use rand::rngs::StdRng;
@@ -91,94 +78,6 @@ fn bounded_fill(n: usize) -> Circuit {
     }
     c.tracepoint(1, &[0, 1]);
     c
-}
-
-/// The bounded-fill gate stream as a raw gate list, for the layout micro
-/// benches that bypass the characterization harness.
-fn bounded_fill_gates(n: usize) -> Vec<Gate> {
-    bounded_fill(n)
-        .instructions()
-        .iter()
-        .filter_map(|inst| match inst {
-            morph_qprog::Instruction::Gate(g) => Some(g.clone()),
-            _ => None,
-        })
-        .collect()
-}
-
-/// The previous sparse layout, reproduced for the `sparse_layout` micro
-/// group: a `BTreeMap<usize, C64>` keyed by basis index, group bases
-/// re-sorted per gate, one map probe per gathered amplitude. Only the
-/// kernels the bounded-fill stream needs (H, T, CX) are carried over.
-struct MapSparse {
-    n: usize,
-    amps: BTreeMap<usize, C64>,
-}
-
-impl MapSparse {
-    fn new(n: usize) -> Self {
-        let mut amps = BTreeMap::new();
-        amps.insert(0usize, C64::ONE);
-        MapSparse { n, amps }
-    }
-
-    fn shift(&self, qubit: usize) -> usize {
-        self.n - 1 - qubit
-    }
-
-    fn get(&self, idx: usize) -> C64 {
-        self.amps.get(&idx).copied().unwrap_or(C64::ZERO)
-    }
-
-    fn set(&mut self, idx: usize, v: C64) {
-        if v == C64::ZERO {
-            self.amps.remove(&idx);
-        } else {
-            self.amps.insert(idx, v);
-        }
-    }
-
-    fn touched_bases(&self, group_mask: usize) -> Vec<usize> {
-        let mut bases: Vec<usize> = self.amps.keys().map(|&k| k & !group_mask).collect();
-        bases.sort_unstable();
-        bases.dedup();
-        bases
-    }
-
-    fn apply_gate(&mut self, gate: &Gate) {
-        match gate {
-            Gate::H(q) => {
-                let h = 1.0 / 2f64.sqrt();
-                let mask = 1usize << self.shift(*q);
-                for base in self.touched_bases(mask) {
-                    let a0 = self.get(base);
-                    let a1 = self.get(base | mask);
-                    self.set(base, (a0 + a1).scale(h));
-                    self.set(base | mask, (a0 - a1).scale(h));
-                }
-            }
-            Gate::T(q) => {
-                let mask = 1usize << self.shift(*q);
-                let phase = C64::cis(std::f64::consts::FRAC_PI_4);
-                for (&i, v) in self.amps.iter_mut() {
-                    if i & mask != 0 {
-                        *v *= phase;
-                    }
-                }
-                self.amps.retain(|_, v| *v != C64::ZERO);
-            }
-            Gate::CX(c, t) => {
-                let cmask = 1usize << self.shift(*c);
-                let tmask = 1usize << self.shift(*t);
-                let old = std::mem::take(&mut self.amps);
-                for (i, a) in old {
-                    let j = if i & cmask != 0 { i ^ tmask } else { i };
-                    self.amps.insert(j, a);
-                }
-            }
-            other => unreachable!("bounded-fill stream has no {other:?}"),
-        }
-    }
 }
 
 fn config(backend: BackendMode, samples: usize) -> CharacterizationConfig {
@@ -261,42 +160,5 @@ fn bench_bounded_fill(c: &mut Criterion) {
     group.finish();
 }
 
-/// The layout micro comparison: one bounded-fill gate stream applied
-/// directly to the sorted-vec register (`sorted`) and to the `BTreeMap`
-/// reference (`map`). CI asserts `sorted` beats `map` by ≥ 3× at n = 16.
-fn bench_sparse_layout(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sparse_layout");
-    group.sample_size(if quick() { 3 } else { 10 });
-    for n in [16usize, 20] {
-        let gates = bounded_fill_gates(n);
-        group.bench_with_input(BenchmarkId::new("map", n), &gates, |b, gates| {
-            b.iter(|| {
-                let mut sim = MapSparse::new(n);
-                for g in gates {
-                    sim.apply_gate(std::hint::black_box(g));
-                }
-                std::hint::black_box(sim.amps.len())
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("sorted", n), &gates, |b, gates| {
-            b.iter(|| {
-                // Spill/switch thresholds out of reach: the micro bench
-                // measures the sparse kernels, never the dense fallback.
-                let mut sim = SparseSim::with_thresholds(n, usize::MAX, usize::MAX);
-                for g in gates {
-                    sim.apply_gate(std::hint::black_box(g)).unwrap();
-                }
-                std::hint::black_box(sim.nonzeros())
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_backends,
-    bench_bounded_fill,
-    bench_sparse_layout
-);
+criterion_group!(benches, bench_backends, bench_bounded_fill);
 criterion_main!(benches);

@@ -9,7 +9,7 @@
 //!   batched kernels themselves.
 //!
 //! Set `MORPH_BENCH_QUICK=1` for the CI smoke subset (fewer samples, fewer
-//! timing repetitions). Set `MORPH_BENCH_JSON=path` to record the medians.
+//! timing repetitions).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use morph_qprog::Circuit;

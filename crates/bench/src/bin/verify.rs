@@ -45,10 +45,11 @@
 
 use std::io::{self, Write};
 
+use morph_linalg::C64;
 use morph_store::StoreStats;
 use morphqpv::{
-    CharacterizationCache, InputEnsemble, MorphError, SegmentedCache, SegmentedConfig,
-    ValidationConfig, Verdict, VerificationReport,
+    CharacterizationCache, CounterExample, InputEnsemble, MorphError, SegmentedCache,
+    SegmentedConfig, ValidationConfig, Verdict, VerificationReport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -339,11 +340,11 @@ fn print_report(
                 ..
             } => {
                 writeln!(out, "assertion {i}: FAILED (objective {max_objective:.3})")?;
-                let refined = morphqpv::CounterExample::refine(counterexample);
+                let refined = CounterExample::refine(counterexample);
                 writeln!(
                     out,
-                    "  counter-example: dominant basis state |{:b}>, dominance {:.2}",
-                    refined.dominant_basis_state(),
+                    "  counter-example: {}, dominance {:.2}",
+                    witness(&refined),
                     refined.dominance
                 )?;
             }
@@ -374,6 +375,61 @@ fn print_report(
         )?;
     }
     Ok(())
+}
+
+/// Names a counter-example's state: its amplitudes for at most two
+/// qubits, e.g. `0.707|0> - 0.707|1>`, with the global phase fixed so the
+/// largest amplitude (the first, on a tie) is real and positive and terms
+/// below 1e-3 omitted; the dominant basis state for wider witnesses.
+fn witness(ce: &CounterExample) -> String {
+    let n = ce.state.n_qubits();
+    if n > 2 {
+        return format!("dominant basis state |{:b}>", ce.dominant_basis_state());
+    }
+    let amps = ce.state.amplitudes();
+    let mut top = 0;
+    for (i, a) in amps.iter().enumerate() {
+        if a.abs() > amps[top].abs() + 1e-9 {
+            top = i;
+        }
+    }
+    let phase = amps[top].conj().scale(1.0 / amps[top].abs());
+    let mut line = String::new();
+    for (i, &a) in amps.iter().enumerate() {
+        let a = a * phase;
+        if a.abs() < 1e-3 {
+            continue;
+        }
+        let (negative, coefficient) = coefficient(a);
+        let sign = match (line.is_empty(), negative) {
+            (true, false) => "",
+            (true, true) => "-",
+            (false, false) => " + ",
+            (false, true) => " - ",
+        };
+        line.push_str(&format!("{sign}{coefficient}|{i:0n$b}>"));
+    }
+    line
+}
+
+/// A nonzero amplitude as a sign and a magnitude at three decimals:
+/// `0.707` or `0.707i` when one part rounds to zero, else
+/// `(0.500+0.500i)` with the sign taken from the real part.
+fn coefficient(a: C64) -> (bool, String) {
+    let zero = |x: f64| x.abs() < 5e-4;
+    if zero(a.im) {
+        (a.re < 0.0, format!("{:.3}", a.re.abs()))
+    } else if zero(a.re) {
+        (a.im < 0.0, format!("{:.3}i", a.im.abs()))
+    } else {
+        let negative = a.re < 0.0;
+        let a = if negative { -a } else { a };
+        let im_sign = if a.im < 0.0 { '-' } else { '+' };
+        (
+            negative,
+            format!("({:.3}{im_sign}{:.3}i)", a.re, a.im.abs()),
+        )
+    }
 }
 
 /// Writes the recorded span tree to `path` as JSON, if a path was given.

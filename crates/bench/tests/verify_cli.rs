@@ -80,6 +80,23 @@ fn refuted_program_exits_two_with_counterexample() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The GHZ example's second assertion is refuted by |−⟩, whose P(0) is
+/// 0.5: the witness line must name both amplitudes, not one of two tied
+/// basis states.
+#[test]
+fn small_witnesses_print_their_amplitudes() {
+    let program =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/programs/ghz.qasm");
+    let out = run_verify(&program, &["--seed", "0"], &[]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let line = stdout
+        .lines()
+        .find(|l| l.contains("counter-example"))
+        .unwrap_or_else(|| panic!("no counter-example line: {stdout}"));
+    assert!(line.contains("|0>") && line.contains("|1>"), "{line}");
+}
+
 #[test]
 fn zero_restarts_is_a_structured_error_exit_one() {
     let dir = scratch("restarts");

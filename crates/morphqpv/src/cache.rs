@@ -47,10 +47,10 @@ use crate::characterize::{Characterization, CharacterizationConfig};
 /// v4: S/S† execute as exact component swaps (`diag(1, ±i)` without a
 /// complex multiply), changing rounding on any circuit containing them,
 /// and the sweep may now run on stabilizer/sparse fast paths.
-/// `CharacterizationConfig::backend` and `MORPH_BACKEND` are excluded
-/// like `parallelism`: the sparse path is bit-identical to dense and the
-/// stabilizer path reads out algebraically exact states, so the backend
-/// must not fragment the cache.
+/// `CharacterizationConfig::backend` is excluded like `parallelism`:
+/// the sparse path is bit-identical to dense and the stabilizer path
+/// reads out algebraically exact states, so the backend must not
+/// fragment the cache.
 pub const FINGERPRINT_DOMAIN: &str = "morphqpv/characterization/v4";
 
 /// Version of the artifact payload layout inside the store envelope

@@ -55,9 +55,7 @@ pub struct CharacterizationConfig {
     /// "Deterministic parallelism").
     pub parallelism: usize,
     /// Which simulation backend executes the sweep (default:
-    /// [`BackendMode::Auto`]). The `MORPH_BACKEND` environment variable
-    /// replaces `Auto` at plan time (explicitly forced modes keep their
-    /// say); the effective choice is recorded in
+    /// [`BackendMode::Auto`]); the effective choice is recorded in
     /// [`Characterization::backend`]. Like `parallelism`, the mode is
     /// excluded from the cache fingerprint — fast paths are
     /// value-equivalent to the dense kernels (bit-identical on the sparse

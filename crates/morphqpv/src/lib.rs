@@ -116,7 +116,7 @@ pub use incremental::{
     DEFAULT_SEGMENT_GATES, SEGMENT_CUT_DOMAIN, SEGMENT_DOMAIN,
 };
 pub use landscape::{input_landscape, landscape_peak, LandscapePoint};
-pub use morph_backend::{BackendChoice, BackendKind};
+pub use morph_backend::BackendChoice;
 // The ensemble and explicit-input types appear in the `Verifier` builder
 // surface; re-export them so callers configure a run without a direct
 // morph-clifford dep.

@@ -123,8 +123,7 @@ impl Verifier {
     }
 
     /// Selects the simulation backend for the sampling sweep (default:
-    /// [`morph_qprog::BackendMode::Auto`]; the `MORPH_BACKEND` environment
-    /// variable replaces `Auto` at plan time).
+    /// [`morph_qprog::BackendMode::Auto`]).
     pub fn backend(mut self, backend: morph_qprog::BackendMode) -> Self {
         self.characterization_config.backend = backend;
         self

@@ -2,12 +2,12 @@
 //!
 //! Section 6.1 turns an assume–guarantee assertion into
 //! `maximize P₃(α) subject to P₁(α) ≤ 0, P₂(α) ≤ 0` over the real
-//! coefficients `α` of the isomorphism-based approximation. This crate
+//! coefficients `α` of the isomorphism-based approximation; the caller
+//! folds the constraints into its objective as penalties. This crate
 //! supplies:
 //!
 //! - [`Objective`] / [`FnObjective`]: the function interface (finite-
 //!   difference gradients by default).
-//! - [`ConstrainedProblem`]: quadratic-penalty handling of the assumptions.
 //! - Solvers ([`Optimizer`] implementations): [`GradientAscent`] (Adam),
 //!   [`GeneticAlgorithm`], [`SimulatedAnnealing`], and [`QuadraticProgram`]
 //!   — the latter standing in for the paper's Gurobi backend and compared
@@ -41,7 +41,7 @@ mod solvers;
 
 pub use error::{nan_improves, nan_last_cmp, SolveError};
 pub use nelder_mead::NelderMead;
-pub use objective::{Bounds, ConstrainedProblem, FnObjective, Objective, OptResult};
+pub use objective::{Bounds, FnObjective, Objective, OptResult};
 pub use solvers::{
     GeneticAlgorithm, GradientAscent, Optimizer, QuadraticProgram, SimulatedAnnealing,
 };

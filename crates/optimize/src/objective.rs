@@ -1,4 +1,4 @@
-//! Objective functions, bounds, and constrained-problem wrappers.
+//! Objective functions and bounds.
 
 use std::fmt;
 
@@ -149,71 +149,6 @@ pub struct OptResult {
     pub evaluations: u64,
 }
 
-/// A maximization problem with inequality constraints `g_i(x) ≤ 0`, solved
-/// via escalating quadratic penalties — the form assertion validation takes
-/// in Section 6.1.
-pub struct ConstrainedProblem<'a> {
-    objective: &'a dyn Objective,
-    constraints: Vec<&'a dyn Objective>,
-}
-
-impl<'a> ConstrainedProblem<'a> {
-    /// Creates a problem maximizing `objective` subject to every constraint
-    /// function being ≤ 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any constraint has a different dimension.
-    pub fn new(objective: &'a dyn Objective, constraints: Vec<&'a dyn Objective>) -> Self {
-        for c in &constraints {
-            assert_eq!(c.dim(), objective.dim(), "constraint dimension mismatch");
-        }
-        ConstrainedProblem {
-            objective,
-            constraints,
-        }
-    }
-
-    /// Search dimension.
-    pub fn dim(&self) -> usize {
-        self.objective.dim()
-    }
-
-    /// Penalized objective value with the given penalty weight.
-    pub fn penalized_value(&self, x: &[f64], weight: f64) -> f64 {
-        let mut v = self.objective.value(x);
-        for c in &self.constraints {
-            let g = c.value(x);
-            if g > 0.0 {
-                v -= weight * g * g;
-            }
-        }
-        v
-    }
-
-    /// True objective (unpenalized).
-    pub fn objective_value(&self, x: &[f64]) -> f64 {
-        self.objective.value(x)
-    }
-
-    /// Maximum constraint violation at `x` (0 when feasible).
-    pub fn violation(&self, x: &[f64]) -> f64 {
-        self.constraints
-            .iter()
-            .map(|c| c.value(x).max(0.0))
-            .fold(0.0, f64::max)
-    }
-}
-
-impl fmt::Debug for ConstrainedProblem<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ConstrainedProblem")
-            .field("dim", &self.dim())
-            .field("n_constraints", &self.constraints.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,15 +187,5 @@ mod tests {
     #[should_panic(expected = "lower bound exceeds")]
     fn invalid_bounds_rejected() {
         let _ = Bounds::new(vec![1.0], vec![0.0]);
-    }
-
-    #[test]
-    fn penalty_punishes_violation() {
-        let obj = FnObjective::new(1, |x| x[0]);
-        let con = FnObjective::new(1, |x| x[0] - 0.5); // x ≤ 0.5
-        let prob = ConstrainedProblem::new(&obj, vec![&con]);
-        assert!(prob.penalized_value(&[0.4], 100.0) > prob.penalized_value(&[1.0], 100.0));
-        assert_eq!(prob.violation(&[0.4]), 0.0);
-        assert!((prob.violation(&[1.0]) - 0.5).abs() < 1e-12);
     }
 }

@@ -6,15 +6,11 @@
 //! handlers, benches — can express a preference without depending on the
 //! backend crate.
 
-use std::fmt;
-use std::str::FromStr;
-
 /// Which simulation backend a run should use.
 ///
 /// `Auto` (the default) lets the circuit-analysis pass pick: stabilizer for
 /// all-Clifford unitary circuits, sparse for low-branching circuits, dense
-/// otherwise. The forced modes exist for tests, benches, and the
-/// `MORPH_BACKEND` environment override.
+/// otherwise. The forced modes exist for tests and benches.
 ///
 /// # Examples
 ///
@@ -22,8 +18,7 @@ use std::str::FromStr;
 /// use morph_qprog::BackendMode;
 ///
 /// assert_eq!(BackendMode::default(), BackendMode::Auto);
-/// assert_eq!("stabilizer".parse(), Ok(BackendMode::Stabilizer));
-/// assert!("tensor-network".parse::<BackendMode>().is_err());
+/// assert_eq!(BackendMode::ALL[0], BackendMode::Auto);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendMode {
@@ -49,126 +44,4 @@ impl BackendMode {
         BackendMode::Stabilizer,
         BackendMode::Sparse,
     ];
-
-    /// Stable lowercase name (round-trips through [`FromStr`]).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BackendMode::Auto => "auto",
-            BackendMode::Dense => "dense",
-            BackendMode::Stabilizer => "stabilizer",
-            BackendMode::Sparse => "sparse",
-        }
-    }
-
-    /// The mode requested by the `MORPH_BACKEND` environment variable, or
-    /// `None` when unset or empty. Unrecognized values panic rather than
-    /// silently running on the wrong backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `MORPH_BACKEND` is set to something other than
-    /// `auto|dense|stabilizer|sparse` (case-insensitive).
-    pub fn from_env() -> Option<BackendMode> {
-        let raw = std::env::var("MORPH_BACKEND").ok()?;
-        if raw.trim().is_empty() {
-            return None;
-        }
-        match raw.parse() {
-            Ok(mode) => Some(mode),
-            Err(err) => panic!("MORPH_BACKEND: {err}"),
-        }
-    }
-
-    /// This mode with the `MORPH_BACKEND` override applied. The env
-    /// variable replaces `Auto` — so a test matrix can force a backend
-    /// across every default call site without touching them — but a mode
-    /// that was forced *explicitly* in code keeps its say: parity tests
-    /// that pin a dense oracle against a pinned fast path must stay
-    /// meaningful under the CI forced-backend matrix.
-    pub fn resolve(self) -> BackendMode {
-        match self {
-            BackendMode::Auto => BackendMode::from_env().unwrap_or(self),
-            forced => forced,
-        }
-    }
-}
-
-impl fmt::Display for BackendMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Error for unrecognized [`BackendMode`] names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseBackendModeError(String);
-
-impl fmt::Display for ParseBackendModeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown backend mode {:?} (expected auto, dense, stabilizer, or sparse)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseBackendModeError {}
-
-impl FromStr for BackendMode {
-    type Err = ParseBackendModeError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Ok(BackendMode::Auto),
-            "dense" => Ok(BackendMode::Dense),
-            "stabilizer" => Ok(BackendMode::Stabilizer),
-            "sparse" => Ok(BackendMode::Sparse),
-            _ => Err(ParseBackendModeError(s.to_string())),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_round_trips_and_is_case_insensitive() {
-        for mode in BackendMode::ALL {
-            assert_eq!(mode.as_str().parse(), Ok(mode));
-            assert_eq!(mode.as_str().to_uppercase().parse(), Ok(mode));
-            assert_eq!(mode.to_string(), mode.as_str());
-        }
-    }
-
-    #[test]
-    fn unknown_name_is_an_error() {
-        let err = "tensor".parse::<BackendMode>().unwrap_err();
-        assert!(err.to_string().contains("tensor"), "{err}");
-    }
-
-    #[test]
-    fn resolve_without_env_returns_self() {
-        // MORPH_BACKEND is never set inside the test harness environment;
-        // the env-override path is exercised by the CI forced-backend
-        // matrix on tests/simulator_kernels.rs.
-        if std::env::var("MORPH_BACKEND").is_err() {
-            assert_eq!(BackendMode::Sparse.resolve(), BackendMode::Sparse);
-            assert_eq!(BackendMode::Auto.resolve(), BackendMode::Auto);
-        }
-    }
-
-    #[test]
-    fn explicitly_forced_modes_ignore_the_env_override() {
-        // Holds whether or not the CI matrix set MORPH_BACKEND: only
-        // `Auto` consults the environment.
-        for mode in [
-            BackendMode::Dense,
-            BackendMode::Stabilizer,
-            BackendMode::Sparse,
-        ] {
-            assert_eq!(mode.resolve(), mode);
-        }
-    }
 }

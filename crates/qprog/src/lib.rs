@@ -36,7 +36,7 @@ mod optimize_pass;
 mod parser;
 mod writer;
 
-pub use backend_mode::{BackendMode, ParseBackendModeError};
+pub use backend_mode::BackendMode;
 pub use circuit::{repeated_qubit, Circuit, Instruction, TracepointId};
 pub use executor::{ExecutionRecord, Executor, ExecutorBuilder, ExpectedRecord};
 pub use fusion::fuse_circuit;

@@ -19,13 +19,10 @@
 //! channels apply in closed form on 2×2 blocks with no Kraus operators at
 //! all.
 //!
-//! Registers at or above the [`MORPH_DENSITY_PAR_THRESHOLD`-controlled
-//! threshold](crate::DensityMatrix::apply_gate) fan the sweeps out over row
-//! chunks with `morph_parallel::parallel_chunks_mut`; every element's new
+//! Registers of 10 qubits or more fan the sweeps out over row chunks with
+//! `morph_parallel::parallel_chunks_mut`; every element's new
 //! value is a pure function of the old matrix, so results are bit-identical
 //! at any worker count.
-
-use std::sync::OnceLock;
 
 use morph_linalg::{eigh, CMatrix, C64};
 use rand::Rng;
@@ -34,22 +31,14 @@ use crate::bits;
 use crate::gate::{matrices, Gate};
 use crate::state::StateVector;
 
-/// Default qubit count at which local kernels start fanning out over row
-/// chunks; below it a single O(4^n) sweep is cheaper than thread dispatch.
-const DEFAULT_PARALLEL_THRESHOLD: usize = 10;
-
-/// Threshold resolved once from `MORPH_DENSITY_PAR_THRESHOLD`.
-fn parallel_threshold() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        morph_trace::env_knob("MORPH_DENSITY_PAR_THRESHOLD").unwrap_or(DEFAULT_PARALLEL_THRESHOLD)
-    })
-}
+/// Qubit count at which local kernels start fanning out over row chunks;
+/// below it a single O(4^n) sweep is cheaper than thread dispatch.
+const PARALLEL_THRESHOLD: usize = 10;
 
 /// Worker request for an `n`-qubit kernel: serial below the threshold, all
 /// cores (`0`) at or above it.
 fn auto_workers(n_qubits: usize) -> usize {
-    if n_qubits >= parallel_threshold() {
+    if n_qubits >= PARALLEL_THRESHOLD {
         0
     } else {
         1

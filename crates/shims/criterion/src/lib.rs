@@ -8,15 +8,8 @@
 //! criterion's statistical analysis it runs a fixed warm-up plus `sample_size`
 //! timed samples and reports the median, min, and max wall-clock time per
 //! iteration.
-//!
-//! When the `MORPH_BENCH_JSON` environment variable names a file path,
-//! [`criterion_main!`] additionally writes every completed benchmark as a
-//! machine-readable report (`{"schema":"morph-bench/1","benchmarks":[...]}`
-//! with per-benchmark median/min/max nanoseconds) so perf runs can be
-//! recorded and diffed across commits.
 
 use std::fmt::Display;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -151,21 +144,6 @@ impl Bencher {
     }
 }
 
-/// One completed benchmark, kept for the JSON report.
-#[derive(Debug, Clone)]
-struct BenchRecord {
-    label: String,
-    median_ns: u128,
-    min_ns: u128,
-    max_ns: u128,
-    samples: usize,
-}
-
-fn records() -> &'static Mutex<Vec<BenchRecord>> {
-    static RECORDS: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
-    &RECORDS
-}
-
 fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, sample_size: usize, mut f: F) {
     let mut bencher = Bencher {
         samples: Vec::new(),
@@ -186,64 +164,6 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, sample_size: usize, mut f:
         format_duration(median),
         format_duration(max)
     );
-    records()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(BenchRecord {
-            label: label.to_string(),
-            median_ns: median.as_nanos(),
-            min_ns: min.as_nanos(),
-            max_ns: max.as_nanos(),
-            samples: bencher.samples.len(),
-        });
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders every recorded benchmark as the `morph-bench/1` JSON report.
-pub fn json_report() -> String {
-    let records = records().lock().unwrap_or_else(|e| e.into_inner());
-    let mut out = String::from("{\"schema\":\"morph-bench/1\",\"benchmarks\":[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"label\":\"{}\",\"median_ns\":{},\"min_ns\":{},\"max_ns\":{},\"samples\":{}}}",
-            escape_json(&r.label),
-            r.median_ns,
-            r.min_ns,
-            r.max_ns,
-            r.samples
-        ));
-    }
-    out.push_str("]}\n");
-    out
-}
-
-/// Writes the JSON report to the path named by `MORPH_BENCH_JSON`, if set.
-/// Called by [`criterion_main!`] after all groups finish; a no-op without
-/// the variable.
-pub fn write_json_report() {
-    let Some(path) = std::env::var_os("MORPH_BENCH_JSON") else {
-        return;
-    };
-    let report = json_report();
-    match std::fs::write(&path, &report) {
-        Ok(()) => println!("\nwrote bench report to {}", path.to_string_lossy()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.to_string_lossy()),
-    }
 }
 
 fn format_duration(d: Duration) -> String {
@@ -270,14 +190,12 @@ macro_rules! criterion_group {
     };
 }
 
-/// Declares `main` running the given bench groups, then writing the JSON
-/// report when `MORPH_BENCH_JSON` is set.
+/// Declares `main` running the given bench groups.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $($group();)+
-            $crate::write_json_report();
         }
     };
 }
@@ -294,24 +212,6 @@ mod tests {
             .sample_size(3)
             .bench_with_input(BenchmarkId::new("id", 1), &2u64, |b, &x| b.iter(|| x * x));
         group.finish();
-    }
-
-    #[test]
-    fn json_report_contains_recorded_benchmarks() {
-        let mut c = Criterion::default();
-        let mut group = c.benchmark_group("json\"group");
-        group
-            .sample_size(2)
-            .bench_function("case", |b| b.iter(|| black_box(1u64) + 1));
-        group.finish();
-        let report = json_report();
-        assert!(report.starts_with("{\"schema\":\"morph-bench/1\""));
-        assert!(
-            report.contains("\"label\":\"json\\\"group/case\""),
-            "labels are JSON-escaped: {report}"
-        );
-        assert!(report.contains("\"median_ns\":"));
-        assert!(report.contains("\"samples\":2"));
     }
 
     #[test]

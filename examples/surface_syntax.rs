@@ -17,7 +17,7 @@ cx q[0],q[1];
 cx q[1],q[2];
 T 2 q[0,1,2];
 // assert assume is_pure(T1) guarantee is_pure(T2)
-// assert assume prob_at_least(T1, 0, 0.5) guarantee prob_at_least(T2, 0, 0.4)
+// assert assume prob_at_least(T1, 0, 0.9) guarantee prob_at_least(T2, 0, 0.15)
 ";
 
 // A stray phase error: invisible to purity and probability predicates
@@ -39,7 +39,9 @@ fn verify(source: &str) -> bool {
     let circuit = parse_program(source).expect("valid program");
     let assertions = assertions_from_source(source).expect("valid specs");
     // Four Pauli-product inputs span the one input qubit's operator space,
-    // so the characterization, and with it every verdict, is exact.
+    // so the characterization is exact; each verdict is only as good as
+    // the solver that searches it. The second spec above holds for every
+    // input: P(|000>) = <+|rho|+> >= 0.2 whenever <0|rho|0> >= 0.9.
     let mut verifier = Verifier::new(circuit)
         .input_qubits(&[0])
         .samples(4)

@@ -513,7 +513,9 @@ proptest! {
     /// The proactive switch threshold is an exact boundary: a threshold the
     /// high-water mark `P` reaches exactly triggers the sparse→dense
     /// switch, `P + 1` leaves the whole run sparse, and gates applied after
-    /// the switch keep the amplitudes bit-identical to dense.
+    /// the switch keep the amplitudes bit-identical to dense. The floor
+    /// threshold of 2 switches at the leading H, so nearly the whole
+    /// stream runs on the dense register after the handoff.
     #[test]
     fn sparse_switch_threshold_boundary_is_exact(
         tail in proptest::collection::vec(arb_gate(4), 2..14),
@@ -530,19 +532,25 @@ proptest! {
         let mut dense = StateVector::zero_state(n);
         let mut at = SparseSim::with_thresholds(n, usize::MAX, peak);
         let mut above = SparseSim::with_thresholds(n, usize::MAX, peak + 1);
+        let mut floor = SparseSim::with_thresholds(n, usize::MAX, 2);
         for g in &gates {
             g.apply(&mut dense);
             at.apply_gate(g).unwrap();
             above.apply_gate(g).unwrap();
+            floor.apply_gate(g).unwrap();
         }
         prop_assert!(at.spilled(), "threshold reached exactly must switch");
         prop_assert_eq!(at.stats().switches, 1);
         prop_assert_eq!(at.stats().spills, 0);
         prop_assert!(!above.spilled(), "one above the peak must stay sparse");
         prop_assert_eq!(above.stats().switches, 0);
+        prop_assert!(floor.spilled(), "the floor threshold must switch");
+        prop_assert_eq!(floor.stats().switches, 1);
+        prop_assert_eq!(floor.stats().spills, 0);
         for (i, &want) in dense.amplitudes().iter().enumerate() {
             prop_assert_eq!(at.amplitude(i), want);
             prop_assert_eq!(above.amplitude(i), want);
+            prop_assert_eq!(floor.amplitude(i), want);
         }
     }
 }
@@ -672,7 +680,7 @@ fn adaptive_switch_sweep_is_deterministic_and_bitwise_dense() {
 /// planner onto the prefix-splice path: the tableau runs the Clifford
 /// prefix, hands the exact statevector to the dense engine, and the traces
 /// match an all-dense run to `TOL` while staying bit-identical across
-/// worker counts.
+/// worker counts. The parity and determinism checks run on every mode.
 #[test]
 fn clifford_prefix_splice_matches_dense_and_is_deterministic() {
     let n = 14;
@@ -692,36 +700,37 @@ fn clifford_prefix_splice_matches_dense_and_is_deterministic() {
     c.t(1);
     c.tracepoint(2, &[0, 1, 2]);
 
-    let auto = characterize_on(&c, InputEnsemble::Clifford, 3, BackendMode::Auto, 1, 11);
-    // Under the CI forced-backend matrix MORPH_BACKEND replaces `Auto`, so
-    // only assert the splice when the planner actually got to choose. The
-    // dense-parity and determinism checks below hold on every backend.
-    if BackendMode::from_env().is_none() {
-        assert!(
-            matches!(auto.backend, BackendChoice::CliffordPrefix { .. }),
-            "expected a prefix splice, planned {:?}",
-            auto.backend
-        );
-    }
     let dense = characterize_on(&c, InputEnsemble::Clifford, 3, BackendMode::Dense, 1, 11);
-    for (id, states) in &dense.traces {
-        for (want, got) in states.iter().zip(&auto.traces[id]) {
+    for mode in BackendMode::ALL {
+        let serial = characterize_on(&c, InputEnsemble::Clifford, 3, mode, 1, 11);
+        if mode == BackendMode::Auto {
             assert!(
-                max_abs_diff(got, want) < TOL,
-                "spliced trace at {id} diverged from dense"
+                matches!(serial.backend, BackendChoice::CliffordPrefix { .. }),
+                "expected a prefix splice, planned {:?}",
+                serial.backend
             );
         }
+        for (id, states) in &dense.traces {
+            for (want, got) in states.iter().zip(&serial.traces[id]) {
+                assert!(
+                    max_abs_diff(got, want) < TOL,
+                    "{mode:?}: trace at {id} diverged from dense"
+                );
+            }
+        }
+        let wide = characterize_on(&c, InputEnsemble::Clifford, 3, mode, 0, 11);
+        assert_eq!(wide.backend, serial.backend, "{mode:?}");
+        assert_eq!(wide.traces, serial.traces, "{mode:?}");
+        assert_eq!(wide.ledger, serial.ledger, "{mode:?}");
     }
-    let wide = characterize_on(&c, InputEnsemble::Clifford, 3, BackendMode::Auto, 0, 11);
-    assert_eq!(wide.backend, auto.backend);
-    assert_eq!(wide.traces, auto.traces);
-    assert_eq!(wide.ledger, auto.ledger);
 }
 
 /// The ISSUE 7 acceptance sweep: a 20-qubit Clifford characterization —
 /// far past the dense comfort zone for a test suite — auto-selects the
 /// stabilizer backend, completes, yields unit-trace tracepoint states, and
-/// is bit-identical at every worker count.
+/// is bit-identical at every worker count. The trace and determinism
+/// checks run on every mode; the dense and sparse ones pay the full
+/// `2^20` register.
 #[test]
 fn wide_clifford_sweep_completes_on_the_stabilizer_backend() {
     let n = 20;
@@ -738,24 +747,23 @@ fn wide_clifford_sweep_completes_on_the_stabilizer_backend() {
     }
     c.tracepoint(2, &[0, 1, 2]);
 
-    let serial = characterize_on(&c, InputEnsemble::Clifford, 4, BackendMode::Auto, 1, 3);
-    // The forced-backend CI matrix replaces `Auto`; a forced stabilizer
-    // run still selects the tableau here (the circuit is all-Clifford),
-    // while forced dense/sparse runs only exercise the determinism checks.
-    match BackendMode::from_env() {
-        None | Some(BackendMode::Auto) | Some(BackendMode::Stabilizer) => {
+    for mode in BackendMode::ALL {
+        let serial = characterize_on(&c, InputEnsemble::Clifford, 4, mode, 1, 3);
+        if matches!(mode, BackendMode::Auto | BackendMode::Stabilizer) {
             assert_eq!(serial.backend, BackendChoice::Stabilizer);
         }
-        Some(_) => {}
-    }
-    for states in serial.traces.values() {
-        assert_eq!(states.len(), 4);
-        for rho in states {
-            assert!((rho.trace().re - 1.0).abs() < 1e-9, "trace drifted");
+        for states in serial.traces.values() {
+            assert_eq!(states.len(), 4);
+            for rho in states {
+                assert!(
+                    (rho.trace().re - 1.0).abs() < 1e-9,
+                    "{mode:?}: trace drifted"
+                );
+            }
         }
+        let wide = characterize_on(&c, InputEnsemble::Clifford, 4, mode, 0, 3);
+        assert_eq!(wide.backend, serial.backend, "{mode:?}");
+        assert_eq!(wide.traces, serial.traces, "{mode:?}");
+        assert_eq!(wide.ledger, serial.ledger, "{mode:?}");
     }
-    let wide = characterize_on(&c, InputEnsemble::Clifford, 4, BackendMode::Auto, 0, 3);
-    assert_eq!(wide.backend, serial.backend);
-    assert_eq!(wide.traces, serial.traces);
-    assert_eq!(wide.ledger, serial.ledger);
 }
