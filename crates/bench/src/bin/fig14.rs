@@ -2,86 +2,47 @@
 //! injecting intermediate tracepoints and chaining per-segment
 //! approximations (with between-stage purification — see EXPERIMENTS.md).
 //!
-//! The chain comes from the incremental path with its cuts pinned to the
-//! injected tracepoints: `segment_gates(usize::MAX)` adds no
-//! content-defined cut, so each gap between tracepoints is one stage.
+//! Each chunk between the injected tracepoints is characterized as its own
+//! program and fitted as one stage of the chain ([`chain_stages`]).
 
 use morph_bench::rows::{fmt_f, print_table, save_csv};
+use morph_bench::{chain_stages, ideal_output};
 use morph_clifford::InputEnsemble;
 use morph_linalg::hs_accuracy;
 use morph_qalgo::{Benchmark, Qnn};
-use morph_qprog::{Circuit, Executor, Instruction, TracepointId};
-use morph_qsim::{NoiseModel, StateVector};
-use morphqpv::{
-    try_characterize_incremental, CharacterizationConfig, Mitigation, SegmentedCache,
-    SegmentedConfig,
-};
+use morph_qprog::Circuit;
+use morph_qsim::NoiseModel;
+use morphqpv::{CharacterizationConfig, Mitigation};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const N: usize = 3;
 // Full operator span (4^N) so chaining accuracy is limited by noise only.
 const SAMPLES: usize = 64;
 
-/// Splits `circuit`'s gates into chunks of `ceil(gates / k)` gates (at
-/// most `k` chunks, fewer when the division leaves them short), with a
-/// full-register tracepoint before the first chunk and after every chunk,
-/// and chains one noisy stage per chunk. Returns the number of
-/// intermediate tracepoints and the mean accuracy on unseen inputs.
-fn accuracy_with_segments(circuit: &Circuit, k: usize, rng: &mut StdRng) -> (u64, f64) {
+/// Chains one noisy stage per chunk of `ceil(gates / k)` gates. Returns
+/// the number of intermediate tracepoints and the mean accuracy on unseen
+/// inputs.
+fn accuracy_with_segments(circuit: &Circuit, k: usize, rng: &mut StdRng) -> (usize, f64) {
     let config = CharacterizationConfig {
         n_samples: SAMPLES,
         noise: NoiseModel::ibm_cairo(),
         ensemble: InputEnsemble::PauliProduct,
         ..CharacterizationConfig::exact((0..N).collect(), SAMPLES)
     };
-    let all: Vec<usize> = (0..N).collect();
-    let gates: Vec<&Instruction> = circuit
-        .instructions()
-        .iter()
-        .filter(|i| matches!(i, Instruction::Gate(_)))
-        .collect();
-    let mut traced = Circuit::new(N);
-    traced.tracepoint(0, &all);
-    for (i, chunk) in gates.chunks(gates.len().div_ceil(k)).enumerate() {
-        for inst in chunk {
-            traced.push((*inst).clone());
-        }
-        traced.tracepoint(i as u32 + 1, &all);
-    }
-    let seg = try_characterize_incremental(
-        &traced,
-        &config,
-        &SegmentedConfig::new().segment_gates(usize::MAX),
-        rng,
-        &mut SegmentedCache::in_memory(),
-    )
-    .expect("benchmark circuit segments cleanly");
-    assert_eq!(
-        seg.segments.total as usize,
-        traced.tracepoints().len() - 1,
-        "one segment per gap between tracepoints"
-    );
+    let (chain, _) =
+        chain_stages(circuit, k, &config, rng.gen()).expect("benchmark circuit chains");
 
     // Ideal (noiseless) ground truth on unseen inputs.
     let probes = InputEnsemble::Clifford.generate(N, 8, rng);
     let mut acc = 0.0;
     for p in &probes {
-        let mut full = Circuit::new(N);
-        full.extend_from(&p.prep);
-        full.extend_from(circuit);
-        full.tracepoint(1, &(0..N).collect::<Vec<_>>());
-        let truth = Executor::default()
-            .run_expected(&full, &StateVector::zero_state(N))
-            .state(TracepointId(1))
-            .clone();
-        let predicted = seg
-            .chain
+        let predicted = chain
             .predict_with_mitigation(&p.rho, Mitigation::Purify)
             .expect("dimension match");
-        acc += hs_accuracy(&predicted, &truth);
+        acc += hs_accuracy(&predicted, &ideal_output(circuit, p));
     }
-    (seg.segments.total - 1, acc / probes.len() as f64)
+    (chain.len() - 1, acc / probes.len() as f64)
 }
 
 fn main() {

@@ -22,21 +22,17 @@
 //! the same report (a cached run adds one `cache:` line). `--no-cache`
 //! disables the cache even when the environment variable is set.
 //!
-//! Incremental verification: `--incremental` (or `MORPH_INCREMENTAL=1`)
-//! characterizes the program segment by segment against the cache, so
-//! re-verifying an edited program recomputes only the segments the edit
-//! touched; the report gains a `segments: H hits, M misses` line.
-//! `--segment-gates N` (or `MORPH_SEGMENT_GATES`) overrides the target
-//! segment length. With `--cache-dir`, segment artifacts persist across
-//! invocations; without it, the cache (and thus reuse) is in-memory and
-//! limited to duplicate segments within the run.
+//! Incremental verification: `--incremental` records the key of every
+//! segment boundary in the cache, so re-verifying an edited program
+//! reports the segments before its first edited one as hits. It prints
+//! the report an uncached run prints, and adds a `segments: H hits, M
+//! misses` line. `--segment-gates N` sets the target segment length
+//! (default 4). With `--cache-dir`, boundary keys persist across
+//! invocations; without it, the cache is in-memory and one run hits
+//! nothing.
 //!
 //! `--ensemble NAME` selects the input ensemble (`clifford`, the default;
-//! `pauli_product`; `basis`). Incremental runs fit each segment over the
-//! full register width, so chained predictions are exact only when the
-//! ensemble spans the operator space — `pauli_product` with
-//! `--samples 4^width` guarantees that; the default `clifford` ensemble
-//! may report approximate verdicts under `--incremental`.
+//! `pauli_product`; `basis`), with or without `--incremental`.
 //!
 //! Telemetry: `--trace-json PATH` (or `MORPH_TRACE=1` for a stderr summary
 //! without the file) enables the `morph-trace` recorder and writes the span
@@ -70,12 +66,7 @@ fn run() -> i32 {
     let mut no_cache = false;
     let mut restarts: Option<usize> = None;
     let mut trace_json: Option<String> = None;
-    // MORPH_INCREMENTAL=1 turns the flag on from the environment (any
-    // nonzero value counts); the flag itself always wins.
-    let mut incremental = matches!(
-        morph_trace::env_knob::<usize>("MORPH_INCREMENTAL"),
-        Some(n) if n != 0
-    );
+    let mut incremental = false;
     let mut segment_gates: Option<usize> = None;
     let mut ensemble: Option<InputEnsemble> = None;
 
@@ -257,7 +248,7 @@ fn run() -> i32 {
     let result = if incremental {
         let seg = match segment_gates {
             Some(g) => SegmentedConfig::new().segment_gates(g),
-            None => SegmentedConfig::from_env(),
+            None => SegmentedConfig::default(),
         };
         let seg_cache = seg_cache.get_or_insert_with(SegmentedCache::in_memory);
         verifier

@@ -183,22 +183,6 @@ impl ApproximationFunction {
         let projected = self.reconstruct_input(&alphas);
         Ok(projected.hs_inner_re(rho_in).clamp(0.0, 1.0))
     }
-
-    /// Composes two characterized relations (the Fig 14 optimization):
-    /// `self` maps `ρ_in → ρ_mid`, `next` maps `ρ_mid → ρ_out`; the result
-    /// evaluates `next(self(ρ_in))`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::DimensionMismatch`] if the spaces do not chain.
-    pub fn chain(&self, next: &ApproximationFunction) -> Result<ChainedApproximation, SolveError> {
-        if self.trace_dim() != next.input_dim() {
-            return Err(SolveError::DimensionMismatch);
-        }
-        Ok(ChainedApproximation {
-            stages: vec![self.clone(), next.clone()],
-        })
-    }
 }
 
 impl Serialize for ApproximationFunction {
@@ -448,7 +432,7 @@ mod tests {
         let f1 = ApproximationFunction::new(in1, tr1).unwrap();
         let (in2, tr2) = single_qubit_pairs(&u2);
         let f2 = ApproximationFunction::new(in2, tr2).unwrap();
-        let chain = f1.chain(&f2).unwrap();
+        let chain = ChainedApproximation::new(vec![f1, f2]).unwrap();
         let test = ket(&[C64::real(0.8), C64::real(0.6)]);
         let u = u2.matmul(&u1);
         let truth = u.matmul(&test).matmul(&u.dagger());

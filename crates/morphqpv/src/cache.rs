@@ -62,11 +62,11 @@ pub const FINGERPRINT_DOMAIN: &str = "morphqpv/characterization/v4";
 /// the same fast-path stats the cold run observed; v2 entries fail
 /// decoding and degrade to a miss.
 ///
-/// v4 adds a `kind` discriminator now that whole-run artifacts share the
-/// payload envelope with per-segment artifacts
-/// (`"characterization"` here, `"segment-pure"` / `"segment-density"` in
-/// [`crate::incremental::SegmentedCache`]). v3 entries fail decoding and
-/// degrade to a miss.
+/// v4 added a `kind` discriminator (`"characterization"`) when whole-run
+/// artifacts shared the payload envelope with per-segment ones; the
+/// incremental path's [`crate::incremental::SegmentedCache`] now keeps
+/// plain keys outside the store. v3 entries fail decoding and degrade to a
+/// miss.
 pub const ARTIFACT_VERSION: u32 = 4;
 
 /// Computes the content address of a characterization run.
@@ -127,9 +127,9 @@ pub fn characterization_fingerprint_with_inputs(
         .finish()
 }
 
-/// Shared frame of every v4 artifact payload: the version stamp plus the
-/// `kind` discriminator. Segment artifacts reuse this envelope.
-pub(crate) fn artifact_envelope(kind: &str) -> BTreeMap<String, Value> {
+/// Frame of a v4 artifact payload: the version stamp plus the `kind`
+/// discriminator.
+fn artifact_envelope(kind: &str) -> BTreeMap<String, Value> {
     let mut m = BTreeMap::new();
     m.insert(
         "artifact_version".to_string(),
@@ -141,7 +141,7 @@ pub(crate) fn artifact_envelope(kind: &str) -> BTreeMap<String, Value> {
 
 /// Validates the version stamp and `kind` discriminator of a v4 payload.
 /// Any mismatch is a decode failure, which the caches treat as a miss.
-pub(crate) fn check_artifact_envelope(value: &Value, kind: &str) -> Result<(), FromValueError> {
+fn check_artifact_envelope(value: &Value, kind: &str) -> Result<(), FromValueError> {
     let version = value
         .require("artifact_version")?
         .as_u64()
@@ -163,9 +163,8 @@ pub(crate) fn check_artifact_envelope(value: &Value, kind: &str) -> Result<(), F
     Ok(())
 }
 
-/// Encodes [`morph_backend::FastPathStats`] as the store payload fragment
-/// shared by whole-run and per-segment artifacts.
-pub(crate) fn encode_fast_path(stats: &morph_backend::FastPathStats) -> Value {
+/// Encodes [`morph_backend::FastPathStats`] as a store payload fragment.
+fn encode_fast_path(stats: &morph_backend::FastPathStats) -> Value {
     let mut fp = BTreeMap::new();
     fp.insert("spills".to_string(), Value::UInt(stats.spills));
     fp.insert("switches".to_string(), Value::UInt(stats.switches));
@@ -178,7 +177,7 @@ pub(crate) fn encode_fast_path(stats: &morph_backend::FastPathStats) -> Value {
 }
 
 /// Decodes the [`encode_fast_path`] fragment.
-pub(crate) fn decode_fast_path(fp: &Value) -> Result<morph_backend::FastPathStats, FromValueError> {
+fn decode_fast_path(fp: &Value) -> Result<morph_backend::FastPathStats, FromValueError> {
     let fp_u64 = |field: &str| -> Result<u64, FromValueError> {
         fp.require(field)?
             .as_u64()
@@ -192,10 +191,8 @@ pub(crate) fn decode_fast_path(fp: &Value) -> Result<morph_backend::FastPathStat
     })
 }
 
-/// Decodes the backend tag shared by whole-run and per-segment artifacts.
-pub(crate) fn decode_backend(
-    value: &Value,
-) -> Result<morph_backend::BackendChoice, FromValueError> {
+/// Decodes an artifact's backend tag.
+fn decode_backend(value: &Value) -> Result<morph_backend::BackendChoice, FromValueError> {
     value
         .require("backend")?
         .as_str()

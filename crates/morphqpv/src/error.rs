@@ -215,14 +215,8 @@ impl From<Precondition> for MorphError {
 }
 
 impl From<SegmentError> for MorphError {
-    /// A broken precondition reads the same on every path, so the
-    /// incremental surface's [`SegmentError::Precondition`] unwraps to
-    /// [`MorphError::Precondition`].
     fn from(e: SegmentError) -> Self {
-        match e {
-            SegmentError::Precondition(p) => MorphError::Precondition(p),
-            other => MorphError::Segment(other),
-        }
+        MorphError::Segment(e)
     }
 }
 

@@ -110,10 +110,10 @@ pub use confidence::{regularized_incomplete_beta, ConfidenceModel};
 pub use counterexample::CounterExample;
 pub use error::{MorphError, Precondition};
 pub use incremental::{
-    characterize_segment, segment_fingerprint, segment_plan, segment_seed, stage_function,
-    try_characterize_incremental, IncrementalCharacterization, SegmentArtifact, SegmentError,
-    SegmentPlan, SegmentReport, SegmentStage, SegmentedCache, SegmentedConfig,
-    DEFAULT_SEGMENT_GATES, SEGMENT_CUT_DOMAIN, SEGMENT_DOMAIN,
+    characterize_segment, segment_fingerprint, segment_plan, segment_seed,
+    try_characterize_incremental, Boundary, IncrementalCharacterization, SegmentError, SegmentPlan,
+    SegmentReport, SegmentedCache, SegmentedConfig, BOUNDARY_DOMAIN, DEFAULT_SEGMENT_GATES,
+    SEGMENT_CUT_DOMAIN, SEGMENT_DOMAIN,
 };
 pub use landscape::{input_landscape, landscape_peak, LandscapePoint};
 pub use morph_backend::BackendChoice;

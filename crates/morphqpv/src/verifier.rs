@@ -142,9 +142,10 @@ impl Verifier {
         self
     }
 
-    /// Configures segment-granular incremental characterization for
+    /// Configures incremental characterization for
     /// [`Self::try_run_incremental`] (the revision loop: re-verifying an
-    /// edited program recomputes only the segments the edit touched).
+    /// edited program reports which of its segments are unchanged since a
+    /// run that shared the cache).
     pub fn incremental(mut self, config: SegmentedConfig) -> Self {
         self.segmented = Some(config);
         self
@@ -321,11 +322,10 @@ impl Verifier {
         self.try_validate_with(characterization, rng, Some(summary), &never)
     }
 
-    /// Incremental [`Self::try_run`]: characterizes per segment
-    /// against `cache`, reusing every cached segment artifact (see
-    /// [`crate::try_characterize_incremental`]), then validates every
-    /// assertion. The report's [`CacheSummary`] carries the per-segment
-    /// hit/miss counts.
+    /// Incremental [`Self::try_run`]: characterizes and validates as an
+    /// uncached [`Self::try_run`] does, drawing from `rng` alike, and its
+    /// [`CacheSummary`] counts the segments unchanged since a run that
+    /// shared `cache` (see [`crate::try_characterize_incremental`]).
     ///
     /// # Errors
     ///
@@ -334,13 +334,14 @@ impl Verifier {
     /// checked before any characterization), explicit inputs were supplied
     /// ([`Self::with_inputs`] and incremental characterization are mutually
     /// exclusive — the ensemble is part of each segment's content address),
-    /// or the program or configuration cannot be characterized; [`MorphError::Segment`] when the program
-    /// cannot be segmented (see [`crate::SegmentError`]);
+    /// or the program or configuration cannot be characterized;
+    /// [`MorphError::Segment`] when the program cannot be segmented (see
+    /// [`crate::SegmentError`]);
     /// [`MorphError::Validation`] on solver failure.
     pub fn try_run_incremental(
         &self,
         rng: &mut StdRng,
-        cache: &mut SegmentedCache,
+        cache: &SegmentedCache,
     ) -> Result<VerificationReport, MorphError> {
         self.check_assertions(|id| self.circuit.tracepoint_position(id).is_some())?;
         if self.explicit_inputs.is_some() {
@@ -497,11 +498,12 @@ pub struct CacheSummary {
     pub writes: u64,
     /// Recompute cost (quantum ops) avoided by hits.
     pub cost_saved: u64,
-    /// Segment positions served from cache or in-run dedup (incremental
-    /// runs only; 0 for whole-run caching).
+    /// Segments up to the last boundary the cache holds, unchanged since
+    /// a run that shared it (incremental runs only; 0 for whole-run
+    /// caching).
     pub segment_hits: u64,
-    /// Unique segments characterized from scratch (incremental runs
-    /// only; 0 for whole-run caching).
+    /// The segments after them: the first edited one and every one after
+    /// it (incremental runs only; 0 for whole-run caching).
     pub segment_misses: u64,
 }
 
@@ -643,7 +645,7 @@ mod tests {
     #[test]
     fn broken_preconditions_reach_the_caller_as_errors() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut cache = SegmentedCache::in_memory();
+        let cache = SegmentedCache::in_memory();
         let precondition = |result: Result<VerificationReport, MorphError>| match result {
             Err(MorphError::Precondition(p)) => p,
             other => panic!("expected a precondition error, got {other:?}"),
@@ -653,7 +655,7 @@ mod tests {
             .with_inputs(morph_clifford::InputEnsemble::Clifford.generate(1, 2, &mut rng))
             .assert_that(pure_assertion());
         assert_eq!(
-            precondition(explicit.try_run_incremental(&mut rng, &mut cache)),
+            precondition(explicit.try_run_incremental(&mut rng, &cache)),
             Precondition::ExplicitInputsWithIncremental
         );
         let off_register = Verifier::new(ghz_with_traces())
@@ -664,7 +666,7 @@ mod tests {
             n_qubits: 3,
         };
         assert_eq!(
-            precondition(off_register.try_run_incremental(&mut rng, &mut cache)),
+            precondition(off_register.try_run_incremental(&mut rng, &cache)),
             want
         );
         match off_register.try_characterize_for_seed(0, &CancelToken::new()) {
@@ -704,11 +706,11 @@ mod tests {
         for (verifier, want) in cases {
             let mut rng = StdRng::seed_from_u64(4);
             let cache = CharacterizationCache::in_memory();
-            let mut segments = SegmentedCache::in_memory();
+            let segments = SegmentedCache::in_memory();
             let results = [
                 verifier.try_run(&mut rng, None),
                 verifier.try_run(&mut rng, Some(&cache)),
-                verifier.try_run_incremental(&mut rng, &mut segments),
+                verifier.try_run_incremental(&mut rng, &segments),
                 verifier.try_validate_with(
                     characterization.clone(),
                     &mut rng,
@@ -839,7 +841,7 @@ mod tests {
 
     #[test]
     fn incremental_run_reports_segment_reuse() {
-        let mut cache = SegmentedCache::in_memory();
+        let cache = SegmentedCache::in_memory();
         let verifier = Verifier::new(ghz_with_traces())
             .input_qubits(&[0])
             .samples(4)
@@ -848,7 +850,7 @@ mod tests {
             .assert_that(pure_assertion());
 
         let cold = verifier
-            .try_run_incremental(&mut StdRng::seed_from_u64(3), &mut cache)
+            .try_run_incremental(&mut StdRng::seed_from_u64(3), &cache)
             .unwrap();
         assert!(cold.all_passed());
         let cold_cache = cold.run.cache.expect("incremental run carries a summary");
@@ -866,7 +868,7 @@ mod tests {
             .incremental(SegmentedConfig::new().segment_gates(1))
             .assert_that(pure_assertion());
         let warm = verifier
-            .try_run_incremental(&mut StdRng::seed_from_u64(3), &mut cache)
+            .try_run_incremental(&mut StdRng::seed_from_u64(3), &cache)
             .unwrap();
         let warm_cache = warm.run.cache.expect("incremental run carries a summary");
         assert!(warm_cache.segment_hits >= 3, "{warm_cache:?}");

@@ -10,9 +10,9 @@
 //!
 //! Besides single jobs, the protocol's v2 `verify_revisions` kind submits
 //! an **ordered revision stream**: the service verifies each program
-//! revision incrementally ([`Service::submit_revisions`]), reusing every
-//! cached segment artifact the edit didn't touch, and reports per-segment
-//! hit/miss counts per revision.
+//! revision incrementally ([`Service::submit_revisions`]) and reports per
+//! revision how many segments are unchanged since an earlier revision
+//! (per-segment hit/miss counts).
 //!
 //! The throughput mechanism is **single-flight coalescing**
 //! ([`singleflight`]): jobs are keyed by the content address of their

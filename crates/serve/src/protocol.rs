@@ -213,7 +213,7 @@ impl JobRequest {
 
 /// An ordered stream of program revisions verified incrementally: every
 /// revision shares one job-local segment cache, so re-verifying an
-/// edited program recomputes only the segments the edit touched. Parsed
+/// edited program hits the segments before its first edited one. Parsed
 /// from a `"v":2`, `"kind":"verify_revisions"` request line.
 ///
 /// The shared knobs (`input_qubits`, `seed`, `samples`, …) apply to
@@ -244,7 +244,8 @@ pub struct RevisionsRequest {
     /// or `"basis"`.
     pub ensemble: Option<String>,
     /// Overrides the target gates-per-segment of the incremental
-    /// characterization (must be >= 1).
+    /// characterization (must be >= 1; default
+    /// `morphqpv::DEFAULT_SEGMENT_GATES`).
     pub segment_gates: Option<usize>,
 }
 

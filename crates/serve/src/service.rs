@@ -390,10 +390,10 @@ impl Service {
     ///
     /// The whole stream runs **sequentially inside one pooled job**
     /// against a job-local in-memory [`SegmentedCache`]: revision `k+1`
-    /// reuses every segment artifact revision `k` (or any earlier
-    /// revision) already characterized, and because nothing about the
-    /// stream is split across workers, the response is byte-identical at
-    /// any worker count. The shared whole-run artifact cache and flight
+    /// hits every segment before its first one that differs from revision
+    /// `k` (or any earlier revision), and because nothing about the stream
+    /// is split across workers, the response is byte-identical at any
+    /// worker count. The shared whole-run artifact cache and flight
     /// table are not consulted — a revision stream's reuse story is
     /// per-segment, not per-run.
     ///
@@ -587,14 +587,14 @@ fn run_revisions(
     token.check()?;
     let seg = match request.segment_gates {
         Some(g) => SegmentedConfig::new().segment_gates(g),
-        None => SegmentedConfig::from_env(),
+        None => SegmentedConfig::default(),
     };
-    let mut cache = SegmentedCache::in_memory();
+    let cache = SegmentedCache::in_memory();
     let mut revisions = Vec::with_capacity(request.revisions.len());
     for program in &request.revisions {
         token.check()?;
         morph_trace::counter("serve/revision", 1);
-        revisions.push(run_revision(request, program, seg, &mut cache));
+        revisions.push(run_revision(request, program, seg, &cache));
     }
     Ok(RevisionsOutput { revisions })
 }
@@ -604,15 +604,14 @@ fn run_revisions(
 ///
 /// Each revision restarts its RNG from the request seed, so its report
 /// depends only on (program, shared knobs, seed) — never on where it
-/// sits in the stream. The segment cache cannot break that: cached
-/// segment artifacts round-trip bit-exactly, so a hit and a recompute
-/// are indistinguishable in the report (the counts show up in the
-/// response's `segments` object instead).
+/// sits in the stream. The segment cache cannot break that: it only
+/// counts, so a hit and a miss are indistinguishable in the report (the
+/// counts show up in the response's `segments` object instead).
 fn run_revision(
     request: &RevisionsRequest,
     program: &str,
     seg: SegmentedConfig,
-    cache: &mut SegmentedCache,
+    cache: &SegmentedCache,
 ) -> Result<VerificationReport, JobError> {
     let mut verifier = build_verifier(&VerifierSpec {
         program,

@@ -21,9 +21,9 @@
 //!
 //! The store knows artifact types only through the [`Artifact`] trait, so
 //! it sits below every domain crate in the dependency graph.
-//! `morphqpv::CharacterizationCache` and `morphqpv::SegmentedCache` are its
-//! instances for whole-run and per-segment characterizations, and
-//! `morphqpv::Verifier::try_run` is the cache-aware entry point; see
+//! `morphqpv::CharacterizationCache` is its instance for whole-run
+//! characterizations, and `morphqpv::Verifier::try_run` is the cache-aware
+//! entry point; see
 //! DESIGN.md "Characterization cache" for the fingerprint definition and
 //! invalidation rules.
 
