@@ -138,7 +138,7 @@ pub fn run_batch(
             },
         };
         exit = exit.max(response.exit_code());
-        writeln!(output, "{}", response.to_json_line())?;
+        response.write_line(&mut output)?;
     }
     service.shutdown();
     Ok(exit)

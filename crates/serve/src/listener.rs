@@ -10,6 +10,17 @@
 //! written while later requests on the same connection are still being
 //! read (reader and writer are separate threads joined by a FIFO).
 //!
+//! # Latency
+//!
+//! A response leaves as soon as its job finishes and every earlier slot on
+//! its connection has been written:
+//!
+//! - Each accepted socket sets `TCP_NODELAY`, and each response line —
+//!   body and `\n` — goes out in one `write_all`, so no part of a line
+//!   waits on the client's delayed ACK.
+//! - The reader scans only newly read bytes for the line end, so a long
+//!   line costs time linear in its length however many reads deliver it.
+//!
 //! # Admission control
 //!
 //! Backpressure is always a structured line, never a dropped connection:
@@ -31,7 +42,7 @@
 //! `serve/net_requests`, `serve/net_responses`; histogram
 //! `serve/latency_ns` (request read → response written, per request).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -193,6 +204,9 @@ fn accept_loop(
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // Without it a response's last segment waits for the ACK of
+                // the one before, which the client may delay by 40 ms.
+                let _ = stream.set_nodelay(true);
                 if conn_count.load(Ordering::SeqCst) >= config.conn_limit {
                     morph_trace::counter("serve/conn_quota_rejected", 1);
                     refuse_connection(stream, config.conn_limit);
@@ -209,7 +223,12 @@ fn accept_loop(
                     conn_count.fetch_sub(1, Ordering::SeqCst);
                     morph_trace::counter("serve/conn_closed", 1);
                 });
-                lock_or_recover(conn_threads).push(handle);
+                let mut threads = lock_or_recover(conn_threads);
+                // Release closed connections' threads now, not at shutdown:
+                // an exited thread keeps its stack mapped until its handle
+                // is joined or dropped.
+                threads.retain(|t| !t.is_finished());
+                threads.push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL_TICK);
@@ -222,14 +241,13 @@ fn accept_loop(
 }
 
 /// Writes one `connection_quota` rejection line and closes.
-fn refuse_connection(mut stream: TcpStream, limit: usize) {
+fn refuse_connection(stream: TcpStream, limit: usize) {
     let response = JobResponse::from_refusal(
         "<connection>",
         "connection_quota",
         &format!("connection limit reached (limit {limit})"),
     );
-    let _ = writeln!(stream, "{}", response.to_json_line());
-    let _ = stream.flush();
+    let _ = response.write_line(&stream);
 }
 
 /// One queued unit of per-connection output, in request order.
@@ -282,7 +300,9 @@ fn serve_connection(
 ///
 /// Framing is manual (byte buffer + explicit `\n` scan): `BufReader`
 /// would discard its internal buffer on the read-timeout errors this loop
-/// uses to poll the stop flag, losing bytes of a half-received line.
+/// uses to poll the stop flag, losing bytes of a half-received line. Each
+/// read scans only the bytes it added, so a line is scanned once however
+/// many reads it spans.
 fn read_loop(
     mut stream: TcpStream,
     service: &Arc<Service>,
@@ -303,10 +323,14 @@ fn read_loop(
         match stream.read(&mut chunk) {
             Ok(0) => return, // Client closed its write side.
             Ok(n) => {
+                // Only the new bytes can end a line: what `buf` held before
+                // them was scanned when it arrived.
+                let offset = buf.len();
                 buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let raw: Vec<u8> = buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&raw[..raw.len() - 1]);
+                let mut start = 0;
+                for end in (offset..buf.len()).filter(|&i| buf[i] == b'\n') {
+                    let line = String::from_utf8_lossy(&buf[start..end]);
+                    start = end + 1;
                     if line.trim().is_empty() {
                         continue;
                     }
@@ -318,6 +342,7 @@ fn read_loop(
                         return; // Writer died (broken socket).
                     }
                 }
+                buf.drain(..start);
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
@@ -378,7 +403,7 @@ fn admit(
 
 /// Writes responses in FIFO (request) order, streaming each as soon as its
 /// job finishes.
-fn write_loop(mut stream: TcpStream, rx: mpsc::Receiver<Entry>, in_flight: &AtomicUsize) {
+fn write_loop(stream: TcpStream, rx: mpsc::Receiver<Entry>, in_flight: &AtomicUsize) {
     for entry in rx {
         let response = match entry.slot {
             Slot::Ready(response) => *response,
@@ -399,10 +424,9 @@ fn write_loop(mut stream: TcpStream, rx: mpsc::Receiver<Entry>, in_flight: &Atom
                 response
             }
         };
-        if writeln!(stream, "{}", response.to_json_line()).is_err() {
+        if response.write_line(&stream).is_err() {
             return; // Peer gone; pending handles drain via their Drops.
         }
-        let _ = stream.flush();
         morph_trace::counter("serve/net_responses", 1);
         morph_trace::histogram(
             "serve/latency_ns",

@@ -17,6 +17,7 @@
 //!   on its line, never a dead service or a missing line.
 
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 
 use serde::json::{self, Value};
 use serde::Serialize;
@@ -620,6 +621,19 @@ impl JobResponse {
     /// Renders the response as one JSON line.
     pub fn to_json_line(&self) -> String {
         json::to_string(&self.body)
+    }
+
+    /// Writes the response line and its `\n` with one `write_all`. On a
+    /// socket a separate write of the terminator can sit in the send
+    /// buffer until the peer's delayed ACK arrives.
+    ///
+    /// # Errors
+    ///
+    /// The I/O error from `out`.
+    pub(crate) fn write_line(&self, mut out: impl Write) -> io::Result<()> {
+        let mut line = self.to_json_line();
+        line.push('\n');
+        out.write_all(line.as_bytes())
     }
 
     /// The structured body (for tests inspecting fields).

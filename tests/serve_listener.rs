@@ -1,11 +1,14 @@
 //! End-to-end tests for the `morph-serve` TCP listener: golden replay
-//! over a real socket, cross-client coalescing, admission control, and
-//! in-band error lines.
+//! over a real socket, cross-client coalescing, admission control,
+//! in-band error lines, response latency, long-line framing and the
+//! release of closed connections' threads.
 //!
 //! Each test binds `127.0.0.1:0` (the OS picks a free port), talks the
 //! newline-delimited JSON protocol through real `TcpStream`s, and shuts
-//! the listener down at the end. Tests that read the process-global
-//! trace recorder serialize on one lock, like `tests/serve_service.rs`.
+//! the listener down at the end. Tests serialize on one lock, like
+//! `tests/serve_service.rs`: some read the process-global trace recorder,
+//! and the latency tests time round trips that a concurrent test would
+//! slow.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -244,6 +247,126 @@ fn invalid_lines_answer_in_band_in_request_order() {
         third.replace("after", "x"),
         "identical jobs around a bad line still answer identically"
     );
+
+    listener.shutdown();
+    if let Ok(service) = Arc::try_unwrap(service) {
+        service.shutdown();
+    }
+}
+
+/// Sends `line` and its newline in one write: a client split across
+/// writes would wait on the server's delayed ACK itself.
+fn send_line(stream: &mut TcpStream, line: &str) {
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send line");
+}
+
+/// A client holding one request in flight on a keep-alive connection is
+/// answered at job speed: no response line waits for the client's delayed
+/// ACK (about 40 ms on Linux) to release its last bytes.
+#[test]
+fn one_request_in_flight_is_answered_at_job_speed() {
+    let _g = serial();
+    let (service, listener) = start(1, &ListenerConfig::default());
+    let (mut a, mut a_reader) = connect(&listener);
+    const ROUNDS: u32 = 40;
+    let began = Instant::now();
+    for i in 0..ROUNDS {
+        send_line(&mut a, &format!("not json {i}"));
+        let line = read_line(&mut a_reader);
+        assert!(line.contains("\"kind\":\"invalid_request\""), "{line}");
+    }
+    let per_round = began.elapsed() / ROUNDS;
+    assert!(
+        per_round < Duration::from_millis(10),
+        "{per_round:?} per round trip: responses wait on delayed ACKs"
+    );
+
+    listener.shutdown();
+    if let Ok(service) = Arc::try_unwrap(service) {
+        service.shutdown();
+    }
+}
+
+/// Opens a connection, sends one invalid line, checks its answer and
+/// closes.
+fn one_shot(listener: &Listener, line: &str) {
+    let (mut stream, mut reader) = connect(listener);
+    send_line(&mut stream, line);
+    let answer = read_line(&mut reader);
+    assert!(answer.contains("\"kind\":\"invalid_request\""), "{answer}");
+}
+
+/// Each closed connection's thread is released while the listener runs.
+/// An exited thread whose handle is kept keeps its stack mapped, so a long
+/// run of one-shot clients would exhaust the process's memory mappings.
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_threads() {
+    let _g = serial();
+    let (service, listener) = start(1, &ListenerConfig::default());
+    let mappings = || {
+        std::fs::read_to_string("/proc/self/maps")
+            .expect("read /proc/self/maps")
+            .lines()
+            .count()
+    };
+    for i in 0..10 {
+        one_shot(&listener, &format!("warm-up {i}"));
+    }
+    let before = mappings();
+    for i in 0..100 {
+        one_shot(&listener, &format!("not json {i}"));
+    }
+    let grown = mappings().saturating_sub(before);
+    assert!(
+        grown < 50,
+        "{grown} new memory mappings after 100 closed connections"
+    );
+
+    listener.shutdown();
+    if let Ok(service) = Arc::try_unwrap(service) {
+        service.shutdown();
+    }
+}
+
+/// An 8 MiB request line arriving in thousands of reads costs time linear
+/// in its length, and the short request behind it on the same connection
+/// is answered next, in order.
+#[test]
+fn an_oversized_line_is_framed_in_linear_time() {
+    let _g = serial();
+    let (service, listener) = start(1, &ListenerConfig::default());
+    let (mut stream, mut reader) = connect(&listener);
+    reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut bytes = "x".repeat(8 << 20).into_bytes();
+    bytes.extend_from_slice(b"\n{\"id\":\"after\"}\n");
+
+    let began = Instant::now();
+    // The server reads the line while we send it; sending from another
+    // thread keeps a slow server from holding this one past its deadline.
+    let sender = std::thread::spawn(move || {
+        let _ = stream.write_all(&bytes);
+    });
+    let mut first = String::new();
+    let mut second = String::new();
+    let answered = reader
+        .read_line(&mut first)
+        .and_then(|_| reader.read_line(&mut second));
+    let elapsed = began.elapsed();
+    assert!(
+        answered.is_ok(),
+        "no answer within 5 s ({elapsed:?}): framing rescans the pending line"
+    );
+    assert!(first.contains("\"id\":\"<unknown>\""), "{first}");
+    assert!(first.contains("\"kind\":\"invalid_request\""), "{first}");
+    assert!(second.contains("\"id\":\"after\""), "{second}");
+    assert!(second.contains("\"kind\":\"invalid_request\""), "{second}");
+    sender.join().expect("sender");
 
     listener.shutdown();
     if let Ok(service) = Arc::try_unwrap(service) {
