@@ -1,4 +1,4 @@
-//! Service-layer bench: what single-flight coalescing buys.
+//! Service-layer bench: what coalescing identical jobs buys.
 //!
 //! Three arms submit the same number of jobs to a fresh [`Service`]:
 //!

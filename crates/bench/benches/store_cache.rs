@@ -53,9 +53,9 @@ fn config() -> CharacterizationConfig {
     }
 }
 
-/// Fetch-or-characterize through `CharacterizationCache::{get, put}` with
-/// the discipline `Verifier::try_run` uses: one `u64` drawn from a fixed
-/// stream seeds the run and enters the fingerprint.
+/// Fetch-or-characterize through `CharacterizationCache::get_or_compute`
+/// with the discipline `Verifier::try_run` uses: one `u64` drawn from a
+/// fixed stream seeds the run and enters the fingerprint.
 fn characterize_through(
     cache: &CharacterizationCache,
     circuit: &Circuit,
@@ -63,19 +63,20 @@ fn characterize_through(
 ) -> Arc<Characterization> {
     let char_seed: u64 = StdRng::seed_from_u64(11).gen();
     let fp = characterization_fingerprint(circuit, cfg, char_seed);
-    if let Some(hit) = cache.get(&fp) {
-        return hit;
-    }
-    let ch = Arc::new(
-        try_characterize(
-            circuit,
-            cfg,
-            &mut StdRng::seed_from_u64(char_seed),
-            &CancelToken::new(),
+    let (ch, _) = cache
+        .get_or_compute(
+            &fp,
+            || Ok(()),
+            || {
+                try_characterize(
+                    circuit,
+                    cfg,
+                    &mut StdRng::seed_from_u64(char_seed),
+                    &CancelToken::new(),
+                )
+            },
         )
-        .expect("characterization runs"),
-    );
-    cache.put(fp, Arc::clone(&ch)).expect("store the artifact");
+        .expect("characterization runs");
     ch
 }
 

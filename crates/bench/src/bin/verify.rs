@@ -3,9 +3,8 @@
 //!
 //! ```text
 //! usage: verify <program.qasm> [--inputs 0,1,...] [--samples N] [--seed S]
-//!               [--restarts N] [--cache-dir DIR] [--no-cache]
-//!               [--incremental] [--segment-gates N] [--ensemble NAME]
-//!               [--trace-json PATH]
+//!               [--restarts N] [--cache-dir DIR] [--incremental]
+//!               [--segment-gates N] [--ensemble NAME] [--trace-json PATH]
 //! ```
 //!
 //! Exit codes follow the grep convention for checkers:
@@ -15,12 +14,11 @@
 //! - `1` — usage, parse, or runtime error (including a structurally failed
 //!   solve, e.g. `--restarts 0`).
 //!
-//! Characterization caching: `--cache-dir DIR` (or the `MORPH_CACHE_DIR`
-//! environment variable) persists characterization artifacts in a
-//! morph-store directory, so re-verifying the same program/configuration/
-//! seed charges zero new simulator cost. Cached and uncached runs print
-//! the same report (a cached run adds one `cache:` line). `--no-cache`
-//! disables the cache even when the environment variable is set.
+//! Characterization caching: `--cache-dir DIR` persists characterization
+//! artifacts in a morph-store directory, so re-verifying the same
+//! program/configuration/seed charges zero new simulator cost. A run
+//! without it is uncached. Cached and uncached runs print the same report
+//! (a cached run adds one `cache:` line).
 //!
 //! Incremental verification: `--incremental` records the key of every
 //! segment boundary in the cache, so re-verifying an edited program
@@ -50,7 +48,7 @@ use morphqpv::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const USAGE: &str = "usage: verify <program.qasm> [--inputs 0,1,...] [--samples N] [--seed S] [--restarts N] [--cache-dir DIR] [--no-cache] [--incremental] [--segment-gates N] [--ensemble NAME] [--trace-json PATH]";
+const USAGE: &str = "usage: verify <program.qasm> [--inputs 0,1,...] [--samples N] [--seed S] [--restarts N] [--cache-dir DIR] [--incremental] [--segment-gates N] [--ensemble NAME] [--trace-json PATH]";
 
 fn main() {
     std::process::exit(run());
@@ -62,8 +60,7 @@ fn run() -> i32 {
     let mut inputs: Vec<usize> = Vec::new();
     let mut samples: Option<usize> = None;
     let mut seed = 0u64;
-    let mut cache_dir: Option<String> = std::env::var("MORPH_CACHE_DIR").ok();
-    let mut no_cache = false;
+    let mut cache_dir: Option<String> = None;
     let mut restarts: Option<usize> = None;
     let mut trace_json: Option<String> = None;
     let mut incremental = false;
@@ -110,9 +107,6 @@ fn run() -> i32 {
                         return 1;
                     }
                 };
-            }
-            "--no-cache" => {
-                no_cache = true;
             }
             "--restarts" => {
                 restarts = match it.next().and_then(|v| v.parse().ok()) {
@@ -228,8 +222,6 @@ fn run() -> i32 {
     }
 
     let mut rng = StdRng::seed_from_u64(seed);
-    // `--no-cache` wins over both `--cache-dir` and `MORPH_CACHE_DIR`.
-    let cache_dir = cache_dir.filter(|_| !no_cache);
     // Incremental runs key the cache by segment; whole-run caching keys
     // it by the full characterization. Only one of the two is open.
     let mut cache: Option<CharacterizationCache> = None;

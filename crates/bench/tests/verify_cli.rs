@@ -44,13 +44,10 @@ fn write_program(dir: &std::path::Path, source: &str) -> PathBuf {
 }
 
 /// Runs `verify` with the given extra args and a scrubbed environment
-/// (`MORPH_TRACE` / `MORPH_CACHE_DIR` removed unless supplied via `envs`).
+/// (`MORPH_TRACE` removed unless supplied via `envs`).
 fn run_verify(program: &std::path::Path, args: &[&str], envs: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(VERIFY);
-    cmd.arg(program)
-        .args(args)
-        .env_remove("MORPH_TRACE")
-        .env_remove("MORPH_CACHE_DIR");
+    cmd.arg(program).args(args).env_remove("MORPH_TRACE");
     for (k, v) in envs {
         cmd.env(k, v);
     }
@@ -154,7 +151,6 @@ fn closed_stdout_is_an_error_exit_one() {
     let mut child = Command::new(VERIFY)
         .arg(&program)
         .env_remove("MORPH_TRACE")
-        .env_remove("MORPH_CACHE_DIR")
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()

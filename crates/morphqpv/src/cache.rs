@@ -260,9 +260,10 @@ impl Artifact for Characterization {
 /// [`characterization_fingerprint`].
 ///
 /// Construct one per process (or per `--cache-dir`) and pass it to
-/// [`crate::Verifier::try_run`], or address artifacts directly with
-/// `get`/`put`. A hit hands out the stored `Arc`; a payload that no longer
-/// decodes (for example an older [`ARTIFACT_VERSION`]) is a corrupt miss.
+/// [`crate::Verifier::try_run`], or obtain artifacts directly with
+/// [`MorphStore::get_or_compute`]. A hit hands out the stored `Arc`; a
+/// payload that no longer decodes (for example an older
+/// [`ARTIFACT_VERSION`]) is a corrupt miss.
 pub type CharacterizationCache = MorphStore<Characterization>;
 
 #[cfg(test)]

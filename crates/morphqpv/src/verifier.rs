@@ -272,10 +272,12 @@ impl Verifier {
     }
 
     /// Verifies every assertion: checks the preconditions, draws one `u64`
-    /// characterization seed from `rng`, characterizes with it (or takes
-    /// the artifact `cache` holds under [`Self::characterization_fingerprint`]
-    /// for that seed, storing it on a miss), then validates from the same
-    /// `rng` through [`Self::try_validate_with`].
+    /// characterization seed from `rng`, characterizes with it, then
+    /// validates from the same `rng` through [`Self::try_validate_with`].
+    /// With a `cache`, the characterization comes from
+    /// [`morph_store::MorphStore::get_or_compute`] under
+    /// [`Self::characterization_fingerprint`] for that seed — the call
+    /// morph-serve's jobs share the cache through.
     ///
     /// Uncached, cold and warm runs therefore report bit-identical results
     /// and advance `rng` identically. With a cache, the report's
@@ -307,18 +309,14 @@ impl Verifier {
             return self.try_validate_with(characterization, rng, None, &never);
         };
         let stats_before = cache.stats();
-        let fingerprint = self.characterization_fingerprint(char_seed);
-        // The report owns its characterization: one typed clone of the
-        // stored artifact on a hit, one into the store on a miss.
-        let characterization = match cache.get(&fingerprint) {
-            Some(hit) => Characterization::clone(&hit),
-            None => {
-                let characterization = self.try_characterize_for_seed(char_seed, &never)?;
-                let _ = cache.put(fingerprint, characterization.clone());
-                characterization
-            }
-        };
+        let (characterization, _) = cache.get_or_compute(
+            &self.characterization_fingerprint(char_seed),
+            || Ok(()),
+            || self.try_characterize_for_seed(char_seed, &never),
+        )?;
         let summary = CacheSummary::delta(&stats_before, &cache.stats());
+        // The report owns its characterization: one clone of the stored one.
+        let characterization = Characterization::clone(&characterization);
         self.try_validate_with(characterization, rng, Some(summary), &never)
     }
 

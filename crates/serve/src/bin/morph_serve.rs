@@ -24,9 +24,10 @@
 //! job failed (including unusable requests). Flag errors exit 1 with
 //! usage on stderr.
 //!
-//! `--workers` / `--queue-cap` default from `MORPH_SERVE_WORKERS` /
-//! `MORPH_SERVE_QUEUE_CAP`; `--listen` without ADDR defaults from
-//! `MORPH_SERVE_ADDR` (see `docs/configuration.md`). `--trace-json`
+//! Without flags the service runs the defaults of `ServeConfig` and
+//! `ListenerConfig`: one worker per core, a queue of 64, no cache
+//! directory, no default deadline, and `--listen` on `127.0.0.1:0` (see
+//! `docs/configuration.md`). `--trace-json`
 //! enables the `morph-trace` recorder and writes the span/counter export
 //! (including the `serve/coalesced_hit` and `serve/characterize_leader`
 //! counters, and in listener mode the `serve/latency_ns` histogram) to
@@ -63,7 +64,7 @@ fn take_value(argv: &[String], i: &mut usize, flag: &str) -> Result<String, Stri
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         requests: None,
-        config: ServeConfig::from_env(),
+        config: ServeConfig::default(),
         trace_json: None,
         listen: None,
     };
@@ -73,7 +74,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         i += 1;
         match arg.as_str() {
             "--listen" => {
-                let mut listen = ListenerConfig::from_env();
+                let mut listen = ListenerConfig::default();
                 // ADDR is optional: consume the next token only if it
                 // looks like host:port rather than another flag.
                 if i < argv.len() && !argv[i].starts_with('-') && argv[i].contains(':') {

@@ -14,14 +14,15 @@
 //! revision how many segments are unchanged since an earlier revision
 //! (per-segment hit/miss counts).
 //!
-//! The throughput mechanism is **single-flight coalescing**
-//! ([`singleflight`]): jobs are keyed by the content address of their
-//! characterization (the `morph-store` fingerprint), and concurrent jobs
-//! with the same key share a single characterization run — one leader
-//! computes, followers wait — layered *above* the persistent artifact
-//! cache, which continues to serve repeats that are no longer concurrent.
-//! Reports stay bit-identical whether a job led, followed, or hit the
-//! cache.
+//! The throughput mechanism is **coalescing**: jobs are keyed by the
+//! content address of their characterization (the `morph-store`
+//! fingerprint), and every job obtains its characterization through the
+//! shared artifact cache's one call, `MorphStore::get_or_compute`. It
+//! answers from memory or disk, makes concurrent jobs with the same key
+//! wait on a single characterization run — one leader computes, the
+//! others wait — and, with a cache directory, lets processes sharing it
+//! compute each key once. Reports stay bit-identical whether a job led,
+//! waited, or hit the cache.
 //!
 //! Robustness properties (each tested in `tests/serve_service.rs`):
 //! queue saturation surfaces as a structured rejection, never a deadlock;
@@ -32,7 +33,6 @@
 pub mod listener;
 pub mod protocol;
 pub mod service;
-pub mod singleflight;
 
 pub use listener::{serve_listener, Listener, ListenerConfig};
 pub use protocol::{
@@ -103,23 +103,22 @@ pub fn run_batch(
                     &id, &message,
                 ))));
             }
-            Ok(Request::Job(request)) => {
-                let id = request.id.clone();
-                match submit_with_backoff(|| service.submit(request.clone())) {
-                    Ok(handle) => slots.push(Slot::Pending(id, handle)),
-                    Err(rejection) => slots.push(Slot::Ready(Box::new(
-                        JobResponse::from_rejection(&id, &rejection),
-                    ))),
-                }
-            }
-            Ok(Request::Revisions(request)) => {
-                let id = request.id.clone();
-                match submit_with_backoff(|| service.submit_revisions(request.clone())) {
-                    Ok(handle) => slots.push(Slot::PendingRevisions(id, handle)),
-                    Err(rejection) => slots.push(Slot::Ready(Box::new(
-                        JobResponse::from_revisions_rejection(&id, &rejection),
-                    ))),
-                }
+            Ok(request) => {
+                let id = request.id().to_string();
+                let version = request.protocol_version();
+                let submitted = match request {
+                    Request::Job(job) => submit_with_backoff(|| service.submit(job.clone()))
+                        .map(|handle| Slot::Pending(id.clone(), handle)),
+                    Request::Revisions(stream) => {
+                        submit_with_backoff(|| service.submit_revisions(stream.clone()))
+                            .map(|handle| Slot::PendingRevisions(id.clone(), handle))
+                    }
+                };
+                slots.push(submitted.unwrap_or_else(|rejection| {
+                    Slot::Ready(Box::new(JobResponse::from_rejection(
+                        &id, version, &rejection,
+                    )))
+                }));
             }
         }
     }

@@ -25,6 +25,9 @@
 //!
 //! Backpressure is always a structured line, never a dropped connection:
 //!
+//! - **Line length** ([`MAX_LINE_BYTES`]): a request line past it gets one
+//!   `invalid_request` line naming the limit; the reader drops the rest of
+//!   the line unbuffered and reads the next one.
 //! - **Connection quota** ([`ListenerConfig::conn_limit`]): a client
 //!   arriving past the limit receives one `connection_quota` rejection
 //!   line and a clean close.
@@ -49,14 +52,19 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use morph_trace::{env_knob, lock_or_recover};
+use morph_trace::lock_or_recover;
 
-use crate::protocol::{salvage_id, JobResponse, Request};
-use crate::service::{JobHandle, RevisionsHandle, Service, SubmitError};
+use crate::protocol::{salvage_id, JobResponse, Request, PROTOCOL_VERSION};
+use crate::service::{JobHandle, RevisionsHandle, Service};
 
 /// How often blocked socket reads and the accept loop re-check the stop
 /// flag.
 const POLL_TICK: Duration = Duration::from_millis(25);
+
+/// The longest request line the listener buffers, newline excluded. A
+/// connection holds at most one line, so this bounds its buffer. The
+/// request lines of the repository's fixtures are under 1 KiB.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Network listener configuration.
 #[derive(Debug, Clone)]
@@ -77,32 +85,6 @@ impl Default for ListenerConfig {
             conn_limit: 64,
             inflight_limit: 32,
         }
-    }
-}
-
-impl ListenerConfig {
-    /// Defaults overridden by `MORPH_SERVE_ADDR`,
-    /// `MORPH_SERVE_CONN_LIMIT`, and `MORPH_SERVE_INFLIGHT_LIMIT`.
-    /// Unparseable or zero limits keep the default and warn once via
-    /// [`morph_trace::warn_invalid_knob`].
-    pub fn from_env() -> Self {
-        let mut config = ListenerConfig::default();
-        if let Ok(addr) = std::env::var("MORPH_SERVE_ADDR") {
-            if !addr.trim().is_empty() {
-                config.addr = addr.trim().to_string();
-            }
-        }
-        for (name, slot) in [
-            ("MORPH_SERVE_CONN_LIMIT", &mut config.conn_limit),
-            ("MORPH_SERVE_INFLIGHT_LIMIT", &mut config.inflight_limit),
-        ] {
-            match env_knob::<usize>(name) {
-                Some(0) => morph_trace::warn_invalid_knob(name, "0", "limit must be >= 1"),
-                Some(n) => *slot = n,
-                None => {}
-            }
-        }
-        config
     }
 }
 
@@ -244,6 +226,7 @@ fn accept_loop(
 fn refuse_connection(stream: TcpStream, limit: usize) {
     let response = JobResponse::from_refusal(
         "<connection>",
+        PROTOCOL_VERSION,
         "connection_quota",
         &format!("connection limit reached (limit {limit})"),
     );
@@ -298,11 +281,12 @@ fn serve_connection(
 
 /// Reads newline-delimited requests, submitting each and queuing its slot.
 ///
-/// Framing is manual (byte buffer + explicit `\n` scan): `BufReader`
+/// Framing is manual (byte buffer + explicit `\n` split): `BufReader`
 /// would discard its internal buffer on the read-timeout errors this loop
 /// uses to poll the stop flag, losing bytes of a half-received line. Each
-/// read scans only the bytes it added, so a line is scanned once however
-/// many reads it spans.
+/// read is split once, so a line is scanned once however many reads it
+/// spans. A line past [`MAX_LINE_BYTES`] is answered when it crosses the
+/// bound, and the rest of it is dropped as it arrives.
 fn read_loop(
     mut stream: TcpStream,
     service: &Arc<Service>,
@@ -314,43 +298,69 @@ fn read_loop(
     if stream.set_read_timeout(Some(POLL_TICK)).is_err() {
         return;
     }
-    let mut buf: Vec<u8> = Vec::new();
+    let mut line: Vec<u8> = Vec::new();
+    // The pending line passed the bound and was answered; its remaining
+    // bytes are dropped up to its newline.
+    let mut over_long = false;
     let mut chunk = [0u8; 4096];
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        match stream.read(&mut chunk) {
+        let n = match stream.read(&mut chunk) {
             Ok(0) => return, // Client closed its write side.
-            Ok(n) => {
-                // Only the new bytes can end a line: what `buf` held before
-                // them was scanned when it arrived.
-                let offset = buf.len();
-                buf.extend_from_slice(&chunk[..n]);
-                let mut start = 0;
-                for end in (offset..buf.len()).filter(|&i| buf[i] == b'\n') {
-                    let line = String::from_utf8_lossy(&buf[start..end]);
-                    start = end + 1;
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let entry = Entry {
-                        slot: admit(&line, service, inflight_limit, in_flight),
-                        arrived: Instant::now(),
-                    };
-                    if tx.send(entry).is_err() {
-                        return; // Writer died (broken socket).
-                    }
-                }
-                buf.drain(..start);
-            }
+            Ok(n) => n,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
+                    || e.kind() == io::ErrorKind::Interrupted =>
+            {
+                continue
+            }
             Err(_) => return,
+        };
+        // Every piece but the last ends with a newline.
+        let mut pieces = chunk[..n].split(|&b| b == b'\n').peekable();
+        while let Some(piece) = pieces.next() {
+            let ends_line = pieces.peek().is_some();
+            let mut slot = None;
+            if !over_long {
+                line.extend_from_slice(piece);
+                if line.len() > MAX_LINE_BYTES {
+                    over_long = true;
+                    line = Vec::new();
+                    slot = Some(refuse_over_long_line());
+                } else if ends_line {
+                    let text = String::from_utf8_lossy(&line);
+                    if !text.trim().is_empty() {
+                        slot = Some(admit(&text, service, inflight_limit, in_flight));
+                    }
+                }
+            }
+            if ends_line {
+                over_long = false;
+                line.clear();
+            }
+            if let Some(slot) = slot {
+                let entry = Entry {
+                    slot,
+                    arrived: Instant::now(),
+                };
+                if tx.send(entry).is_err() {
+                    return; // Writer died (broken socket).
+                }
+            }
         }
     }
+}
+
+/// The answer to a request line longer than [`MAX_LINE_BYTES`].
+fn refuse_over_long_line() -> Slot {
+    morph_trace::counter("serve/net_requests", 1);
+    Slot::Ready(Box::new(JobResponse::from_invalid_line(
+        "<unknown>",
+        &format!("request line longer than {MAX_LINE_BYTES} bytes"),
+    )))
 }
 
 /// Parses and submits one request line under the connection's quotas.
@@ -369,35 +379,32 @@ fn admit(
         }
     };
     let id = request.id().to_string();
+    let version = request.protocol_version();
     if in_flight.load(Ordering::SeqCst) >= inflight_limit {
         morph_trace::counter("serve/job_quota_rejected", 1);
         return Slot::Ready(Box::new(JobResponse::from_refusal(
             &id,
+            version,
             "job_quota",
             &format!("connection in-flight job limit reached (limit {inflight_limit})"),
         )));
     }
-    match request {
-        Request::Job(request) => match service.submit(request) {
-            Ok(handle) => {
-                in_flight.fetch_add(1, Ordering::SeqCst);
-                Slot::Pending(id, handle)
-            }
-            Err(rejection @ (SubmitError::QueueFull { .. } | SubmitError::ShuttingDown)) => {
-                Slot::Ready(Box::new(JobResponse::from_rejection(&id, &rejection)))
-            }
-        },
-        Request::Revisions(request) => match service.submit_revisions(request) {
-            Ok(handle) => {
-                in_flight.fetch_add(1, Ordering::SeqCst);
-                Slot::PendingRevisions(id, handle)
-            }
-            Err(rejection @ (SubmitError::QueueFull { .. } | SubmitError::ShuttingDown)) => {
-                Slot::Ready(Box::new(JobResponse::from_revisions_rejection(
-                    &id, &rejection,
-                )))
-            }
-        },
+    let submitted = match request {
+        Request::Job(request) => service
+            .submit(request)
+            .map(|handle| Slot::Pending(id.clone(), handle)),
+        Request::Revisions(request) => service
+            .submit_revisions(request)
+            .map(|handle| Slot::PendingRevisions(id.clone(), handle)),
+    };
+    match submitted {
+        Ok(slot) => {
+            in_flight.fetch_add(1, Ordering::SeqCst);
+            slot
+        }
+        Err(rejection) => Slot::Ready(Box::new(JobResponse::from_rejection(
+            &id, version, &rejection,
+        ))),
     }
 }
 

@@ -104,6 +104,16 @@ impl Request {
             Request::Revisions(r) => &r.id,
         }
     }
+
+    /// The protocol revision stamped on this request's response line,
+    /// refusals included: [`PROTOCOL_VERSION`] for a job,
+    /// [`PROTOCOL_VERSION_REVISIONS`] for a revision stream.
+    pub fn protocol_version(&self) -> u32 {
+        match self {
+            Request::Job(_) => PROTOCOL_VERSION,
+            Request::Revisions(_) => PROTOCOL_VERSION_REVISIONS,
+        }
+    }
 }
 
 /// One verification job, parsed from a request line.
@@ -545,31 +555,16 @@ impl JobResponse {
         )
     }
 
-    /// Builds the response for a `verify_revisions` submission the
-    /// service refused. Stamped `"protocol":2`.
-    pub fn from_revisions_rejection(id: &str, rejection: &SubmitError) -> JobResponse {
-        JobResponse::error_with_version(
-            id,
-            JobStatus::Rejected,
-            rejection.kind(),
-            &rejection.to_string(),
-            PROTOCOL_VERSION_REVISIONS,
-        )
-    }
-
     /// Builds the response for a job that started but failed.
     pub fn from_error(id: &str, error: &JobError) -> JobResponse {
         JobResponse::error_with(id, JobStatus::Error, error.kind(), &error.to_string())
     }
 
-    /// Builds the response for a submission the service refused.
-    pub fn from_rejection(id: &str, rejection: &SubmitError) -> JobResponse {
-        JobResponse::error_with(
-            id,
-            JobStatus::Rejected,
-            rejection.kind(),
-            &rejection.to_string(),
-        )
+    /// Builds the response for a submission the service refused, stamped
+    /// with the protocol `version` of the request it answers
+    /// ([`Request::protocol_version`]).
+    pub fn from_rejection(id: &str, version: u32, rejection: &SubmitError) -> JobResponse {
+        JobResponse::from_refusal(id, version, rejection.kind(), &rejection.to_string())
     }
 
     /// Builds the response for a line that did not parse as a request.
@@ -579,10 +574,11 @@ impl JobResponse {
 
     /// Builds a structured refusal with an explicit kind — the network
     /// listener's admission-control rejections (`connection_quota`,
-    /// `job_quota`) that have no [`SubmitError`] counterpart. The job (or
+    /// `job_quota`) that have no [`SubmitError`] counterpart — stamped
+    /// with the protocol `version` of the request it answers. The job (or
     /// connection) never ran; status is `rejected`.
-    pub fn from_refusal(id: &str, kind: &str, message: &str) -> JobResponse {
-        JobResponse::error_with(id, JobStatus::Rejected, kind, message)
+    pub fn from_refusal(id: &str, version: u32, kind: &str, message: &str) -> JobResponse {
+        JobResponse::error_with_version(id, JobStatus::Rejected, kind, message, version)
     }
 
     fn error_with(id: &str, status: JobStatus, kind: &str, message: &str) -> JobResponse {

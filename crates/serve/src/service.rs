@@ -27,6 +27,8 @@
 //! - counter `serve/characterize_leader` — characterizations computed
 //! - counter `serve/coalesced_hit` — jobs served by a concurrent leader
 //! - counter `serve/cache_hit` — jobs served from the artifact cache
+//! - counter `serve/cross_process_hit` — cache hits on an artifact that
+//!   another process sharing the cache directory computed
 //! - gauge `serve/queue_depth` — queue depth sampled at each submission
 
 use std::fmt;
@@ -39,8 +41,7 @@ use std::time::Duration;
 
 use morph_parallel::{PoolRejection, WorkerPool};
 use morph_qsim::NoiseModel;
-use morph_store::{Fingerprint, FingerprintLock};
-use morph_trace::env_knob;
+use morph_store::{Fingerprint, Source};
 use morphqpv::prelude::{
     assertions_from_source, parse_program, CancelToken, Cancelled, Characterization,
     CharacterizationCache, InputEnsemble, MorphError, SegmentedCache, SegmentedConfig,
@@ -50,15 +51,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::protocol::{JobRequest, RevisionsRequest};
-use crate::singleflight::{FlightOutcome, Joined, SingleFlight};
-
-/// How often a coalesced follower re-checks its own deadline while waiting
-/// on a leader.
-const FOLLOWER_TICK: Duration = Duration::from_millis(10);
-
-/// How often a leader waiting on another *process's* store lock re-checks
-/// its own deadline.
-const STORE_LOCK_TICK: Duration = Duration::from_millis(10);
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -82,30 +74,6 @@ impl Default for ServeConfig {
             cache_dir: None,
             default_deadline_ms: None,
         }
-    }
-}
-
-impl ServeConfig {
-    /// Defaults overridden by the `MORPH_SERVE_WORKERS` and
-    /// `MORPH_SERVE_QUEUE_CAP` environment variables. Unset variables keep
-    /// the default; unparseable or out-of-range values (a zero queue
-    /// capacity) keep the default *and* warn once via
-    /// [`morph_trace::warn_invalid_knob`].
-    pub fn from_env() -> Self {
-        let mut config = ServeConfig::default();
-        if let Some(n) = env_knob::<usize>("MORPH_SERVE_WORKERS") {
-            config.workers = n;
-        }
-        match env_knob::<usize>("MORPH_SERVE_QUEUE_CAP") {
-            Some(0) => morph_trace::warn_invalid_knob(
-                "MORPH_SERVE_QUEUE_CAP",
-                "0",
-                "queue capacity must be >= 1",
-            ),
-            Some(n) => config.queue_capacity = n,
-            None => {}
-        }
-        config
     }
 }
 
@@ -306,18 +274,12 @@ impl RevisionsHandle {
     }
 }
 
-/// The artifact cache and the flight table every worker shares. The cache
-/// locks only around its LRU bookkeeping, and the flight table only around
-/// its map, so neither is wrapped here.
-struct ServiceShared {
-    cache: CharacterizationCache,
-    flights: SingleFlight<Fingerprint, Arc<Characterization>>,
-}
-
 /// The verification service. See the module docs for the job lifecycle.
 pub struct Service {
     pool: WorkerPool,
-    shared: Arc<ServiceShared>,
+    /// The artifact cache every worker shares; it coalesces concurrent
+    /// identical characterizations itself.
+    cache: Arc<CharacterizationCache>,
     default_deadline_ms: Option<u64>,
 }
 
@@ -338,10 +300,7 @@ impl Service {
         };
         Ok(Service {
             pool: WorkerPool::new(config.workers, config.queue_capacity),
-            shared: Arc::new(ServiceShared {
-                cache,
-                flights: SingleFlight::new(),
-            }),
+            cache: Arc::new(cache),
             default_deadline_ms: config.default_deadline_ms,
         })
     }
@@ -362,13 +321,13 @@ impl Service {
             None => CancelToken::new(),
         };
         let (tx, rx) = mpsc::channel();
-        let shared = Arc::clone(&self.shared);
+        let cache = Arc::clone(&self.cache);
         let job_token = token.clone();
         let parent_span = morph_trace::current_span();
         let request_id = request.id.clone();
         self.pool.try_submit(move || {
             let _span = morph_trace::span_under(parent_span, "serve/job");
-            let outcome = catch_unwind(AssertUnwindSafe(|| run_job(&shared, &request, &job_token)))
+            let outcome = catch_unwind(AssertUnwindSafe(|| run_job(&cache, &request, &job_token)))
                 .unwrap_or_else(|payload| {
                     Err(JobError::Panicked {
                         message: panic_message(&payload),
@@ -393,9 +352,9 @@ impl Service {
     /// hits every segment before its first one that differs from revision
     /// `k` (or any earlier revision), and because nothing about the stream
     /// is split across workers, the response is byte-identical at any
-    /// worker count. The shared whole-run artifact cache and flight
-    /// table are not consulted — a revision stream's reuse story is
-    /// per-segment, not per-run.
+    /// worker count. The shared whole-run artifact cache is not
+    /// consulted — a revision stream's reuse story is per-segment, not
+    /// per-run.
     ///
     /// The deadline covers the whole stream; cancellation is checked
     /// between revisions.
@@ -476,7 +435,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs one job end to end on a worker thread.
 fn run_job(
-    shared: &ServiceShared,
+    cache: &CharacterizationCache,
     request: &JobRequest,
     token: &CancelToken,
 ) -> Result<JobOutput, JobError> {
@@ -489,15 +448,15 @@ fn run_job(
         noise: request.noise.as_deref(),
     })?;
 
-    // The `Verifier::try_run` RNG discipline, spelled out so the flight
-    // table can sit between the fingerprint and the computation: draw one
+    // The `Verifier::try_run` RNG discipline, spelled out so the job can
+    // report its fingerprint and honor its token while it waits: draw one
     // u64 for the characterization, validate from the job's own stream.
     let mut job_rng = StdRng::seed_from_u64(request.seed);
     let char_seed: u64 = job_rng.gen();
     let fingerprint = verifier.characterization_fingerprint(char_seed);
 
     let characterization =
-        obtain_characterization(shared, &verifier, fingerprint, char_seed, token)?;
+        obtain_characterization(cache, &verifier, fingerprint, char_seed, token)?;
     token.check()?;
     let report = verifier.try_validate_with(
         Characterization::clone(&characterization),
@@ -639,158 +598,40 @@ fn run_revision(
         .map_err(JobError::from)
 }
 
-/// The coalescing core: cache, then flight table, then compute as leader.
-///
-/// The loop re-enters after an abandoned flight (leader errored or
-/// panicked) so a transient leader failure costs followers a re-election,
-/// not a spurious error.
-///
-/// When the cache is disk-backed, a leader additionally takes the
-/// fingerprint's cross-process [`FingerprintLock`] before computing, then
-/// re-checks the cache: another *process* sharing `MORPH_CACHE_DIR` may
-/// have published the artifact while this one waited. The in-process
-/// flight table dedupes threads; the file lock dedupes processes.
+/// Obtains the job's characterization through the cache's one call —
+/// from memory, from disk, from an identical job's computation in flight,
+/// or by computing it — and counts which answered. The job's token ends
+/// any wait, and the computation, at its deadline.
 fn obtain_characterization(
-    shared: &ServiceShared,
+    cache: &CharacterizationCache,
     verifier: &Verifier,
     fingerprint: Fingerprint,
     char_seed: u64,
     token: &CancelToken,
 ) -> Result<Arc<Characterization>, JobError> {
-    loop {
-        token.check()?;
-        if let Some(hit) = shared.cache.get(&fingerprint) {
+    let (characterization, source) = cache.get_or_compute(
+        &fingerprint,
+        || token.check().map_err(MorphError::from),
+        || {
+            morph_trace::counter("serve/characterize_leader", 1);
+            verifier.try_characterize_for_seed(char_seed, token)
+        },
+    )?;
+    match source {
+        Source::Memory | Source::Disk => morph_trace::counter("serve/cache_hit", 1),
+        Source::OtherProcess => {
             morph_trace::counter("serve/cache_hit", 1);
-            return Ok(hit);
+            morph_trace::counter("serve/cross_process_hit", 1);
         }
-        match shared.flights.join(fingerprint) {
-            Joined::Leader(guard) => {
-                // Double-check the cache: between this job's miss and
-                // winning the flight, a previous leader may have published
-                // its artifact and retired. Serving the hit (and completing
-                // the flight with it) keeps "characterizations computed"
-                // exactly equal to the `serve/characterize_leader` counter.
-                if let Some(hit) = shared.cache.get(&fingerprint) {
-                    morph_trace::counter("serve/cache_hit", 1);
-                    guard.complete(Arc::clone(&hit));
-                    return Ok(hit);
-                }
-                let _store_lock = match shared.cache.dir() {
-                    Some(dir) => {
-                        let lock =
-                            FingerprintLock::acquire(dir, &fingerprint, STORE_LOCK_TICK, || {
-                                token.is_cancelled()
-                            })
-                            .map_err(|e| JobError::Verification(MorphError::Store(e)))?;
-                        token.check()?;
-                        // Holding the lock (or having given up on a
-                        // cancelled token, caught above): another process
-                        // may have published while this one waited.
-                        if let Some(hit) = shared.cache.get(&fingerprint) {
-                            morph_trace::counter("serve/cache_hit", 1);
-                            morph_trace::counter("serve/cross_process_hit", 1);
-                            guard.complete(Arc::clone(&hit));
-                            return Ok(hit);
-                        }
-                        lock
-                    }
-                    None => None,
-                };
-                morph_trace::counter("serve/characterize_leader", 1);
-                // An error here drops `guard`, abandoning the flight and
-                // waking followers to re-elect.
-                let ch = Arc::new(verifier.try_characterize_for_seed(char_seed, token)?);
-                // Publish to the cache *before* retiring the flight so a
-                // job arriving after removal finds the artifact. A failed
-                // disk write leaves the memory tier populated, which is
-                // all correctness needs.
-                let _ = shared.cache.put(fingerprint, Arc::clone(&ch));
-                guard.complete(Arc::clone(&ch));
-                return Ok(ch);
-            }
-            Joined::Follower(slot) => {
-                match slot.wait(FOLLOWER_TICK, || token.is_cancelled()) {
-                    FlightOutcome::Done(ch) => {
-                        morph_trace::counter("serve/coalesced_hit", 1);
-                        return Ok(ch);
-                    }
-                    // Leader gave up — loop back and re-elect.
-                    FlightOutcome::Abandoned => continue,
-                    FlightOutcome::TimedOut => {
-                        token.check()?;
-                        // give_up fired but the token has since recovered?
-                        // Impossible (tokens never un-cancel), but looping
-                        // is the safe answer.
-                        continue;
-                    }
-                }
-            }
-        }
+        Source::Coalesced => morph_trace::counter("serve/coalesced_hit", 1),
+        Source::Computed => {}
     }
+    Ok(characterization)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_config_parses_and_ignores_garbage() {
-        // `set_var` in a threaded test harness races with `getenv` anywhere
-        // else in the process (and is outright UB on glibc), so each env
-        // combination is probed in a re-exec'd child process whose
-        // environment is fixed at spawn time. The child re-enters this test
-        // with `MORPH_SERVE_ENV_PROBE=workers,queue` holding the expected
-        // parse and reports through its exit code.
-        if let Some(expect) = std::env::var_os("MORPH_SERVE_ENV_PROBE") {
-            let expect = expect.into_string().expect("utf-8 probe expectation");
-            let (w, q) = expect.split_once(',').expect("workers,queue");
-            let config = ServeConfig::from_env();
-            let ok = config.workers == w.parse::<usize>().unwrap()
-                && config.queue_capacity == q.parse::<usize>().unwrap();
-            std::process::exit(if ok { 3 } else { 4 });
-        }
-        let exe = std::env::current_exe().expect("test binary path");
-        let default = ServeConfig::default();
-        let probe = |vars: &[(&str, &str)], expect_w: usize, expect_q: usize| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.args([
-                "--exact",
-                "service::tests::env_config_parses_and_ignores_garbage",
-            ])
-            .env("MORPH_SERVE_ENV_PROBE", format!("{expect_w},{expect_q}"))
-            .env_remove("MORPH_SERVE_WORKERS")
-            .env_remove("MORPH_SERVE_QUEUE_CAP")
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null());
-            for (k, v) in vars {
-                cmd.env(k, v);
-            }
-            cmd.status().expect("spawn probe child").code()
-        };
-        assert_eq!(
-            probe(
-                &[
-                    ("MORPH_SERVE_WORKERS", "3"),
-                    ("MORPH_SERVE_QUEUE_CAP", "17")
-                ],
-                3,
-                17,
-            ),
-            Some(3)
-        );
-        assert_eq!(
-            probe(
-                &[
-                    ("MORPH_SERVE_WORKERS", "not-a-number"),
-                    ("MORPH_SERVE_QUEUE_CAP", "0"),
-                ],
-                default.workers,
-                default.queue_capacity,
-            ),
-            Some(3)
-        );
-        assert_eq!(probe(&[], default.workers, default.queue_capacity), Some(3));
-    }
 
     #[test]
     fn submit_error_maps_pool_rejections() {

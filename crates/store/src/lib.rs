@@ -18,22 +18,27 @@
 //!   (a damaged entry, or a payload that no longer decodes, is a miss and
 //!   gets rewritten, never a panic). Encoding and decoding happen only at
 //!   the disk.
+//! - [`MorphStore::get_or_compute`] — the one call that computes each
+//!   fingerprint once: it answers from memory, from disk, from a
+//!   computation already in flight (the caller waits), or by running the
+//!   caller's computation as the flight's leader. Processes sharing a
+//!   directory coordinate through a per-fingerprint lock file, so they
+//!   too compute each fingerprint once. [`Source`] says which answered.
 //!
 //! The store knows artifact types only through the [`Artifact`] trait, so
 //! it sits below every domain crate in the dependency graph.
 //! `morphqpv::CharacterizationCache` is its instance for whole-run
-//! characterizations, and `morphqpv::Verifier::try_run` is the cache-aware
-//! entry point; see
+//! characterizations; `morphqpv::Verifier::try_run` and morph-serve's
+//! jobs obtain characterizations through `get_or_compute`. See
 //! DESIGN.md "Characterization cache" for the fingerprint definition and
 //! invalidation rules.
 
 mod fingerprint;
-pub mod lock;
+mod lock;
 mod lru;
 pub mod sha256;
 mod store;
 
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
-pub use lock::FingerprintLock;
 pub use lru::CostAwareLru;
-pub use store::{Artifact, MorphStore, StoreStats, MEMORY_CAPACITY, SCHEMA_VERSION};
+pub use store::{Artifact, MorphStore, Source, StoreStats, MEMORY_CAPACITY, SCHEMA_VERSION};

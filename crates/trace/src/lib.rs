@@ -50,7 +50,7 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
@@ -90,10 +90,16 @@ pub fn enabled() -> bool {
 /// anything other than `0` or the empty string. Returns the resulting
 /// enabled state.
 pub fn enable_from_env() -> bool {
-    if matches!(std::env::var("MORPH_TRACE"), Ok(v) if !v.is_empty() && v != "0") {
+    if asks_for_tracing(std::env::var("MORPH_TRACE").ok().as_deref()) {
         set_enabled(true);
     }
     enabled()
+}
+
+/// Whether a `MORPH_TRACE` value enables recording: set, non-empty and
+/// not `0`.
+fn asks_for_tracing(value: Option<&str>) -> bool {
+    matches!(value, Some(v) if !v.is_empty() && v != "0")
 }
 
 /// A handle to a recorded span, used to parent work that crosses thread
@@ -445,54 +451,6 @@ pub fn histogram_quantile(name: &str, q: f64) -> Option<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Environment knobs
-// ---------------------------------------------------------------------------
-
-fn warned_knobs() -> &'static Mutex<BTreeSet<String>> {
-    static WARNED: OnceLock<Mutex<BTreeSet<String>>> = OnceLock::new();
-    WARNED.get_or_init(|| Mutex::new(BTreeSet::new()))
-}
-
-/// Reports an invalid environment-knob value: a once-per-variable warning
-/// on stderr (so a typo'd config surfaces exactly once, not per request)
-/// plus an `env/invalid_knob` root counter bump on every occurrence when
-/// tracing is enabled.
-pub fn warn_invalid_knob(name: &str, value: &str, reason: &str) {
-    let first = lock_or_recover(warned_knobs()).insert(name.to_string());
-    if first {
-        eprintln!("morph: ignoring invalid {name}={value:?} ({reason}); using default");
-    }
-    if enabled() {
-        let mut rec = lock_or_recover(recorder());
-        *rec.root_counters
-            .entry("env/invalid_knob".to_string())
-            .or_insert(0) += 1;
-    }
-}
-
-/// Parses the environment knob `name` as a `T`.
-///
-/// Returns `None` when the variable is unset or empty. An unparseable
-/// value also returns `None`, but is *not* silent: it routes through
-/// [`warn_invalid_knob`] so the caller's fallback-to-default is visible on
-/// stderr and in the trace. Every `MORPH_*` numeric knob should read
-/// through here instead of a bare `.parse().ok()`.
-pub fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let raw = std::env::var(name).ok()?;
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    match trimmed.parse::<T>() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            warn_invalid_knob(name, &raw, "unparseable value");
-            None
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // JSON export
 // ---------------------------------------------------------------------------
 
@@ -794,70 +752,11 @@ mod tests {
     }
 
     #[test]
-    fn invalid_knob_warns_and_counts() {
-        let _g = serial();
-        // Not read from the real environment (set_var is UB here); exercise
-        // the reporting path directly.
-        warn_invalid_knob("MORPH_TEST_KNOB_A", "banana", "unparseable value");
-        warn_invalid_knob("MORPH_TEST_KNOB_A", "banana", "unparseable value");
-        assert_eq!(
-            counter_total("env/invalid_knob"),
-            2,
-            "every occurrence counted"
-        );
-        let json = export_json();
-        assert!(json.contains("\"env/invalid_knob\":2"));
-        set_enabled(false);
-    }
-
-    #[test]
-    fn env_knob_parses_or_none_without_warning_for_unset() {
-        // Reading an unset variable must not touch the warn set or counter.
-        let before = counter_total("env/invalid_knob");
-        let parsed: Option<usize> = env_knob("MORPH_TEST_KNOB_DEFINITELY_UNSET");
-        assert_eq!(parsed, None);
-        assert_eq!(counter_total("env/invalid_knob"), before);
-    }
-
-    /// Exit codes the re-exec'd probe child reports its result through
-    /// (distinct from libtest's 0/101 so a harness failure can't be
-    /// mistaken for a probe verdict).
-    const PROBE_ENABLED: i32 = 3;
-    const PROBE_DISABLED: i32 = 4;
-
-    #[test]
     fn enable_from_env_only_reacts_to_nonzero() {
-        // `set_var` in a threaded test harness races with `getenv` anywhere
-        // else in the process (and is outright UB on glibc), so the env
-        // mutation runs in a re-exec'd child process instead: the child
-        // re-enters this very test with `MORPH_TRACE_ENV_PROBE` set, calls
-        // `enable_from_env` against an environment fixed at spawn time, and
-        // reports through its exit code.
-        if std::env::var_os("MORPH_TRACE_ENV_PROBE").is_some() {
-            let code = if enable_from_env() {
-                PROBE_ENABLED
-            } else {
-                PROBE_DISABLED
-            };
-            std::process::exit(code);
-        }
-        let exe = std::env::current_exe().expect("test binary path");
-        let probe = |value: Option<&str>| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.args(["--exact", "tests::enable_from_env_only_reacts_to_nonzero"])
-                .env("MORPH_TRACE_ENV_PROBE", "1")
-                .stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::null());
-            match value {
-                Some(v) => cmd.env("MORPH_TRACE", v),
-                None => cmd.env_remove("MORPH_TRACE"),
-            };
-            cmd.status().expect("spawn probe child").code()
-        };
-        assert_eq!(probe(None), Some(PROBE_DISABLED));
-        assert_eq!(probe(Some("")), Some(PROBE_DISABLED));
-        assert_eq!(probe(Some("0")), Some(PROBE_DISABLED));
-        assert_eq!(probe(Some("1")), Some(PROBE_ENABLED));
-        assert_eq!(probe(Some("json")), Some(PROBE_ENABLED));
+        assert!(!asks_for_tracing(None));
+        assert!(!asks_for_tracing(Some("")));
+        assert!(!asks_for_tracing(Some("0")));
+        assert!(asks_for_tracing(Some("1")));
+        assert!(asks_for_tracing(Some("json")));
     }
 }

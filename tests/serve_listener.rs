@@ -1,7 +1,8 @@
 //! End-to-end tests for the `morph-serve` TCP listener: golden replay
-//! over a real socket, cross-client coalescing, admission control,
-//! in-band error lines, response latency, long-line framing and the
-//! release of closed connections' threads.
+//! over a real socket, cross-client coalescing, admission control and the
+//! protocol version of refusals, in-band error lines, response latency,
+//! long-line framing and bounding, and the release of closed
+//! connections' threads.
 //!
 //! Each test binds `127.0.0.1:0` (the OS picks a free port), talks the
 //! newline-delimited JSON protocol through real `TcpStream`s, and shuts
@@ -15,8 +16,8 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use morphqpv_suite::serve::listener::{serve_listener, Listener, ListenerConfig};
-use morphqpv_suite::serve::{ServeConfig, Service};
+use morphqpv_suite::serve::listener::{serve_listener, Listener, ListenerConfig, MAX_LINE_BYTES};
+use morphqpv_suite::serve::{RevisionsRequest, ServeConfig, Service};
 use morphqpv_suite::trace;
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -224,6 +225,50 @@ fn in_flight_quota_rejects_in_slot_in_request_order() {
     }
 }
 
+/// A refusal carries the protocol version of the request it answers: a
+/// v2 revision stream refused by the in-flight quota answers on
+/// `"protocol":2`, like the revision stream it follows.
+#[test]
+fn refusals_carry_the_protocol_version_of_their_request() {
+    let _g = serial();
+    trace::reset();
+    trace::set_enabled(true);
+
+    let (service, listener) = start(
+        1,
+        &ListenerConfig {
+            inflight_limit: 1,
+            ..ListenerConfig::default()
+        },
+    );
+    service.pause();
+    let (mut a, mut a_reader) = connect(&listener);
+    for id in ["r1", "r2"] {
+        let mut request = RevisionsRequest::new(id, vec![GHZ_PROGRAM.to_string()], vec![0]);
+        request.seed = 7;
+        request.samples = Some(4);
+        send_line(&mut a, &request.to_json_line());
+    }
+    wait_until("the quota rejection", || {
+        trace::counter_total("serve/job_quota_rejected") >= 1
+    });
+    service.resume();
+
+    let first = read_line(&mut a_reader);
+    let second = read_line(&mut a_reader);
+    trace::set_enabled(false);
+    assert!(first.contains("\"id\":\"r1\""), "{first}");
+    assert!(first.contains("\"protocol\":2"), "{first}");
+    assert!(second.contains("\"id\":\"r2\""), "{second}");
+    assert!(second.contains("\"kind\":\"job_quota\""), "{second}");
+    assert!(second.contains("\"protocol\":2"), "{second}");
+
+    listener.shutdown();
+    if let Ok(service) = Arc::try_unwrap(service) {
+        service.shutdown();
+    }
+}
+
 /// Unparseable lines answer in-band and do not disturb neighbours:
 /// responses stay in request order around the bad line.
 #[test]
@@ -367,6 +412,43 @@ fn an_oversized_line_is_framed_in_linear_time() {
     assert!(second.contains("\"id\":\"after\""), "{second}");
     assert!(second.contains("\"kind\":\"invalid_request\""), "{second}");
     sender.join().expect("sender");
+
+    listener.shutdown();
+    if let Ok(service) = Arc::try_unwrap(service) {
+        service.shutdown();
+    }
+}
+
+/// A request line past `MAX_LINE_BYTES` answers one `invalid_request`
+/// naming the limit, and the same connection answers its next request
+/// normally.
+#[test]
+fn an_over_long_line_is_refused_and_the_connection_answers_the_next() {
+    let _g = serial();
+    let (service, listener) = start(1, &ListenerConfig::default());
+    let (mut stream, mut reader) = connect(&listener);
+    let program = "x".repeat(MAX_LINE_BYTES);
+    let mut bytes = format!("{{\"id\":\"long\",\"program\":\"{program}\"}}\n").into_bytes();
+    bytes.extend_from_slice(format!("{}\n", ghz_line("after", 7)).as_bytes());
+    let sender = std::thread::spawn(move || {
+        stream.write_all(&bytes).expect("send");
+        stream
+    });
+
+    let refused = read_line(&mut reader);
+    let answered = read_line(&mut reader);
+    assert!(
+        refused.contains("\"kind\":\"invalid_request\""),
+        "{refused}"
+    );
+    assert!(refused.contains("\"id\":\"<unknown>\""), "{refused}");
+    assert!(
+        refused.contains(&format!("longer than {MAX_LINE_BYTES} bytes")),
+        "{refused}"
+    );
+    assert!(answered.contains("\"id\":\"after\""), "{answered}");
+    assert!(answered.contains("\"status\":\"passed\""), "{answered}");
+    drop(sender.join().expect("sender"));
 
     listener.shutdown();
     if let Ok(service) = Arc::try_unwrap(service) {

@@ -1,5 +1,5 @@
-//! Integration tests for the `morph-serve` service layer: single-flight
-//! coalescing, backpressure, deadlines, panic isolation, and shutdown.
+//! Integration tests for the `morph-serve` service layer: coalescing,
+//! backpressure, deadlines, panic isolation, and shutdown.
 //!
 //! The coalescing tests assert the tentpole invariant end to end: N
 //! identical concurrent jobs produce **exactly one characterization**
@@ -359,13 +359,13 @@ fn panicking_leader_mid_characterization_leaves_the_service_healthy() {
 #[test]
 fn cancelled_leader_abandons_and_the_reelected_follower_matches_bytes() {
     use morphqpv_suite::core::prelude::{
-        assertions_from_source, parse_program, CancelToken, Characterization, Verifier,
+        assertions_from_source, parse_program, CancelToken, Cancelled, CharacterizationCache,
+        MorphError, Verifier,
     };
-    use morphqpv_suite::serve::singleflight::{FlightOutcome, Joined, SingleFlight};
+    use morphqpv_suite::store::Source;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::{mpsc, Arc};
-    use std::time::Duration;
 
     let _g = serial();
 
@@ -392,47 +392,62 @@ fn cancelled_leader_abandons_and_the_reelected_follower_matches_bytes() {
     let char_seed: u64 = job_rng.gen();
     let fingerprint = build().characterization_fingerprint(char_seed);
 
-    let flight: Arc<SingleFlight<_, Characterization>> = Arc::new(SingleFlight::new());
-    let doomed_guard = match flight.join(fingerprint) {
-        Joined::Leader(guard) => guard,
-        Joined::Follower(_) => unreachable!("first join leads"),
-    };
+    let cache = CharacterizationCache::in_memory();
+    let (leading_tx, leading_rx) = mpsc::channel();
     let (registered_tx, registered_rx) = mpsc::channel();
-    let follower = std::thread::spawn({
-        let flight = Arc::clone(&flight);
-        move || {
-            let slot = match flight.join(fingerprint) {
-                Joined::Follower(slot) => slot,
-                Joined::Leader(_) => panic!("the doomed leader's flight must still be open"),
+    let (doomed, characterization) = std::thread::scope(|s| {
+        let cache = &cache;
+        let doomed = s.spawn(move || {
+            cache.get_or_compute(
+                &fingerprint,
+                || Ok(()),
+                || {
+                    leading_tx.send(()).expect("main thread waits");
+                    registered_rx.recv().expect("follower registered");
+                    // The leader's token fires before publishing.
+                    Err(MorphError::from(Cancelled::DeadlineExceeded))
+                },
+            )
+        });
+        leading_rx.recv().expect("the doomed leader leads");
+        let follower = s.spawn(move || {
+            // Runs only while this caller waits on the doomed flight.
+            let waiting = || {
+                let _ = registered_tx.send(());
+                Ok(())
             };
-            registered_tx.send(()).expect("main thread waits");
-            let outcome = slot.wait(Duration::from_millis(2), || false);
-            assert!(
-                matches!(outcome, FlightOutcome::Abandoned),
+            let (characterization, source) = cache
+                .get_or_compute(&fingerprint, waiting, || {
+                    build().try_characterize_for_seed(char_seed, &CancelToken::new())
+                })
+                .expect("re-elected leader characterizes");
+            assert_eq!(
+                source,
+                Source::Computed,
                 "a cancelled leader must abandon, not complete"
             );
-            // Re-election: the follower becomes the new leader and runs
-            // the computation the original leader never published.
-            match flight.join(fingerprint) {
-                Joined::Leader(guard) => {
-                    let token = CancelToken::new();
-                    let ch = build()
-                        .try_characterize_for_seed(char_seed, &token)
-                        .expect("re-elected leader characterizes");
-                    guard.complete(ch.clone());
-                    ch
-                }
-                Joined::Follower(_) => panic!("an abandoned flight must be re-electable"),
-            }
-        }
+            characterization
+        });
+        (doomed.join(), follower.join().expect("follower thread"))
     });
-    registered_rx.recv().expect("follower registered");
-    // The original leader's token fires before publishing: in the
-    // service this is a `?` that drops the guard uncompleted.
-    drop(doomed_guard);
-
-    let characterization = follower.join().expect("follower thread");
-    assert_eq!(flight.in_flight(), 0, "the completed flight retired");
+    assert!(
+        matches!(
+            doomed.expect("leader thread"),
+            Err(MorphError::Cancelled(_))
+        ),
+        "the doomed leader reports its own cancellation"
+    );
+    let (again, source) = cache
+        .get_or_compute(
+            &fingerprint,
+            || Ok::<(), ()>(()),
+            || unreachable!("published"),
+        )
+        .expect("memory hit");
+    assert!(
+        source == Source::Memory && Arc::ptr_eq(&again, &characterization),
+        "the completed flight retired"
+    );
 
     // Finish the pipeline with the re-elected leader's artifact and
     // compare the full response line byte for byte.
@@ -440,7 +455,7 @@ fn cancelled_leader_abandons_and_the_reelected_follower_matches_bytes() {
     let _char_seed: u64 = job_rng.gen();
     let token = CancelToken::new();
     let report = build()
-        .try_validate_with(characterization, &mut job_rng, None, &token)
+        .try_validate_with((*characterization).clone(), &mut job_rng, None, &token)
         .expect("validation succeeds");
     let reelected_line = JobResponse::from_report("x", fingerprint, &report).to_json_line();
     assert_eq!(

@@ -1,14 +1,15 @@
-//! Cross-process store safety: two *processes* hammering the same
-//! `MORPH_CACHE_DIR` fingerprint must produce exactly one on-disk
-//! artifact, readable as valid JSON, with no lock debris left behind.
+//! Cross-process store safety: two *processes* hammering one fingerprint
+//! in a shared cache directory must produce exactly one on-disk artifact,
+//! readable as valid JSON, with no lock debris left behind.
 //!
 //! The test re-execs its own binary (the `set_var`-free probe pattern
 //! used across the workspace): each child starts a disk-backed
 //! [`Service`], runs a burst of identical jobs, and exits 3 on success.
 //! The parent runs two children concurrently against one directory and
-//! then audits the directory. The fingerprint-keyed file lock
-//! (`morph_store::FingerprintLock`) is what makes the concurrent
-//! leaders' writes converge on a single artifact instead of torn JSON.
+//! then audits the directory. The fingerprint-keyed lock file that
+//! `MorphStore::get_or_compute` takes around compute-and-publish is what
+//! makes the concurrent leaders' writes converge on a single artifact
+//! instead of torn JSON.
 
 use std::path::{Path, PathBuf};
 

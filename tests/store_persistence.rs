@@ -14,7 +14,7 @@ use morphqpv_suite::core::{
 use morphqpv_suite::linalg::{CMatrix, C64};
 use morphqpv_suite::qprog::{Circuit, TracepointId};
 use morphqpv_suite::qsim::NoiseModel;
-use morphqpv_suite::store::{Artifact, FingerprintBuilder, MorphStore};
+use morphqpv_suite::store::{Artifact, FingerprintBuilder, MorphStore, Source};
 use morphqpv_suite::tomography::CostLedger;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -69,9 +69,14 @@ fn disk_round_trip(label: &str, payload: Value) -> Value {
     let reloaded;
     {
         let store = MorphStore::open(&dir).expect("open store");
-        store.put(fp, Payload(payload)).expect("persist");
+        let computed = store.get_or_compute(&fp, || Ok(()), || Ok::<_, ()>(Payload(payload)));
+        assert_eq!(computed.expect("store").1, Source::Computed);
         store.drop_memory();
-        reloaded = store.get(&fp).expect("reload from disk").0.clone();
+        let (artifact, source) = store
+            .get_or_compute(&fp, || Ok(()), || Err(()))
+            .expect("reload from disk");
+        assert_eq!(source, Source::Disk);
+        reloaded = artifact.0.clone();
     }
     fs::remove_dir_all(&dir).expect("cleanup");
     reloaded
