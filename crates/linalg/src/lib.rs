@@ -44,4 +44,6 @@ pub use func::{
     purity_defect, sqrt_psd, trace_distance, trace_product, von_neumann_entropy,
 };
 pub use matrix::CMatrix;
-pub use solve::{decompose_hermitian, recombine, solve, solve_sym_regularized, SolveError};
+pub use solve::{
+    decompose_hermitian, recombine, solve, solve_sym_regularized, SolveError, SymFactor,
+};

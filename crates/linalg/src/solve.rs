@@ -107,89 +107,158 @@ pub fn solve(a: &CMatrix, b: &[C64]) -> Result<Vec<C64>, SolveError> {
 ///
 /// Gram matrices of nearly linearly dependent sample states are frequently
 /// rank-deficient; the regularized solve returns the minimum-norm-flavored
-/// solution instead of failing.
+/// solution instead of failing. To solve one `G` against several right-hand
+/// sides, factor it once with [`SymFactor`]; the results are bit-identical.
 ///
 /// # Errors
 ///
 /// Returns [`SolveError::DimensionMismatch`] on shape mismatch. Singular
 /// systems do not error — they are regularized.
 pub fn solve_sym_regularized(g: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, SolveError> {
-    let n = g.len();
-    if b.len() != n || g.iter().any(|row| row.len() != n) {
+    if b.len() != g.len() {
         return Err(SolveError::DimensionMismatch);
     }
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let scale = g
-        .iter()
-        .flat_map(|row| row.iter())
-        .fold(0.0f64, |m, &v| m.max(v.abs()))
-        .max(1e-12);
-    let mut lambda = 0.0;
-    for _ in 0..6 {
-        if let Some(x) = solve_real_sym(g, b, lambda) {
-            return Ok(x);
-        }
-        lambda = if lambda == 0.0 {
-            scale * 1e-10
-        } else {
-            lambda * 100.0
-        };
-    }
-    // Heavy regularization always succeeds for finite inputs.
-    Ok(solve_real_sym(g, b, scale * 1e-2).unwrap_or_else(|| vec![0.0; n]))
+    SymFactor::new(g)?.solve(b)
 }
 
-/// Gaussian elimination with partial pivoting for `（G + λI) x = b`; returns
-/// `None` when a pivot underflows.
-fn solve_real_sym(g: &[Vec<f64>], b: &[f64], lambda: f64) -> Option<Vec<f64>> {
-    let n = g.len();
-    let mut a: Vec<f64> = Vec::with_capacity(n * n);
-    for (r, row) in g.iter().enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            a.push(if r == c { v + lambda } else { v });
+/// `G + λI` factored once by Gaussian elimination with partial pivoting,
+/// at the first λ of the regularization schedule `0, s·1e-10, s·1e-8, …,
+/// s·1e-2` (`s` the largest `|Gᵢⱼ|`) whose pivots all stay above `1e-12`.
+/// Each [`solve`](Self::solve) then costs O(n²) instead of O(n³).
+///
+/// Whether elimination succeeds depends on `G` and λ alone, never on the
+/// right-hand side, and a solve replays the elimination's row swaps,
+/// skipped zero multipliers and substitution order on `b` exactly — so
+/// every solve is bit-identical to [`solve_sym_regularized`] on the same
+/// system. When every λ fails, every solve is the zero vector.
+#[derive(Debug, Clone)]
+pub struct SymFactor {
+    n: usize,
+    /// Row-major elimination of `G + λI`: `U` on and above the diagonal,
+    /// step `k`'s multiplier for row `r` at `(r, k)` below it. Empty when
+    /// every λ failed.
+    lu: Vec<f64>,
+    /// The row swapped into position `k` at step `k`.
+    pivots: Vec<usize>,
+}
+
+impl SymFactor {
+    /// Factors a square `G`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolveError::DimensionMismatch`] if `G` is not square.
+    /// Singular systems do not error — they are regularized.
+    pub fn new(g: &[Vec<f64>]) -> Result<Self, SolveError> {
+        let n = g.len();
+        if g.iter().any(|row| row.len() != n) {
+            return Err(SolveError::DimensionMismatch);
         }
+        let scale = g
+            .iter()
+            .flat_map(|row| row.iter())
+            .fold(0.0f64, |m, &v| m.max(v.abs()))
+            .max(1e-12);
+        let mut lambda = 0.0;
+        for _ in 0..6 {
+            if let Some(factor) = Self::eliminate(g, lambda) {
+                return Ok(factor);
+            }
+            lambda = if lambda == 0.0 {
+                scale * 1e-10
+            } else {
+                lambda * 100.0
+            };
+        }
+        // Last, heavy regularization; a `G` that fails even here (an all-zero
+        // one, say) solves every right-hand side to zero.
+        Ok(Self::eliminate(g, scale * 1e-2).unwrap_or(SymFactor {
+            n,
+            lu: Vec::new(),
+            pivots: Vec::new(),
+        }))
     }
-    let mut x = b.to_vec();
-    for k in 0..n {
-        let mut best = k;
-        let mut best_abs = a[k * n + k].abs();
-        for r in (k + 1)..n {
-            if a[r * n + k].abs() > best_abs {
-                best = r;
-                best_abs = a[r * n + k].abs();
+
+    /// Elimination of `G + λI`; `None` when a pivot underflows.
+    fn eliminate(g: &[Vec<f64>], lambda: f64) -> Option<SymFactor> {
+        let n = g.len();
+        let mut a: Vec<f64> = Vec::with_capacity(n * n);
+        for (r, row) in g.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                a.push(if r == c { v + lambda } else { v });
             }
         }
-        if best_abs < 1e-12 {
-            return None;
-        }
-        if best != k {
-            for c in 0..n {
-                a.swap(k * n + c, best * n + c);
+        let mut pivots = Vec::with_capacity(n);
+        for k in 0..n {
+            let mut best = k;
+            let mut best_abs = a[k * n + k].abs();
+            for r in (k + 1)..n {
+                if a[r * n + k].abs() > best_abs {
+                    best = r;
+                    best_abs = a[r * n + k].abs();
+                }
             }
+            if best_abs < 1e-12 {
+                return None;
+            }
+            // Columns left of `k` hold earlier steps' multipliers, which
+            // stay with the row position they were computed for.
+            if best != k {
+                for c in k..n {
+                    a.swap(k * n + c, best * n + c);
+                }
+            }
+            pivots.push(best);
+            let pivot = a[k * n + k];
+            for r in (k + 1)..n {
+                let f = a[r * n + k] / pivot;
+                a[r * n + k] = f;
+                if f == 0.0 {
+                    continue;
+                }
+                for c in (k + 1)..n {
+                    a[r * n + c] -= f * a[k * n + c];
+                }
+            }
+        }
+        Some(SymFactor { n, lu: a, pivots })
+    }
+
+    /// Solves `(G + λI) x = b` with the factored λ.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolveError::DimensionMismatch`] if `b` has the wrong
+    /// length.
+    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolveError> {
+        let n = self.n;
+        if b.len() != n {
+            return Err(SolveError::DimensionMismatch);
+        }
+        if self.lu.len() != n * n {
+            return Ok(vec![0.0; n]);
+        }
+        let a = &self.lu;
+        let mut x = b.to_vec();
+        for (k, &best) in self.pivots.iter().enumerate() {
             x.swap(k, best);
-        }
-        let pivot = a[k * n + k];
-        for r in (k + 1)..n {
-            let f = a[r * n + k] / pivot;
-            if f == 0.0 {
-                continue;
+            for r in (k + 1)..n {
+                let f = a[r * n + k];
+                if f == 0.0 {
+                    continue;
+                }
+                x[r] -= f * x[k];
             }
-            for c in k..n {
-                a[r * n + c] -= f * a[k * n + c];
+        }
+        for r in (0..n).rev() {
+            let mut acc = x[r];
+            for c in (r + 1)..n {
+                acc -= a[r * n + c] * x[c];
             }
-            x[r] -= f * x[k];
+            x[r] = acc / a[r * n + r];
         }
+        Ok(x)
     }
-    for r in (0..n).rev() {
-        let mut acc = x[r];
-        for c in (r + 1)..n {
-            acc -= a[r * n + c] * x[c];
-        }
-        x[r] = acc / a[r * n + r];
-    }
-    Some(x)
 }
 
 /// Least-squares decomposition of a Hermitian target over a set of Hermitian
@@ -242,7 +311,15 @@ pub fn recombine(basis: &[CMatrix], alphas: &[f64]) -> CMatrix {
         if a == 0.0 {
             continue;
         }
-        out += &m.scale_re(a);
+        assert_eq!(
+            (m.rows(), m.cols()),
+            (out.rows(), out.cols()),
+            "add shape mismatch"
+        );
+        let s = C64::real(a);
+        for (o, &z) in out.as_mut_slice().iter_mut().zip(m.as_slice()) {
+            *o += z * s;
+        }
     }
     out
 }
@@ -304,6 +381,88 @@ mod tests {
         let x = solve_sym_regularized(&g, &[1.0, 1.0]).unwrap();
         // Any split with x0 + x1 ≈ 1 is acceptable under regularization.
         assert!((x[0] + x[1] - 1.0).abs() < 1e-3);
+    }
+
+    /// The three systems the bit pins below solve: one whose elimination
+    /// pivots, one rank-deficient that needs λ > 0 (its zero row also
+    /// gives a zero multiplier), and one that fails at every λ.
+    fn pinned_systems() -> Vec<(Vec<Vec<f64>>, Vec<f64>)> {
+        vec![
+            (
+                vec![
+                    vec![1.0, 4.0, 2.0],
+                    vec![4.0, 2.0, 1.0],
+                    vec![2.0, 1.0, 3.0],
+                ],
+                vec![1.0, 2.0, 3.0],
+            ),
+            (
+                vec![
+                    vec![2.0, 0.0, 1.0],
+                    vec![0.0, 0.0, 0.0],
+                    vec![1.0, 0.0, 1.0],
+                ],
+                vec![1.0, 0.5, -1.0],
+            ),
+            (vec![vec![0.0, 0.0], vec![0.0, 0.0]], vec![1.0, 2.0]),
+        ]
+    }
+
+    #[test]
+    fn symmetric_solver_is_pinned_bit_for_bit() {
+        let expected: [&[u64]; 3] = [
+            &[0x3fdb6db6db6db6db, 0xbfd0750750750751, 0x3fe999999999999a],
+            &[0x3fffffffffbb47d0, 0x41e2a05f20000000, 0xc007ffffffc90640],
+            &[0, 0],
+        ];
+        for ((g, b), bits) in pinned_systems().into_iter().zip(expected) {
+            let x = solve_sym_regularized(&g, &b).unwrap();
+            let got: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, bits, "G = {g:?}");
+        }
+    }
+
+    #[test]
+    fn one_factor_solves_like_per_call_solves() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut systems: Vec<Vec<Vec<f64>>> =
+            pinned_systems().into_iter().map(|(g, _)| g).collect();
+        // A random Gram of 6 vectors in R⁴: rank-deficient, so regularized.
+        let vs: Vec<Vec<f64>> = (0..6)
+            .map(|_| (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .collect();
+        systems.push(
+            vs.iter()
+                .map(|a| {
+                    vs.iter()
+                        .map(|b| a.iter().zip(b).map(|(x, y)| x * y).sum())
+                        .collect()
+                })
+                .collect(),
+        );
+        for g in systems {
+            let factor = SymFactor::new(&g).unwrap();
+            for _ in 0..4 {
+                let b: Vec<f64> = (0..g.len()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let once: Vec<u64> = factor
+                    .solve(&b)
+                    .unwrap()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let per_call: Vec<u64> = solve_sym_regularized(&g, &b)
+                    .unwrap()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(once, per_call, "G = {g:?}, b = {b:?}");
+            }
+            assert_eq!(factor.solve(&[1.0; 7]), Err(SolveError::DimensionMismatch));
+        }
+        assert_eq!(
+            SymFactor::new(&[vec![1.0, 0.0]]).unwrap_err(),
+            SolveError::DimensionMismatch
+        );
     }
 
     #[test]

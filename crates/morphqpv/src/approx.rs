@@ -13,7 +13,7 @@
 //! the linear-cost replacement for re-executing the program that drives
 //! Fig 11(a).
 
-use morph_linalg::{hs_accuracy, recombine, solve_sym_regularized, CMatrix, SolveError};
+use morph_linalg::{hs_accuracy, recombine, CMatrix, SolveError, SymFactor};
 use serde::json::{FromValueError, Value};
 use serde::{Deserialize, Serialize};
 
@@ -42,10 +42,10 @@ use serde::{Deserialize, Serialize};
 pub struct ApproximationFunction {
     inputs: Vec<CMatrix>,
     traces: Vec<CMatrix>,
-    /// Cached Gram matrix of the sampled inputs (Hilbert–Schmidt inner
-    /// products), built once so each decomposition costs one projection
-    /// plus a small solve.
-    gram: Vec<Vec<f64>>,
+    /// The sampled inputs' Gram matrix (Hilbert–Schmidt inner products),
+    /// factored once so each decomposition costs one projection plus an
+    /// O(N_sample²) solve.
+    factor: SymFactor,
 }
 
 impl ApproximationFunction {
@@ -82,9 +82,9 @@ impl ApproximationFunction {
             }
         }
         Ok(ApproximationFunction {
+            factor: SymFactor::new(&gram)?,
             inputs,
             traces,
-            gram,
         })
     }
 
@@ -124,7 +124,7 @@ impl ApproximationFunction {
             return Err(SolveError::DimensionMismatch);
         }
         let b: Vec<f64> = self.inputs.iter().map(|m| m.hs_inner_re(rho_in)).collect();
-        solve_sym_regularized(&self.gram, &b)
+        self.factor.solve(&b)
     }
 
     /// Step 2 of Theorem 1: reconstruct the tracepoint state from
@@ -186,7 +186,7 @@ impl ApproximationFunction {
 }
 
 impl Serialize for ApproximationFunction {
-    /// Persists only the sampled pairs; the Gram matrix is a pure function
+    /// Persists only the sampled pairs; the Gram factor is a pure function
     /// of the inputs and is rebuilt on load by [`ApproximationFunction::new`]
     /// (deterministically, so a reloaded function is bit-identical).
     fn to_value(&self) -> Value {

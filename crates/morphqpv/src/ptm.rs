@@ -14,7 +14,7 @@
 //!
 //! The `ptm_vs_pairs` ablation bench compares the two forms.
 
-use morph_linalg::{solve_sym_regularized, CMatrix, C64};
+use morph_linalg::{CMatrix, SymFactor, C64};
 use morph_qsim::matrices;
 use morph_tomography::pauli_strings;
 
@@ -75,7 +75,7 @@ impl PauliTransferMatrix {
             .collect();
 
         // Normal equations shared across all output coordinates:
-        // G = Σ x xᵀ; per-row b_j = Σ y_j x.
+        // G = Σ x xᵀ, factored once; per-row b_j = Σ y_j x.
         let n_samples = xs.len();
         let mut gram = vec![vec![0.0f64; k_in]; k_in];
         for x in &xs {
@@ -93,6 +93,7 @@ impl PauliTransferMatrix {
                 gram[a][b] = gram[b][a];
             }
         }
+        let factor = SymFactor::new(&gram).expect("square Gram");
         let mut m = vec![0.0f64; k_out * k_in];
         for j in 0..k_out {
             let mut rhs = vec![0.0f64; k_in];
@@ -101,7 +102,7 @@ impl PauliTransferMatrix {
                     rhs[a] += ys[s][j] * xs[s][a];
                 }
             }
-            let row = solve_sym_regularized(&gram, &rhs).expect("consistent dimensions");
+            let row = factor.solve(&rhs).expect("consistent dimensions");
             m[j * k_in..(j + 1) * k_in].copy_from_slice(&row);
         }
         PauliTransferMatrix {
@@ -213,6 +214,40 @@ mod tests {
             let truth = u.matmul(&probe.rho).matmul(&u.dagger());
             assert!(ptm.predict(&probe.rho).approx_eq(&truth, 1e-8));
             assert!(f.predict(&probe.rho).unwrap().approx_eq(&truth, 1e-8));
+        }
+    }
+
+    /// The fit factors its Gram once for every output row; its entries are
+    /// pinned bit for bit (an FNV-1a digest of their bits) on a full span
+    /// and on a rank-deficient, regularized one.
+    #[test]
+    fn ptm_fit_is_pinned_bit_for_bit() {
+        for (n, samples, digest) in [
+            (2usize, 16usize, 0xf93efd00b9f01e09u64),
+            (3, 40, 0xa0a6db5998fd96b5),
+        ] {
+            let mut rng = StdRng::seed_from_u64(0);
+            let u = matrices::h().kron(&matrices::ry(0.8));
+            let u = if n == 3 {
+                u.kron(&matrices::rx(0.3))
+            } else {
+                u
+            };
+            let inputs: Vec<CMatrix> = InputEnsemble::Clifford
+                .generate(n, samples, &mut rng)
+                .into_iter()
+                .map(|i| i.rho)
+                .collect();
+            let traces: Vec<CMatrix> = inputs
+                .iter()
+                .map(|r| u.matmul(r).matmul(&u.dagger()))
+                .collect();
+            let f = ApproximationFunction::new(inputs, traces).unwrap();
+            let ptm = PauliTransferMatrix::fit(&f);
+            let got = ptm.m.iter().fold(0xcbf29ce484222325u64, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x100000001b3)
+            });
+            assert_eq!(got, digest, "{n} qubits, {samples} samples");
         }
     }
 

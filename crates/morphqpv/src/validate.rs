@@ -207,11 +207,13 @@ pub struct ValidationOutcome {
     pub degenerate_optimum: bool,
 }
 
-/// Shared evaluation context: resolves states and scores points.
+/// Shared evaluation context: resolves states and scores points. One per
+/// assertion, shared by the solver's objective and the interpretation of
+/// its optimum; it borrows the characterization's traces.
 struct Context<'a> {
     assertion: &'a AssumeGuarantee,
     input_basis: Vec<CMatrix>,
-    traces: std::collections::BTreeMap<morph_qprog::TracepointId, Vec<CMatrix>>,
+    traces: &'a std::collections::BTreeMap<morph_qprog::TracepointId, Vec<CMatrix>>,
 }
 
 impl<'a> Context<'a> {
@@ -223,8 +225,15 @@ impl<'a> Context<'a> {
                 .iter()
                 .map(|i| i.rho.clone())
                 .collect(),
-            traces: characterization.traces.clone(),
+            traces: &characterization.traces,
         }
+    }
+
+    /// The violation at each sampled input's unit coefficient vector `eᵢ`
+    /// (the anchors), in sample order.
+    fn anchor_violations(&self) -> Vec<f64> {
+        let n = self.input_basis.len();
+        (0..n).map(|i| self.violation(&unit(n, i))).collect()
     }
 
     /// Gauge-fixed coefficients: scaled so `Σ α = 1` (unit input trace).
@@ -327,10 +336,7 @@ pub fn try_validate_assertion(
 
     // The optimizer sees the penalized, gauge-fixed objective.
     let weight = config.penalty_weight;
-    let ctx_for_obj = Context::new(assertion, characterization);
-    let objective = FnObjective::new(n_alphas, move |raw: &[f64]| {
-        ctx_for_obj.penalized(raw, weight)
-    });
+    let objective = FnObjective::new(n_alphas, |raw: &[f64]| ctx.penalized(raw, weight));
 
     let bounds = Bounds::uniform(n_alphas, -config.alpha_bound, config.alpha_bound);
     let solver = config.solver.build_with_restarts(config.solver_restarts);
@@ -340,7 +346,8 @@ pub fn try_validate_assertion(
 
     // Interpret the optimum under the gauge, repairing marginal
     // infeasibility by retracting toward a feasible sampled input.
-    let point = interpret_optimum(&ctx, &optimum.x, config.feasibility_tol);
+    let anchor_violations = ctx.anchor_violations();
+    let point = interpret_optimum(&ctx, &optimum.x, &anchor_violations, config.feasibility_tol);
     let degenerate_optimum = matches!(point, InterpretedPoint::Degenerate);
     let (mut max_objective, mut feasible, mut alphas) = match point {
         InterpretedPoint::Feasible { objective, alphas } => (objective, true, alphas),
@@ -356,10 +363,9 @@ pub fn try_validate_assertion(
     // visible at a sampled input must never be lost to optimizer
     // fragility on the kinked penalty landscape.
     morph_trace::counter("anchor_candidates", n_alphas as u64);
-    for i in 0..n_alphas {
-        let mut e = vec![0.0; n_alphas];
-        e[i] = 1.0;
-        if ctx.violation(&e) <= config.feasibility_tol {
+    for (i, &v) in anchor_violations.iter().enumerate() {
+        if v <= config.feasibility_tol {
+            let e = unit(n_alphas, i);
             let g = ctx.guarantee_value(&e);
             if g.is_finite() && (!feasible || g > max_objective) {
                 max_objective = g;
@@ -425,26 +431,27 @@ enum InterpretedPoint {
 /// the constraints, retract it along the segment toward the most-feasible
 /// unit coefficient vector (each `eᵢ` reconstructs the sampled input
 /// `σ_in,i`, a physical state) until it re-enters the feasible set.
-fn interpret_optimum(ctx: &Context<'_>, raw: &[f64], tol: f64) -> InterpretedPoint {
+/// `anchor_violations` is [`Context::anchor_violations`].
+fn interpret_optimum(
+    ctx: &Context<'_>,
+    raw: &[f64],
+    anchor_violations: &[f64],
+    tol: f64,
+) -> InterpretedPoint {
     if raw.iter().any(|v| !v.is_finite()) {
         return InterpretedPoint::Degenerate;
     }
     let Some(alphas) = ctx.normalize(raw) else {
         return InterpretedPoint::Degenerate;
     };
-    let n_alphas = alphas.len();
     let v = ctx.violation(&alphas);
     if v <= tol {
         let objective = ctx.guarantee_value(&alphas);
         return InterpretedPoint::Feasible { objective, alphas };
     }
     // Base point: the sampled-input coefficient vector with least violation.
-    let mut base = vec![0.0; n_alphas];
     let mut best = (f64::INFINITY, 0usize);
-    for i in 0..n_alphas {
-        let mut e = vec![0.0; n_alphas];
-        e[i] = 1.0;
-        let vi = ctx.violation(&e);
+    for (i, &vi) in anchor_violations.iter().enumerate() {
         if vi < best.0 {
             best = (vi, i);
         }
@@ -457,7 +464,7 @@ fn interpret_optimum(ctx: &Context<'_>, raw: &[f64], tol: f64) -> InterpretedPoi
             alphas,
         };
     }
-    base[best.1] = 1.0;
+    let base = unit(alphas.len(), best.1);
     morph_trace::counter("infeasible_retractions", 1);
     // Largest t ∈ [0, 1] with violation(base + t(α − base)) ≤ tol.
     let blend = |t: f64| -> Vec<f64> {
@@ -481,6 +488,13 @@ fn interpret_optimum(ctx: &Context<'_>, raw: &[f64], tol: f64) -> InterpretedPoi
         objective,
         alphas: repaired,
     }
+}
+
+/// The unit coefficient vector `eᵢ` of length `n`.
+fn unit(n: usize, i: usize) -> Vec<f64> {
+    let mut e = vec![0.0; n];
+    e[i] = 1.0;
+    e
 }
 
 /// Fits the Beta accuracy model by probing random inputs against the
@@ -788,12 +802,12 @@ mod tests {
         let mut raw = vec![0.3; n];
         raw[0] = f64::NAN;
         assert_eq!(
-            interpret_optimum(&ctx, &raw, 2e-2),
+            interpret_optimum(&ctx, &raw, &ctx.anchor_violations(), 2e-2),
             InterpretedPoint::Degenerate
         );
         // An un-normalizable gauge sum is degenerate too.
         assert_eq!(
-            interpret_optimum(&ctx, &vec![0.0; n], 2e-2),
+            interpret_optimum(&ctx, &vec![0.0; n], &ctx.anchor_violations(), 2e-2),
             InterpretedPoint::Degenerate
         );
     }
@@ -815,7 +829,7 @@ mod tests {
         let ctx = Context::new(&assertion, &ch);
         let n = ctx.input_basis.len();
         let raw = vec![1.0 / n as f64; n];
-        match interpret_optimum(&ctx, &raw, 2e-2) {
+        match interpret_optimum(&ctx, &raw, &ctx.anchor_violations(), 2e-2) {
             InterpretedPoint::Infeasible { objective, alphas } => {
                 assert!(objective.is_finite());
                 assert_eq!(alphas.len(), n);
@@ -828,6 +842,154 @@ mod tests {
         let out = try_validate_assertion(&assertion, &ch, &ValidationConfig::default(), &mut rng)
             .unwrap();
         assert!(out.verdict.passed(), "{:?}", out.verdict);
+    }
+
+    /// Every float of an outcome as bits: the verdict's objective and its
+    /// confidence (PASS) or coefficients (FAIL), the raw optimum, and the
+    /// confidence model.
+    fn outcome_bits(out: &ValidationOutcome) -> Vec<u64> {
+        let mut bits = Vec::new();
+        match &out.verdict {
+            Verdict::Passed {
+                max_objective,
+                confidence,
+            } => bits.extend([max_objective.to_bits(), confidence.to_bits()]),
+            Verdict::Failed {
+                max_objective,
+                alphas,
+                ..
+            } => {
+                bits.push(max_objective.to_bits());
+                bits.extend(alphas.iter().map(|a| a.to_bits()));
+            }
+        }
+        bits.push(out.optimum.value.to_bits());
+        bits.extend(out.optimum.x.iter().map(|v| v.to_bits()));
+        bits.push(out.confidence_model.beta1.to_bits());
+        bits.push(out.confidence_model.beta2.to_bits());
+        bits
+    }
+
+    /// Validation outcomes pinned bit for bit. The QP's fixed-point exit,
+    /// the factored Gram solve behind the confidence probes and the shared
+    /// anchor violations are exact rewrites, so none of them may move a
+    /// bit: a PASS on a partial span (so the confidence model is a real
+    /// fit), a FAIL whose witness is a retracted point, and the spec no
+    /// anchor satisfies.
+    #[test]
+    fn validation_outcomes_are_pinned_bit_for_bit() {
+        let validate = |assertion: &AssumeGuarantee, ch: &Characterization, seed: u64| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let out = try_validate_assertion(assertion, ch, &ValidationConfig::default(), &mut rng)
+                .unwrap();
+            assert_eq!(out.optimum.iterations, 800, "QP budget: 200 × 4 starts");
+            out
+        };
+
+        // PASS: 2 input qubits, 6 of the 16 samples a full span needs.
+        let mut c = Circuit::new(2);
+        c.tracepoint(1, &[0, 1]);
+        c.h(0).cx(0, 1).cx(0, 1).h(0);
+        c.tracepoint(2, &[0, 1]);
+        let config = CharacterizationConfig::exact(vec![0, 1], 6);
+        let partial = try_characterize(
+            &c,
+            &config,
+            &mut StdRng::seed_from_u64(11),
+            &CancelToken::new(),
+        )
+        .unwrap();
+        let pure_equal = AssumeGuarantee::new()
+            .assume(morph_qprog::TracepointId(1), StatePredicate::IsPure)
+            .guarantee_relation(
+                morph_qprog::TracepointId(1),
+                morph_qprog::TracepointId(2),
+                RelationPredicate::Equal,
+            );
+        let out = validate(&pure_equal, &partial, 1);
+        assert!(out.verdict.passed());
+        assert_eq!(out.optimum.evaluations, 77);
+        assert_eq!(
+            outcome_bits(&out),
+            [
+                0x3cc0001cffe5b830,
+                0x3f972b9d73b54a40,
+                0xc01b351d3560973e,
+                0xc000000000000000,
+                0xc000000000000000,
+                0xc000000000000000,
+                0xc000000000000000,
+                0xc000000000000000,
+                0xc000000000000000,
+                0x3ff13b55282e453c,
+                0x3ffaffdff779b0a9,
+            ]
+        );
+
+        // FAIL: the input must keep P(1) ≈ 0, and the guarantee grows with
+        // the X coherence, so the witness is the optimum (the mixed mean of
+        // the samples) retracted toward the |0⟩ anchor, not an anchor.
+        let ch = full_characterization(&identity_program(), 0);
+        let coherent = AssumeGuarantee::new()
+            .assume(StateRef::Input, StatePredicate::custom(|r| r[(1, 1)].re))
+            .guarantee_state(
+                morph_qprog::TracepointId(2),
+                StatePredicate::custom(|r| 10.0 * r[(0, 1)].re),
+            );
+        let out = validate(&coherent, &ch, 0);
+        match &out.verdict {
+            Verdict::Failed { alphas, .. } => {
+                assert!(
+                    alphas.iter().filter(|&&a| a != 0.0).count() > 1,
+                    "{alphas:?}"
+                );
+            }
+            other => panic!("expected a retracted FAIL, got {other:?}"),
+        }
+        assert_eq!(out.optimum.evaluations, 37);
+        assert_eq!(
+            outcome_bits(&out),
+            [
+                0x3fa9999999997ffc,
+                0x3fef0a3d70a3d800,
+                0x3f847ae147ae0000,
+                0x3f847ae147ae0000,
+                0x3f847ae147ae0000,
+                0xc027800000000000,
+                0xc000000000000000,
+                0xc000000000000000,
+                0xc000000000000000,
+                0xc000000000000000,
+                0x40c387feb851eb86,
+                0x3f847ae1479d1400,
+            ]
+        );
+
+        // The spec no anchor satisfies (see the test above).
+        let unsatisfiable = AssumeGuarantee::new()
+            .assume(StateRef::Input, StatePredicate::custom(|_| 1.0))
+            .guarantee_relation(
+                morph_qprog::TracepointId(1),
+                morph_qprog::TracepointId(2),
+                RelationPredicate::Equal,
+            );
+        let out = validate(&unsatisfiable, &ch, 3);
+        assert!(out.verdict.passed());
+        assert_eq!(out.optimum.evaluations, 37);
+        assert_eq!(
+            outcome_bits(&out),
+            [
+                0x3cb6fa6ea162d0f0,
+                0x3ff0000000000000,
+                0xc049800000000000,
+                0x4000000000000000,
+                0x4000000000000000,
+                0x4000000000000000,
+                0x4000000000000000,
+                0x40c387feb851eb86,
+                0x3f847ae1479d1400,
+            ]
+        );
     }
 
     /// A guarantee that evaluates to NaN everywhere must not crash the

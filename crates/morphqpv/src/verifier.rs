@@ -452,7 +452,10 @@ pub struct RunReport {
     /// Objective evaluations spent by the validation solver, summed over
     /// assertions.
     pub solver_evaluations: u64,
-    /// Solver iterations, summed over assertions.
+    /// The validation solver's configured iteration budget
+    /// ([`morph_optimize::OptResult::iterations`]), summed over assertions
+    /// — not the steps taken, which a QP start stops short of at its fixed
+    /// point.
     pub solver_iterations: u64,
     /// Cache behaviour of this run — `None` when the run used no cache.
     pub cache: Option<CacheSummary>,

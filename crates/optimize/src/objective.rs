@@ -143,7 +143,10 @@ pub struct OptResult {
     pub x: Vec<f64>,
     /// Objective value at the best point.
     pub value: f64,
-    /// Iterations performed.
+    /// The configured iteration budget — iterations per restart × restarts,
+    /// generations, or proposal steps — not the steps taken. The QP solver
+    /// stops a start at its fixed point yet reports the full budget; its
+    /// steps taken are the `line_search_steps` trace counter.
     pub iterations: usize,
     /// Total objective evaluations (including gradient probes).
     pub evaluations: u64,

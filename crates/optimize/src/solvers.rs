@@ -322,9 +322,15 @@ impl Optimizer for SimulatedAnnealing {
 /// stand-in for the paper's Gurobi backend; MorphQPV's validation
 /// objectives over the `α` coefficients are quadratics, so the fit is exact
 /// up to rounding for them.
+///
+/// A start stops early when its gradient vanishes or when a projected step
+/// leaves every coordinate bit-identical (a fixed point). Steps actually
+/// taken are recorded in the `line_search_steps` trace counter;
+/// [`OptResult::iterations`] reports the configured budget.
 #[derive(Debug, Clone)]
 pub struct QuadraticProgram {
-    /// Projected-gradient iterations per start.
+    /// Projected-gradient iterations per start (an upper bound: a start
+    /// stops at its fixed point).
     pub iterations: usize,
     /// Number of starts.
     pub starts: usize,
@@ -433,6 +439,7 @@ impl Optimizer for QuadraticProgram {
             let _restart_span = morph_trace::span_under(trace_parent, "restart");
             let mut task_rng = morph_parallel::child_rng(master, start as u64);
             let mut x = bounds.sample(&mut task_rng);
+            let mut previous = vec![0.0; n];
             let mut g = vec![0.0; n];
             let mut line_search_steps = 0u64;
             for _ in 0..self.iterations {
@@ -452,10 +459,21 @@ impl Optimizer for QuadraticProgram {
                     }
                 }
                 let t = if gqg < -1e-12 { -gg / gqg } else { 1.0 };
+                previous.copy_from_slice(&x);
                 for i in 0..n {
                     x[i] += t * g[i];
                 }
                 bounds.project(&mut x);
+                // A step is a pure function of `x`'s bits, so once one
+                // leaves them unchanged (a box corner the gradient pushes
+                // against, or converged rounding) every remaining step
+                // would repeat it: stopping here returns the same point.
+                if x.iter()
+                    .zip(&previous)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+                {
+                    break;
+                }
             }
             let v = objective.value(&x);
             morph_trace::counter("line_search_steps", line_search_steps);

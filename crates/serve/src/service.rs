@@ -206,23 +206,10 @@ pub struct JobOutput {
 
 /// Handle to one submitted job.
 pub struct JobHandle {
-    request_id: String,
-    token: CancelToken,
     rx: mpsc::Receiver<Result<JobOutput, JobError>>,
 }
 
 impl JobHandle {
-    /// The request id this handle tracks.
-    pub fn request_id(&self) -> &str {
-        &self.request_id
-    }
-
-    /// Requests cooperative cancellation; the job stops at its next
-    /// pipeline check-in and [`wait`](Self::wait) reports the outcome.
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
     /// Blocks until the job finishes.
     pub fn wait(self) -> Result<JobOutput, JobError> {
         self.rx.recv().unwrap_or_else(|_| {
@@ -247,23 +234,10 @@ pub struct RevisionsOutput {
 
 /// Handle to one submitted `verify_revisions` stream.
 pub struct RevisionsHandle {
-    request_id: String,
-    token: CancelToken,
     rx: mpsc::Receiver<Result<RevisionsOutput, JobError>>,
 }
 
 impl RevisionsHandle {
-    /// The request id this handle tracks.
-    pub fn request_id(&self) -> &str {
-        &self.request_id
-    }
-
-    /// Requests cooperative cancellation; the stream stops before its
-    /// next revision and [`wait`](Self::wait) reports the outcome.
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
     /// Blocks until the whole stream finishes.
     pub fn wait(self) -> Result<RevisionsOutput, JobError> {
         self.rx.recv().unwrap_or_else(|_| {
@@ -322,12 +296,10 @@ impl Service {
         };
         let (tx, rx) = mpsc::channel();
         let cache = Arc::clone(&self.cache);
-        let job_token = token.clone();
         let parent_span = morph_trace::current_span();
-        let request_id = request.id.clone();
         self.pool.try_submit(move || {
             let _span = morph_trace::span_under(parent_span, "serve/job");
-            let outcome = catch_unwind(AssertUnwindSafe(|| run_job(&cache, &request, &job_token)))
+            let outcome = catch_unwind(AssertUnwindSafe(|| run_job(&cache, &request, &token)))
                 .unwrap_or_else(|payload| {
                     Err(JobError::Panicked {
                         message: panic_message(&payload),
@@ -338,11 +310,7 @@ impl Service {
             let _ = tx.send(outcome);
         })?;
         morph_trace::gauge("serve/queue_depth", self.pool.queue_depth() as f64);
-        Ok(JobHandle {
-            request_id,
-            token,
-            rx,
-        })
+        Ok(JobHandle { rx })
     }
 
     /// Submits a `verify_revisions` stream without blocking.
@@ -373,12 +341,10 @@ impl Service {
             None => CancelToken::new(),
         };
         let (tx, rx) = mpsc::channel();
-        let job_token = token.clone();
         let parent_span = morph_trace::current_span();
-        let request_id = request.id.clone();
         self.pool.try_submit(move || {
             let _span = morph_trace::span_under(parent_span, "serve/job");
-            let outcome = catch_unwind(AssertUnwindSafe(|| run_revisions(&request, &job_token)))
+            let outcome = catch_unwind(AssertUnwindSafe(|| run_revisions(&request, &token)))
                 .unwrap_or_else(|payload| {
                     Err(JobError::Panicked {
                         message: panic_message(&payload),
@@ -387,11 +353,7 @@ impl Service {
             let _ = tx.send(outcome);
         })?;
         morph_trace::gauge("serve/queue_depth", self.pool.queue_depth() as f64);
-        Ok(RevisionsHandle {
-            request_id,
-            token,
-            rx,
-        })
+        Ok(RevisionsHandle { rx })
     }
 
     /// Jobs queued but not yet picked up by a worker.
