@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! usage: verify <program.qasm> [--inputs 0,1,...] [--samples N] [--seed S]
-//!               [--restarts N] [--cache-dir DIR] [--incremental]
-//!               [--segment-gates N] [--ensemble NAME] [--trace-json PATH]
+//!               [--restarts N] [--cache-dir DIR] [--ensemble NAME]
+//!               [--trace-json PATH]
 //! ```
 //!
 //! Exit codes follow the grep convention for checkers:
@@ -18,19 +18,12 @@
 //! artifacts in a morph-store directory, so re-verifying the same
 //! program/configuration/seed charges zero new simulator cost. A run
 //! without it is uncached. Cached and uncached runs print the same report
-//! (a cached run adds one `cache:` line).
-//!
-//! Incremental verification: `--incremental` records the key of every
-//! segment boundary in the cache, so re-verifying an edited program
-//! reports the segments before its first edited one as hits. It prints
-//! the report an uncached run prints, and adds a `segments: H hits, M
-//! misses` line. `--segment-gates N` sets the target segment length
-//! (default 4). With `--cache-dir`, boundary keys persist across
-//! invocations; without it, the cache is in-memory and one run hits
-//! nothing.
+//! (a cached run adds one `cache:` line). Re-verifying an edited program
+//! is a plain run: with `--cache-dir`, reverting to an earlier revision
+//! hits that revision's artifact.
 //!
 //! `--ensemble NAME` selects the input ensemble (`clifford`, the default;
-//! `pauli_product`; `basis`), with or without `--incremental`.
+//! `pauli_product`; `basis`).
 //!
 //! Telemetry: `--trace-json PATH` (or `MORPH_TRACE=1` for a stderr summary
 //! without the file) enables the `morph-trace` recorder and writes the span
@@ -42,13 +35,13 @@ use std::io::{self, Write};
 use morph_linalg::C64;
 use morph_store::StoreStats;
 use morphqpv::{
-    CharacterizationCache, CounterExample, InputEnsemble, MorphError, SegmentedCache,
-    SegmentedConfig, ValidationConfig, Verdict, VerificationReport,
+    CharacterizationCache, CounterExample, InputEnsemble, MorphError, ValidationConfig, Verdict,
+    VerificationReport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const USAGE: &str = "usage: verify <program.qasm> [--inputs 0,1,...] [--samples N] [--seed S] [--restarts N] [--cache-dir DIR] [--incremental] [--segment-gates N] [--ensemble NAME] [--trace-json PATH]";
+const USAGE: &str = "usage: verify <program.qasm> [--inputs 0,1,...] [--samples N] [--seed S] [--restarts N] [--cache-dir DIR] [--ensemble NAME] [--trace-json PATH]";
 
 fn main() {
     std::process::exit(run());
@@ -63,8 +56,6 @@ fn run() -> i32 {
     let mut cache_dir: Option<String> = None;
     let mut restarts: Option<usize> = None;
     let mut trace_json: Option<String> = None;
-    let mut incremental = false;
-    let mut segment_gates: Option<usize> = None;
     let mut ensemble: Option<InputEnsemble> = None;
 
     let mut it = args.into_iter();
@@ -116,16 +107,6 @@ fn run() -> i32 {
                         return 1;
                     }
                 };
-            }
-            "--incremental" => {
-                incremental = true;
-            }
-            "--segment-gates" => {
-                segment_gates = it.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0);
-                if segment_gates.is_none() {
-                    eprintln!("--segment-gates requires a positive integer");
-                    return 1;
-                }
             }
             "--ensemble" => {
                 // Same spelling as the serve protocol's `ensemble` knob.
@@ -221,35 +202,17 @@ fn run() -> i32 {
         verifier = verifier.assert_that(a);
     }
 
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Incremental runs key the cache by segment; whole-run caching keys
-    // it by the full characterization. Only one of the two is open.
-    let mut cache: Option<CharacterizationCache> = None;
-    let mut seg_cache: Option<SegmentedCache> = None;
-    if let Some(dir) = &cache_dir {
-        let opened = if incremental {
-            SegmentedCache::open(dir).map(|c| seg_cache = Some(c))
-        } else {
-            CharacterizationCache::open(dir).map(|c| cache = Some(c))
-        };
-        if let Err(e) = opened {
-            eprintln!("cannot open cache directory {dir}: {e}");
-            return 1;
-        }
-    }
-    let result = if incremental {
-        let seg = match segment_gates {
-            Some(g) => SegmentedConfig::new().segment_gates(g),
-            None => SegmentedConfig::default(),
-        };
-        let seg_cache = seg_cache.get_or_insert_with(SegmentedCache::in_memory);
-        verifier
-            .incremental(seg)
-            .try_run_incremental(&mut rng, seg_cache)
-    } else {
-        verifier.try_run(&mut rng, cache.as_ref())
+    let cache = match &cache_dir {
+        None => None,
+        Some(dir) => match CharacterizationCache::open(dir) {
+            Ok(cache) => Some(cache),
+            Err(e) => {
+                eprintln!("cannot open cache directory {dir}: {e}");
+                return 1;
+            }
+        },
     };
-    let report = match result {
+    let report = match verifier.try_run(&mut StdRng::seed_from_u64(seed), cache.as_ref()) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("{e}");
@@ -258,18 +221,11 @@ fn run() -> i32 {
         }
     };
 
-    // An in-memory segment cache prints no `cache:` line.
-    let store_stats = match (&cache, &seg_cache) {
-        (Some(c), _) => Some(c.stats()),
-        (None, Some(c)) if cache_dir.is_some() => Some(c.stats()),
-        _ => None,
-    };
     // A closed stdout (`verify … | head -1`) is an error exit, not a panic.
     let printed = print_report(
         &mut std::io::stdout().lock(),
         &report,
-        store_stats,
-        incremental,
+        cache.as_ref().map(CharacterizationCache::stats),
     );
     if morph_trace::enabled() {
         let run = &report.run;
@@ -298,13 +254,12 @@ fn run() -> i32 {
     }
 }
 
-/// Prints the verdicts, costs, the `cache:` line when `store_stats` is
-/// given, and the `segments:` line of an incremental run.
+/// Prints the verdicts, costs, and the `cache:` line when `store_stats` is
+/// given.
 fn print_report(
     out: &mut impl Write,
     report: &VerificationReport,
     store_stats: Option<StoreStats>,
-    incremental: bool,
 ) -> io::Result<()> {
     for (i, outcome) in report.outcomes.iter().enumerate() {
         match &outcome.verdict {
@@ -348,14 +303,6 @@ fn print_report(
     }
     if let Some(stats) = store_stats {
         writeln!(out, "cache: {stats}")?;
-    }
-    if incremental {
-        let c = report.run.cache.unwrap_or_default();
-        writeln!(
-            out,
-            "segments: {} hits, {} misses",
-            c.segment_hits, c.segment_misses
-        )?;
     }
     Ok(())
 }

@@ -115,12 +115,10 @@ fn undeclared_tracepoint_is_a_structured_error_exit_one() {
         &dir,
         "qreg q[2];\nT 1 q[0];\nh q[0];\nT 2 q[0,1];\n// assert guarantee is_pure(T9)\n",
     );
-    for args in [&[] as &[&str], &["--incremental"]] {
-        let out = run_verify(&program, args, &[]);
-        assert_eq!(out.status.code(), Some(1), "args {args:?}: {out:?}");
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(stderr.contains("tracepoint T9"), "{stderr}");
-    }
+    let out = run_verify(&program, &[], &[]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("tracepoint T9"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

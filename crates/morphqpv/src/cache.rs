@@ -96,37 +96,6 @@ pub fn characterization_fingerprint(
         .finish()
 }
 
-/// [`characterization_fingerprint`] for a run with an explicit input set
-/// (Strategy-adapt): the inputs' preparation circuits replace the ensemble
-/// tag and sample count in the address.
-pub fn characterization_fingerprint_with_inputs(
-    circuit: &Circuit,
-    config: &CharacterizationConfig,
-    input_preps: &[&Circuit],
-    char_seed: u64,
-) -> Fingerprint {
-    let mut circuit_bytes = Vec::new();
-    circuit.canonical_bytes(&mut circuit_bytes);
-    let mut noise_bytes = Vec::new();
-    config.noise.canonical_bytes(&mut noise_bytes);
-    let mut prep_bytes = Vec::new();
-    prep_bytes.extend_from_slice(&(input_preps.len() as u64).to_le_bytes());
-    for prep in input_preps {
-        prep.canonical_bytes(&mut prep_bytes);
-    }
-    let (readout_tag, readout_param) = config.readout.tag();
-    let input_qubits: Vec<u64> = config.input_qubits.iter().map(|&q| q as u64).collect();
-    FingerprintBuilder::new(FINGERPRINT_DOMAIN)
-        .field_bytes("circuit", &circuit_bytes)
-        .field_bytes("explicit-inputs", &prep_bytes)
-        .field_str("readout", readout_tag)
-        .field_u64("readout-param", readout_param)
-        .field_bytes("noise", &noise_bytes)
-        .field_u64_list("input-qubits", &input_qubits)
-        .field_u64("seed", char_seed)
-        .finish()
-}
-
 /// Frame of a v4 artifact payload: the version stamp plus the `kind`
 /// discriminator.
 fn artifact_envelope(kind: &str) -> BTreeMap<String, Value> {

@@ -71,10 +71,6 @@ pub enum Precondition {
         /// The program's register width.
         n_qubits: usize,
     },
-    /// Explicit inputs were supplied to an incremental run, which samples
-    /// its own ensemble (the ensemble is part of each segment's content
-    /// address).
-    ExplicitInputsWithIncremental,
 }
 
 impl fmt::Display for Precondition {
@@ -101,11 +97,6 @@ impl fmt::Display for Precondition {
                 f,
                 "noisy characterization needs density-matrix simulation \
                  (at most {MAX_NOISY_QUBITS} qubits), got {n_qubits}"
-            ),
-            Precondition::ExplicitInputsWithIncremental => write!(
-                f,
-                "incremental verification samples its own ensemble inputs; \
-                 explicit inputs are not supported"
             ),
         }
     }

@@ -84,7 +84,6 @@ mod confidence;
 mod counterexample;
 mod error;
 mod incremental;
-mod landscape;
 mod predicate;
 pub mod prelude;
 mod prune;
@@ -96,8 +95,7 @@ mod verifier;
 pub use approx::{ApproximationFunction, ChainedApproximation, Mitigation};
 pub use assertion::{AssumeGuarantee, Guarantee, StateRef};
 pub use cache::{
-    characterization_fingerprint, characterization_fingerprint_with_inputs, CharacterizationCache,
-    ARTIFACT_VERSION, FINGERPRINT_DOMAIN,
+    characterization_fingerprint, CharacterizationCache, ARTIFACT_VERSION, FINGERPRINT_DOMAIN,
 };
 pub use cancel::{CancelToken, Cancelled};
 pub use characterize::{
@@ -115,11 +113,10 @@ pub use incremental::{
     SegmentReport, SegmentedCache, SegmentedConfig, BOUNDARY_DOMAIN, DEFAULT_SEGMENT_GATES,
     SEGMENT_CUT_DOMAIN, SEGMENT_DOMAIN,
 };
-pub use landscape::{input_landscape, landscape_peak, LandscapePoint};
 pub use morph_backend::BackendChoice;
-// The ensemble and explicit-input types appear in the `Verifier` builder
-// surface; re-export them so callers configure a run without a direct
-// morph-clifford dep.
+// `Verifier::ensemble` takes the ensemble type and
+// `try_characterize_with_inputs` the input type; re-export them so callers
+// configure a run without a direct morph-clifford dep.
 pub use morph_clifford::{InputEnsemble, InputState};
 pub use morph_qprog::BackendMode;
 pub use predicate::{RelationPredicate, StatePredicate};

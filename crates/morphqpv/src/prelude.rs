@@ -38,10 +38,6 @@ pub use crate::characterize::{
 pub use crate::confidence::ConfidenceModel;
 pub use crate::counterexample::CounterExample;
 pub use crate::error::{MorphError, Precondition};
-pub use crate::incremental::{
-    try_characterize_incremental, IncrementalCharacterization, SegmentError, SegmentReport,
-    SegmentedCache, SegmentedConfig,
-};
 pub use crate::predicate::{RelationPredicate, StatePredicate};
 pub use crate::spec::{assertions_from_source, parse_assertion};
 pub use crate::validate::{

@@ -1,7 +1,7 @@
 //! High-level verification front-end: the three-step MorphQPV flow
 //! (assert → characterize → validate) behind one builder.
 
-use morph_clifford::{InputEnsemble, InputState};
+use morph_clifford::InputEnsemble;
 use morph_qprog::{Circuit, TracepointId};
 use morph_qsim::NoiseModel;
 use morph_store::{Fingerprint, StoreStats};
@@ -12,9 +12,7 @@ use rand::{Rng, SeedableRng};
 use crate::assertion::{AssumeGuarantee, StateRef};
 use crate::cache::CharacterizationCache;
 use crate::cancel::CancelToken;
-use crate::characterize::{
-    try_characterize, try_characterize_with_inputs, Characterization, CharacterizationConfig,
-};
+use crate::characterize::{try_characterize, Characterization, CharacterizationConfig};
 use crate::error::{MorphError, Precondition};
 use crate::incremental::{try_characterize_incremental, SegmentedCache, SegmentedConfig};
 use crate::validate::{try_validate_assertion, ValidationConfig, ValidationOutcome, Verdict};
@@ -58,7 +56,6 @@ pub struct Verifier {
     assertions: Vec<AssumeGuarantee>,
     characterization_config: CharacterizationConfig,
     validation_config: ValidationConfig,
-    explicit_inputs: Option<Vec<InputState>>,
     segmented: Option<SegmentedConfig>,
 }
 
@@ -83,7 +80,6 @@ impl Verifier {
                 backend: morph_qprog::BackendMode::Auto,
             },
             validation_config: ValidationConfig::default(),
-            explicit_inputs: None,
             segmented: None,
         }
     }
@@ -135,17 +131,11 @@ impl Verifier {
         self
     }
 
-    /// Supplies explicit input states (Strategy-adapt / Strategy-const)
-    /// instead of ensemble sampling.
-    pub fn with_inputs(mut self, inputs: Vec<InputState>) -> Self {
-        self.explicit_inputs = Some(inputs);
-        self
-    }
-
     /// Configures incremental characterization for
     /// [`Self::try_run_incremental`] (the revision loop: re-verifying an
     /// edited program reports which of its segments are unchanged since a
-    /// run that shared the cache).
+    /// run that shared the cache). perfbench's `revise` workload is its last
+    /// caller.
     pub fn incremental(mut self, config: SegmentedConfig) -> Self {
         self.segmented = Some(config);
         self
@@ -169,7 +159,7 @@ impl Verifier {
 
     /// The segmentation configuration incremental runs will use
     /// ([`SegmentedConfig::default`] unless [`Self::incremental`] was
-    /// called).
+    /// called). perfbench's `revise` workload is its last caller.
     pub fn segmented_config(&self) -> SegmentedConfig {
         self.segmented.unwrap_or_default()
     }
@@ -180,22 +170,11 @@ impl Verifier {
     /// services use to coalesce concurrent identical jobs (see
     /// `morph-serve`).
     pub fn characterization_fingerprint(&self, char_seed: u64) -> Fingerprint {
-        match &self.explicit_inputs {
-            Some(inputs) => {
-                let preps: Vec<&Circuit> = inputs.iter().map(|i| &i.prep).collect();
-                crate::cache::characterization_fingerprint_with_inputs(
-                    &self.circuit,
-                    &self.characterization_config,
-                    &preps,
-                    char_seed,
-                )
-            }
-            None => crate::cache::characterization_fingerprint(
-                &self.circuit,
-                &self.characterization_config,
-                char_seed,
-            ),
-        }
+        crate::cache::characterization_fingerprint(
+            &self.circuit,
+            &self.characterization_config,
+            char_seed,
+        )
     }
 
     /// Runs the characterization stage alone, seeded with `char_seed` (the
@@ -216,22 +195,12 @@ impl Verifier {
         char_seed: u64,
         cancel: &CancelToken,
     ) -> Result<Characterization, MorphError> {
-        let mut run_rng = StdRng::seed_from_u64(char_seed);
-        match &self.explicit_inputs {
-            Some(inputs) => try_characterize_with_inputs(
-                &self.circuit,
-                &self.characterization_config,
-                inputs.clone(),
-                &mut run_rng,
-                cancel,
-            ),
-            None => try_characterize(
-                &self.circuit,
-                &self.characterization_config,
-                &mut run_rng,
-                cancel,
-            ),
-        }
+        try_characterize(
+            &self.circuit,
+            &self.characterization_config,
+            &mut StdRng::seed_from_u64(char_seed),
+            cancel,
+        )
     }
 
     /// Validates every assertion against an already-computed
@@ -324,15 +293,14 @@ impl Verifier {
     /// uncached [`Self::try_run`] does, drawing from `rng` alike, and its
     /// [`CacheSummary`] counts the segments unchanged since a run that
     /// shared `cache` (see [`crate::try_characterize_incremental`]).
+    /// perfbench's `revise` workload is its last caller.
     ///
     /// # Errors
     ///
     /// [`MorphError::Precondition`] when no assertions were added, an
     /// assertion names a tracepoint the program does not declare (both
-    /// checked before any characterization), explicit inputs were supplied
-    /// ([`Self::with_inputs`] and incremental characterization are mutually
-    /// exclusive — the ensemble is part of each segment's content address),
-    /// or the program or configuration cannot be characterized;
+    /// checked before any characterization), or the program or
+    /// configuration cannot be characterized;
     /// [`MorphError::Segment`] when the program cannot be segmented (see
     /// [`crate::SegmentError`]);
     /// [`MorphError::Validation`] on solver failure.
@@ -342,9 +310,6 @@ impl Verifier {
         cache: &SegmentedCache,
     ) -> Result<VerificationReport, MorphError> {
         self.check_assertions(|id| self.circuit.tracepoint_position(id).is_some())?;
-        if self.explicit_inputs.is_some() {
-            return Err(Precondition::ExplicitInputsWithIncremental.into());
-        }
         let _trace = morph_trace::span("verify/run");
         let stats_before = cache.stats();
         let seg = self.segmented_config();
@@ -651,14 +616,6 @@ mod tests {
             Err(MorphError::Precondition(p)) => p,
             other => panic!("expected a precondition error, got {other:?}"),
         };
-        let explicit = Verifier::new(ghz_with_traces())
-            .input_qubits(&[0])
-            .with_inputs(morph_clifford::InputEnsemble::Clifford.generate(1, 2, &mut rng))
-            .assert_that(pure_assertion());
-        assert_eq!(
-            precondition(explicit.try_run_incremental(&mut rng, &cache)),
-            Precondition::ExplicitInputsWithIncremental
-        );
         let off_register = Verifier::new(ghz_with_traces())
             .input_qubits(&[5])
             .assert_that(pure_assertion());
@@ -767,60 +724,50 @@ mod tests {
             TracepointId(2),
             StatePredicate::equals(CMatrixFixtures::one()),
         );
-        let base = || {
-            Verifier::new(ghz_with_traces())
-                .input_qubits(&[0])
-                .samples(4)
-                .assert_that(pure_assertion())
-                .assert_that(failing.clone())
-        };
-        let ensemble = base()
+        let verifier = Verifier::new(ghz_with_traces())
+            .input_qubits(&[0])
+            .samples(4)
             .ensemble(morph_clifford::InputEnsemble::PauliProduct)
-            .readout(ReadoutMode::Shots(40));
-        let inputs = morph_clifford::InputEnsemble::PauliProduct.generate(
-            1,
-            4,
-            &mut StdRng::seed_from_u64(21),
+            .readout(ReadoutMode::Shots(40))
+            .assert_that(pure_assertion())
+            .assert_that(failing);
+        // Each path's report plus the caller's next draw, which pins how
+        // far the path advanced the caller's RNG.
+        let run = |cache: Option<&CharacterizationCache>| {
+            let mut rng = StdRng::seed_from_u64(17);
+            let report = verifier.try_run(&mut rng, cache).unwrap();
+            (report, rng.gen::<u64>())
+        };
+        let uncached = run(None);
+        assert!(uncached.0.run.cache.is_none());
+        assert!(
+            !uncached.0.all_passed(),
+            "the failing assertion must refute"
         );
-        for verifier in [ensemble, base().with_inputs(inputs)] {
-            // Each path's report plus the caller's next draw, which pins how
-            // far the path advanced the caller's RNG.
-            let run = |cache: Option<&CharacterizationCache>| {
-                let mut rng = StdRng::seed_from_u64(17);
-                let report = verifier.try_run(&mut rng, cache).unwrap();
-                (report, rng.gen::<u64>())
-            };
-            let uncached = run(None);
-            assert!(uncached.0.run.cache.is_none());
-            assert!(
-                !uncached.0.all_passed(),
-                "the failing assertion must refute"
-            );
 
-            let cache = CharacterizationCache::in_memory();
-            let cold = run(Some(&cache));
-            let summary = cold.0.run.cache.expect("cached run carries a summary");
-            assert_eq!((summary.hits, summary.misses, summary.writes), (0, 1, 1));
-            let warm = run(Some(&cache));
-            let summary = warm.0.run.cache.expect("cached run carries a summary");
-            assert_eq!((summary.hits, summary.misses, summary.writes), (1, 0, 0));
-            assert!(summary.cost_saved > 0);
+        let cache = CharacterizationCache::in_memory();
+        let cold = run(Some(&cache));
+        let summary = cold.0.run.cache.expect("cached run carries a summary");
+        assert_eq!((summary.hits, summary.misses, summary.writes), (0, 1, 1));
+        let warm = run(Some(&cache));
+        let summary = warm.0.run.cache.expect("cached run carries a summary");
+        assert_eq!((summary.hits, summary.misses, summary.writes), (1, 0, 0));
+        assert!(summary.cost_saved > 0);
 
-            let split = {
-                let mut rng = StdRng::seed_from_u64(17);
-                let never = CancelToken::new();
-                let ch = verifier
-                    .try_characterize_for_seed(rng.gen(), &never)
-                    .unwrap();
-                let report = verifier
-                    .try_validate_with(ch, &mut rng, None, &never)
-                    .unwrap();
-                (report, rng.gen::<u64>())
-            };
-            for (report, next) in [&cold, &warm, &split] {
-                assert_eq!(observable(report), observable(&uncached.0));
-                assert_eq!(*next, uncached.1, "the caller's RNG advanced differently");
-            }
+        let split = {
+            let mut rng = StdRng::seed_from_u64(17);
+            let never = CancelToken::new();
+            let ch = verifier
+                .try_characterize_for_seed(rng.gen(), &never)
+                .unwrap();
+            let report = verifier
+                .try_validate_with(ch, &mut rng, None, &never)
+                .unwrap();
+            (report, rng.gen::<u64>())
+        };
+        for (report, next) in [&cold, &warm, &split] {
+            assert_eq!(observable(report), observable(&uncached.0));
+            assert_eq!(*next, uncached.1, "the caller's RNG advanced differently");
         }
     }
 

@@ -9,10 +9,11 @@
 //! [`serve_listener`] exposes the same protocol over TCP.
 //!
 //! Besides single jobs, the protocol's v2 `verify_revisions` kind submits
-//! an **ordered revision stream**: the service verifies each program
-//! revision incrementally ([`Service::submit_revisions`]) and reports per
-//! revision how many segments are unchanged since an earlier revision
-//! (per-segment hit/miss counts).
+//! an **ordered revision stream** — the edit loop. There is one job path:
+//! [`Service::submit`] takes either kind, and each revision runs as the
+//! `verify` job with its program and the stream's knobs would, through the
+//! same cache, so a stream writes, hits and coalesces artifacts like any
+//! other job (a revert to an earlier revision is a cache hit).
 //!
 //! The throughput mechanism is **coalescing**: jobs are keyed by the
 //! content address of their characterization (the `morph-store`
@@ -39,16 +40,52 @@ pub use protocol::{
     JobRequest, JobResponse, JobStatus, Request, RevisionsRequest, PROTOCOL_VERSION,
     PROTOCOL_VERSION_REVISIONS,
 };
-pub use service::{
-    JobError, JobHandle, JobOutput, RevisionsHandle, RevisionsOutput, ServeConfig, Service,
-    SubmitError,
-};
+pub use service::{JobError, JobHandle, ServeConfig, Service, SubmitError};
 
 use std::io::{self, BufRead, Write};
 use std::time::Duration;
 
 /// How long [`run_batch`] backs off before retrying a saturated queue.
 const RESUBMIT_TICK: Duration = Duration::from_millis(5);
+
+/// One request line's answer, in request order: resolved at once, or
+/// when its submitted request finishes.
+pub(crate) enum Slot {
+    /// Answered without running: a line that did not parse, or a refusal.
+    Ready(Box<JobResponse>),
+    /// A submitted request.
+    Pending(JobHandle),
+}
+
+impl Slot {
+    /// The line-to-response path batch mode and the listener share: parses
+    /// `line` and hands the request to `submit`, which returns the handle
+    /// or the refusal to answer in its place. A line that does not parse
+    /// answers `invalid_request` in-band.
+    pub(crate) fn admit(
+        line: &str,
+        submit: impl FnOnce(Request) -> Result<JobHandle, JobResponse>,
+    ) -> Slot {
+        match Request::from_json_line(line) {
+            Ok(request) => match submit(request) {
+                Ok(handle) => Slot::Pending(handle),
+                Err(refusal) => Slot::Ready(Box::new(refusal)),
+            },
+            Err(message) => Slot::Ready(Box::new(JobResponse::from_invalid_line(
+                &protocol::salvage_id(line),
+                &message,
+            ))),
+        }
+    }
+
+    /// The response line, blocking until a submitted request finishes.
+    pub(crate) fn response(self) -> JobResponse {
+        match self {
+            Slot::Ready(response) => *response,
+            Slot::Pending(handle) => handle.wait(),
+        }
+    }
+}
 
 /// Runs a batch of request lines through a fresh [`Service`] and writes
 /// one response line per request, in request order.
@@ -70,25 +107,6 @@ pub fn run_batch(
     mut output: impl Write,
     config: &ServeConfig,
 ) -> io::Result<i32> {
-    enum Slot {
-        Ready(Box<JobResponse>),
-        Pending(String, JobHandle),
-        PendingRevisions(String, RevisionsHandle),
-    }
-
-    /// Retries a saturated queue until the service accepts or refuses.
-    fn submit_with_backoff<H>(
-        mut submit: impl FnMut() -> Result<H, SubmitError>,
-    ) -> Result<H, SubmitError> {
-        loop {
-            match submit() {
-                Ok(handle) => return Ok(handle),
-                Err(SubmitError::QueueFull { .. }) => std::thread::sleep(RESUBMIT_TICK),
-                Err(rejection) => return Err(rejection),
-            }
-        }
-    }
-
     let service = Service::start(config)?;
     let mut slots = Vec::new();
     for line in input.lines() {
@@ -96,46 +114,23 @@ pub fn run_batch(
         if line.trim().is_empty() {
             continue;
         }
-        match Request::from_json_line(&line) {
-            Err(message) => {
-                let id = protocol::salvage_id(&line);
-                slots.push(Slot::Ready(Box::new(JobResponse::from_invalid_line(
-                    &id, &message,
-                ))));
-            }
-            Ok(request) => {
-                let id = request.id().to_string();
-                let version = request.protocol_version();
-                let submitted = match request {
-                    Request::Job(job) => submit_with_backoff(|| service.submit(job.clone()))
-                        .map(|handle| Slot::Pending(id.clone(), handle)),
-                    Request::Revisions(stream) => {
-                        submit_with_backoff(|| service.submit_revisions(stream.clone()))
-                            .map(|handle| Slot::PendingRevisions(id.clone(), handle))
+        slots.push(Slot::admit(&line, |request| {
+            let (id, version) = (request.id().to_string(), request.protocol_version());
+            loop {
+                match service.submit(request.clone()) {
+                    Ok(handle) => return Ok(handle),
+                    Err(SubmitError::QueueFull { .. }) => std::thread::sleep(RESUBMIT_TICK),
+                    Err(rejection) => {
+                        return Err(JobResponse::from_rejection(&id, version, &rejection))
                     }
-                };
-                slots.push(submitted.unwrap_or_else(|rejection| {
-                    Slot::Ready(Box::new(JobResponse::from_rejection(
-                        &id, version, &rejection,
-                    )))
-                }));
+                }
             }
-        }
+        }));
     }
 
     let mut exit = 0;
     for slot in slots {
-        let response = match slot {
-            Slot::Ready(response) => *response,
-            Slot::Pending(id, handle) => match handle.wait() {
-                Ok(out) => JobResponse::from_report(&id, out.fingerprint, &out.report),
-                Err(e) => JobResponse::from_error(&id, &e),
-            },
-            Slot::PendingRevisions(id, handle) => match handle.wait() {
-                Ok(out) => JobResponse::from_revisions(&id, &out.revisions),
-                Err(e) => JobResponse::from_revisions_error(&id, &e),
-            },
-        };
+        let response = slot.response();
         exit = exit.max(response.exit_code());
         response.write_line(&mut output)?;
     }

@@ -54,8 +54,9 @@ use std::time::{Duration, Instant};
 
 use morph_trace::lock_or_recover;
 
-use crate::protocol::{salvage_id, JobResponse, Request, PROTOCOL_VERSION};
-use crate::service::{JobHandle, RevisionsHandle, Service};
+use crate::protocol::{JobResponse, PROTOCOL_VERSION};
+use crate::service::Service;
+use crate::Slot;
 
 /// How often blocked socket reads and the accept loop re-check the stop
 /// flag.
@@ -233,17 +234,6 @@ fn refuse_connection(stream: TcpStream, limit: usize) {
     let _ = response.write_line(&stream);
 }
 
-/// One queued unit of per-connection output, in request order.
-enum Slot {
-    /// Already resolved (parse error or admission rejection).
-    Ready(Box<JobResponse>),
-    /// A submitted job; the writer blocks on the handle in slot order.
-    Pending(String, JobHandle),
-    /// A submitted `verify_revisions` stream; one response line like any
-    /// other slot, and one unit of the in-flight quota.
-    PendingRevisions(String, RevisionsHandle),
-}
-
 /// A request's transit record: the slot plus its arrival instant for the
 /// latency histogram.
 struct Entry {
@@ -371,66 +361,36 @@ fn admit(
     in_flight: &Arc<AtomicUsize>,
 ) -> Slot {
     morph_trace::counter("serve/net_requests", 1);
-    let request = match Request::from_json_line(line) {
-        Ok(request) => request,
-        Err(message) => {
-            let id = salvage_id(line);
-            return Slot::Ready(Box::new(JobResponse::from_invalid_line(&id, &message)));
+    let slot = Slot::admit(line, |request| {
+        let (id, version) = (request.id().to_string(), request.protocol_version());
+        if in_flight.load(Ordering::SeqCst) >= inflight_limit {
+            morph_trace::counter("serve/job_quota_rejected", 1);
+            return Err(JobResponse::from_refusal(
+                &id,
+                version,
+                "job_quota",
+                &format!("connection in-flight job limit reached (limit {inflight_limit})"),
+            ));
         }
-    };
-    let id = request.id().to_string();
-    let version = request.protocol_version();
-    if in_flight.load(Ordering::SeqCst) >= inflight_limit {
-        morph_trace::counter("serve/job_quota_rejected", 1);
-        return Slot::Ready(Box::new(JobResponse::from_refusal(
-            &id,
-            version,
-            "job_quota",
-            &format!("connection in-flight job limit reached (limit {inflight_limit})"),
-        )));
-    }
-    let submitted = match request {
-        Request::Job(request) => service
+        service
             .submit(request)
-            .map(|handle| Slot::Pending(id.clone(), handle)),
-        Request::Revisions(request) => service
-            .submit_revisions(request)
-            .map(|handle| Slot::PendingRevisions(id.clone(), handle)),
-    };
-    match submitted {
-        Ok(slot) => {
-            in_flight.fetch_add(1, Ordering::SeqCst);
-            slot
-        }
-        Err(rejection) => Slot::Ready(Box::new(JobResponse::from_rejection(
-            &id, version, &rejection,
-        ))),
+            .map_err(|rejection| JobResponse::from_rejection(&id, version, &rejection))
+    });
+    if let Slot::Pending(_) = slot {
+        in_flight.fetch_add(1, Ordering::SeqCst);
     }
+    slot
 }
 
 /// Writes responses in FIFO (request) order, streaming each as soon as its
 /// job finishes.
 fn write_loop(stream: TcpStream, rx: mpsc::Receiver<Entry>, in_flight: &AtomicUsize) {
     for entry in rx {
-        let response = match entry.slot {
-            Slot::Ready(response) => *response,
-            Slot::Pending(id, handle) => {
-                let response = match handle.wait() {
-                    Ok(out) => JobResponse::from_report(&id, out.fingerprint, &out.report),
-                    Err(e) => JobResponse::from_error(&id, &e),
-                };
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                response
-            }
-            Slot::PendingRevisions(id, handle) => {
-                let response = match handle.wait() {
-                    Ok(out) => JobResponse::from_revisions(&id, &out.revisions),
-                    Err(e) => JobResponse::from_revisions_error(&id, &e),
-                };
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                response
-            }
-        };
+        let pending = matches!(entry.slot, Slot::Pending(_));
+        let response = entry.slot.response();
+        if pending {
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
         if response.write_line(&stream).is_err() {
             return; // Peer gone; pending handles drain via their Drops.
         }

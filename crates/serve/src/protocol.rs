@@ -51,8 +51,7 @@ pub enum Request {
     /// `"kind":"verify"` (or absent): one verification job.
     Job(JobRequest),
     /// `"kind":"verify_revisions"` (requires `"v":2`): an ordered
-    /// revision stream verified incrementally against one shared
-    /// segment cache.
+    /// revision stream, each revision verified as a `verify` job would be.
     Revisions(RevisionsRequest),
 }
 
@@ -113,6 +112,26 @@ impl Request {
             Request::Job(_) => PROTOCOL_VERSION,
             Request::Revisions(_) => PROTOCOL_VERSION_REVISIONS,
         }
+    }
+
+    /// The request's own deadline in milliseconds, if it set one.
+    pub fn deadline_ms(&self) -> Option<u64> {
+        match self {
+            Request::Job(r) => r.deadline_ms,
+            Request::Revisions(r) => r.deadline_ms,
+        }
+    }
+}
+
+impl From<JobRequest> for Request {
+    fn from(request: JobRequest) -> Self {
+        Request::Job(request)
+    }
+}
+
+impl From<RevisionsRequest> for Request {
+    fn from(request: RevisionsRequest) -> Self {
+        Request::Revisions(request)
     }
 }
 
@@ -222,15 +241,14 @@ impl JobRequest {
     }
 }
 
-/// An ordered stream of program revisions verified incrementally: every
-/// revision shares one job-local segment cache, so re-verifying an
-/// edited program hits the segments before its first edited one. Parsed
-/// from a `"v":2`, `"kind":"verify_revisions"` request line.
+/// An ordered stream of program revisions — the edit loop. Parsed from a
+/// `"v":2`, `"kind":"verify_revisions"` request line.
 ///
 /// The shared knobs (`input_qubits`, `seed`, `samples`, …) apply to
-/// every revision; each revision restarts its RNG from `seed`, so an
-/// identical revision appearing twice in the stream answers
-/// identically.
+/// every revision, and each revision runs as the `verify` job with its
+/// program and those knobs would, through the service's one artifact
+/// cache: an identical revision appearing twice in the stream answers
+/// identically, and the second one hits the cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RevisionsRequest {
     /// Caller-chosen identifier echoed on the response line.
@@ -245,7 +263,7 @@ pub struct RevisionsRequest {
     /// Overrides the sampled-input budget.
     pub samples: Option<usize>,
     /// Deadline in milliseconds for the whole stream, counted from
-    /// submission; cancellation is checked between revisions.
+    /// submission.
     pub deadline_ms: Option<u64>,
     /// Overrides the validation solver's restart count.
     pub restarts: Option<usize>,
@@ -254,10 +272,6 @@ pub struct RevisionsRequest {
     /// Input ensemble name: `"clifford"` (default), `"pauli_product"`,
     /// or `"basis"`.
     pub ensemble: Option<String>,
-    /// Overrides the target gates-per-segment of the incremental
-    /// characterization (must be >= 1; default
-    /// `morphqpv::DEFAULT_SEGMENT_GATES`).
-    pub segment_gates: Option<usize>,
 }
 
 impl RevisionsRequest {
@@ -274,7 +288,6 @@ impl RevisionsRequest {
             restarts: None,
             noise: None,
             ensemble: None,
-            segment_gates: None,
         }
     }
 
@@ -294,10 +307,6 @@ impl RevisionsRequest {
         if revisions.is_empty() {
             return Err("revisions must not be empty".into());
         }
-        let segment_gates = optional_u64(obj, "segment_gates")?.map(|n| n as usize);
-        if segment_gates == Some(0) {
-            return Err("segment_gates must be >= 1".into());
-        }
         Ok(RevisionsRequest {
             id,
             revisions,
@@ -308,7 +317,6 @@ impl RevisionsRequest {
             restarts: optional_u64(obj, "restarts")?.map(|n| n as usize),
             noise: optional_str(obj, "noise")?,
             ensemble: optional_str(obj, "ensemble")?,
-            segment_gates,
         })
     }
 
@@ -358,9 +366,6 @@ impl RevisionsRequest {
         }
         if let Some(ensemble) = &self.ensemble {
             m.insert("ensemble".to_string(), Value::Str(ensemble.clone()));
-        }
-        if let Some(g) = self.segment_gates {
-            m.insert("segment_gates".to_string(), Value::UInt(g as u64));
         }
         json::to_string(&Value::Object(m))
     }
@@ -473,8 +478,8 @@ impl JobResponse {
 
     /// Builds the response for a completed `verify_revisions` stream:
     /// one entry per revision (in stream order) carrying its status,
-    /// assertion verdicts, run costs, and the per-segment cache
-    /// behaviour that proves what the incremental pass reused. A
+    /// assertion verdicts and run costs — a `verify` response's body
+    /// without its `id`, `protocol` and `characterization_fp`. A
     /// revision that failed contributes an in-band error entry; the
     /// line-level status is the worst across revisions (refuted
     /// dominates error dominates passed, matching the exit-code
@@ -506,15 +511,6 @@ impl JobResponse {
                     );
                     m.insert("assertions".to_string(), assertions_value(report));
                     m.insert("run".to_string(), run_value(report));
-                    let cache = report.run.cache.unwrap_or_default();
-                    let mut seg = BTreeMap::new();
-                    seg.insert("hits".to_string(), Value::UInt(cache.segment_hits));
-                    seg.insert("misses".to_string(), Value::UInt(cache.segment_misses));
-                    seg.insert(
-                        "total".to_string(),
-                        Value::UInt(cache.segment_hits + cache.segment_misses),
-                    );
-                    m.insert("segments".to_string(), Value::Object(seg));
                 }
                 Err(e) => {
                     if severity(JobStatus::Error) > severity(status) {
@@ -541,23 +537,18 @@ impl JobResponse {
         }
     }
 
-    /// Builds the response for a `verify_revisions` stream that failed
-    /// before producing per-revision results (deadline while queued,
-    /// worker panic). Stamped `"protocol":2` like every revisions
-    /// response.
-    pub fn from_revisions_error(id: &str, error: &JobError) -> JobResponse {
+    /// Builds the response for a request that started but failed as a
+    /// whole — a job's failure, or a stream's deadline or panic — stamped
+    /// with the protocol `version` of the request it answers
+    /// ([`Request::protocol_version`]).
+    pub fn from_error(id: &str, version: u32, error: &JobError) -> JobResponse {
         JobResponse::error_with_version(
             id,
             JobStatus::Error,
             error.kind(),
             &error.to_string(),
-            PROTOCOL_VERSION_REVISIONS,
+            version,
         )
-    }
-
-    /// Builds the response for a job that started but failed.
-    pub fn from_error(id: &str, error: &JobError) -> JobResponse {
-        JobResponse::error_with(id, JobStatus::Error, error.kind(), &error.to_string())
     }
 
     /// Builds the response for a submission the service refused, stamped
@@ -569,7 +560,13 @@ impl JobResponse {
 
     /// Builds the response for a line that did not parse as a request.
     pub fn from_invalid_line(id: &str, message: &str) -> JobResponse {
-        JobResponse::error_with(id, JobStatus::Error, "invalid_request", message)
+        JobResponse::error_with_version(
+            id,
+            JobStatus::Error,
+            "invalid_request",
+            message,
+            PROTOCOL_VERSION,
+        )
     }
 
     /// Builds a structured refusal with an explicit kind — the network
@@ -579,10 +576,6 @@ impl JobResponse {
     /// connection) never ran; status is `rejected`.
     pub fn from_refusal(id: &str, version: u32, kind: &str, message: &str) -> JobResponse {
         JobResponse::error_with_version(id, JobStatus::Rejected, kind, message, version)
-    }
-
-    fn error_with(id: &str, status: JobStatus, kind: &str, message: &str) -> JobResponse {
-        JobResponse::error_with_version(id, status, kind, message, PROTOCOL_VERSION)
     }
 
     fn error_with_version(
@@ -822,7 +815,6 @@ mod tests {
         req.seed = 9;
         req.samples = Some(4);
         req.ensemble = Some("pauli_product".into());
-        req.segment_gates = Some(1);
         let line = req.to_json_line();
         match Request::from_json_line(&line).unwrap() {
             Request::Revisions(parsed) => assert_eq!(parsed, req),
@@ -841,17 +833,15 @@ mod tests {
         assert!(err.contains("revisions"), "{err}");
         let err = Request::from_json_line(&base(r#","revisions":[]"#)).unwrap_err();
         assert!(err.contains("must not be empty"), "{err}");
-        let err =
-            Request::from_json_line(&base(r#","revisions":["p"],"segment_gates":0"#)).unwrap_err();
-        assert!(err.contains("segment_gates"), "{err}");
         let err = Request::from_json_line(&base(r#","revisions":[7]"#)).unwrap_err();
         assert!(err.contains("program strings"), "{err}");
     }
 
     #[test]
     fn revisions_error_lines_stamp_protocol_two() {
-        let resp = JobResponse::from_revisions_error(
+        let resp = JobResponse::from_error(
             "rev-err",
+            PROTOCOL_VERSION_REVISIONS,
             &JobError::Invalid {
                 message: "nope".into(),
             },

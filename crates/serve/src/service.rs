@@ -1,32 +1,37 @@
-//! The verification service: a bounded worker pool running jobs end to
-//! end, with coalescing, deadlines, panic isolation, and telemetry.
+//! The verification service: a bounded worker pool running requests end
+//! to end, with coalescing, deadlines, panic isolation, and telemetry.
 //!
-//! # Job lifecycle
+//! # Request lifecycle
 //!
-//! [`Service::submit`] is non-blocking: it either enqueues the job on the
-//! `morph-parallel` [`WorkerPool`] and returns a [`JobHandle`], or refuses
-//! with a structured [`SubmitError`] (queue full, shutting down). Once a
-//! worker picks the job up it runs the full pipeline — parse, fingerprint,
-//! characterize (coalesced), validate — and delivers the outcome through
-//! the handle. Every failure mode is a [`JobError`] on the handle; a job
-//! can never take the service down.
+//! [`Service::submit`] is non-blocking: it either enqueues the request — a
+//! `verify` job or a `verify_revisions` stream — on the `morph-parallel`
+//! [`WorkerPool`] and returns a [`JobHandle`], or refuses with a
+//! structured [`SubmitError`] (queue full, shutting down). Once a worker
+//! picks the request up it runs each of its programs — a job's one, a
+//! stream's revisions in order — through the same pipeline: parse,
+//! fingerprint, characterize (coalesced), validate. It then renders the
+//! response line, which the handle delivers. Every failure mode is an
+//! in-band error on that line; a request can never take the service
+//! down.
 //!
 //! # Determinism
 //!
-//! A job's results depend only on its request. The job RNG is seeded from
-//! `request.seed`; one `u64` (`char_seed`) is drawn from it to key and
-//! seed characterization — exactly the [`Verifier::try_run`] discipline
-//! — and validation continues from the job's own stream. Whether a job
+//! A program's results depend only on it and its request's knobs. Its RNG
+//! is seeded from `request.seed`; one `u64` (`char_seed`) is drawn from it
+//! to key and seed characterization — exactly the [`Verifier::try_run`]
+//! discipline — and validation continues from the program's own stream.
+//! Each revision of a stream restarts from the seed. Whether a program
 //! computed its characterization, followed a coalesced flight, or hit the
 //! cache is therefore *invisible in its report* (the artifact round-trip
 //! is bit-exact); it shows up only in the trace counters below.
 //!
 //! # Telemetry (`morph-trace`, off by default)
 //!
-//! - span `serve/job` per job (under the submitter's current span)
+//! - span `serve/job` per request (under the submitter's current span)
+//! - counter `serve/revision` — revisions run
 //! - counter `serve/characterize_leader` — characterizations computed
-//! - counter `serve/coalesced_hit` — jobs served by a concurrent leader
-//! - counter `serve/cache_hit` — jobs served from the artifact cache
+//! - counter `serve/coalesced_hit` — programs served by a concurrent leader
+//! - counter `serve/cache_hit` — programs served from the artifact cache
 //! - counter `serve/cross_process_hit` — cache hits on an artifact that
 //!   another process sharing the cache directory computed
 //! - gauge `serve/queue_depth` — queue depth sampled at each submission
@@ -44,13 +49,12 @@ use morph_qsim::NoiseModel;
 use morph_store::{Fingerprint, Source};
 use morphqpv::prelude::{
     assertions_from_source, parse_program, CancelToken, Cancelled, Characterization,
-    CharacterizationCache, InputEnsemble, MorphError, SegmentedCache, SegmentedConfig,
-    VerificationReport, Verifier,
+    CharacterizationCache, InputEnsemble, MorphError, VerificationReport, Verifier,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::protocol::{JobRequest, RevisionsRequest};
+use crate::protocol::{JobRequest, JobResponse, Request, RevisionsRequest};
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -77,7 +81,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// Why [`Service::submit`] refused a job without running it.
+/// Why [`Service::submit`] refused a request without running it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// The bounded queue is at capacity — backpressure; retry later.
@@ -192,58 +196,23 @@ impl From<Cancelled> for JobError {
     }
 }
 
-/// A completed job: the characterization's content address plus the full
-/// report.
-#[derive(Debug)]
-pub struct JobOutput {
-    /// Content address of the characterization this job used — equal
-    /// across all jobs that coalesced onto one flight.
-    pub fingerprint: Fingerprint,
-    /// The verification report, bit-identical to an uncoalesced run with
-    /// the same request.
-    pub report: VerificationReport,
-}
-
-/// Handle to one submitted job.
+/// Handle to one submitted request.
 pub struct JobHandle {
-    rx: mpsc::Receiver<Result<JobOutput, JobError>>,
+    id: String,
+    version: u32,
+    rx: mpsc::Receiver<JobResponse>,
 }
 
 impl JobHandle {
-    /// Blocks until the job finishes.
-    pub fn wait(self) -> Result<JobOutput, JobError> {
+    /// Blocks until the request finishes and returns its response line.
+    pub fn wait(self) -> JobResponse {
         self.rx.recv().unwrap_or_else(|_| {
             // The worker vanished without reporting — only possible if the
             // service was torn down with the job still queued.
-            Err(JobError::Panicked {
+            let vanished = JobError::Panicked {
                 message: "worker disappeared before delivering a result".to_string(),
-            })
-        })
-    }
-}
-
-/// The outcome of one `verify_revisions` stream: one result per
-/// revision, in stream order. A failed revision is an in-band error in
-/// its slot; later revisions still run (their segment cache simply
-/// misses whatever the failed revision would have contributed).
-#[derive(Debug)]
-pub struct RevisionsOutput {
-    /// Per-revision reports (or failures), in request order.
-    pub revisions: Vec<Result<VerificationReport, JobError>>,
-}
-
-/// Handle to one submitted `verify_revisions` stream.
-pub struct RevisionsHandle {
-    rx: mpsc::Receiver<Result<RevisionsOutput, JobError>>,
-}
-
-impl RevisionsHandle {
-    /// Blocks until the whole stream finishes.
-    pub fn wait(self) -> Result<RevisionsOutput, JobError> {
-        self.rx.recv().unwrap_or_else(|_| {
-            Err(JobError::Panicked {
-                message: "worker disappeared before delivering a result".to_string(),
-            })
+            };
+            JobResponse::from_error(&self.id, self.version, &vanished)
         })
     }
 }
@@ -279,81 +248,42 @@ impl Service {
         })
     }
 
-    /// Submits a job without blocking.
+    /// Submits a request — a job or a revision stream — without blocking.
     ///
-    /// The job's deadline clock starts *now* — time spent queued counts
-    /// against it.
+    /// The request's deadline clock starts *now* — time spent queued
+    /// counts against it. A stream's deadline covers the whole stream.
     ///
     /// # Errors
     ///
     /// [`SubmitError`] when the queue is full or the service is shutting
-    /// down; the job was not accepted and will not run.
-    pub fn submit(&self, request: JobRequest) -> Result<JobHandle, SubmitError> {
-        let deadline_ms = request.deadline_ms.or(self.default_deadline_ms);
-        let token = match deadline_ms {
+    /// down; the request was not accepted and will not run.
+    pub fn submit(&self, request: impl Into<Request>) -> Result<JobHandle, SubmitError> {
+        let request = request.into();
+        let token = match request.deadline_ms().or(self.default_deadline_ms) {
             Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
             None => CancelToken::new(),
         };
+        let (id, version) = (request.id().to_string(), request.protocol_version());
         let (tx, rx) = mpsc::channel();
         let cache = Arc::clone(&self.cache);
         let parent_span = morph_trace::current_span();
         self.pool.try_submit(move || {
             let _span = morph_trace::span_under(parent_span, "serve/job");
-            let outcome = catch_unwind(AssertUnwindSafe(|| run_job(&cache, &request, &token)))
+            let response = catch_unwind(AssertUnwindSafe(|| respond(&cache, &request, &token)))
                 .unwrap_or_else(|payload| {
                     Err(JobError::Panicked {
                         message: panic_message(&payload),
                     })
+                })
+                .unwrap_or_else(|e| {
+                    JobResponse::from_error(request.id(), request.protocol_version(), &e)
                 });
             // A dropped handle is fine — the job's work still happened
             // (and populated the cache); only the notification is lost.
-            let _ = tx.send(outcome);
+            let _ = tx.send(response);
         })?;
         morph_trace::gauge("serve/queue_depth", self.pool.queue_depth() as f64);
-        Ok(JobHandle { rx })
-    }
-
-    /// Submits a `verify_revisions` stream without blocking.
-    ///
-    /// The whole stream runs **sequentially inside one pooled job**
-    /// against a job-local in-memory [`SegmentedCache`]: revision `k+1`
-    /// hits every segment before its first one that differs from revision
-    /// `k` (or any earlier revision), and because nothing about the stream
-    /// is split across workers, the response is byte-identical at any
-    /// worker count. The shared whole-run artifact cache is not
-    /// consulted — a revision stream's reuse story is per-segment, not
-    /// per-run.
-    ///
-    /// The deadline covers the whole stream; cancellation is checked
-    /// between revisions.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError`] when the queue is full or the service is shutting
-    /// down; the stream was not accepted and will not run.
-    pub fn submit_revisions(
-        &self,
-        request: RevisionsRequest,
-    ) -> Result<RevisionsHandle, SubmitError> {
-        let deadline_ms = request.deadline_ms.or(self.default_deadline_ms);
-        let token = match deadline_ms {
-            Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
-            None => CancelToken::new(),
-        };
-        let (tx, rx) = mpsc::channel();
-        let parent_span = morph_trace::current_span();
-        self.pool.try_submit(move || {
-            let _span = morph_trace::span_under(parent_span, "serve/job");
-            let outcome = catch_unwind(AssertUnwindSafe(|| run_revisions(&request, &token)))
-                .unwrap_or_else(|payload| {
-                    Err(JobError::Panicked {
-                        message: panic_message(&payload),
-                    })
-                });
-            let _ = tx.send(outcome);
-        })?;
-        morph_trace::gauge("serve/queue_depth", self.pool.queue_depth() as f64);
-        Ok(RevisionsHandle { rx })
+        Ok(JobHandle { id, version, rx })
     }
 
     /// Jobs queued but not yet picked up by a worker.
@@ -395,25 +325,60 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one job end to end on a worker thread.
-fn run_job(
+/// Runs one request end to end on a worker thread and renders its
+/// response line: a job's program, or a stream's revisions in order, each
+/// through [`run_program`].
+fn respond(
     cache: &CharacterizationCache,
-    request: &JobRequest,
+    request: &Request,
     token: &CancelToken,
-) -> Result<JobOutput, JobError> {
+) -> Result<JobResponse, JobError> {
+    match request {
+        Request::Job(job) => {
+            let (fingerprint, report) = run_program(cache, &VerifierSpec::of_job(job), token)?;
+            Ok(JobResponse::from_report(&job.id, fingerprint, &report))
+        }
+        Request::Revisions(stream) => {
+            let revisions = run_revisions(cache, stream, token)?;
+            Ok(JobResponse::from_revisions(&stream.id, &revisions))
+        }
+    }
+}
+
+/// Runs a stream's revisions in order. A revision that fails answers
+/// in-band in its slot, except at the deadline, which covers the whole
+/// stream and so ends it.
+fn run_revisions(
+    cache: &CharacterizationCache,
+    stream: &RevisionsRequest,
+    token: &CancelToken,
+) -> Result<Vec<Result<VerificationReport, JobError>>, JobError> {
+    let mut revisions = Vec::with_capacity(stream.revisions.len());
+    for program in &stream.revisions {
+        morph_trace::counter("serve/revision", 1);
+        match run_program(cache, &VerifierSpec::of_revision(stream, program), token) {
+            Err(JobError::DeadlineExceeded) => return Err(JobError::DeadlineExceeded),
+            outcome => revisions.push(outcome.map(|(_, report)| report)),
+        }
+    }
+    Ok(revisions)
+}
+
+/// Verifies one program: builds its verifier, obtains the
+/// characterization through the shared cache, and validates it. Returns
+/// the characterization's content address with the report.
+fn run_program(
+    cache: &CharacterizationCache,
+    spec: &VerifierSpec<'_>,
+    token: &CancelToken,
+) -> Result<(Fingerprint, VerificationReport), JobError> {
     token.check()?;
-    let verifier = build_verifier(&VerifierSpec {
-        program: &request.program,
-        input_qubits: &request.input_qubits,
-        samples: request.samples,
-        restarts: request.restarts,
-        noise: request.noise.as_deref(),
-    })?;
+    let verifier = build_verifier(spec)?;
 
     // The `Verifier::try_run` RNG discipline, spelled out so the job can
     // report its fingerprint and honor its token while it waits: draw one
     // u64 for the characterization, validate from the job's own stream.
-    let mut job_rng = StdRng::seed_from_u64(request.seed);
+    let mut job_rng = StdRng::seed_from_u64(spec.seed);
     let char_seed: u64 = job_rng.gen();
     let fingerprint = verifier.characterization_fingerprint(char_seed);
 
@@ -426,20 +391,45 @@ fn run_job(
         None,
         token,
     )?;
-    Ok(JobOutput {
-        fingerprint,
-        report,
-    })
+    Ok((fingerprint, report))
 }
 
-/// The request fields [`build_verifier`] consumes — one program plus the
-/// knobs shared by single jobs and revision streams.
+/// The request fields [`run_program`] consumes — one program plus the
+/// knobs shared by jobs and revision streams.
 struct VerifierSpec<'a> {
     program: &'a str,
     input_qubits: &'a [usize],
+    seed: u64,
     samples: Option<usize>,
     restarts: Option<usize>,
     noise: Option<&'a str>,
+    ensemble: Option<&'a str>,
+}
+
+impl<'a> VerifierSpec<'a> {
+    fn of_job(job: &'a JobRequest) -> Self {
+        VerifierSpec {
+            program: &job.program,
+            input_qubits: &job.input_qubits,
+            seed: job.seed,
+            samples: job.samples,
+            restarts: job.restarts,
+            noise: job.noise.as_deref(),
+            ensemble: None,
+        }
+    }
+
+    fn of_revision(stream: &'a RevisionsRequest, program: &'a str) -> Self {
+        VerifierSpec {
+            program,
+            input_qubits: &stream.input_qubits,
+            seed: stream.seed,
+            samples: stream.samples,
+            restarts: stream.restarts,
+            noise: stream.noise.as_deref(),
+            ensemble: stream.ensemble.as_deref(),
+        }
+    }
 }
 
 /// Parses and validates one program into a configured [`Verifier`].
@@ -486,62 +476,7 @@ fn build_verifier(spec: &VerifierSpec<'_>) -> Result<Verifier, JobError> {
             });
         }
     }
-    if let Some(restarts) = spec.restarts {
-        verifier = verifier.validation(morphqpv::prelude::ValidationConfig {
-            solver_restarts: Some(restarts),
-            ..Default::default()
-        });
-    }
-    for assertion in assertions {
-        verifier = verifier.assert_that(assertion);
-    }
-    Ok(verifier)
-}
-
-/// Runs one `verify_revisions` stream end to end on a worker thread:
-/// every revision in order, sequentially, against one job-local segment
-/// cache.
-fn run_revisions(
-    request: &RevisionsRequest,
-    token: &CancelToken,
-) -> Result<RevisionsOutput, JobError> {
-    token.check()?;
-    let seg = match request.segment_gates {
-        Some(g) => SegmentedConfig::new().segment_gates(g),
-        None => SegmentedConfig::default(),
-    };
-    let cache = SegmentedCache::in_memory();
-    let mut revisions = Vec::with_capacity(request.revisions.len());
-    for program in &request.revisions {
-        token.check()?;
-        morph_trace::counter("serve/revision", 1);
-        revisions.push(run_revision(request, program, seg, &cache));
-    }
-    Ok(RevisionsOutput { revisions })
-}
-
-/// Verifies one revision incrementally against the stream's shared
-/// segment cache.
-///
-/// Each revision restarts its RNG from the request seed, so its report
-/// depends only on (program, shared knobs, seed) — never on where it
-/// sits in the stream. The segment cache cannot break that: it only
-/// counts, so a hit and a miss are indistinguishable in the report (the
-/// counts show up in the response's `segments` object instead).
-fn run_revision(
-    request: &RevisionsRequest,
-    program: &str,
-    seg: SegmentedConfig,
-    cache: &SegmentedCache,
-) -> Result<VerificationReport, JobError> {
-    let mut verifier = build_verifier(&VerifierSpec {
-        program,
-        input_qubits: &request.input_qubits,
-        samples: request.samples,
-        restarts: request.restarts,
-        noise: request.noise.as_deref(),
-    })?;
-    match request.ensemble.as_deref() {
+    match spec.ensemble {
         None | Some("clifford") => {}
         Some("pauli_product") => verifier = verifier.ensemble(InputEnsemble::PauliProduct),
         Some("basis") => verifier = verifier.ensemble(InputEnsemble::Basis),
@@ -553,11 +488,16 @@ fn run_revision(
             });
         }
     }
-    let mut rng = StdRng::seed_from_u64(request.seed);
-    verifier
-        .incremental(seg)
-        .try_run_incremental(&mut rng, cache)
-        .map_err(JobError::from)
+    if let Some(restarts) = spec.restarts {
+        verifier = verifier.validation(morphqpv::prelude::ValidationConfig {
+            solver_restarts: Some(restarts),
+            ..Default::default()
+        });
+    }
+    for assertion in assertions {
+        verifier = verifier.assert_that(assertion);
+    }
+    Ok(verifier)
 }
 
 /// Obtains the job's characterization through the cache's one call —

@@ -7,7 +7,9 @@
 //! place scheduling is allowed to show) and **bit-identical responses** at
 //! every worker count.
 
-use morphqpv_suite::serve::{JobError, JobRequest, JobResponse, ServeConfig, Service, SubmitError};
+use morphqpv_suite::serve::{
+    JobRequest, JobResponse, JobStatus, RevisionsRequest, ServeConfig, Service, SubmitError,
+};
 use morphqpv_suite::trace;
 use proptest::prelude::*;
 
@@ -50,6 +52,11 @@ fn ghz_request(id: &str, seed: u64) -> JobRequest {
     req
 }
 
+/// The `error.kind` of a response line, if it answers with an error.
+fn error_kind(response: &JobResponse) -> Option<&str> {
+    response.body().get("error")?.get("kind")?.as_str()
+}
+
 fn service_with(workers: usize, queue_capacity: usize) -> Service {
     Service::start(&ServeConfig {
         workers,
@@ -66,19 +73,20 @@ fn run_identical_batch(workers: usize, n: usize) -> (Vec<String>, u64, u64) {
     trace::reset();
     trace::set_enabled(true);
     let service = service_with(workers, n.max(4));
+    // One id for every job, so the lines are comparable.
     let handles: Vec<_> = (0..n)
-        .map(|i| {
+        .map(|_| {
             service
-                .submit(ghz_request(&format!("job-{i}"), 7))
+                .submit(ghz_request("x", 7))
                 .expect("queue sized for the batch")
         })
         .collect();
     let lines: Vec<String> = handles
         .into_iter()
         .map(|h| {
-            let out = h.wait().expect("job completes");
-            // The id is deliberately excluded so lines are comparable.
-            JobResponse::from_report("x", out.fingerprint, &out.report).to_json_line()
+            let response = h.wait();
+            assert_eq!(response.status, JobStatus::Passed);
+            response.to_json_line()
         })
         .collect();
     service.shutdown();
@@ -122,13 +130,12 @@ fn coalesced_and_solo_runs_report_identically() {
     let _g = serial();
     // A single job on one worker: no concurrency, no sharing possible.
     let service = service_with(1, 4);
-    let solo = service
-        .submit(ghz_request("solo", 7))
+    let solo_line = service
+        .submit(ghz_request("x", 7))
         .expect("submit")
         .wait()
-        .expect("job completes");
+        .to_json_line();
     service.shutdown();
-    let solo_line = JobResponse::from_report("x", solo.fingerprint, &solo.report).to_json_line();
 
     let (lines, _, _) = run_identical_batch(8, 8);
     assert_eq!(
@@ -155,11 +162,11 @@ fn queue_saturation_is_a_structured_rejection_not_a_deadlock() {
     }
     // Releasing the queue serves the accepted jobs — nothing was lost.
     service.resume();
-    assert!(h1.wait().expect("q-1 completes").report.all_passed());
-    assert!(h2.wait().expect("q-2 completes").report.all_passed());
+    assert_eq!(h1.wait().status, JobStatus::Passed);
+    assert_eq!(h2.wait().status, JobStatus::Passed);
     // And the service accepts new work after the rejection.
     let h4 = service.submit(ghz_request("q-4", 4)).expect("accepted");
-    assert!(h4.wait().expect("q-4 completes").report.all_passed());
+    assert_eq!(h4.wait().status, JobStatus::Passed);
     service.shutdown();
 }
 
@@ -169,22 +176,19 @@ fn zero_deadline_reports_deadline_exceeded_and_service_survives() {
     let service = service_with(2, 8);
     let mut doomed = ghz_request("doomed", 5);
     doomed.deadline_ms = Some(0);
-    let err = service
-        .submit(doomed)
-        .expect("accepted")
-        .wait()
-        .expect_err("a zero deadline cannot be met");
-    assert!(
-        matches!(err, JobError::DeadlineExceeded),
-        "expected DeadlineExceeded, got {err:?}"
+    let response = service.submit(doomed).expect("accepted").wait();
+    assert_eq!(
+        error_kind(&response),
+        Some("deadline_exceeded"),
+        "a zero deadline cannot be met: {}",
+        response.to_json_line()
     );
     // The worker that hit the deadline keeps serving.
     let ok = service
         .submit(ghz_request("after", 5))
         .expect("accepted")
-        .wait()
-        .expect("job completes");
-    assert!(ok.report.all_passed());
+        .wait();
+    assert_eq!(ok.status, JobStatus::Passed);
     service.shutdown();
 }
 
@@ -192,22 +196,22 @@ fn zero_deadline_reports_deadline_exceeded_and_service_survives() {
 fn panicking_job_is_contained_to_its_own_error() {
     let _g = serial();
     let service = service_with(2, 8);
-    let err = service
+    let response = service
         .submit(JobRequest::new("boom", too_wide_program(), vec![0]))
         .expect("accepted")
-        .wait()
-        .expect_err("the job must fail");
-    assert!(
-        matches!(err, JobError::Panicked { .. }),
-        "expected Panicked, got {err:?}"
+        .wait();
+    assert_eq!(
+        error_kind(&response),
+        Some("panicked"),
+        "{}",
+        response.to_json_line()
     );
     // The pool survived the panic and still runs jobs.
     let ok = service
         .submit(ghz_request("after-boom", 3))
         .expect("accepted")
-        .wait()
-        .expect("job completes");
-    assert!(ok.report.all_passed());
+        .wait();
+    assert_eq!(ok.status, JobStatus::Passed);
     service.shutdown();
 }
 
@@ -225,10 +229,18 @@ fn drain_completes_accepted_work_and_keeps_accepting() {
     service.drain();
     assert_eq!(service.queue_depth(), 0, "drain must empty the queue");
     for h in handles {
-        h.wait().expect("accepted work completed during drain");
+        assert_eq!(
+            h.wait().status,
+            JobStatus::Passed,
+            "accepted work completed"
+        );
     }
     let late = service.submit(ghz_request("late", 99)).expect("accepted");
-    late.wait().expect("post-drain job completes");
+    assert_eq!(
+        late.wait().status,
+        JobStatus::Passed,
+        "post-drain job completes"
+    );
     service.shutdown();
 }
 
@@ -238,21 +250,18 @@ fn invalid_requests_are_rejected_in_band() {
     let service = service_with(1, 4);
     let mut bad_qubit = ghz_request("bad-qubit", 1);
     bad_qubit.input_qubits = vec![7];
-    let err = service
-        .submit(bad_qubit)
-        .expect("accepted")
-        .wait()
-        .expect_err("qubit 7 does not exist");
-    assert!(matches!(err, JobError::Invalid { .. }), "{err:?}");
-
     let mut bad_noise = ghz_request("bad-noise", 1);
     bad_noise.noise = Some("sunny".to_string());
-    let err = service
-        .submit(bad_noise)
-        .expect("accepted")
-        .wait()
-        .expect_err("unknown noise model");
-    assert!(matches!(err, JobError::Invalid { .. }), "{err:?}");
+    // Qubit 7 does not exist; `sunny` is no noise model.
+    for request in [bad_qubit, bad_noise] {
+        let response = service.submit(request).expect("accepted").wait();
+        assert_eq!(
+            error_kind(&response),
+            Some("invalid_request"),
+            "{}",
+            response.to_json_line()
+        );
+    }
     service.shutdown();
 }
 
@@ -296,13 +305,11 @@ fn unrunnable_characterizations_are_verification_errors() {
         (undeclared, "tracepoint T9"),
         (repeated, "line 4: tracepoint T2 names qubit 1 twice"),
     ] {
-        let id = request.id.clone();
-        let err = service
+        let line = service
             .submit(request)
             .expect("accepted")
             .wait()
-            .expect_err("the precondition must fail the job");
-        let line = JobResponse::from_error(&id, &err).to_json_line();
+            .to_json_line();
         assert!(line.contains(r#""kind":"verification""#), "{line}");
         assert!(line.contains(reason), "{line}");
     }
@@ -310,9 +317,8 @@ fn unrunnable_characterizations_are_verification_errors() {
     let ok = service
         .submit(ghz_request("after-refusals", 3))
         .expect("accepted")
-        .wait()
-        .expect("job completes");
-    assert!(ok.report.all_passed());
+        .wait();
+    assert_eq!(ok.status, JobStatus::Passed);
     service.shutdown();
 }
 
@@ -328,28 +334,27 @@ fn panicking_leader_mid_characterization_leaves_the_service_healthy() {
     // state-vector width limit.
     let too_wide = too_wide_program();
     let service = service_with(2, 8);
-    let err = service
-        .submit(JobRequest::new("mid-boom", &too_wide, vec![0]))
-        .expect("accepted")
-        .wait()
-        .expect_err("characterization must panic");
-    assert!(matches!(err, JobError::Panicked { .. }), "{err:?}");
-    // The same fingerprint again: the abandoned flight must re-elect a
-    // fresh leader (not deadlock on a stale entry or poisoned lock) and
-    // fail the same way.
-    let err = service
-        .submit(JobRequest::new("mid-boom-again", &too_wide, vec![0]))
-        .expect("accepted")
-        .wait()
-        .expect_err("the retry elects a fresh leader and panics again");
-    assert!(matches!(err, JobError::Panicked { .. }), "{err:?}");
+    // The second request has the same fingerprint: the abandoned flight
+    // must re-elect a fresh leader (not deadlock on a stale entry or
+    // poisoned lock), which panics the same way.
+    for id in ["mid-boom", "mid-boom-again"] {
+        let response = service
+            .submit(JobRequest::new(id, &too_wide, vec![0]))
+            .expect("accepted")
+            .wait();
+        assert_eq!(
+            error_kind(&response),
+            Some("panicked"),
+            "{}",
+            response.to_json_line()
+        );
+    }
     // And a healthy job on the same (recovered) service still passes.
     let ok = service
         .submit(ghz_request("after-mid-boom", 3))
         .expect("accepted")
-        .wait()
-        .expect("job completes");
-    assert!(ok.report.all_passed());
+        .wait();
+    assert_eq!(ok.status, JobStatus::Passed);
     service.shutdown();
 }
 
@@ -371,13 +376,12 @@ fn cancelled_leader_abandons_and_the_reelected_follower_matches_bytes() {
 
     // Baseline: an undisturbed solo service run of the same request.
     let service = service_with(1, 4);
-    let solo = service
-        .submit(ghz_request("solo", 7))
+    let solo_line = service
+        .submit(ghz_request("x", 7))
         .expect("submit")
         .wait()
-        .expect("job completes");
+        .to_json_line();
     service.shutdown();
-    let solo_line = JobResponse::from_report("x", solo.fingerprint, &solo.report).to_json_line();
 
     // Rebuild the verifier exactly as the service does for ghz_request.
     let build = || {
@@ -462,6 +466,53 @@ fn cancelled_leader_abandons_and_the_reelected_follower_matches_bytes() {
         reelected_line, solo_line,
         "re-election must be invisible in the response bytes"
     );
+}
+
+/// A stream's deadline covers the whole stream. Whether it fires before
+/// the first revision or inside a later one, the stream answers one
+/// stream-level `deadline_exceeded` line on protocol 2, not a revisions
+/// array.
+#[test]
+fn a_stream_deadline_ends_the_stream_with_one_protocol_two_line() {
+    let _g = serial();
+    let stream = |id: &str, revisions: usize, deadline_ms: u64| {
+        let mut stream =
+            RevisionsRequest::new(id, vec![GHZ_PROGRAM.to_string(); revisions], vec![0]);
+        stream.samples = Some(4);
+        stream.deadline_ms = Some(deadline_ms);
+        stream
+    };
+    let service = service_with(2, 8);
+    // Zero: the first revision's first check fires. 200 ms: the first
+    // revision finishes well within it, and the stream's 50,000 revisions
+    // take seconds, so it fires inside a later revision.
+    for (request, started) in [
+        (stream("doomed", 1, 0), 1),
+        (stream("late", 50_000, 200), 2),
+    ] {
+        trace::reset();
+        trace::set_enabled(true);
+        let response = service.submit(request).expect("accepted").wait();
+        let revisions_run = trace::counter_total("serve/revision");
+        trace::set_enabled(false);
+        let line = response.to_json_line();
+        assert_eq!(error_kind(&response), Some("deadline_exceeded"), "{line}");
+        assert_eq!(response.status, JobStatus::Error, "{line}");
+        assert_eq!(
+            response.body().get("protocol").and_then(|v| v.as_u64()),
+            Some(2),
+            "{line}"
+        );
+        assert!(response.body().get("revisions").is_none(), "{line}");
+        assert!(revisions_run >= started, "{revisions_run} revisions ran");
+    }
+    // The service keeps serving.
+    let ok = service
+        .submit(ghz_request("after", 5))
+        .expect("accepted")
+        .wait();
+    assert_eq!(ok.status, JobStatus::Passed);
+    service.shutdown();
 }
 
 proptest! {

@@ -13,7 +13,7 @@
 
 use std::path::{Path, PathBuf};
 
-use morphqpv_suite::serve::{JobRequest, ServeConfig, Service};
+use morphqpv_suite::serve::{JobRequest, JobStatus, ServeConfig, Service};
 
 const PROBE_ENV: &str = "MORPH_XPROC_PROBE_DIR";
 
@@ -46,10 +46,9 @@ fn probe(cache_dir: &Path) -> ! {
             service.submit(request).expect("queue sized for the burst")
         })
         .collect();
-    let ok = handles.into_iter().all(|h| match h.wait() {
-        Ok(out) => out.report.all_passed(),
-        Err(_) => false,
-    });
+    let ok = handles
+        .into_iter()
+        .all(|h| h.wait().status == JobStatus::Passed);
     service.shutdown();
     std::process::exit(if ok { 3 } else { 4 });
 }
