@@ -109,19 +109,15 @@ fn run() -> i32 {
                 };
             }
             "--ensemble" => {
-                // Same spelling as the serve protocol's `ensemble` knob.
-                ensemble = match it.next().as_deref() {
-                    Some("clifford") => Some(InputEnsemble::Clifford),
-                    Some("pauli_product") => Some(InputEnsemble::PauliProduct),
-                    Some("basis") => Some(InputEnsemble::Basis),
-                    other => {
-                        let got = other.unwrap_or("nothing");
-                        eprintln!(
-                            "--ensemble expects `clifford`, `pauli_product`, or `basis`, got {got}"
-                        );
-                        return 1;
-                    }
-                };
+                let name = it.next();
+                ensemble = name.as_deref().and_then(InputEnsemble::from_name);
+                if ensemble.is_none() {
+                    let got = name.as_deref().unwrap_or("nothing");
+                    eprintln!(
+                        "--ensemble expects `clifford`, `pauli_product`, or `basis`, got {got}"
+                    );
+                    return 1;
+                }
             }
             "--trace-json" => {
                 trace_json = match it.next() {

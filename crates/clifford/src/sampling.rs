@@ -118,6 +118,19 @@ impl InputEnsemble {
             InputEnsemble::PauliProduct => "pauli-product",
         }
     }
+
+    /// The ensemble a user names: `clifford`, `pauli_product` or `basis`,
+    /// as `verify --ensemble` and morph-serve's `ensemble` field spell it.
+    /// `None` for any other name. Unlike [`Self::tag`], which fingerprints
+    /// use, `PauliProduct` is spelled with an underscore.
+    pub fn from_name(name: &str) -> Option<InputEnsemble> {
+        match name {
+            "clifford" => Some(InputEnsemble::Clifford),
+            "pauli_product" => Some(InputEnsemble::PauliProduct),
+            "basis" => Some(InputEnsemble::Basis),
+            _ => None,
+        }
+    }
 }
 
 impl Serialize for InputEnsemble {

@@ -196,20 +196,9 @@ impl CMatrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the row-major buffer.
-    #[inline]
-    pub fn into_vec(self) -> Vec<C64> {
-        self.data
-    }
-
     /// Conjugate transpose `A†`.
     pub fn dagger(&self) -> CMatrix {
         CMatrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())
-    }
-
-    /// Plain transpose without conjugation.
-    pub fn transpose(&self) -> CMatrix {
-        CMatrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
     }
 
     /// Entry-wise complex conjugate.

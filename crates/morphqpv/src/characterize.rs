@@ -87,81 +87,6 @@ impl CharacterizationConfig {
             .and_then(|shift| 1usize.checked_shl(shift))
             .unwrap_or(usize::MAX)
     }
-
-    /// Starts a [`CharacterizationConfigBuilder`] for the given input
-    /// qubits. Defaults mirror [`CharacterizationConfig::exact`] with the
-    /// paper sample budget capped at 32.
-    pub fn builder(input_qubits: Vec<usize>) -> CharacterizationConfigBuilder {
-        let n_samples = CharacterizationConfig::paper_full_budget(input_qubits.len()).min(32);
-        CharacterizationConfigBuilder {
-            config: CharacterizationConfig::exact(input_qubits, n_samples),
-        }
-    }
-}
-
-/// Builder for [`CharacterizationConfig`] — the counterpart of
-/// [`morph_qprog::Executor::builder`] for the characterization stage.
-///
-/// # Examples
-///
-/// ```
-/// use morphqpv::CharacterizationConfig;
-/// use morph_tomography::ReadoutMode;
-///
-/// let config = CharacterizationConfig::builder(vec![0, 1])
-///     .samples(8)
-///     .readout(ReadoutMode::Shots(200))
-///     .parallelism(1)
-///     .build();
-/// assert_eq!(config.n_samples, 8);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CharacterizationConfigBuilder {
-    config: CharacterizationConfig,
-}
-
-impl CharacterizationConfigBuilder {
-    /// Sets the number of sampled inputs (`N_sample`).
-    pub fn samples(mut self, n: usize) -> Self {
-        self.config.n_samples = n;
-        self
-    }
-
-    /// Selects the input ensemble (default: Clifford).
-    pub fn ensemble(mut self, ensemble: InputEnsemble) -> Self {
-        self.config.ensemble = ensemble;
-        self
-    }
-
-    /// Selects the tracepoint readout mode (default: exact).
-    pub fn readout(mut self, readout: ReadoutMode) -> Self {
-        self.config.readout = readout;
-        self
-    }
-
-    /// Applies a hardware noise model to the sampling runs (default:
-    /// noiseless).
-    pub fn noise(mut self, noise: NoiseModel) -> Self {
-        self.config.noise = noise;
-        self
-    }
-
-    /// Sets the sweep worker count (`0` = all cores, the default).
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.config.parallelism = workers;
-        self
-    }
-
-    /// Selects the simulation backend (default: [`BackendMode::Auto`]).
-    pub fn backend(mut self, backend: BackendMode) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> CharacterizationConfig {
-        self.config
-    }
 }
 
 /// The output of characterization: sampled inputs, per-tracepoint sampled
@@ -198,14 +123,6 @@ impl Characterization {
         let inputs: Vec<CMatrix> = self.inputs.iter().map(|i| i.rho.clone()).collect();
         ApproximationFunction::new(inputs, traces.clone())
             .expect("characterization produced consistent shapes")
-    }
-
-    /// Approximation functions for every captured tracepoint.
-    pub fn all_approximations(&self) -> BTreeMap<TracepointId, ApproximationFunction> {
-        self.traces
-            .keys()
-            .map(|&id| (id, self.approximation(id)))
-            .collect()
     }
 }
 
@@ -726,24 +643,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn builder_matches_exact_defaults() {
-        let built = CharacterizationConfig::builder(vec![0, 1]).build();
-        let exact = CharacterizationConfig::exact(vec![0, 1], 8);
-        assert_eq!(built.n_samples, exact.n_samples);
-        assert_eq!(built.input_qubits, exact.input_qubits);
-        assert!(built.noise.is_noiseless());
-        let custom = CharacterizationConfig::builder(vec![0])
-            .samples(5)
-            .ensemble(InputEnsemble::Basis)
-            .noise(NoiseModel::ibm_cairo())
-            .parallelism(2)
-            .build();
-        assert_eq!(custom.n_samples, 5);
-        assert_eq!(custom.parallelism, 2);
-        assert!(!custom.noise.is_noiseless());
     }
 
     #[test]

@@ -100,7 +100,6 @@ pub use cache::{
 pub use cancel::{CancelToken, Cancelled};
 pub use characterize::{
     try_characterize, try_characterize_with_inputs, Characterization, CharacterizationConfig,
-    CharacterizationConfigBuilder,
 };
 pub use confidence::{regularized_incomplete_beta, ConfidenceModel};
 // Backend selection surfaces in configs and reports; re-export the types
@@ -127,4 +126,4 @@ pub use validate::{
     fit_confidence_model, try_validate_assertion, SolverKind, ValidationConfig, ValidationError,
     ValidationOutcome, Verdict,
 };
-pub use verifier::{verify_source, CacheSummary, RunReport, VerificationReport, Verifier};
+pub use verifier::{CacheSummary, RunReport, VerificationReport, Verifier};

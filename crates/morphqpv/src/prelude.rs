@@ -32,9 +32,7 @@
 pub use crate::assertion::{AssumeGuarantee, StateRef};
 pub use crate::cache::CharacterizationCache;
 pub use crate::cancel::{CancelToken, Cancelled};
-pub use crate::characterize::{
-    try_characterize, Characterization, CharacterizationConfig, CharacterizationConfigBuilder,
-};
+pub use crate::characterize::{try_characterize, Characterization, CharacterizationConfig};
 pub use crate::confidence::ConfidenceModel;
 pub use crate::counterexample::CounterExample;
 pub use crate::error::{MorphError, Precondition};
@@ -43,7 +41,7 @@ pub use crate::spec::{assertions_from_source, parse_assertion};
 pub use crate::validate::{
     SolverKind, ValidationConfig, ValidationError, ValidationOutcome, Verdict,
 };
-pub use crate::verifier::{verify_source, CacheSummary, RunReport, VerificationReport, Verifier};
+pub use crate::verifier::{CacheSummary, RunReport, VerificationReport, Verifier};
 
 pub use morph_clifford::{InputEnsemble, InputState};
 pub use morph_qprog::{parse_program, Circuit, Executor, ExecutorBuilder, TracepointId};

@@ -356,50 +356,6 @@ impl Verifier {
     }
 }
 
-/// One-call verification of a program written in the surface syntax:
-/// parses the circuit (`qreg`/gates/`T <id> q[..]`), extracts the
-/// `// assert <spec>` comments, and runs the default pipeline with inputs
-/// on the given qubits.
-///
-/// # Errors
-///
-/// [`MorphError::Parse`] / [`MorphError::Spec`] when the program or an
-/// assertion does not parse; [`MorphError::Precondition`]
-/// ([`Precondition::NoAssertions`]) when the source has no `// assert`
-/// comment; otherwise any error of [`Verifier::try_run`].
-///
-/// # Examples
-///
-/// ```
-/// use morphqpv::prelude::*;
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let report = verify_source(
-///     "qreg q[1];\n\
-///      T 1 q[0];\n\
-///      h q[0];\n\
-///      h q[0];\n\
-///      T 2 q[0];\n\
-///      // assert assume is_pure(T1) guarantee equal(T1, T2)",
-///     &[0],
-///     &mut StdRng::seed_from_u64(0),
-/// )?;
-/// assert!(report.all_passed());
-/// # Ok::<(), MorphError>(())
-/// ```
-pub fn verify_source(
-    source: &str,
-    input_qubits: &[usize],
-    rng: &mut StdRng,
-) -> Result<VerificationReport, MorphError> {
-    let circuit = morph_qprog::parse_program(source)?;
-    let mut verifier = Verifier::new(circuit).input_qubits(input_qubits);
-    for a in crate::spec::assertions_from_source(source)? {
-        verifier = verifier.assert_that(a);
-    }
-    verifier.try_run(rng, None)
-}
-
 /// What one verification run cost and how it behaved: the shot budget
 /// actually spent, the solver effort across all assertions, and (for
 /// cached runs) how the artifact store answered.
@@ -635,8 +591,7 @@ mod tests {
 
     /// A verifier without assertions, or with one naming an undeclared
     /// tracepoint, is refused by every run method before it draws from the
-    /// caller's RNG — so before any characterization or solve — and so is
-    /// a source without `// assert` comments by `verify_source`.
+    /// caller's RNG — so before any characterization or solve.
     #[test]
     fn assertion_preconditions_are_errors_before_any_work() {
         let unknown =
@@ -689,11 +644,6 @@ mod tests {
             );
             assert_eq!(cache.stats().misses, 0);
             assert_eq!(segments.stats().misses, 0);
-        }
-        let bare_source = "qreg q[1];\nT 1 q[0];\nh q[0];\nT 2 q[0];\n";
-        match verify_source(bare_source, &[0], &mut StdRng::seed_from_u64(0)) {
-            Err(MorphError::Precondition(p)) => assert_eq!(p, Precondition::NoAssertions),
-            other => panic!("expected NoAssertions from verify_source, got {other:?}"),
         }
     }
 

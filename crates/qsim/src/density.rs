@@ -336,12 +336,6 @@ impl DensityMatrix {
         &self.rho
     }
 
-    /// Consumes `self`, returning the matrix.
-    #[inline]
-    pub fn into_matrix(self) -> CMatrix {
-        self.rho
-    }
-
     /// Purity `tr(ρ²)`.
     pub fn purity(&self) -> f64 {
         morph_linalg::purity(&self.rho)
@@ -456,11 +450,6 @@ impl DensityMatrix {
         kernel_2q(self.rho.as_mut_slice(), d, sa, sb, u, workers);
     }
 
-    /// In-place conjugation by a multi-controlled single-qubit unitary.
-    pub fn apply_controlled_local(&mut self, u: &CMatrix, controls: &[usize], target: usize) {
-        self.controlled_with_workers(u, controls, target, auto_workers(self.n_qubits));
-    }
-
     fn controlled_with_workers(
         &mut self,
         u: &CMatrix,
@@ -482,35 +471,12 @@ impl DensityMatrix {
         kernel_controlled(self.rho.as_mut_slice(), d, cmask, tshift, u, workers);
     }
 
-    /// In-place SWAP of two qubits: one row-exchange pass plus one
-    /// column-exchange pass, no arithmetic at all.
-    pub fn apply_swap_local(&mut self, q_a: usize, q_b: usize) {
-        self.swap_with_workers(q_a, q_b, auto_workers(self.n_qubits));
-    }
-
     fn swap_with_workers(&mut self, q_a: usize, q_b: usize, workers: usize) {
         assert_ne!(q_a, q_b, "swap requires distinct qubits");
         let sa = self.shift(q_a);
         let sb = self.shift(q_b);
         let d = self.dim();
         kernel_swap(self.rho.as_mut_slice(), d, sa, sb, workers);
-    }
-
-    /// In-place conjugation by a diagonal unitary given as its full-register
-    /// diagonal: `ρ[r][c] ← diag[r]·ρ[r][c]·conj(diag[c])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `diag.len() != 2^n`.
-    pub fn apply_diag_local(&mut self, diag: &[C64]) {
-        let d = self.dim();
-        assert_eq!(diag.len(), d, "diagonal length mismatch");
-        kernel_diag(
-            self.rho.as_mut_slice(),
-            d,
-            diag,
-            auto_workers(self.n_qubits),
-        );
     }
 
     fn diag_1q(&mut self, qubit: usize, d0: C64, d1: C64, workers: usize) {

@@ -119,22 +119,6 @@ impl Gate {
         }
     }
 
-    /// `true` if the gate touches a parameterized angle (used by mutation
-    /// testing to avoid mutating structural gates).
-    pub fn is_parameterized(&self) -> bool {
-        matches!(
-            self,
-            Gate::RX(..)
-                | Gate::RY(..)
-                | Gate::RZ(..)
-                | Gate::Phase(..)
-                | Gate::CRZ(..)
-                | Gate::CPhase(..)
-                | Gate::MCRX(..)
-                | Gate::MCRY(..)
-        )
-    }
-
     /// The inverse gate.
     pub fn inverse(&self) -> Gate {
         match self {

@@ -168,16 +168,6 @@ impl StateVector {
         self.amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt()
     }
 
-    /// Renormalizes in place; useful after noisy trajectory steps.
-    pub fn renormalize(&mut self) {
-        let n = self.norm();
-        if n > 1e-300 {
-            for a in &mut self.amps {
-                *a = *a / n;
-            }
-        }
-    }
-
     /// Inner product `⟨self|other⟩`.
     ///
     /// # Panics

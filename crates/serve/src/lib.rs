@@ -8,12 +8,9 @@
 //! `morph-serve` binary reads a batch from a file or stdin, and
 //! [`serve_listener`] exposes the same protocol over TCP.
 //!
-//! Besides single jobs, the protocol's v2 `verify_revisions` kind submits
-//! an **ordered revision stream** — the edit loop. There is one job path:
-//! [`Service::submit`] takes either kind, and each revision runs as the
-//! `verify` job with its program and the stream's knobs would, through the
-//! same cache, so a stream writes, hits and coalesces artifacts like any
-//! other job (a revert to an earlier revision is a cache hit).
+//! An edit loop sends each revision of its program as its own job, in one
+//! batch or pipelined on one connection; a revision that repeats an
+//! earlier one (a revert) coalesces with it or hits its artifact.
 //!
 //! The throughput mechanism is **coalescing**: jobs are keyed by the
 //! content address of their characterization (the `morph-store`
@@ -36,10 +33,7 @@ pub mod protocol;
 pub mod service;
 
 pub use listener::{serve_listener, Listener, ListenerConfig};
-pub use protocol::{
-    JobRequest, JobResponse, JobStatus, Request, RevisionsRequest, PROTOCOL_VERSION,
-    PROTOCOL_VERSION_REVISIONS,
-};
+pub use protocol::{JobRequest, JobResponse, JobStatus, PROTOCOL_VERSION};
 pub use service::{JobError, JobHandle, ServeConfig, Service, SubmitError};
 
 use std::io::{self, BufRead, Write};
@@ -53,20 +47,20 @@ const RESUBMIT_TICK: Duration = Duration::from_millis(5);
 pub(crate) enum Slot {
     /// Answered without running: a line that did not parse, or a refusal.
     Ready(Box<JobResponse>),
-    /// A submitted request.
+    /// A submitted job.
     Pending(JobHandle),
 }
 
 impl Slot {
     /// The line-to-response path batch mode and the listener share: parses
-    /// `line` and hands the request to `submit`, which returns the handle
-    /// or the refusal to answer in its place. A line that does not parse
+    /// `line` and hands the job to `submit`, which returns the handle or
+    /// the refusal to answer in its place. A line that does not parse
     /// answers `invalid_request` in-band.
     pub(crate) fn admit(
         line: &str,
-        submit: impl FnOnce(Request) -> Result<JobHandle, JobResponse>,
+        submit: impl FnOnce(JobRequest) -> Result<JobHandle, JobResponse>,
     ) -> Slot {
-        match Request::from_json_line(line) {
+        match JobRequest::from_json_line(line) {
             Ok(request) => match submit(request) {
                 Ok(handle) => Slot::Pending(handle),
                 Err(refusal) => Slot::Ready(Box::new(refusal)),
@@ -78,7 +72,7 @@ impl Slot {
         }
     }
 
-    /// The response line, blocking until a submitted request finishes.
+    /// The response line, blocking until a submitted job finishes.
     pub(crate) fn response(self) -> JobResponse {
         match self {
             Slot::Ready(response) => *response,
@@ -114,16 +108,11 @@ pub fn run_batch(
         if line.trim().is_empty() {
             continue;
         }
-        slots.push(Slot::admit(&line, |request| {
-            let (id, version) = (request.id().to_string(), request.protocol_version());
-            loop {
-                match service.submit(request.clone()) {
-                    Ok(handle) => return Ok(handle),
-                    Err(SubmitError::QueueFull { .. }) => std::thread::sleep(RESUBMIT_TICK),
-                    Err(rejection) => {
-                        return Err(JobResponse::from_rejection(&id, version, &rejection))
-                    }
-                }
+        slots.push(Slot::admit(&line, |request| loop {
+            match service.submit(request.clone()) {
+                Ok(handle) => return Ok(handle),
+                Err(SubmitError::QueueFull { .. }) => std::thread::sleep(RESUBMIT_TICK),
+                Err(rejection) => return Err(JobResponse::from_rejection(&request.id, &rejection)),
             }
         }));
     }

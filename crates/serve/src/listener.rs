@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 
 use morph_trace::lock_or_recover;
 
-use crate::protocol::{JobResponse, PROTOCOL_VERSION};
+use crate::protocol::JobResponse;
 use crate::service::Service;
 use crate::Slot;
 
@@ -227,7 +227,6 @@ fn accept_loop(
 fn refuse_connection(stream: TcpStream, limit: usize) {
     let response = JobResponse::from_refusal(
         "<connection>",
-        PROTOCOL_VERSION,
         "connection_quota",
         &format!("connection limit reached (limit {limit})"),
     );
@@ -362,19 +361,18 @@ fn admit(
 ) -> Slot {
     morph_trace::counter("serve/net_requests", 1);
     let slot = Slot::admit(line, |request| {
-        let (id, version) = (request.id().to_string(), request.protocol_version());
         if in_flight.load(Ordering::SeqCst) >= inflight_limit {
             morph_trace::counter("serve/job_quota_rejected", 1);
             return Err(JobResponse::from_refusal(
-                &id,
-                version,
+                &request.id,
                 "job_quota",
                 &format!("connection in-flight job limit reached (limit {inflight_limit})"),
             ));
         }
+        let id = request.id.clone();
         service
             .submit(request)
-            .map_err(|rejection| JobResponse::from_rejection(&id, version, &rejection))
+            .map_err(|rejection| JobResponse::from_rejection(&id, &rejection))
     });
     if let Slot::Pending(_) = slot {
         in_flight.fetch_add(1, Ordering::SeqCst);

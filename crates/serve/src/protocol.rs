@@ -25,115 +25,9 @@ use serde::Serialize;
 use crate::service::{JobError, SubmitError};
 use morphqpv::prelude::{Verdict, VerificationReport};
 
-/// Protocol revision stamped on every single-job response line.
-///
-/// Request lines may declare their protocol revision with an explicit
-/// `"v"` field; a line without one is a legacy v1 request. Single-job
-/// (`"kind":"verify"`) requests are accepted at any supported revision
-/// and always answered with a v1 response body, so pre-versioning
-/// clients and golden fixtures keep working unchanged.
+/// Protocol version stamped on every response line. A request line may
+/// declare it with `"v":1`; a line without `"v"` speaks it too.
 pub const PROTOCOL_VERSION: u32 = 1;
-
-/// Protocol revision of the `verify_revisions` batch extension — the
-/// highest revision this build speaks. Revision-stream requests must
-/// declare `"v":2` explicitly (the feature postdates v1, so a legacy
-/// line can never carry it by accident), and their response lines stamp
-/// `"protocol":2`.
-pub const PROTOCOL_VERSION_REVISIONS: u32 = 2;
-
-/// One parsed request line: the versioned envelope (`"v"`, `"kind"`)
-/// dispatched to its body type.
-///
-/// `"kind"` defaults to `"verify"` and `"v"` to `1`, so every
-/// pre-versioning request line parses exactly as before.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// `"kind":"verify"` (or absent): one verification job.
-    Job(JobRequest),
-    /// `"kind":"verify_revisions"` (requires `"v":2`): an ordered
-    /// revision stream, each revision verified as a `verify` job would be.
-    Revisions(RevisionsRequest),
-}
-
-impl Request {
-    /// Parses one request line, dispatching on the `"v"`/`"kind"`
-    /// envelope.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the malformed line: bad JSON, an
-    /// unsupported `"v"`, an unknown `"kind"`, a `verify_revisions`
-    /// request not declaring `"v":2`, or a body-level field error.
-    pub fn from_json_line(line: &str) -> Result<Request, String> {
-        let value = json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-        let obj = match &value {
-            Value::Object(m) => m,
-            other => return Err(format!("request must be an object, found {other:?}")),
-        };
-        let v = match optional_u64(obj, "v")? {
-            None => 1,
-            Some(0) => return Err("v must be >= 1".to_string()),
-            Some(n) => n,
-        };
-        if v > u64::from(PROTOCOL_VERSION_REVISIONS) {
-            return Err(format!(
-                "unsupported protocol version v={v} (this build speaks up to v={PROTOCOL_VERSION_REVISIONS})"
-            ));
-        }
-        match optional_str(obj, "kind")?.as_deref().unwrap_or("verify") {
-            "verify" => Ok(Request::Job(JobRequest::parse_object(obj)?)),
-            "verify_revisions" => {
-                if v < u64::from(PROTOCOL_VERSION_REVISIONS) {
-                    return Err(format!(
-                        "kind `verify_revisions` requires `\"v\":{PROTOCOL_VERSION_REVISIONS}` on the request line (got v={v})"
-                    ));
-                }
-                Ok(Request::Revisions(RevisionsRequest::parse_object(obj)?))
-            }
-            other => Err(format!(
-                "unknown request kind `{other}` (expected `verify` or `verify_revisions`)"
-            )),
-        }
-    }
-
-    /// The caller-chosen request id, whichever kind this is.
-    pub fn id(&self) -> &str {
-        match self {
-            Request::Job(r) => &r.id,
-            Request::Revisions(r) => &r.id,
-        }
-    }
-
-    /// The protocol revision stamped on this request's response line,
-    /// refusals included: [`PROTOCOL_VERSION`] for a job,
-    /// [`PROTOCOL_VERSION_REVISIONS`] for a revision stream.
-    pub fn protocol_version(&self) -> u32 {
-        match self {
-            Request::Job(_) => PROTOCOL_VERSION,
-            Request::Revisions(_) => PROTOCOL_VERSION_REVISIONS,
-        }
-    }
-
-    /// The request's own deadline in milliseconds, if it set one.
-    pub fn deadline_ms(&self) -> Option<u64> {
-        match self {
-            Request::Job(r) => r.deadline_ms,
-            Request::Revisions(r) => r.deadline_ms,
-        }
-    }
-}
-
-impl From<JobRequest> for Request {
-    fn from(request: JobRequest) -> Self {
-        Request::Job(request)
-    }
-}
-
-impl From<RevisionsRequest> for Request {
-    fn from(request: RevisionsRequest) -> Self {
-        Request::Revisions(request)
-    }
-}
 
 /// One verification job, parsed from a request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,6 +48,9 @@ pub struct JobRequest {
     pub restarts: Option<usize>,
     /// Noise model name: `"noiseless"` (default) or `"ibm_cairo"`.
     pub noise: Option<String>,
+    /// Input ensemble name: `"clifford"` (default), `"pauli_product"`,
+    /// or `"basis"`.
+    pub ensemble: Option<String>,
 }
 
 impl JobRequest {
@@ -173,145 +70,45 @@ impl JobRequest {
             deadline_ms: None,
             restarts: None,
             noise: None,
+            ensemble: None,
         }
     }
 
-    /// Parses one request line.
+    /// Parses one request line. Its envelope fields may be omitted; when
+    /// present, `"v"` must be `1` and `"kind"` must be `"verify"`.
     ///
     /// # Errors
     ///
-    /// A human-readable description of the malformed line (bad JSON,
-    /// missing or mistyped field).
+    /// A human-readable description of the malformed line: bad JSON, an
+    /// unsupported `"v"` or `"kind"`, or a missing or mistyped field.
     pub fn from_json_line(line: &str) -> Result<JobRequest, String> {
         let value = json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
         let obj = match &value {
             Value::Object(m) => m,
             other => return Err(format!("request must be an object, found {other:?}")),
         };
-        JobRequest::parse_object(obj)
-    }
-
-    /// Parses the request body out of an already-parsed line object
-    /// (the [`Request`] envelope dispatcher lands here).
-    fn parse_object(obj: &BTreeMap<String, Value>) -> Result<JobRequest, String> {
-        let id = require_str(obj, "id")?;
-        let program = require_str(obj, "program")?;
-        let input_qubits = input_qubits_field(obj)?;
-        let seed = require_seed(obj)?;
+        match optional_u64(obj, "v")? {
+            None | Some(1) => {}
+            Some(v) => {
+                return Err(format!(
+                    "unsupported protocol version v={v} (this build speaks v={PROTOCOL_VERSION})"
+                ))
+            }
+        }
+        match optional_str(obj, "kind")?.as_deref() {
+            None | Some("verify") => {}
+            Some(other) => {
+                return Err(format!(
+                    "unknown request kind `{other}` (expected `verify`)"
+                ))
+            }
+        }
+        let missing = |key: &str| format!("missing required field `{key}`");
         Ok(JobRequest {
-            id,
-            program,
-            input_qubits,
-            seed,
-            samples: optional_u64(obj, "samples")?.map(|n| n as usize),
-            deadline_ms: optional_u64(obj, "deadline_ms")?,
-            restarts: optional_u64(obj, "restarts")?.map(|n| n as usize),
-            noise: optional_str(obj, "noise")?,
-        })
-    }
-
-    /// Renders the request as one JSON line (fixture generation, tests).
-    pub fn to_json_line(&self) -> String {
-        let mut m = BTreeMap::new();
-        m.insert("id".to_string(), Value::Str(self.id.clone()));
-        m.insert("program".to_string(), Value::Str(self.program.clone()));
-        m.insert(
-            "input_qubits".to_string(),
-            Value::Array(
-                self.input_qubits
-                    .iter()
-                    .map(|&q| Value::UInt(q as u64))
-                    .collect(),
-            ),
-        );
-        m.insert("seed".to_string(), Value::UInt(self.seed));
-        if let Some(n) = self.samples {
-            m.insert("samples".to_string(), Value::UInt(n as u64));
-        }
-        if let Some(ms) = self.deadline_ms {
-            m.insert("deadline_ms".to_string(), Value::UInt(ms));
-        }
-        if let Some(r) = self.restarts {
-            m.insert("restarts".to_string(), Value::UInt(r as u64));
-        }
-        if let Some(noise) = &self.noise {
-            m.insert("noise".to_string(), Value::Str(noise.clone()));
-        }
-        json::to_string(&Value::Object(m))
-    }
-}
-
-/// An ordered stream of program revisions — the edit loop. Parsed from a
-/// `"v":2`, `"kind":"verify_revisions"` request line.
-///
-/// The shared knobs (`input_qubits`, `seed`, `samples`, …) apply to
-/// every revision, and each revision runs as the `verify` job with its
-/// program and those knobs would, through the service's one artifact
-/// cache: an identical revision appearing twice in the stream answers
-/// identically, and the second one hits the cache.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RevisionsRequest {
-    /// Caller-chosen identifier echoed on the response line.
-    pub id: String,
-    /// Program revisions in verification order, each in the surface
-    /// syntax including `// assert` lines. Must be non-empty.
-    pub revisions: Vec<String>,
-    /// Qubits carrying the program input (shared by all revisions).
-    pub input_qubits: Vec<usize>,
-    /// RNG seed; every revision restarts from it.
-    pub seed: u64,
-    /// Overrides the sampled-input budget.
-    pub samples: Option<usize>,
-    /// Deadline in milliseconds for the whole stream, counted from
-    /// submission.
-    pub deadline_ms: Option<u64>,
-    /// Overrides the validation solver's restart count.
-    pub restarts: Option<usize>,
-    /// Noise model name: `"noiseless"` (default) or `"ibm_cairo"`.
-    pub noise: Option<String>,
-    /// Input ensemble name: `"clifford"` (default), `"pauli_product"`,
-    /// or `"basis"`.
-    pub ensemble: Option<String>,
-}
-
-impl RevisionsRequest {
-    /// A minimal revision-stream request; optional knobs default to
-    /// `None`.
-    pub fn new(id: impl Into<String>, revisions: Vec<String>, input_qubits: Vec<usize>) -> Self {
-        RevisionsRequest {
-            id: id.into(),
-            revisions,
-            input_qubits,
-            seed: 0,
-            samples: None,
-            deadline_ms: None,
-            restarts: None,
-            noise: None,
-            ensemble: None,
-        }
-    }
-
-    fn parse_object(obj: &BTreeMap<String, Value>) -> Result<RevisionsRequest, String> {
-        let id = require_str(obj, "id")?;
-        let revisions = match obj.get("revisions") {
-            Some(Value::Array(items)) => items
-                .iter()
-                .map(|v| match v {
-                    Value::Str(s) => Ok(s.clone()),
-                    _ => Err("revisions entries must be program strings".to_string()),
-                })
-                .collect::<Result<Vec<String>, String>>()?,
-            Some(_) => return Err("revisions must be an array".into()),
-            None => return Err("missing required field `revisions`".into()),
-        };
-        if revisions.is_empty() {
-            return Err("revisions must not be empty".into());
-        }
-        Ok(RevisionsRequest {
-            id,
-            revisions,
+            id: optional_str(obj, "id")?.ok_or_else(|| missing("id"))?,
+            program: optional_str(obj, "program")?.ok_or_else(|| missing("program"))?,
             input_qubits: input_qubits_field(obj)?,
-            seed: require_seed(obj)?,
+            seed: optional_u64(obj, "seed")?.ok_or_else(|| missing("seed"))?,
             samples: optional_u64(obj, "samples")?.map(|n| n as usize),
             deadline_ms: optional_u64(obj, "deadline_ms")?,
             restarts: optional_u64(obj, "restarts")?.map(|n| n as usize),
@@ -320,28 +117,11 @@ impl RevisionsRequest {
         })
     }
 
-    /// Renders the request as one JSON line (fixture generation, tests),
-    /// including its `"v":2` / `"kind":"verify_revisions"` envelope.
+    /// Renders the request as one JSON line (fixture generation, tests).
     pub fn to_json_line(&self) -> String {
         let mut m = BTreeMap::new();
-        m.insert(
-            "v".to_string(),
-            Value::UInt(u64::from(PROTOCOL_VERSION_REVISIONS)),
-        );
-        m.insert(
-            "kind".to_string(),
-            Value::Str("verify_revisions".to_string()),
-        );
         m.insert("id".to_string(), Value::Str(self.id.clone()));
-        m.insert(
-            "revisions".to_string(),
-            Value::Array(
-                self.revisions
-                    .iter()
-                    .map(|p| Value::Str(p.clone()))
-                    .collect(),
-            ),
-        );
+        m.insert("program".to_string(), Value::Str(self.program.clone()));
         m.insert(
             "input_qubits".to_string(),
             Value::Array(
@@ -383,23 +163,6 @@ fn input_qubits_field(obj: &BTreeMap<String, Value>) -> Result<Vec<usize>, Strin
             .collect::<Result<Vec<usize>, String>>(),
         Some(_) => Err("input_qubits must be an array".into()),
         None => Err("missing required field `input_qubits`".into()),
-    }
-}
-
-fn require_seed(obj: &BTreeMap<String, Value>) -> Result<u64, String> {
-    match obj.get("seed") {
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| "seed must be an unsigned integer".to_string()),
-        None => Err("missing required field `seed`".into()),
-    }
-}
-
-fn require_str(obj: &BTreeMap<String, Value>, key: &str) -> Result<String, String> {
-    match obj.get(key) {
-        Some(Value::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(format!("{key} must be a string")),
-        None => Err(format!("missing required field `{key}`")),
     }
 }
 
@@ -464,7 +227,11 @@ impl JobResponse {
         fingerprint: morph_store::Fingerprint,
         report: &VerificationReport,
     ) -> JobResponse {
-        let status = report_status(report);
+        let status = if report.all_passed() {
+            JobStatus::Passed
+        } else {
+            JobStatus::Refuted
+        };
         let mut body = base_body(id, status);
         body.insert("characterization_fp".to_string(), fingerprint.to_value());
         body.insert("assertions".to_string(), assertions_value(report));
@@ -476,116 +243,31 @@ impl JobResponse {
         }
     }
 
-    /// Builds the response for a completed `verify_revisions` stream:
-    /// one entry per revision (in stream order) carrying its status,
-    /// assertion verdicts and run costs — a `verify` response's body
-    /// without its `id`, `protocol` and `characterization_fp`. A
-    /// revision that failed contributes an in-band error entry; the
-    /// line-level status is the worst across revisions (refuted
-    /// dominates error dominates passed, matching the exit-code
-    /// convention). Stamped `"protocol":2`.
-    pub fn from_revisions(
-        id: &str,
-        outcomes: &[Result<VerificationReport, JobError>],
-    ) -> JobResponse {
-        // Severity follows the exit-code convention (refuted > error >
-        // passed), so the line-level status and exit code agree.
-        let severity = |s: JobStatus| match s {
-            JobStatus::Passed => 0,
-            JobStatus::Rejected | JobStatus::Error => 1,
-            JobStatus::Refuted => 2,
-        };
-        let mut status = JobStatus::Passed;
-        let mut entries: Vec<Value> = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            let mut m = BTreeMap::new();
-            match outcome {
-                Ok(report) => {
-                    let rev_status = report_status(report);
-                    if severity(rev_status) > severity(status) {
-                        status = rev_status;
-                    }
-                    m.insert(
-                        "status".to_string(),
-                        Value::Str(rev_status.tag().to_string()),
-                    );
-                    m.insert("assertions".to_string(), assertions_value(report));
-                    m.insert("run".to_string(), run_value(report));
-                }
-                Err(e) => {
-                    if severity(JobStatus::Error) > severity(status) {
-                        status = JobStatus::Error;
-                    }
-                    m.insert(
-                        "status".to_string(),
-                        Value::Str(JobStatus::Error.tag().to_string()),
-                    );
-                    let mut err = BTreeMap::new();
-                    err.insert("kind".to_string(), Value::Str(e.kind().to_string()));
-                    err.insert("message".to_string(), Value::Str(e.to_string()));
-                    m.insert("error".to_string(), Value::Object(err));
-                }
-            }
-            entries.push(Value::Object(m));
-        }
-        let mut body = base_body_with(id, status, PROTOCOL_VERSION_REVISIONS);
-        body.insert("revisions".to_string(), Value::Array(entries));
-        JobResponse {
-            id: id.to_string(),
-            status,
-            body: Value::Object(body),
-        }
+    /// Builds the response for a job that started but failed.
+    pub fn from_error(id: &str, error: &JobError) -> JobResponse {
+        JobResponse::failure(id, JobStatus::Error, error.kind(), &error.to_string())
     }
 
-    /// Builds the response for a request that started but failed as a
-    /// whole — a job's failure, or a stream's deadline or panic — stamped
-    /// with the protocol `version` of the request it answers
-    /// ([`Request::protocol_version`]).
-    pub fn from_error(id: &str, version: u32, error: &JobError) -> JobResponse {
-        JobResponse::error_with_version(
-            id,
-            JobStatus::Error,
-            error.kind(),
-            &error.to_string(),
-            version,
-        )
-    }
-
-    /// Builds the response for a submission the service refused, stamped
-    /// with the protocol `version` of the request it answers
-    /// ([`Request::protocol_version`]).
-    pub fn from_rejection(id: &str, version: u32, rejection: &SubmitError) -> JobResponse {
-        JobResponse::from_refusal(id, version, rejection.kind(), &rejection.to_string())
+    /// Builds the response for a submission the service refused.
+    pub fn from_rejection(id: &str, rejection: &SubmitError) -> JobResponse {
+        JobResponse::from_refusal(id, rejection.kind(), &rejection.to_string())
     }
 
     /// Builds the response for a line that did not parse as a request.
     pub fn from_invalid_line(id: &str, message: &str) -> JobResponse {
-        JobResponse::error_with_version(
-            id,
-            JobStatus::Error,
-            "invalid_request",
-            message,
-            PROTOCOL_VERSION,
-        )
+        JobResponse::failure(id, JobStatus::Error, "invalid_request", message)
     }
 
     /// Builds a structured refusal with an explicit kind — the network
     /// listener's admission-control rejections (`connection_quota`,
-    /// `job_quota`) that have no [`SubmitError`] counterpart — stamped
-    /// with the protocol `version` of the request it answers. The job (or
+    /// `job_quota`) that have no [`SubmitError`] counterpart. The job (or
     /// connection) never ran; status is `rejected`.
-    pub fn from_refusal(id: &str, version: u32, kind: &str, message: &str) -> JobResponse {
-        JobResponse::error_with_version(id, JobStatus::Rejected, kind, message, version)
+    pub fn from_refusal(id: &str, kind: &str, message: &str) -> JobResponse {
+        JobResponse::failure(id, JobStatus::Rejected, kind, message)
     }
 
-    fn error_with_version(
-        id: &str,
-        status: JobStatus,
-        kind: &str,
-        message: &str,
-        version: u32,
-    ) -> JobResponse {
-        let mut body = base_body_with(id, status, version);
+    fn failure(id: &str, status: JobStatus, kind: &str, message: &str) -> JobResponse {
+        let mut body = base_body(id, status);
         let mut err = BTreeMap::new();
         err.insert("kind".to_string(), Value::Str(kind.to_string()));
         err.insert("message".to_string(), Value::Str(message.to_string()));
@@ -632,27 +314,17 @@ impl JobResponse {
 }
 
 fn base_body(id: &str, status: JobStatus) -> BTreeMap<String, Value> {
-    base_body_with(id, status, PROTOCOL_VERSION)
-}
-
-fn base_body_with(id: &str, status: JobStatus, version: u32) -> BTreeMap<String, Value> {
     let mut m = BTreeMap::new();
     m.insert("id".to_string(), Value::Str(id.to_string()));
-    m.insert("protocol".to_string(), Value::UInt(u64::from(version)));
+    m.insert(
+        "protocol".to_string(),
+        Value::UInt(u64::from(PROTOCOL_VERSION)),
+    );
     m.insert("status".to_string(), Value::Str(status.tag().to_string()));
     m
 }
 
-fn report_status(report: &VerificationReport) -> JobStatus {
-    if report.all_passed() {
-        JobStatus::Passed
-    } else {
-        JobStatus::Refuted
-    }
-}
-
-/// The per-assertion verdict array shared by single-job and per-revision
-/// response bodies.
+/// The per-assertion verdict array of a completed job's response.
 fn assertions_value(report: &VerificationReport) -> Value {
     let assertions: Vec<Value> = report
         .outcomes
@@ -679,8 +351,7 @@ fn assertions_value(report: &VerificationReport) -> Value {
     Value::Array(assertions)
 }
 
-/// The run-cost object shared by single-job and per-revision response
-/// bodies.
+/// The run-cost object of a completed job's response.
 fn run_value(report: &VerificationReport) -> Value {
     let mut run = BTreeMap::new();
     run.insert("executions".to_string(), Value::UInt(report.run.executions));
@@ -737,6 +408,7 @@ mod tests {
         req.samples = Some(4);
         req.deadline_ms = Some(500);
         req.noise = Some("ibm_cairo".into());
+        req.ensemble = Some("pauli_product".into());
         let line = req.to_json_line();
         assert_eq!(JobRequest::from_json_line(&line).unwrap(), req);
     }
@@ -768,86 +440,33 @@ mod tests {
 
     #[test]
     fn envelope_defaults_to_a_v1_verify_request() {
-        // A pre-versioning line (no `v`, no `kind`) parses to the same
-        // job the legacy codec produced.
-        let line = r#"{"id":"x","program":"p","input_qubits":[0],"seed":3}"#;
-        let legacy = JobRequest::from_json_line(line).unwrap();
-        match Request::from_json_line(line).unwrap() {
-            Request::Job(job) => assert_eq!(job, legacy),
-            other => panic!("expected a job, got {other:?}"),
-        }
-        // An explicit `"v":1` and `"kind":"verify"` means the same.
-        let line = r#"{"id":"x","kind":"verify","program":"p","input_qubits":[0],"seed":3,"v":1}"#;
-        match Request::from_json_line(line).unwrap() {
-            Request::Job(job) => assert_eq!(job, legacy),
-            other => panic!("expected a job, got {other:?}"),
-        }
+        // A line without `v` and `kind` parses to the same job as one that
+        // spells out `"v":1` and `"kind":"verify"`.
+        let legacy =
+            JobRequest::from_json_line(r#"{"id":"x","program":"p","input_qubits":[0],"seed":3}"#)
+                .unwrap();
+        let explicit = JobRequest::from_json_line(
+            r#"{"id":"x","kind":"verify","program":"p","input_qubits":[0],"seed":3,"v":1}"#,
+        )
+        .unwrap();
+        assert_eq!(explicit, legacy);
     }
 
     #[test]
     fn envelope_rejects_bad_versions_and_kinds() {
-        let err = Request::from_json_line(
-            r#"{"id":"x","program":"p","input_qubits":[0],"seed":3,"v":0}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("v must be >= 1"), "{err}");
-        let err = Request::from_json_line(
-            r#"{"id":"x","program":"p","input_qubits":[0],"seed":3,"v":3}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("unsupported protocol version"), "{err}");
-        let err = Request::from_json_line(
-            r#"{"id":"x","kind":"verify_stream","program":"p","input_qubits":[0],"seed":3}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("unknown request kind"), "{err}");
-        // The revisions kind postdates v1, so it must declare v2.
-        let err = Request::from_json_line(
-            r#"{"id":"x","kind":"verify_revisions","revisions":["p"],"input_qubits":[0],"seed":3}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("requires"), "{err}");
-    }
-
-    #[test]
-    fn revisions_request_round_trips_through_json() {
-        let mut req = RevisionsRequest::new("rev-1", vec!["a".into(), "b".into()], vec![0, 1]);
-        req.seed = 9;
-        req.samples = Some(4);
-        req.ensemble = Some("pauli_product".into());
-        let line = req.to_json_line();
-        match Request::from_json_line(&line).unwrap() {
-            Request::Revisions(parsed) => assert_eq!(parsed, req),
-            other => panic!("expected a revisions request, got {other:?}"),
+        for v in [0, 2, 3] {
+            let err = JobRequest::from_json_line(&format!(
+                r#"{{"id":"x","program":"p","input_qubits":[0],"seed":3,"v":{v}}}"#
+            ))
+            .unwrap_err();
+            assert!(err.contains("unsupported protocol version"), "{err}");
         }
-    }
-
-    #[test]
-    fn revisions_request_validates_its_fields() {
-        let base = |extra: &str| {
-            format!(
-                r#"{{"id":"x","kind":"verify_revisions","input_qubits":[0],"seed":3,"v":2{extra}}}"#
-            )
-        };
-        let err = Request::from_json_line(&base("")).unwrap_err();
-        assert!(err.contains("revisions"), "{err}");
-        let err = Request::from_json_line(&base(r#","revisions":[]"#)).unwrap_err();
-        assert!(err.contains("must not be empty"), "{err}");
-        let err = Request::from_json_line(&base(r#","revisions":[7]"#)).unwrap_err();
-        assert!(err.contains("program strings"), "{err}");
-    }
-
-    #[test]
-    fn revisions_error_lines_stamp_protocol_two() {
-        let resp = JobResponse::from_error(
-            "rev-err",
-            PROTOCOL_VERSION_REVISIONS,
-            &JobError::Invalid {
-                message: "nope".into(),
-            },
-        );
-        let line = resp.to_json_line();
-        assert!(line.contains("\"protocol\":2"), "{line}");
-        assert_eq!(resp.exit_code(), 1);
+        for kind in ["verify_stream", "verify_revisions"] {
+            let err = JobRequest::from_json_line(&format!(
+                r#"{{"id":"x","kind":"{kind}","program":"p","input_qubits":[0],"seed":3}}"#
+            ))
+            .unwrap_err();
+            assert!(err.contains("unknown request kind"), "{err}");
+        }
     }
 }

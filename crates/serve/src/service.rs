@@ -1,37 +1,32 @@
-//! The verification service: a bounded worker pool running requests end
-//! to end, with coalescing, deadlines, panic isolation, and telemetry.
+//! The verification service: a bounded worker pool running jobs end to
+//! end, with coalescing, deadlines, panic isolation, and telemetry.
 //!
-//! # Request lifecycle
+//! # Job lifecycle
 //!
-//! [`Service::submit`] is non-blocking: it either enqueues the request — a
-//! `verify` job or a `verify_revisions` stream — on the `morph-parallel`
-//! [`WorkerPool`] and returns a [`JobHandle`], or refuses with a
-//! structured [`SubmitError`] (queue full, shutting down). Once a worker
-//! picks the request up it runs each of its programs — a job's one, a
-//! stream's revisions in order — through the same pipeline: parse,
-//! fingerprint, characterize (coalesced), validate. It then renders the
-//! response line, which the handle delivers. Every failure mode is an
-//! in-band error on that line; a request can never take the service
-//! down.
+//! [`Service::submit`] is non-blocking: it either enqueues the job on the
+//! `morph-parallel` [`WorkerPool`] and returns a [`JobHandle`], or refuses
+//! with a structured [`SubmitError`] (queue full, shutting down). Once a
+//! worker picks the job up it runs the pipeline — parse, fingerprint,
+//! characterize (coalesced), validate — and renders the response line,
+//! which the handle delivers. Every failure mode is an in-band error on
+//! that line; a job can never take the service down.
 //!
 //! # Determinism
 //!
-//! A program's results depend only on it and its request's knobs. Its RNG
-//! is seeded from `request.seed`; one `u64` (`char_seed`) is drawn from it
-//! to key and seed characterization — exactly the [`Verifier::try_run`]
-//! discipline — and validation continues from the program's own stream.
-//! Each revision of a stream restarts from the seed. Whether a program
+//! A job's results depend only on its request. Its RNG is seeded from
+//! `request.seed`; one `u64` (`char_seed`) is drawn from it to key and
+//! seed characterization — exactly the [`Verifier::try_run`] discipline —
+//! and validation continues from the job's own stream. Whether a job
 //! computed its characterization, followed a coalesced flight, or hit the
 //! cache is therefore *invisible in its report* (the artifact round-trip
 //! is bit-exact); it shows up only in the trace counters below.
 //!
 //! # Telemetry (`morph-trace`, off by default)
 //!
-//! - span `serve/job` per request (under the submitter's current span)
-//! - counter `serve/revision` — revisions run
+//! - span `serve/job` per job (under the submitter's current span)
 //! - counter `serve/characterize_leader` — characterizations computed
-//! - counter `serve/coalesced_hit` — programs served by a concurrent leader
-//! - counter `serve/cache_hit` — programs served from the artifact cache
+//! - counter `serve/coalesced_hit` — jobs served by a concurrent leader
+//! - counter `serve/cache_hit` — jobs served from the artifact cache
 //! - counter `serve/cross_process_hit` — cache hits on an artifact that
 //!   another process sharing the cache directory computed
 //! - gauge `serve/queue_depth` — queue depth sampled at each submission
@@ -49,12 +44,12 @@ use morph_qsim::NoiseModel;
 use morph_store::{Fingerprint, Source};
 use morphqpv::prelude::{
     assertions_from_source, parse_program, CancelToken, Cancelled, Characterization,
-    CharacterizationCache, InputEnsemble, MorphError, VerificationReport, Verifier,
+    CharacterizationCache, InputEnsemble, MorphError, Verifier,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::protocol::{JobRequest, JobResponse, Request, RevisionsRequest};
+use crate::protocol::{JobRequest, JobResponse};
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -196,15 +191,14 @@ impl From<Cancelled> for JobError {
     }
 }
 
-/// Handle to one submitted request.
+/// Handle to one submitted job.
 pub struct JobHandle {
     id: String,
-    version: u32,
     rx: mpsc::Receiver<JobResponse>,
 }
 
 impl JobHandle {
-    /// Blocks until the request finishes and returns its response line.
+    /// Blocks until the job finishes and returns its response line.
     pub fn wait(self) -> JobResponse {
         self.rx.recv().unwrap_or_else(|_| {
             // The worker vanished without reporting — only possible if the
@@ -212,7 +206,7 @@ impl JobHandle {
             let vanished = JobError::Panicked {
                 message: "worker disappeared before delivering a result".to_string(),
             };
-            JobResponse::from_error(&self.id, self.version, &vanished)
+            JobResponse::from_error(&self.id, &vanished)
         })
     }
 }
@@ -248,42 +242,39 @@ impl Service {
         })
     }
 
-    /// Submits a request — a job or a revision stream — without blocking.
+    /// Submits a job without blocking.
     ///
-    /// The request's deadline clock starts *now* — time spent queued
-    /// counts against it. A stream's deadline covers the whole stream.
+    /// The job's deadline clock starts *now* — time spent queued counts
+    /// against it.
     ///
     /// # Errors
     ///
     /// [`SubmitError`] when the queue is full or the service is shutting
-    /// down; the request was not accepted and will not run.
-    pub fn submit(&self, request: impl Into<Request>) -> Result<JobHandle, SubmitError> {
-        let request = request.into();
-        let token = match request.deadline_ms().or(self.default_deadline_ms) {
+    /// down; the job was not accepted and will not run.
+    pub fn submit(&self, request: JobRequest) -> Result<JobHandle, SubmitError> {
+        let token = match request.deadline_ms.or(self.default_deadline_ms) {
             Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
             None => CancelToken::new(),
         };
-        let (id, version) = (request.id().to_string(), request.protocol_version());
+        let id = request.id.clone();
         let (tx, rx) = mpsc::channel();
         let cache = Arc::clone(&self.cache);
         let parent_span = morph_trace::current_span();
         self.pool.try_submit(move || {
             let _span = morph_trace::span_under(parent_span, "serve/job");
-            let response = catch_unwind(AssertUnwindSafe(|| respond(&cache, &request, &token)))
+            let response = catch_unwind(AssertUnwindSafe(|| run_job(&cache, &request, &token)))
                 .unwrap_or_else(|payload| {
                     Err(JobError::Panicked {
                         message: panic_message(&payload),
                     })
                 })
-                .unwrap_or_else(|e| {
-                    JobResponse::from_error(request.id(), request.protocol_version(), &e)
-                });
+                .unwrap_or_else(|e| JobResponse::from_error(&request.id, &e));
             // A dropped handle is fine — the job's work still happened
             // (and populated the cache); only the notification is lost.
             let _ = tx.send(response);
         })?;
         morph_trace::gauge("serve/queue_depth", self.pool.queue_depth() as f64);
-        Ok(JobHandle { id, version, rx })
+        Ok(JobHandle { id, rx })
     }
 
     /// Jobs queued but not yet picked up by a worker.
@@ -325,60 +316,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one request end to end on a worker thread and renders its
-/// response line: a job's program, or a stream's revisions in order, each
-/// through [`run_program`].
-fn respond(
+/// Runs one job end to end on a worker thread and renders its response
+/// line: builds its verifier, obtains the characterization through the
+/// shared cache, and validates it.
+fn run_job(
     cache: &CharacterizationCache,
-    request: &Request,
+    request: &JobRequest,
     token: &CancelToken,
 ) -> Result<JobResponse, JobError> {
-    match request {
-        Request::Job(job) => {
-            let (fingerprint, report) = run_program(cache, &VerifierSpec::of_job(job), token)?;
-            Ok(JobResponse::from_report(&job.id, fingerprint, &report))
-        }
-        Request::Revisions(stream) => {
-            let revisions = run_revisions(cache, stream, token)?;
-            Ok(JobResponse::from_revisions(&stream.id, &revisions))
-        }
-    }
-}
-
-/// Runs a stream's revisions in order. A revision that fails answers
-/// in-band in its slot, except at the deadline, which covers the whole
-/// stream and so ends it.
-fn run_revisions(
-    cache: &CharacterizationCache,
-    stream: &RevisionsRequest,
-    token: &CancelToken,
-) -> Result<Vec<Result<VerificationReport, JobError>>, JobError> {
-    let mut revisions = Vec::with_capacity(stream.revisions.len());
-    for program in &stream.revisions {
-        morph_trace::counter("serve/revision", 1);
-        match run_program(cache, &VerifierSpec::of_revision(stream, program), token) {
-            Err(JobError::DeadlineExceeded) => return Err(JobError::DeadlineExceeded),
-            outcome => revisions.push(outcome.map(|(_, report)| report)),
-        }
-    }
-    Ok(revisions)
-}
-
-/// Verifies one program: builds its verifier, obtains the
-/// characterization through the shared cache, and validates it. Returns
-/// the characterization's content address with the report.
-fn run_program(
-    cache: &CharacterizationCache,
-    spec: &VerifierSpec<'_>,
-    token: &CancelToken,
-) -> Result<(Fingerprint, VerificationReport), JobError> {
     token.check()?;
-    let verifier = build_verifier(spec)?;
+    let verifier = build_verifier(request)?;
 
     // The `Verifier::try_run` RNG discipline, spelled out so the job can
     // report its fingerprint and honor its token while it waits: draw one
     // u64 for the characterization, validate from the job's own stream.
-    let mut job_rng = StdRng::seed_from_u64(spec.seed);
+    let mut job_rng = StdRng::seed_from_u64(request.seed);
     let char_seed: u64 = job_rng.gen();
     let fingerprint = verifier.characterization_fingerprint(char_seed);
 
@@ -391,62 +343,24 @@ fn run_program(
         None,
         token,
     )?;
-    Ok((fingerprint, report))
-}
-
-/// The request fields [`run_program`] consumes — one program plus the
-/// knobs shared by jobs and revision streams.
-struct VerifierSpec<'a> {
-    program: &'a str,
-    input_qubits: &'a [usize],
-    seed: u64,
-    samples: Option<usize>,
-    restarts: Option<usize>,
-    noise: Option<&'a str>,
-    ensemble: Option<&'a str>,
-}
-
-impl<'a> VerifierSpec<'a> {
-    fn of_job(job: &'a JobRequest) -> Self {
-        VerifierSpec {
-            program: &job.program,
-            input_qubits: &job.input_qubits,
-            seed: job.seed,
-            samples: job.samples,
-            restarts: job.restarts,
-            noise: job.noise.as_deref(),
-            ensemble: None,
-        }
-    }
-
-    fn of_revision(stream: &'a RevisionsRequest, program: &'a str) -> Self {
-        VerifierSpec {
-            program,
-            input_qubits: &stream.input_qubits,
-            seed: stream.seed,
-            samples: stream.samples,
-            restarts: stream.restarts,
-            noise: stream.noise.as_deref(),
-            ensemble: stream.ensemble.as_deref(),
-        }
-    }
+    Ok(JobResponse::from_report(&request.id, fingerprint, &report))
 }
 
 /// Parses and validates one program into a configured [`Verifier`].
-fn build_verifier(spec: &VerifierSpec<'_>) -> Result<Verifier, JobError> {
-    let circuit = parse_program(spec.program).map_err(MorphError::from)?;
-    let assertions = assertions_from_source(spec.program).map_err(MorphError::from)?;
+fn build_verifier(request: &JobRequest) -> Result<Verifier, JobError> {
+    let circuit = parse_program(&request.program).map_err(MorphError::from)?;
+    let assertions = assertions_from_source(&request.program).map_err(MorphError::from)?;
     if assertions.is_empty() {
         return Err(JobError::Invalid {
             message: "program contains no `// assert` specifications".to_string(),
         });
     }
-    if spec.input_qubits.is_empty() {
+    if request.input_qubits.is_empty() {
         return Err(JobError::Invalid {
             message: "input_qubits must not be empty".to_string(),
         });
     }
-    for &q in spec.input_qubits {
+    for &q in &request.input_qubits {
         if q >= circuit.n_qubits() {
             return Err(JobError::Invalid {
                 message: format!(
@@ -456,8 +370,8 @@ fn build_verifier(spec: &VerifierSpec<'_>) -> Result<Verifier, JobError> {
             });
         }
     }
-    let mut verifier = Verifier::new(circuit).input_qubits(spec.input_qubits);
-    if let Some(n) = spec.samples {
+    let mut verifier = Verifier::new(circuit).input_qubits(&request.input_qubits);
+    if let Some(n) = request.samples {
         if n == 0 {
             return Err(JobError::Invalid {
                 message: "samples must be nonzero".to_string(),
@@ -465,7 +379,7 @@ fn build_verifier(spec: &VerifierSpec<'_>) -> Result<Verifier, JobError> {
         }
         verifier = verifier.samples(n);
     }
-    match spec.noise {
+    match request.noise.as_deref() {
         None | Some("noiseless") => {}
         Some("ibm_cairo") => verifier = verifier.noise(NoiseModel::ibm_cairo()),
         Some(other) => {
@@ -476,19 +390,15 @@ fn build_verifier(spec: &VerifierSpec<'_>) -> Result<Verifier, JobError> {
             });
         }
     }
-    match spec.ensemble {
-        None | Some("clifford") => {}
-        Some("pauli_product") => verifier = verifier.ensemble(InputEnsemble::PauliProduct),
-        Some("basis") => verifier = verifier.ensemble(InputEnsemble::Basis),
-        Some(other) => {
-            return Err(JobError::Invalid {
-                message: format!(
-                    "unknown ensemble `{other}` (expected `clifford`, `pauli_product`, or `basis`)"
-                ),
-            });
-        }
+    if let Some(name) = &request.ensemble {
+        let ensemble = InputEnsemble::from_name(name).ok_or_else(|| JobError::Invalid {
+            message: format!(
+                "unknown ensemble `{name}` (expected `clifford`, `pauli_product`, or `basis`)"
+            ),
+        })?;
+        verifier = verifier.ensemble(ensemble);
     }
-    if let Some(restarts) = spec.restarts {
+    if let Some(restarts) = request.restarts {
         verifier = verifier.validation(morphqpv::prelude::ValidationConfig {
             solver_restarts: Some(restarts),
             ..Default::default()

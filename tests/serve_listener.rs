@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use morphqpv_suite::serve::listener::{serve_listener, Listener, ListenerConfig, MAX_LINE_BYTES};
-use morphqpv_suite::serve::{RevisionsRequest, ServeConfig, Service};
+use morphqpv_suite::serve::{ServeConfig, Service};
 use morphqpv_suite::trace;
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -226,8 +226,8 @@ fn in_flight_quota_rejects_in_slot_in_request_order() {
 }
 
 /// A refusal carries the protocol version of the request it answers: a
-/// v2 revision stream refused by the in-flight quota answers on
-/// `"protocol":2`, like the revision stream it follows.
+/// job declaring `"v":1` refused by the in-flight quota answers on
+/// `"protocol":1`, like the job it follows.
 #[test]
 fn refusals_carry_the_protocol_version_of_their_request() {
     let _g = serial();
@@ -244,10 +244,7 @@ fn refusals_carry_the_protocol_version_of_their_request() {
     service.pause();
     let (mut a, mut a_reader) = connect(&listener);
     for id in ["r1", "r2"] {
-        let mut request = RevisionsRequest::new(id, vec![GHZ_PROGRAM.to_string()], vec![0]);
-        request.seed = 7;
-        request.samples = Some(4);
-        send_line(&mut a, &request.to_json_line());
+        send_line(&mut a, &ghz_line(id, 7).replacen('{', r#"{"v":1,"#, 1));
     }
     wait_until("the quota rejection", || {
         trace::counter_total("serve/job_quota_rejected") >= 1
@@ -258,10 +255,10 @@ fn refusals_carry_the_protocol_version_of_their_request() {
     let second = read_line(&mut a_reader);
     trace::set_enabled(false);
     assert!(first.contains("\"id\":\"r1\""), "{first}");
-    assert!(first.contains("\"protocol\":2"), "{first}");
+    assert!(first.contains("\"protocol\":1"), "{first}");
     assert!(second.contains("\"id\":\"r2\""), "{second}");
     assert!(second.contains("\"kind\":\"job_quota\""), "{second}");
-    assert!(second.contains("\"protocol\":2"), "{second}");
+    assert!(second.contains("\"protocol\":1"), "{second}");
 
     listener.shutdown();
     if let Ok(service) = Arc::try_unwrap(service) {

@@ -8,7 +8,7 @@
 //! every worker count.
 
 use morphqpv_suite::serve::{
-    JobRequest, JobResponse, JobStatus, RevisionsRequest, ServeConfig, Service, SubmitError,
+    JobRequest, JobResponse, JobStatus, ServeConfig, Service, SubmitError,
 };
 use morphqpv_suite::trace;
 use proptest::prelude::*;
@@ -50,6 +50,17 @@ fn ghz_request(id: &str, seed: u64) -> JobRequest {
     req.seed = seed;
     req.samples = Some(4);
     req
+}
+
+/// The seed-7 `ghz_request`, parsed from its line with an `ensemble`
+/// field naming `ensemble`.
+fn ghz_request_on(ensemble: &str) -> JobRequest {
+    let line = ghz_request("x", 7).to_json_line().replacen(
+        '{',
+        &format!(r#"{{"ensemble":"{ensemble}","#),
+        1,
+    );
+    JobRequest::from_json_line(&line).expect("request line parses")
 }
 
 /// The `error.kind` of a response line, if it answers with an error.
@@ -468,51 +479,51 @@ fn cancelled_leader_abandons_and_the_reelected_follower_matches_bytes() {
     );
 }
 
-/// A stream's deadline covers the whole stream. Whether it fires before
-/// the first revision or inside a later one, the stream answers one
-/// stream-level `deadline_exceeded` line on protocol 2, not a revisions
-/// array.
+/// A request line's `ensemble` chooses the input ensemble: on
+/// Pauli-product inputs the GHZ job characterizes under another
+/// fingerprint than on the default Clifford inputs. The expected verdict
+/// bytes are those a one-revision `"v":2` stream with the same fields
+/// answered, when the service still took that format.
 #[test]
-fn a_stream_deadline_ends_the_stream_with_one_protocol_two_line() {
+fn a_request_runs_on_the_ensemble_it_names() {
     let _g = serial();
-    let stream = |id: &str, revisions: usize, deadline_ms: u64| {
-        let mut stream =
-            RevisionsRequest::new(id, vec![GHZ_PROGRAM.to_string(); revisions], vec![0]);
-        stream.samples = Some(4);
-        stream.deadline_ms = Some(deadline_ms);
-        stream
-    };
     let service = service_with(2, 8);
-    // Zero: the first revision's first check fires. 200 ms: the first
-    // revision finishes well within it, and the stream's 50,000 revisions
-    // take seconds, so it fires inside a later revision.
-    for (request, started) in [
-        (stream("doomed", 1, 0), 1),
-        (stream("late", 50_000, 200), 2),
-    ] {
-        trace::reset();
-        trace::set_enabled(true);
-        let response = service.submit(request).expect("accepted").wait();
-        let revisions_run = trace::counter_total("serve/revision");
-        trace::set_enabled(false);
-        let line = response.to_json_line();
-        assert_eq!(error_kind(&response), Some("deadline_exceeded"), "{line}");
-        assert_eq!(response.status, JobStatus::Error, "{line}");
-        assert_eq!(
-            response.body().get("protocol").and_then(|v| v.as_u64()),
-            Some(2),
-            "{line}"
-        );
-        assert!(response.body().get("revisions").is_none(), "{line}");
-        assert!(revisions_run >= started, "{revisions_run} revisions ran");
-    }
-    // The service keeps serving.
-    let ok = service
-        .submit(ghz_request("after", 5))
+    let clifford = service
+        .submit(ghz_request("x", 7))
         .expect("accepted")
         .wait();
-    assert_eq!(ok.status, JobStatus::Passed);
+    let pauli = service
+        .submit(ghz_request_on("pauli_product"))
+        .expect("accepted")
+        .wait();
     service.shutdown();
+    assert_eq!(pauli.status, JobStatus::Passed, "{}", pauli.to_json_line());
+    assert_ne!(
+        pauli.body().get("characterization_fp"),
+        clifford.body().get("characterization_fp"),
+        "the ensemble is part of the characterization's content address"
+    );
+    let assertions = pauli.body().get("assertions").expect("assertions");
+    assert_eq!(
+        serde::json::to_string(assertions),
+        r#"[{"confidence":"3ff0000000000000","max_objective":"3f947ae147abd257","verdict":"passed"}]"#
+    );
+}
+
+/// An ensemble name the service does not know answers `invalid_request`
+/// in band instead of running on another ensemble.
+#[test]
+fn an_unknown_ensemble_is_an_invalid_request() {
+    let _g = serial();
+    let service = service_with(1, 4);
+    let response = service
+        .submit(ghz_request_on("bogus"))
+        .expect("accepted")
+        .wait();
+    service.shutdown();
+    let line = response.to_json_line();
+    assert_eq!(error_kind(&response), Some("invalid_request"), "{line}");
+    assert!(line.contains("unknown ensemble `bogus`"), "{line}");
 }
 
 proptest! {
