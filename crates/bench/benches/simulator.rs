@@ -1,7 +1,8 @@
-//! Substrate micro-benchmarks: state-vector gate kernels, the qubit-local
-//! density-matrix kernels against the full-matrix `evolve` oracle, the
-//! closed-form depolarizing channel against embedded Kraus conjugation,
-//! gate fusion, and end-to-end noisy execution.
+//! Substrate micro-benchmarks: state-vector gate kernels, the batched
+//! lane kernels across lane counts, the diagonal-run pass on the fused
+//! Shor-9 mirror, the qubit-local density-matrix kernels against the
+//! full-matrix `evolve` oracle, the closed-form depolarizing channel against
+//! embedded Kraus conjugation, gate fusion, and end-to-end noisy execution.
 //!
 //! Set `MORPH_BENCH_QUICK=1` to run a smoke-test subset (smallest register
 //! only, minimal samples) — used by CI; see `crates/bench/README.md` for
@@ -9,8 +10,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use morph_linalg::CMatrix;
+use morph_qalgo::shor_circuit;
 use morph_qprog::{Circuit, Executor, Instruction};
-use morph_qsim::{matrices, DensityMatrix, Gate, NoiseModel, StateVector};
+use morph_qsim::{matrices, DensityMatrix, Gate, NoiseModel, StateBatch, StateVector};
 
 fn quick() -> bool {
     std::env::var_os("MORPH_BENCH_QUICK").is_some()
@@ -92,6 +94,76 @@ fn bench_gates(c: &mut Criterion) {
             b.iter(|| psi.reduced_density_matrix(&[0, n / 2, n - 1]));
         });
     }
+    group.finish();
+}
+
+/// `lanes` copies of a 9-qubit state with every amplitude nonzero.
+fn busy_batch(lanes: usize) -> StateBatch {
+    let mut batch = StateBatch::zero_states(9, lanes);
+    for q in 0..9 {
+        batch.apply_gate(&Gate::H(q));
+        batch.apply_gate(&Gate::T(q));
+    }
+    batch
+}
+
+/// One dense two-qubit gate (no zero entry) on 9 qubits across 1–64 lanes.
+/// `lsb` puts the gate's lowest target on the least significant bit, where
+/// each contiguous span is one lane range; `mid` puts it at bit 3, where a
+/// span covers 8 consecutive amplitudes' lanes. Divide by the lane count
+/// for the per-lane cost.
+fn bench_statebatch_lanes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("statebatch_lanes");
+    group.sample_size(if quick() { 3 } else { 50 });
+    let dense = matrices::swap().matmul(&matrices::ry(0.4).kron(&matrices::rx(0.9)));
+    for (place, targets) in [("lsb", [3usize, 8]), ("mid", [2, 5])] {
+        let gate = Gate::Unitary(targets.to_vec(), dense.clone());
+        for b in [1usize, 2, 3, 4, 8, 16, 32, 64] {
+            let mut batch = busy_batch(b);
+            group.bench_with_input(BenchmarkId::new(place, b), &b, |bench, _| {
+                bench.iter(|| batch.apply_gate(std::hint::black_box(&gate)));
+            });
+        }
+    }
+    group.finish();
+}
+
+/// The fused Shor-9 mirror (`shor(9)` then its inverse, traced on qubits 0
+/// and 1, as perfbench's corpus builds it) at 16 lanes: the executor's sweep
+/// against the same fused blocks applied one by one.
+fn bench_diagonal_run(c: &mut Criterion) {
+    let mut group = c.benchmark_group("diagonal_run");
+    group.sample_size(if quick() { 3 } else { 30 });
+    let shor = shor_circuit(9);
+    let mut mirror = Circuit::new(9);
+    mirror.tracepoint(1, &[0, 1]);
+    mirror.extend_from(&shor);
+    mirror.extend_from(&shor.inverse());
+    mirror.tracepoint(2, &[0, 1]);
+    let ex = Executor::default();
+    let fused = ex.fuse_for_run(&mirror);
+    let inputs: Vec<StateVector> = (0..16)
+        .map(|l| {
+            let mut s = StateVector::zero_state(9);
+            Gate::RY(0, 0.2 * l as f64).apply(&mut s);
+            Gate::RX(1, 0.3 * l as f64).apply(&mut s);
+            s
+        })
+        .collect();
+    group.bench_function("prefused/16", |b| {
+        b.iter(|| ex.run_expected_batch_prefused(&fused, &inputs));
+    });
+    group.bench_function("gate_by_gate/16", |b| {
+        b.iter(|| {
+            let mut batch = StateBatch::from_states(&inputs);
+            for inst in fused.instructions() {
+                if let Instruction::Gate(g) = inst {
+                    batch.apply_gate(g);
+                }
+            }
+            batch
+        });
+    });
     group.finish();
 }
 
@@ -236,6 +308,8 @@ fn bench_noisy_e2e(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_gates,
+    bench_statebatch_lanes,
+    bench_diagonal_run,
     bench_density_local,
     bench_density_full,
     bench_fusion,

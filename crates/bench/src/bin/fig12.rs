@@ -37,7 +37,7 @@ fn main() {
             };
             let ch = try_characterize(&traced, &config, &mut rng, &CancelToken::new())
                 .expect("characterization runs");
-            let model = fit_confidence_model(&ch, 40, &mut rng);
+            let model = fit_confidence_model(&ch.input_span(), 40, &mut rng);
             // ε: the accuracy a counter-example needs before the optimizer can
             // see it. Exact readout makes even small overlaps actionable.
             let estimated = model.confidence(0.05);

@@ -11,7 +11,7 @@
 use morph_bench::rows::{fmt_f, print_table, save_csv};
 use morph_clifford::{InputEnsemble, InputState};
 use morph_qalgo::{iris_like_dataset, Qnn};
-use morph_qprog::{Circuit, TracepointId};
+use morph_qprog::Circuit;
 use morph_tomography::ReadoutMode;
 use morphqpv::{
     adaptive_operator_inputs, constant_pinned_inputs, try_characterize,
@@ -23,10 +23,10 @@ use rand::SeedableRng;
 /// Mean representation accuracy of a characterization over the given test
 /// inputs.
 fn accuracy_on(ch: &morphqpv::Characterization, tests: &[morph_linalg::CMatrix]) -> f64 {
-    let f = ch.approximation(TracepointId(1));
+    let span = ch.input_span();
     tests
         .iter()
-        .map(|rho| f.representation_accuracy(rho).unwrap_or(0.0))
+        .map(|rho| span.representation_accuracy(rho).unwrap_or(0.0))
         .sum::<f64>()
         / tests.len() as f64
 }

@@ -40,7 +40,7 @@ fn accuracy_sweep(payload: usize, rows: &mut Vec<Vec<String>>) {
         };
         let ch = try_characterize(&circuit, &config, &mut rng, &CancelToken::new())
             .expect("characterization runs");
-        let f = ch.approximation(morph_qprog::TracepointId(1));
+        let span = ch.input_span();
 
         // Case 1: convex mixtures of sampled inputs are inside the span.
         let case1: f64 = {
@@ -52,7 +52,7 @@ fn accuracy_sweep(payload: usize, rows: &mut Vec<Vec<String>>) {
                 for input in ch.inputs.iter().take((t % ch.inputs.len()) + 1) {
                     mix += &input.rho.scale_re(w);
                 }
-                acc += f.representation_accuracy(&mix).unwrap_or(0.0);
+                acc += span.representation_accuracy(&mix).unwrap_or(0.0);
             }
             acc / trials as f64
         };
@@ -62,7 +62,7 @@ fn accuracy_sweep(payload: usize, rows: &mut Vec<Vec<String>>) {
             let probes = InputEnsemble::Clifford.generate(n_in, 16, &mut rng);
             probes
                 .iter()
-                .map(|p| f.representation_accuracy(&p.rho).unwrap_or(0.0))
+                .map(|p| span.representation_accuracy(&p.rho).unwrap_or(0.0))
                 .sum::<f64>()
                 / 16.0
         };

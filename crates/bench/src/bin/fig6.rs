@@ -24,12 +24,12 @@ fn main() {
     };
     let ch = try_characterize(&circuit, &config, &mut rng, &CancelToken::new())
         .expect("characterization runs");
-    let f = ch.approximation(morph_qprog::TracepointId(1));
+    let span = ch.input_span();
 
     let probes = InputEnsemble::Clifford.generate(n, 300, &mut rng);
     let accuracies: Vec<f64> = probes
         .iter()
-        .map(|p| f.representation_accuracy(&p.rho).unwrap_or(0.0))
+        .map(|p| span.representation_accuracy(&p.rho).unwrap_or(0.0))
         .collect();
 
     // Histogram over 10 bins.

@@ -17,60 +17,28 @@ use morph_linalg::{hs_accuracy, recombine, CMatrix, SolveError, SymFactor};
 use serde::json::{FromValueError, Value};
 use serde::{Deserialize, Serialize};
 
-/// The characterized relation `ρ_T = f(ρ_in)` for one tracepoint.
-///
-/// # Examples
-///
-/// ```
-/// use morph_linalg::{C64, CMatrix};
-/// use morphqpv::ApproximationFunction;
-///
-/// // Program is a NOT gate: |0>↦|1>, |1>↦|0>.
-/// let zero = CMatrix::outer(&[C64::ONE, C64::ZERO], &[C64::ONE, C64::ZERO]);
-/// let one = CMatrix::outer(&[C64::ZERO, C64::ONE], &[C64::ZERO, C64::ONE]);
-/// let f = ApproximationFunction::new(
-///     vec![zero.clone(), one.clone()],
-///     vec![one.clone(), zero.clone()],
-/// )?;
-/// // A mixed input maps to the flipped mixture.
-/// let mixed = &zero.scale_re(0.8) + &one.scale_re(0.2);
-/// let out = f.predict(&mixed)?;
-/// assert!((out[(0, 0)].re - 0.2).abs() < 1e-9);
-/// # Ok::<(), morph_linalg::SolveError>(())
-/// ```
+/// The input side of a characterization: the sampled input density
+/// matrices and their Gram matrix (Hilbert–Schmidt inner products), factored
+/// once so each decomposition costs one projection plus an O(N_sample²)
+/// solve. It answers every question about the sampled span that needs no
+/// tracepoint state, such as Theorem 2's accuracy.
 #[derive(Debug, Clone)]
-pub struct ApproximationFunction {
+pub struct InputSpan {
     inputs: Vec<CMatrix>,
-    traces: Vec<CMatrix>,
-    /// The sampled inputs' Gram matrix (Hilbert–Schmidt inner products),
-    /// factored once so each decomposition costs one projection plus an
-    /// O(N_sample²) solve.
     factor: SymFactor,
 }
 
-impl ApproximationFunction {
-    /// Builds the function from sampled `(input, tracepoint)` density-matrix
-    /// pairs.
+impl InputSpan {
+    /// Factors the Gram matrix of the sampled inputs.
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError::DimensionMismatch`] if the lists are empty,
-    /// differ in length, or are internally inconsistent in shape.
-    pub fn new(inputs: Vec<CMatrix>, traces: Vec<CMatrix>) -> Result<Self, SolveError> {
-        if inputs.is_empty() || inputs.len() != traces.len() {
+    /// Returns [`SolveError::DimensionMismatch`] if `inputs` is empty or its
+    /// matrices are not square of one size.
+    pub fn new(inputs: Vec<CMatrix>) -> Result<Self, SolveError> {
+        let din = inputs.first().ok_or(SolveError::DimensionMismatch)?.rows();
+        if inputs.iter().any(|m| m.rows() != din || !m.is_square()) {
             return Err(SolveError::DimensionMismatch);
-        }
-        let din = inputs[0].rows();
-        let dt = traces[0].rows();
-        for m in &inputs {
-            if m.rows() != din || !m.is_square() {
-                return Err(SolveError::DimensionMismatch);
-            }
-        }
-        for m in &traces {
-            if m.rows() != dt || !m.is_square() {
-                return Err(SolveError::DimensionMismatch);
-            }
         }
         let k = inputs.len();
         let mut gram = vec![vec![0.0f64; k]; k];
@@ -81,14 +49,13 @@ impl ApproximationFunction {
                 gram[j][i] = v;
             }
         }
-        Ok(ApproximationFunction {
+        Ok(InputSpan {
             factor: SymFactor::new(&gram)?,
             inputs,
-            traces,
         })
     }
 
-    /// Number of sampled pairs (`N_sample`).
+    /// Number of sampled inputs (`N_sample`).
     pub fn n_samples(&self) -> usize {
         self.inputs.len()
     }
@@ -98,19 +65,9 @@ impl ApproximationFunction {
         self.inputs[0].rows()
     }
 
-    /// Dimension of the tracepoint space.
-    pub fn trace_dim(&self) -> usize {
-        self.traces[0].rows()
-    }
-
     /// The sampled input density matrices.
     pub fn sampled_inputs(&self) -> &[CMatrix] {
         &self.inputs
-    }
-
-    /// The sampled tracepoint density matrices.
-    pub fn sampled_traces(&self) -> &[CMatrix] {
-        &self.traces
     }
 
     /// Step 1 of Theorem 1: least-squares coefficients `α` with
@@ -127,32 +84,13 @@ impl ApproximationFunction {
         self.factor.solve(&b)
     }
 
-    /// Step 2 of Theorem 1: reconstruct the tracepoint state from
-    /// coefficients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alphas.len() != self.n_samples()`.
-    pub fn apply(&self, alphas: &[f64]) -> CMatrix {
-        recombine(&self.traces, alphas)
-    }
-
-    /// Reconstructs the *input* state a coefficient vector represents.
+    /// Reconstructs the input state a coefficient vector represents.
     ///
     /// # Panics
     ///
     /// Panics if `alphas.len() != self.n_samples()`.
     pub fn reconstruct_input(&self, alphas: &[f64]) -> CMatrix {
         recombine(&self.inputs, alphas)
-    }
-
-    /// Full Theorem 1 evaluation: `f(ρ_in)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `rho_in` has the wrong dimension.
-    pub fn predict(&self, rho_in: &CMatrix) -> Result<CMatrix, SolveError> {
-        Ok(self.apply(&self.decompose(rho_in)?))
     }
 
     /// Approximation accuracy for an input (Theorem 2's metric): the
@@ -185,13 +123,97 @@ impl ApproximationFunction {
     }
 }
 
+/// The characterized relation `ρ_T = f(ρ_in)` for one tracepoint.
+///
+/// # Examples
+///
+/// ```
+/// use morph_linalg::{C64, CMatrix};
+/// use morphqpv::ApproximationFunction;
+///
+/// // Program is a NOT gate: |0>↦|1>, |1>↦|0>.
+/// let zero = CMatrix::outer(&[C64::ONE, C64::ZERO], &[C64::ONE, C64::ZERO]);
+/// let one = CMatrix::outer(&[C64::ZERO, C64::ONE], &[C64::ZERO, C64::ONE]);
+/// let f = ApproximationFunction::new(
+///     vec![zero.clone(), one.clone()],
+///     vec![one.clone(), zero.clone()],
+/// )?;
+/// // A mixed input maps to the flipped mixture.
+/// let mixed = &zero.scale_re(0.8) + &one.scale_re(0.2);
+/// let out = f.predict(&mixed)?;
+/// assert!((out[(0, 0)].re - 0.2).abs() < 1e-9);
+/// # Ok::<(), morph_linalg::SolveError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct ApproximationFunction {
+    span: InputSpan,
+    traces: Vec<CMatrix>,
+}
+
+impl ApproximationFunction {
+    /// Builds the function from sampled `(input, tracepoint)` density-matrix
+    /// pairs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolveError::DimensionMismatch`] if the lists are empty,
+    /// differ in length, or are internally inconsistent in shape.
+    pub fn new(inputs: Vec<CMatrix>, traces: Vec<CMatrix>) -> Result<Self, SolveError> {
+        if traces.is_empty() || inputs.len() != traces.len() {
+            return Err(SolveError::DimensionMismatch);
+        }
+        let dt = traces[0].rows();
+        if traces.iter().any(|m| m.rows() != dt || !m.is_square()) {
+            return Err(SolveError::DimensionMismatch);
+        }
+        Ok(ApproximationFunction {
+            span: InputSpan::new(inputs)?,
+            traces,
+        })
+    }
+
+    /// The input side: the sampled inputs and their factored Gram matrix.
+    pub fn input_span(&self) -> &InputSpan {
+        &self.span
+    }
+
+    /// Dimension of the tracepoint space.
+    pub fn trace_dim(&self) -> usize {
+        self.traces[0].rows()
+    }
+
+    /// The sampled tracepoint density matrices.
+    pub fn sampled_traces(&self) -> &[CMatrix] {
+        &self.traces
+    }
+
+    /// Step 2 of Theorem 1: reconstruct the tracepoint state from
+    /// coefficients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alphas.len() != self.input_span().n_samples()`.
+    pub fn apply(&self, alphas: &[f64]) -> CMatrix {
+        recombine(&self.traces, alphas)
+    }
+
+    /// Full Theorem 1 evaluation: `f(ρ_in)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `rho_in` has the wrong dimension.
+    pub fn predict(&self, rho_in: &CMatrix) -> Result<CMatrix, SolveError> {
+        Ok(self.apply(&self.span.decompose(rho_in)?))
+    }
+}
+
 impl Serialize for ApproximationFunction {
     /// Persists only the sampled pairs; the Gram factor is a pure function
     /// of the inputs and is rebuilt on load by [`ApproximationFunction::new`]
     /// (deterministically, so a reloaded function is bit-identical).
     fn to_value(&self) -> Value {
         let mut m = std::collections::BTreeMap::new();
-        m.insert("inputs".to_string(), self.inputs.to_value());
+        m.insert("inputs".to_string(), self.span.inputs.to_value());
         m.insert("traces".to_string(), self.traces.to_value());
         Value::Object(m)
     }
@@ -225,7 +247,7 @@ impl ChainedApproximation {
             return Err(SolveError::DimensionMismatch);
         }
         for pair in stages.windows(2) {
-            if pair[0].trace_dim() != pair[1].input_dim() {
+            if pair[0].trace_dim() != pair[1].input_span().input_dim() {
                 return Err(SolveError::DimensionMismatch);
             }
         }
@@ -342,7 +364,7 @@ mod tests {
         let predicted = f.predict(&test).unwrap();
         let truth = u.matmul(&test).matmul(&u.dagger());
         assert!(predicted.approx_eq(&truth, 1e-9));
-        assert!((f.representation_accuracy(&test).unwrap() - 1.0).abs() < 1e-9);
+        assert!((f.input_span().representation_accuracy(&test).unwrap() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -353,8 +375,8 @@ mod tests {
         let (inputs, traces) = single_qubit_pairs(&u);
         let f = ApproximationFunction::new(inputs, traces).unwrap();
         let rho = ket(&[C64::ONE, C64::ZERO]); // |0><0|
-        let alphas = f.decompose(&rho).unwrap();
-        let rebuilt = f.reconstruct_input(&alphas);
+        let alphas = f.input_span().decompose(&rho).unwrap();
+        let rebuilt = f.input_span().reconstruct_input(&alphas);
         assert!(rebuilt.approx_eq(&rho, 1e-9));
     }
 
@@ -370,7 +392,7 @@ mod tests {
         .unwrap();
         let h = 1.0 / 2f64.sqrt();
         let plus = ket(&[C64::real(h), C64::real(h)]);
-        let acc = f.representation_accuracy(&plus).unwrap();
+        let acc = f.input_span().representation_accuracy(&plus).unwrap();
         assert!(acc < 0.9, "plus state is not representable, acc={acc}");
         // And accuracy grows to 1 when the span is completed.
         let complete = ApproximationFunction::new(
@@ -388,7 +410,11 @@ mod tests {
             ],
         )
         .unwrap();
-        assert!((complete.representation_accuracy(&plus).unwrap() - 1.0).abs() < 1e-9);
+        let acc = complete
+            .input_span()
+            .representation_accuracy(&plus)
+            .unwrap();
+        assert!((acc - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -409,7 +435,7 @@ mod tests {
             let f = ApproximationFunction::new(inputs, traces).unwrap();
             let mean: f64 = test_inputs
                 .iter()
-                .map(|t| f.representation_accuracy(&t.rho).unwrap())
+                .map(|t| f.input_span().representation_accuracy(&t.rho).unwrap())
                 .sum::<f64>()
                 / test_inputs.len() as f64;
             assert!(

@@ -20,7 +20,7 @@ use morph_qsim::{DensityMatrix, NoiseModel, StateBatch, StateVector};
 use morph_tomography::{read_state, CostLedger, ReadoutMode, SharedLedger};
 use rand::rngs::StdRng;
 
-use crate::approx::ApproximationFunction;
+use crate::approx::{ApproximationFunction, InputSpan};
 use crate::cancel::{CancelToken, Cancelled};
 use crate::error::{MorphError, Precondition, MAX_NOISY_QUBITS};
 
@@ -110,6 +110,14 @@ pub struct Characterization {
 }
 
 impl Characterization {
+    /// The input side alone: the sampled inputs and their factored Gram
+    /// matrix, for questions about the sampled span that need no
+    /// tracepoint state.
+    pub fn input_span(&self) -> InputSpan {
+        InputSpan::new(self.inputs.iter().map(|i| i.rho.clone()).collect())
+            .expect("characterization produced consistent shapes")
+    }
+
     /// Builds the approximation function for a tracepoint.
     ///
     /// # Panics

@@ -60,22 +60,6 @@ impl ConfidenceModel {
         }
     }
 
-    /// Builds the model from the paper's mean-accuracy identity
-    /// `β₁/(β₁+β₂) = N_sample / 2^(N_in+1)` with a fixed concentration.
-    ///
-    /// The budget denominator is computed in floating point (`exp2`), so
-    /// wide input registers (`n_in ≥ 63`, where a `u64` shift would
-    /// overflow) degrade gracefully: the mean underflows toward its
-    /// `1e-6` clamp instead of panicking or wrapping.
-    pub fn from_paper_mean(n_samples: usize, n_in: usize, concentration: f64) -> Self {
-        let budget = (n_in as f64 + 1.0).exp2();
-        let mean = (n_samples as f64 / budget).clamp(1e-6, 1.0 - 1e-6);
-        ConfidenceModel {
-            beta1: (mean * concentration).max(1e-3),
-            beta2: ((1.0 - mean) * concentration).max(1e-3),
-        }
-    }
-
     /// Mean accuracy `β₁ / (β₁ + β₂)`.
     pub fn mean(&self) -> f64 {
         self.beta1 / (self.beta1 + self.beta2)
@@ -90,15 +74,6 @@ impl ConfidenceModel {
     /// all inputs, `1 − P(acc < ε)`.
     pub fn confidence(&self, epsilon: f64) -> f64 {
         1.0 - self.miss_probability(epsilon)
-    }
-
-    /// Confidence when the program has `n_counterexamples` independent
-    /// counter-examples: `1 − P(acc < ε)^N` (the paper's refinement, which
-    /// makes Theorem 3 a lower bound).
-    pub fn confidence_with_counterexamples(&self, epsilon: f64, n_counterexamples: u32) -> f64 {
-        1.0 - self
-            .miss_probability(epsilon)
-            .powi(n_counterexamples as i32)
     }
 }
 
@@ -268,43 +243,6 @@ mod tests {
         let model = ConfidenceModel::fit(&[0.7; 50]);
         assert!((model.mean() - 0.7).abs() < 1e-6);
         assert!(model.confidence(0.5) > 0.99);
-    }
-
-    #[test]
-    fn multiple_counterexamples_raise_confidence() {
-        let model = ConfidenceModel {
-            beta1: 1.5,
-            beta2: 3.0,
-        };
-        let single = model.confidence(0.6);
-        let many = model.confidence_with_counterexamples(0.6, 5);
-        assert!(many > single);
-        assert!(many <= 1.0);
-    }
-
-    #[test]
-    fn paper_mean_identity() {
-        let model = ConfidenceModel::from_paper_mean(16, 4, 10.0);
-        // 16 / 2^5 = 0.5.
-        assert!((model.mean() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn paper_mean_survives_wide_registers() {
-        // n_in = 63 would overflow the old `1u64 << (n_in + 1)`; larger
-        // values overflow any integer width. The mean must underflow to
-        // its clamp instead of wrapping to a bogus denominator.
-        for n_in in [63, 64, 500] {
-            let model = ConfidenceModel::from_paper_mean(1_000_000, n_in, 10.0);
-            // β₁ sits at its 1e-3 floor and β₂ near the concentration, so
-            // the realized mean is ≈ 1e-4 — tiny, not wrapped.
-            assert!(
-                model.mean() < 1e-3,
-                "n_in={n_in}: mean {} should be tiny",
-                model.mean()
-            );
-            assert!(model.beta1 > 0.0 && model.beta2 > 0.0);
-        }
     }
 
     #[test]

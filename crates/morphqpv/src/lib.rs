@@ -92,7 +92,7 @@ mod spec;
 mod validate;
 mod verifier;
 
-pub use approx::{ApproximationFunction, ChainedApproximation, Mitigation};
+pub use approx::{ApproximationFunction, ChainedApproximation, InputSpan, Mitigation};
 pub use assertion::{AssumeGuarantee, Guarantee, StateRef};
 pub use cache::{
     characterization_fingerprint, CharacterizationCache, ARTIFACT_VERSION, FINGERPRINT_DOMAIN,

@@ -41,7 +41,7 @@ impl PauliTransferMatrix {
     /// Panics if the dimensions are not powers of two (guaranteed by
     /// [`ApproximationFunction`]'s constructor).
     pub fn fit(f: &ApproximationFunction) -> Self {
-        let d_in = f.input_dim();
+        let d_in = f.input_span().input_dim();
         let d_out = f.trace_dim();
         let n_in = d_in.trailing_zeros() as usize;
         let n_out = d_out.trailing_zeros() as usize;
@@ -64,6 +64,7 @@ impl PauliTransferMatrix {
                 .collect()
         };
         let xs: Vec<Vec<f64>> = f
+            .input_span()
             .sampled_inputs()
             .iter()
             .map(|rho| coords(rho, &in_paulis, d_in))

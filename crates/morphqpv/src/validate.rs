@@ -20,6 +20,7 @@ use morph_optimize::{
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
+use crate::approx::InputSpan;
 use crate::assertion::{AssumeGuarantee, Guarantee, StateRef};
 use crate::characterize::Characterization;
 use crate::confidence::ConfidenceModel;
@@ -209,22 +210,22 @@ pub struct ValidationOutcome {
 
 /// Shared evaluation context: resolves states and scores points. One per
 /// assertion, shared by the solver's objective and the interpretation of
-/// its optimum; it borrows the characterization's traces.
+/// its optimum; it borrows the characterization's traces and input span.
 struct Context<'a> {
     assertion: &'a AssumeGuarantee,
-    input_basis: Vec<CMatrix>,
+    inputs: &'a InputSpan,
     traces: &'a std::collections::BTreeMap<morph_qprog::TracepointId, Vec<CMatrix>>,
 }
 
 impl<'a> Context<'a> {
-    fn new(assertion: &'a AssumeGuarantee, characterization: &'a Characterization) -> Self {
+    fn new(
+        assertion: &'a AssumeGuarantee,
+        characterization: &'a Characterization,
+        inputs: &'a InputSpan,
+    ) -> Self {
         Context {
             assertion,
-            input_basis: characterization
-                .inputs
-                .iter()
-                .map(|i| i.rho.clone())
-                .collect(),
+            inputs,
             traces: &characterization.traces,
         }
     }
@@ -232,7 +233,7 @@ impl<'a> Context<'a> {
     /// The violation at each sampled input's unit coefficient vector `eᵢ`
     /// (the anchors), in sample order.
     fn anchor_violations(&self) -> Vec<f64> {
-        let n = self.input_basis.len();
+        let n = self.inputs.n_samples();
         (0..n).map(|i| self.violation(&unit(n, i))).collect()
     }
 
@@ -255,7 +256,7 @@ impl<'a> Context<'a> {
 
     fn resolve(&self, state: StateRef, alphas: &[f64]) -> CMatrix {
         match state {
-            StateRef::Input => morph_linalg::recombine(&self.input_basis, alphas),
+            StateRef::Input => self.inputs.reconstruct_input(alphas),
             StateRef::Tracepoint(id) => morph_linalg::recombine(&self.traces[&id], alphas),
         }
     }
@@ -275,7 +276,7 @@ impl<'a> Context<'a> {
         for (s, p) in self.assertion.assumptions() {
             v = v.max(p.objective(&self.resolve(*s, alphas)).max(0.0));
         }
-        let rho_in = morph_linalg::recombine(&self.input_basis, alphas);
+        let rho_in = self.inputs.reconstruct_input(alphas);
         v = v.max((rho_in.trace().re - 1.0).abs());
         v = v.max((rho_in.frobenius_norm() - 1.0).max(0.0));
         v
@@ -321,6 +322,20 @@ pub fn try_validate_assertion(
     config: &ValidationConfig,
     rng: &mut StdRng,
 ) -> Result<ValidationOutcome, ValidationError> {
+    let inputs = characterization.input_span();
+    validate_on_span(assertion, characterization, &inputs, config, rng)
+}
+
+/// [`try_validate_assertion`] on `inputs`, the characterization's
+/// [`Characterization::input_span`], built once by the caller so every
+/// assertion of a run shares one factored Gram.
+pub(crate) fn validate_on_span(
+    assertion: &AssumeGuarantee,
+    characterization: &Characterization,
+    inputs: &InputSpan,
+    config: &ValidationConfig,
+    rng: &mut StdRng,
+) -> Result<ValidationOutcome, ValidationError> {
     assert!(assertion.is_complete(), "assertion has no guarantee clause");
     for state in assertion.state_refs() {
         if let StateRef::Tracepoint(id) = state {
@@ -331,8 +346,8 @@ pub fn try_validate_assertion(
         }
     }
     let _trace = morph_trace::span("validate/assertion");
-    let ctx = Context::new(assertion, characterization);
-    let n_alphas = ctx.input_basis.len();
+    let ctx = Context::new(assertion, characterization, inputs);
+    let n_alphas = ctx.inputs.n_samples();
 
     // The optimizer sees the penalized, gauge-fixed objective.
     let weight = config.penalty_weight;
@@ -376,7 +391,7 @@ pub fn try_validate_assertion(
     }
 
     // Accuracy distribution for Theorem 3 (depends only on the input span).
-    let confidence_model = fit_confidence_model(characterization, config.confidence_probes, rng);
+    let confidence_model = fit_confidence_model(inputs, config.confidence_probes, rng);
 
     // Assumptions only hold up to `feasibility_tol`, so the guarantee gets
     // the same slack: a coupled assume/guarantee pair (e.g. pure ⇒ pure)
@@ -385,7 +400,7 @@ pub fn try_validate_assertion(
     let effective_threshold = config.decision_threshold.max(1.5 * config.feasibility_tol);
     morph_trace::gauge("max_objective", max_objective);
     let verdict = if feasible && max_objective > effective_threshold {
-        let raw = morph_linalg::recombine(&ctx.input_basis, &alphas);
+        let raw = ctx.inputs.reconstruct_input(&alphas);
         Verdict::Failed {
             max_objective,
             counterexample: project_to_density(&raw),
@@ -498,26 +513,20 @@ fn unit(n: usize, i: usize) -> Vec<f64> {
 }
 
 /// Fits the Beta accuracy model by probing random inputs against the
-/// characterized span (the distribution of Fig 6).
+/// characterized span (the distribution of Fig 6). The fit reads the input
+/// side alone; [`Characterization::input_span`] gives it.
 pub fn fit_confidence_model(
-    characterization: &Characterization,
+    inputs: &InputSpan,
     probes: usize,
     rng: &mut StdRng,
 ) -> ConfidenceModel {
     use morph_clifford::InputEnsemble;
     let _trace = morph_trace::span("validate/confidence");
-    let n_in = characterization.inputs[0].state.n_qubits();
-    let any_trace = characterization
-        .traces
-        .keys()
-        .next()
-        .copied()
-        .expect("characterization has tracepoints");
-    let f = characterization.approximation(any_trace);
+    let n_in = inputs.input_dim().trailing_zeros() as usize;
     let probe_inputs = InputEnsemble::Clifford.generate(n_in, probes.max(2), rng);
     let samples: Vec<f64> = probe_inputs
         .iter()
-        .map(|p| f.representation_overlap(&p.rho).unwrap_or(0.0))
+        .map(|p| inputs.representation_overlap(&p.rho).unwrap_or(0.0))
         .collect();
     let model = ConfidenceModel::fit(&samples);
     morph_trace::counter("confidence_probes", samples.len() as u64);
@@ -797,8 +806,9 @@ mod tests {
             morph_qprog::TracepointId(2),
             RelationPredicate::Equal,
         );
-        let ctx = Context::new(&assertion, &ch);
-        let n = ctx.input_basis.len();
+        let span = ch.input_span();
+        let ctx = Context::new(&assertion, &ch, &span);
+        let n = ctx.inputs.n_samples();
         let mut raw = vec![0.3; n];
         raw[0] = f64::NAN;
         assert_eq!(
@@ -826,8 +836,9 @@ mod tests {
                 morph_qprog::TracepointId(2),
                 RelationPredicate::Equal,
             );
-        let ctx = Context::new(&assertion, &ch);
-        let n = ctx.input_basis.len();
+        let span = ch.input_span();
+        let ctx = Context::new(&assertion, &ch, &span);
+        let n = ctx.inputs.n_samples();
         let raw = vec![1.0 / n as f64; n];
         match interpret_optimum(&ctx, &raw, &ctx.anchor_violations(), 2e-2) {
             InterpretedPoint::Infeasible { objective, alphas } => {

@@ -15,7 +15,7 @@ use crate::cancel::CancelToken;
 use crate::characterize::{try_characterize, Characterization, CharacterizationConfig};
 use crate::error::{MorphError, Precondition};
 use crate::incremental::{try_characterize_incremental, SegmentedCache, SegmentedConfig};
-use crate::validate::{try_validate_assertion, ValidationConfig, ValidationOutcome, Verdict};
+use crate::validate::{validate_on_span, ValidationConfig, ValidationOutcome, Verdict};
 
 /// A complete verification run over one program.
 ///
@@ -222,12 +222,14 @@ impl Verifier {
         cancel: &CancelToken,
     ) -> Result<VerificationReport, MorphError> {
         self.check_assertions(|id| characterization.traces.contains_key(&id))?;
+        let inputs = characterization.input_span();
         let mut outcomes = Vec::with_capacity(self.assertions.len());
         for a in &self.assertions {
             cancel.check()?;
-            outcomes.push(try_validate_assertion(
+            outcomes.push(validate_on_span(
                 a,
                 &characterization,
+                &inputs,
                 &self.validation_config,
                 rng,
             )?);

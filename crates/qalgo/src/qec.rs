@@ -29,11 +29,6 @@ impl RepetitionCode {
         RepetitionCode { n_qubits }
     }
 
-    /// The logical (input/output) qubit.
-    pub fn logical_qubit(&self) -> usize {
-        0
-    }
-
     /// Encoder: fan out qubit 0 onto the rest.
     pub fn encoder(&self) -> Circuit {
         let mut c = Circuit::new(self.n_qubits);

@@ -355,20 +355,6 @@ impl Circuit {
             .position(|i| matches!(i, Instruction::Tracepoint { id: tid, .. } if *tid == id))
     }
 
-    /// A copy with all tracepoints removed (what actually runs on hardware).
-    pub fn without_tracepoints(&self) -> Circuit {
-        Circuit {
-            n_qubits: self.n_qubits,
-            n_cbits: self.n_cbits,
-            instructions: self
-                .instructions
-                .iter()
-                .filter(|i| !matches!(i, Instruction::Tracepoint { .. }))
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// The inverse circuit. Only valid for measurement-free programs.
     ///
     /// # Panics
@@ -673,16 +659,6 @@ mod tests {
         assert_eq!(c.n_cbits(), 0);
         c.measure(0, 3);
         assert_eq!(c.n_cbits(), 4);
-    }
-
-    #[test]
-    fn without_tracepoints_strips_only_tracepoints() {
-        let mut c = Circuit::new(2);
-        c.tracepoint(1, &[0]).h(0).tracepoint(2, &[1]).measure(0, 0);
-        let stripped = c.without_tracepoints();
-        assert_eq!(stripped.instructions().len(), 2);
-        assert!(stripped.tracepoints().is_empty());
-        assert_eq!(stripped.measurement_count(), 1);
     }
 
     #[test]

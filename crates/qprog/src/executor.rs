@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use morph_linalg::CMatrix;
-use morph_qsim::{DensityMatrix, Gate, NoiseModel, StateBatch, StateVector};
+use morph_qsim::{DensityMatrix, Diagonal2q, Gate, NoiseModel, StateBatch, StateVector};
 use rand::Rng;
 
 use crate::circuit::{Circuit, Instruction, TracepointId};
@@ -316,7 +316,9 @@ impl Executor {
     /// calling [`Self::run_expected_prefused`] per input.
     ///
     /// Purely unitary circuits (gates, tracepoints, barriers) execute on a
-    /// [`StateBatch`] so every gate touches all lanes in one strided pass;
+    /// [`StateBatch`] so every gate touches all lanes in one strided pass,
+    /// and each maximal run of consecutive diagonal two-qubit blocks
+    /// ([`Diagonal2q`]) shares one [`StateBatch::apply_diagonal_run`] pass;
     /// circuits with measurement, reset, or classical feedback fall back to
     /// per-lane branch enumeration, which stays bit-identical by
     /// construction.
@@ -353,7 +355,16 @@ impl Executor {
                 branch_count: 1,
             })
             .collect();
+        let mut run = Vec::new();
         for inst in circuit.instructions() {
+            if let Instruction::Gate(g) = inst {
+                if let Some(d) = Diagonal2q::of(g) {
+                    run.push(d);
+                    continue;
+                }
+            }
+            batch.apply_diagonal_run(&run);
+            run.clear();
             match inst {
                 Instruction::Gate(g) => batch.apply_gate(g),
                 Instruction::Tracepoint { id, qubits } => {
@@ -371,6 +382,7 @@ impl Executor {
                 other => unreachable!("nonunitary instruction {other:?} on batched fast path"),
             }
         }
+        batch.apply_diagonal_run(&run);
         records
     }
 

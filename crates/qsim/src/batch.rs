@@ -16,8 +16,10 @@
 //! `C64::ZERO`-seeded accumulation folds, which differ at the last bit
 //! from algebraically equal alternatives (`0.0 + (-0.0)` is `+0.0`). Lanes
 //! never mix, so every lane of a batch is **bitwise identical** to running
-//! the per-state kernel on that lane alone, at any batch size. The unit
-//! tests below and the workspace-level proptests enforce this with exact
+//! the per-state kernel on that lane alone, at any batch size. The one pass
+//! without a per-state twin, [`StateBatch::apply_diagonal_run`], drops only
+//! terms that cannot change a bit (see [`Diagonal2q`]). The unit tests
+//! below and the workspace-level proptests enforce this with exact
 //! equality, keeping the per-state path as the oracle.
 
 use morph_linalg::{CMatrix, C64};
@@ -81,7 +83,7 @@ fn simd_level() -> SimdLevel {
     SimdLevel::Portable
 }
 
-/// Stamps `#[target_feature]` wrappers for a generic lane-kernel body and a
+/// Stamps `#[target_feature]` wrappers for a lane-kernel body and a
 /// dispatcher that picks the widest supported one. The body must be
 /// `#[inline(always)]` so each wrapper recompiles it at its feature level.
 macro_rules! simd_dispatch {
@@ -90,73 +92,95 @@ macro_rules! simd_dispatch {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $body_avx512<const B: usize>($($arg: $ty),*) {
-            $body::<B>($($arg),*)
+        unsafe fn $body_avx512($($arg: $ty),*) {
+            $body($($arg),*)
         }
 
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $body_avx2<const B: usize>($($arg: $ty),*) {
-            $body::<B>($($arg),*)
+        unsafe fn $body_avx2($($arg: $ty),*) {
+            $body($($arg),*)
         }
 
         #[allow(clippy::too_many_arguments)]
-        fn $dispatch<const B: usize>($($arg: $ty),*) {
+        fn $dispatch($($arg: $ty),*) {
             match simd_level() {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: the feature was detected at runtime.
-                SimdLevel::Avx512 => unsafe { $body_avx512::<B>($($arg),*) },
+                SimdLevel::Avx512 => unsafe { $body_avx512($($arg),*) },
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: the feature was detected at runtime.
-                SimdLevel::Avx2 => unsafe { $body_avx2::<B>($($arg),*) },
-                SimdLevel::Portable => $body::<B>($($arg),*),
+                SimdLevel::Avx2 => unsafe { $body_avx2($($arg),*) },
+                SimdLevel::Portable => $body($($arg),*),
             }
         }
     };
 }
 
-/// Accumulates `o += u * a` exactly as `C64`'s `Mul` + `AddAssign` do for
-/// planar operands: `o.re += u.re*a.re - u.im*a.im`,
-/// `o.im += u.re*a.im + u.im*a.re`.
-macro_rules! cmul_acc {
-    ($or:ident, $oi:ident, $u:expr, $ar:expr, $ai:expr) => {
-        $or += $u.re * $ar - $u.im * $ai;
-        $oi += $u.re * $ai + $u.im * $ar;
-    };
+/// Splits a span of `len` elements at the multiples of 8, 4 and 2 below it,
+/// so the piece loops run 8-, 4-, then 2-wide and last one by one: widths
+/// the compiler sees, so a span of any length runs in whole vectors but for
+/// at most one trailing element.
+#[inline(always)]
+fn piece_cuts(len: usize) -> (usize, usize, usize) {
+    (len - len % 8, len - len % 4, len - len % 2)
 }
 
-/// Single-qubit lane kernel over planar storage: one fused pass reads both
-/// amplitude rows once and writes them once. Per element this is exactly
-/// `x' = u00*a0 + u01*a1; y' = u10*a0 + u11*a1` in `C64` arithmetic, so
-/// lanes stay bitwise identical to [`StateVector::apply_1q`]. `B` is the
-/// compile-time batch width, or 0 for the runtime-width fallback.
+/// Single-qubit lane kernel over planar storage, one contiguous span at a
+/// time. With `s` the target's bit shift, the `2^s` bases of one block are
+/// consecutive amplitudes, so their lanes form one run of `span = 2^s·B`
+/// planar elements whose partners sit `span` further on: the work per
+/// block grows with the span, not with the lane count. Per element this is
+/// exactly `x' = u00*a0 + u01*a1; y' = u10*a0 + u11*a1` in `C64`
+/// arithmetic, so lanes stay bitwise identical to
+/// [`StateVector::apply_1q`].
 #[inline(always)]
-fn batch_1q_body<const B: usize>(
-    re: &mut [f64],
-    im: &mut [f64],
-    batch: usize,
-    dim: usize,
-    shift: usize,
+fn batch_1q_body(re: &mut [f64], im: &mut [f64], span: usize, uu: [C64; 4]) {
+    let (by8, by4, by2) = piece_cuts(span);
+    let blocks = re
+        .chunks_exact_mut(2 * span)
+        .zip(im.chunks_exact_mut(2 * span));
+    for (re, im) in blocks {
+        let (r0, r1) = re.split_at_mut(span);
+        let (i0, i1) = im.split_at_mut(span);
+        let (mut re, mut im) = ([r0, r1], [i0, i1]);
+        pair_pieces::<8>(&mut re, &mut im, uu, 0, by8);
+        pair_pieces::<4>(&mut re, &mut im, uu, by8, by4);
+        pair_pieces::<2>(&mut re, &mut im, uu, by4, by2);
+        pair_pieces::<1>(&mut re, &mut im, uu, by2, span);
+    }
+}
+
+/// The single-qubit update on the `W`-element pieces at `from..to` of an
+/// amplitude pair's two rows.
+#[inline(always)]
+fn pair_pieces<const W: usize>(
+    re: &mut [&mut [f64]; 2],
+    im: &mut [&mut [f64]; 2],
     uu: [C64; 4],
+    from: usize,
+    to: usize,
 ) {
-    let b = if B == 0 { batch } else { B };
-    debug_assert_eq!(b, batch);
-    let mask = 1usize << shift;
     let [u00, u01, u10, u11] = uu;
-    for base in 0..dim / 2 {
-        let i = bits::deposit(base, shift);
-        let j = i | mask;
-        let (r0, r1) = lane_pair(re, i * b, j * b, b);
-        let (i0, i1) = lane_pair(im, i * b, j * b, b);
-        for l in 0..b {
-            let (a0r, a0i) = (r0[l], i0[l]);
-            let (a1r, a1i) = (r1[l], i1[l]);
-            r0[l] = (u00.re * a0r - u00.im * a0i) + (u01.re * a1r - u01.im * a1i);
-            i0[l] = (u00.re * a0i + u00.im * a0r) + (u01.re * a1i + u01.im * a1r);
-            r1[l] = (u10.re * a0r - u10.im * a0i) + (u11.re * a1r - u11.im * a1i);
-            i1[l] = (u10.re * a0i + u10.im * a0r) + (u11.re * a1i + u11.im * a1r);
+    for p in (from..to).step_by(W) {
+        let mut a = [[0.0f64; W]; 4];
+        a[0].copy_from_slice(&re[0][p..p + W]);
+        a[1].copy_from_slice(&im[0][p..p + W]);
+        a[2].copy_from_slice(&re[1][p..p + W]);
+        a[3].copy_from_slice(&im[1][p..p + W]);
+        let [a0r, a0i, a1r, a1i] = a;
+        let mut o = [[0.0f64; W]; 4];
+        for k in 0..W {
+            o[0][k] = (u00.re * a0r[k] - u00.im * a0i[k]) + (u01.re * a1r[k] - u01.im * a1i[k]);
+            o[1][k] = (u00.re * a0i[k] + u00.im * a0r[k]) + (u01.re * a1i[k] + u01.im * a1r[k]);
+            o[2][k] = (u10.re * a0r[k] - u10.im * a0i[k]) + (u11.re * a1r[k] - u11.im * a1i[k]);
+            o[3][k] = (u10.re * a0i[k] + u10.im * a0r[k]) + (u11.re * a1i[k] + u11.im * a1r[k]);
         }
+        re[0][p..p + W].copy_from_slice(&o[0]);
+        im[0][p..p + W].copy_from_slice(&o[1]);
+        re[1][p..p + W].copy_from_slice(&o[2]);
+        im[1][p..p + W].copy_from_slice(&o[3]);
     }
 }
 
@@ -165,78 +189,125 @@ simd_dispatch!(
     batch_1q_body,
     batch_1q_body_avx512,
     batch_1q_body_avx2,
-    (re: &mut [f64], im: &mut [f64], batch: usize, dim: usize, shift: usize, uu: [C64; 4])
+    (re: &mut [f64], im: &mut [f64], span: usize, uu: [C64; 4])
 );
 
 /// Two-qubit lane kernel over planar storage: one fused pass per amplitude
-/// quad loads the four input rows once and computes all four outputs, with
-/// every complex multiply-add expanded into the scalar `f64` operations
-/// `C64`'s `Mul`/`Add`/`AddAssign` perform for `acc += u[r][c] * a[c]`
-/// folded from `C64::ZERO` in column order — bitwise identical to
-/// [`StateVector::apply_2q`] per lane. `swap_mid` maps the ascending-index
-/// middle slices back to the gate's row order `[i00, i00|mb, i00|ma,
-/// i00|ma|mb]`.
+/// quad loads the four input rows once and computes all four outputs, each
+/// complex multiply-add expanded into the scalar `f64` operations `C64`'s
+/// `Mul`/`Add`/`AddAssign` perform for `acc += u[r][c] * a[c]` folded from
+/// `C64::ZERO` in column order — bitwise identical to
+/// [`StateVector::apply_2q`] per lane. Quads are walked one contiguous span
+/// at a time, as in the single-qubit kernel, with the span set by the lower
+/// target shift `lo`: each of a block's four rows is one run of
+/// `2^lo·batch` elements. `swap_mid` maps the ascending-index middle slices
+/// back to the gate's row order `[i00, i00|mb, i00|ma, i00|ma|mb]`. An odd
+/// span's last element, the whole span at one lane with `lo = 0`, goes
+/// through [`quad_element`] on plane indices, without slicing the quad.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn batch_2q_body<const B: usize>(
+fn batch_2q_body(
     re: &mut [f64],
     im: &mut [f64],
     batch: usize,
-    dim: usize,
     lo: usize,
     hi: usize,
     swap_mid: bool,
     uu: [[C64; 4]; 4],
 ) {
-    let b = if B == 0 { batch } else { B };
-    debug_assert_eq!(b, batch);
+    let span = batch << lo;
+    let (by8, by4, by2) = piece_cuts(span);
     let (mlo, mhi) = (1usize << lo, 1usize << hi);
-    let [u0, u1, u2, u3] = uu;
-    for base in 0..dim / 4 {
-        let i00 = bits::deposit(bits::deposit(base, lo), hi);
+    let mut cols = [[[0.0f64; 4]; 2]; 4];
+    for (c, col) in cols.iter_mut().enumerate() {
+        for r in 0..4 {
+            col[0][r] = uu[r][c].re;
+            col[1][r] = uu[r][c].im;
+        }
+    }
+    for block in 0..re.len() / (4 * span) {
+        let i00 = bits::deposit(block << (lo + 1), hi);
         let starts = [
-            i00 * b,
-            (i00 | mlo) * b,
-            (i00 | mhi) * b,
-            (i00 | mlo | mhi) * b,
+            i00 * batch,
+            (i00 | mlo) * batch,
+            (i00 | mhi) * batch,
+            (i00 | mlo | mhi) * batch,
         ];
-        let [r0, rlo, rhi, r3] = lane_quad(re, starts, b);
-        let [i0, ilo, ihi, i3] = lane_quad(im, starts, b);
-        let (r1, r2) = if swap_mid { (rlo, rhi) } else { (rhi, rlo) };
-        let (i1, i2) = if swap_mid { (ilo, ihi) } else { (ihi, ilo) };
-        for l in 0..b {
-            let (a0r, a0i) = (r0[l], i0[l]);
-            let (a1r, a1i) = (r1[l], i1[l]);
-            let (a2r, a2i) = (r2[l], i2[l]);
-            let (a3r, a3i) = (r3[l], i3[l]);
-            let (mut o0r, mut o0i) = (0.0f64, 0.0f64);
-            cmul_acc!(o0r, o0i, u0[0], a0r, a0i);
-            cmul_acc!(o0r, o0i, u0[1], a1r, a1i);
-            cmul_acc!(o0r, o0i, u0[2], a2r, a2i);
-            cmul_acc!(o0r, o0i, u0[3], a3r, a3i);
-            let (mut o1r, mut o1i) = (0.0f64, 0.0f64);
-            cmul_acc!(o1r, o1i, u1[0], a0r, a0i);
-            cmul_acc!(o1r, o1i, u1[1], a1r, a1i);
-            cmul_acc!(o1r, o1i, u1[2], a2r, a2i);
-            cmul_acc!(o1r, o1i, u1[3], a3r, a3i);
-            let (mut o2r, mut o2i) = (0.0f64, 0.0f64);
-            cmul_acc!(o2r, o2i, u2[0], a0r, a0i);
-            cmul_acc!(o2r, o2i, u2[1], a1r, a1i);
-            cmul_acc!(o2r, o2i, u2[2], a2r, a2i);
-            cmul_acc!(o2r, o2i, u2[3], a3r, a3i);
-            let (mut o3r, mut o3i) = (0.0f64, 0.0f64);
-            cmul_acc!(o3r, o3i, u3[0], a0r, a0i);
-            cmul_acc!(o3r, o3i, u3[1], a1r, a1i);
-            cmul_acc!(o3r, o3i, u3[2], a2r, a2i);
-            cmul_acc!(o3r, o3i, u3[3], a3r, a3i);
-            r0[l] = o0r;
-            i0[l] = o0i;
-            r1[l] = o1r;
-            i1[l] = o1i;
-            r2[l] = o2r;
-            i2[l] = o2i;
-            r3[l] = o3r;
-            i3[l] = o3i;
+        let rows = if swap_mid {
+            starts
+        } else {
+            [starts[0], starts[2], starts[1], starts[3]]
+        };
+        if by2 > 0 {
+            let [r0, rlo, rhi, r3] = lane_quad(re, starts, span);
+            let [i0, ilo, ihi, i3] = lane_quad(im, starts, span);
+            let (mut re, mut im) = if swap_mid {
+                ([r0, rlo, rhi, r3], [i0, ilo, ihi, i3])
+            } else {
+                ([r0, rhi, rlo, r3], [i0, ihi, ilo, i3])
+            };
+            quad_pieces::<8>(&mut re, &mut im, &uu, 0, by8);
+            quad_pieces::<4>(&mut re, &mut im, &uu, by8, by4);
+            quad_pieces::<2>(&mut re, &mut im, &uu, by4, by2);
+        }
+        if by2 < span {
+            quad_element(re, im, &cols, rows.map(|row| row + by2));
+        }
+    }
+}
+
+/// The two-qubit update on one element of each of a quad's four rows, at
+/// plane indices `at` in the gate's row order, with `cols[c]` holding column
+/// `c` of the gate as `[re; 4], [im; 4]`: the four rows' sums are one vector
+/// each, built in the same column order as [`quad_pieces`] builds them.
+#[inline(always)]
+fn quad_element(re: &mut [f64], im: &mut [f64], cols: &[[[f64; 4]; 2]; 4], at: [usize; 4]) {
+    let mut or = [0.0f64; 4];
+    let mut oi = [0.0f64; 4];
+    for (&i, [ur, ui]) in at.iter().zip(cols) {
+        let (ar, ai) = (re[i], im[i]);
+        for r in 0..4 {
+            or[r] += ur[r] * ar - ui[r] * ai;
+            oi[r] += ur[r] * ai + ui[r] * ar;
+        }
+    }
+    for (r, &i) in at.iter().enumerate() {
+        re[i] = or[r];
+        im[i] = oi[r];
+    }
+}
+
+/// The two-qubit update on the `W`-element pieces at `from..to` of a quad's
+/// four rows, given in the gate's row order. A piece's four output rows are
+/// all computed before any is stored, which keeps narrow pieces fast.
+#[inline(always)]
+fn quad_pieces<const W: usize>(
+    re: &mut [&mut [f64]; 4],
+    im: &mut [&mut [f64]; 4],
+    uu: &[[C64; 4]; 4],
+    from: usize,
+    to: usize,
+) {
+    for p in (from..to).step_by(W) {
+        let mut ar = [[0.0f64; W]; 4];
+        let mut ai = [[0.0f64; W]; 4];
+        for c in 0..4 {
+            ar[c].copy_from_slice(&re[c][p..p + W]);
+            ai[c].copy_from_slice(&im[c][p..p + W]);
+        }
+        let mut or = [[0.0f64; W]; 4];
+        let mut oi = [[0.0f64; W]; 4];
+        for (r, ur) in uu.iter().enumerate() {
+            for c in 0..4 {
+                for k in 0..W {
+                    or[r][k] += ur[c].re * ar[c][k] - ur[c].im * ai[c][k];
+                    oi[r][k] += ur[c].re * ai[c][k] + ur[c].im * ar[c][k];
+                }
+            }
+        }
+        for r in 0..4 {
+            re[r][p..p + W].copy_from_slice(&or[r]);
+            im[r][p..p + W].copy_from_slice(&oi[r]);
         }
     }
 }
@@ -250,13 +321,145 @@ simd_dispatch!(
         re: &mut [f64],
         im: &mut [f64],
         batch: usize,
-        dim: usize,
         lo: usize,
         hi: usize,
         swap_mid: bool,
         uu: [[C64; 4]; 4],
     )
 );
+
+/// The diagonal-run pass over planar storage. `run` holds each gate's bit
+/// shifts `(sa, sb)` and diagonal, in program order; `low` is the lowest
+/// shift in the run, so all of a block's `2^low` consecutive amplitudes
+/// share every gate's coefficient and their lanes form one span of
+/// `2^low·batch` elements. Each element gets the run's gates in program
+/// order as `0.0 + (d.re*a.re - d.im*a.im)`, `0.0 + (d.re*a.im +
+/// d.im*a.re)`: the dense fold seeded with `C64::ZERO` with its exactly-zero
+/// terms left out (see [`Diagonal2q`]).
+///
+/// Blocks go four at a time (a run's two distinct shifts leave at least
+/// four blocks), so four independent dependency chains hide the latency of
+/// carrying one element through the whole run.
+#[inline(always)]
+fn diagonal_run_body(
+    re: &mut [f64],
+    im: &mut [f64],
+    batch: usize,
+    low: usize,
+    run: &[(usize, usize, [C64; 4])],
+    coeffs: &mut [[C64; 4]],
+) {
+    let span = batch << low;
+    let by16 = span - span % 16;
+    let (_, by4, by2) = piece_cuts(span);
+    let quads = re
+        .chunks_exact_mut(4 * span)
+        .zip(im.chunks_exact_mut(4 * span));
+    for (quad, (re, im)) in quads.enumerate() {
+        for (c, &(sa, sb, d)) in coeffs.iter_mut().zip(run) {
+            for (b, cb) in c.iter_mut().enumerate() {
+                let i = (4 * quad + b) << low;
+                *cb = d[(((i >> sa) & 1) << 1) | ((i >> sb) & 1)];
+            }
+        }
+        let mut re = lane_quad(re, [0, span, 2 * span, 3 * span], span);
+        let mut im = lane_quad(im, [0, span, 2 * span, 3 * span], span);
+        diagonal_pieces::<16>(&mut re, &mut im, coeffs, 0, by16);
+        diagonal_pieces::<4>(&mut re, &mut im, coeffs, by16, by4);
+        diagonal_pieces::<2>(&mut re, &mut im, coeffs, by4, by2);
+        diagonal_pieces::<1>(&mut re, &mut im, coeffs, by2, span);
+    }
+}
+
+/// Carries the `W`-element pieces at `from..to` of four blocks through
+/// every gate in registers, gate `g` scaling block `b` by `coeffs[g][b]`:
+/// one load and one store per element for the whole run. `W` is a
+/// compile-time width so a piece unrolls into whole vectors.
+#[inline(always)]
+fn diagonal_pieces<const W: usize>(
+    re: &mut [&mut [f64]; 4],
+    im: &mut [&mut [f64]; 4],
+    coeffs: &[[C64; 4]],
+    from: usize,
+    to: usize,
+) {
+    for p in (from..to).step_by(W) {
+        let mut xr = [[0.0f64; W]; 4];
+        let mut xi = [[0.0f64; W]; 4];
+        for b in 0..4 {
+            xr[b].copy_from_slice(&re[b][p..p + W]);
+            xi[b].copy_from_slice(&im[b][p..p + W]);
+        }
+        for c in coeffs {
+            for b in 0..4 {
+                let cb = c[b];
+                for k in 0..W {
+                    let (ar, ai) = (xr[b][k], xi[b][k]);
+                    xr[b][k] = 0.0 + (cb.re * ar - cb.im * ai);
+                    xi[b][k] = 0.0 + (cb.re * ai + cb.im * ar);
+                }
+            }
+        }
+        for b in 0..4 {
+            re[b][p..p + W].copy_from_slice(&xr[b]);
+            im[b][p..p + W].copy_from_slice(&xi[b]);
+        }
+    }
+}
+
+simd_dispatch!(
+    diagonal_run_dispatch,
+    diagonal_run_body,
+    diagonal_run_body_avx512,
+    diagonal_run_body_avx2,
+    (
+        re: &mut [f64],
+        im: &mut [f64],
+        batch: usize,
+        low: usize,
+        run: &[(usize, usize, [C64; 4])],
+        coeffs: &mut [[C64; 4]],
+    )
+);
+
+/// A two-qubit [`Gate::Unitary`] whose off-diagonal entries are all exactly
+/// zero (of either sign), kept as its targets and diagonal — the operand of
+/// [`StateBatch::apply_diagonal_run`].
+///
+/// Applying it alone is bitwise the dense kernel: that kernel folds each
+/// output row from `C64::ZERO`, and in round-to-nearest `0.0 + x` is never
+/// `-0.0`, so every exactly-zero coefficient, whose product with a finite
+/// amplitude is `±0`, adds nothing to the running sum. What remains is
+/// `0.0 + d·a` for the row's diagonal entry `d`. The argument needs the
+/// `+0.0` seed, so single-qubit blocks (whose kernel has none) are never
+/// `Diagonal2q`s.
+#[derive(Debug, Clone, Copy)]
+pub struct Diagonal2q {
+    targets: [usize; 2],
+    diag: [C64; 4],
+}
+
+impl Diagonal2q {
+    /// `Some` for a two-qubit [`Gate::Unitary`] with exactly-zero
+    /// off-diagonal entries; `None` for every other gate.
+    pub fn of(gate: &Gate) -> Option<Self> {
+        let Gate::Unitary(targets, u) = gate else {
+            return None;
+        };
+        let &[q_a, q_b] = targets.as_slice() else {
+            return None;
+        };
+        if u.rows() != 4 || u.cols() != 4 {
+            return None;
+        }
+        let off_diagonal_zero =
+            (0..4).all(|r| (0..4).all(|c| r == c || (u[(r, c)].re == 0.0 && u[(r, c)].im == 0.0)));
+        off_diagonal_zero.then(|| Diagonal2q {
+            targets: [q_a, q_b],
+            diag: [u[(0, 0)], u[(1, 1)], u[(2, 2)], u[(3, 3)]],
+        })
+    }
+}
 
 /// A batch of `B` pure states over the same register, stored planar
 /// (separate `re`/`im` planes) and batch-innermost: amplitude `i` of lane
@@ -440,10 +643,11 @@ impl StateBatch {
         }
     }
 
-    /// Batched [`StateVector::apply_1q`]: one index computation per
-    /// amplitude pair, then a contiguous per-lane update.
+    /// Batched [`StateVector::apply_1q`]: one index computation per block
+    /// of `2^s` amplitudes (`s` the target's bit shift), then one contiguous
+    /// update over their lanes.
     ///
-    /// The per-lane loop splits each complex multiply-add into the exact
+    /// The per-element loop splits each complex multiply-add into the exact
     /// scalar `f64` operations `C64`'s `Mul`/`Add` impls perform, in the
     /// same order, so every lane stays bitwise identical to
     /// [`StateVector::apply_1q`] while the loop body vectorizes cleanly
@@ -451,31 +655,9 @@ impl StateBatch {
     pub fn apply_1q(&mut self, u: &CMatrix, qubit: usize) {
         assert_eq!(u.rows(), 2, "apply_1q requires a 2x2 matrix");
         assert_eq!(u.cols(), 2, "apply_1q requires a 2x2 matrix");
-        // Monomorphize the hot batch widths so the per-lane loops have a
-        // compile-time trip count (no bounds checks, full unroll + SIMD);
-        // other widths share the same code with a runtime length.
-        match self.batch {
-            8 => self.apply_1q_lanes::<8>(u, qubit),
-            16 => self.apply_1q_lanes::<16>(u, qubit),
-            32 => self.apply_1q_lanes::<32>(u, qubit),
-            64 => self.apply_1q_lanes::<64>(u, qubit),
-            _ => self.apply_1q_lanes::<0>(u, qubit),
-        }
-    }
-
-    /// `B` is the compile-time batch width, or `0` for the runtime-width
-    /// fallback. Both paths run the identical per-element expressions.
-    fn apply_1q_lanes<const B: usize>(&mut self, u: &CMatrix, qubit: usize) {
-        let shift = self.bit_shift(qubit);
+        let span = self.batch << self.bit_shift(qubit);
         let uu = [u[(0, 0)], u[(0, 1)], u[(1, 0)], u[(1, 1)]];
-        batch_1q_dispatch::<B>(
-            &mut self.re,
-            &mut self.im,
-            self.batch,
-            1 << self.n_qubits,
-            shift,
-            uu,
-        );
+        batch_1q_dispatch(&mut self.re, &mut self.im, span, uu);
     }
 
     /// Batched [`StateVector::apply_2q`] with the gate matrix hoisted into
@@ -483,19 +665,6 @@ impl StateBatch {
     pub fn apply_2q(&mut self, u: &CMatrix, q_a: usize, q_b: usize) {
         assert_eq!(u.rows(), 4, "apply_2q requires a 4x4 matrix");
         assert_ne!(q_a, q_b, "two-qubit gate targets must differ");
-        // Same monomorphization scheme as [`Self::apply_1q`].
-        match self.batch {
-            8 => self.apply_2q_lanes::<8>(u, q_a, q_b),
-            16 => self.apply_2q_lanes::<16>(u, q_a, q_b),
-            32 => self.apply_2q_lanes::<32>(u, q_a, q_b),
-            64 => self.apply_2q_lanes::<64>(u, q_a, q_b),
-            _ => self.apply_2q_lanes::<0>(u, q_a, q_b),
-        }
-    }
-
-    /// `B` is the compile-time batch width, or `0` for the runtime-width
-    /// fallback. Both paths run the identical per-element expressions.
-    fn apply_2q_lanes<const B: usize>(&mut self, u: &CMatrix, q_a: usize, q_b: usize) {
         let sa = self.bit_shift(q_a);
         let sb = self.bit_shift(q_b);
         let mut uu = [[C64::ZERO; 4]; 4];
@@ -504,15 +673,59 @@ impl StateBatch {
                 uu[r][c] = u[(r, c)];
             }
         }
-        batch_2q_dispatch::<B>(
+        batch_2q_dispatch(
             &mut self.re,
             &mut self.im,
             self.batch,
-            1 << self.n_qubits,
             sa.min(sb),
             sa.max(sb),
             sb < sa,
             uu,
+        );
+    }
+
+    /// Applies a run of diagonal two-qubit gates, in order, in one walk over
+    /// the planes: each element takes every gate of the run before the walk
+    /// moves on. Every lane stays bitwise identical to applying the gates one
+    /// by one with [`Self::apply_gate`] or [`StateVector::apply_2q`], for
+    /// finite amplitudes (see [`Diagonal2q`]). The gates are neither
+    /// reordered nor multiplied together: gates that commute in exact
+    /// arithmetic do not commute bitwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a target is out of range or a gate's two targets coincide.
+    pub fn apply_diagonal_run(&mut self, run: &[Diagonal2q]) {
+        if run.is_empty() {
+            return;
+        }
+        if morph_trace::enabled() {
+            let gates = run.len() as u64;
+            morph_trace::counter("qsim/batch_gates", gates);
+            morph_trace::counter("qsim/diagonal_runs", 1);
+            morph_trace::counter("qsim/diagonal_run_gates", gates);
+        }
+        let shifted: Vec<(usize, usize, [C64; 4])> = run
+            .iter()
+            .map(|g| {
+                let [q_a, q_b] = g.targets;
+                assert_ne!(q_a, q_b, "two-qubit gate targets must differ");
+                (self.bit_shift(q_a), self.bit_shift(q_b), g.diag)
+            })
+            .collect();
+        let low = shifted
+            .iter()
+            .map(|&(sa, sb, _)| sa.min(sb))
+            .min()
+            .expect("run is not empty");
+        let mut coeffs = vec![[C64::ZERO; 4]; run.len()];
+        diagonal_run_dispatch(
+            &mut self.re,
+            &mut self.im,
+            self.batch,
+            low,
+            &shifted,
+            &mut coeffs,
         );
     }
 
@@ -845,17 +1058,16 @@ mod tests {
 
     #[test]
     fn state_batch_matches_per_state_bitwise() {
+        let mut rng = StdRng::seed_from_u64(7);
         for batch_size in [1usize, 3, 8] {
-            let mut lanes = random_states(4, batch_size, 7 + batch_size as u64);
+            let mut lanes = states_with_zeros(4, batch_size, &mut rng);
             let mut batch = StateBatch::from_states(&lanes);
             for g in every_gate(4) {
                 batch.apply_gate(&g);
                 for psi in lanes.iter_mut() {
                     g.apply(psi);
                 }
-                for (l, psi) in lanes.iter().enumerate() {
-                    assert_eq!(batch.lane(l), *psi, "{g:?} lane {l} (B={batch_size})");
-                }
+                assert_lanes_bitwise(&batch, &lanes, &format!("{g:?} (B={batch_size})"));
             }
         }
     }
@@ -886,6 +1098,155 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Random states where about a third of the components are exact `+0.0`
+    /// or `-0.0`, so products of zero coefficients and zero amplitudes take
+    /// both signs.
+    fn states_with_zeros(n: usize, count: usize, rng: &mut StdRng) -> Vec<StateVector> {
+        let part = |rng: &mut StdRng| match rng.gen_range(0..6) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0..1.0),
+        };
+        (0..count)
+            .map(|_| {
+                let amps: Vec<C64> = (0..1usize << n)
+                    .map(|_| C64::new(part(rng), part(rng)))
+                    .collect();
+                StateVector::from_normalized_amplitudes(amps)
+            })
+            .collect()
+    }
+
+    /// Exact equality down to the sign of zero.
+    fn assert_lanes_bitwise(batch: &StateBatch, lanes: &[StateVector], what: &str) {
+        for (l, psi) in lanes.iter().enumerate() {
+            let got = batch.lane(l);
+            for (i, (a, b)) in got.amplitudes().iter().zip(psi.amplitudes()).enumerate() {
+                assert!(
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                    "{what}: lane {l} of {} amplitude {i}: {a:?} != {b:?}",
+                    lanes.len()
+                );
+            }
+        }
+    }
+
+    /// A 2×2 unitary with no zero entry.
+    fn dense_1q(rng: &mut StdRng) -> CMatrix {
+        matrices::rz(rng.gen_range(0.1..3.0))
+            .matmul(&matrices::ry(rng.gen_range(0.1..3.0)))
+            .matmul(&matrices::rz(rng.gen_range(0.1..3.0)))
+    }
+
+    /// A 4×4 unitary with no zero entry.
+    fn dense_2q(rng: &mut StdRng) -> CMatrix {
+        matrices::controlled(&matrices::rx(rng.gen_range(0.1..3.0)), 1)
+            .matmul(&dense_1q(rng).kron(&dense_1q(rng)))
+    }
+
+    /// A diagonal 4×4 whose off-diagonal entries mix `+0.0` and `-0.0`, with
+    /// unit-modulus diagonal entries that include `±1` and `±i`.
+    fn diagonal_2q(rng: &mut StdRng) -> CMatrix {
+        let mut signed_zero = || {
+            let re = if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+            let im = if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+            C64::new(re, im)
+        };
+        let mut u = CMatrix::from_fn(4, 4, |_, _| signed_zero());
+        for r in 0..4 {
+            u[(r, r)] = match rng.gen_range(0..6) {
+                0 => C64::new(1.0, 0.0),
+                1 => C64::new(-1.0, 0.0),
+                2 => C64::new(0.0, 1.0),
+                3 => C64::new(-0.0, -1.0),
+                _ => C64::cis(rng.gen_range(-3.0..3.0)),
+            };
+        }
+        u
+    }
+
+    const KERNEL_WIDTHS: [usize; 3] = [2, 5, 9];
+    const KERNEL_LANES: [usize; 6] = [1, 3, 4, 8, 16, 64];
+
+    #[test]
+    fn span_kernels_match_per_state_at_every_target() {
+        let mut rng = StdRng::seed_from_u64(41);
+        for n in KERNEL_WIDTHS {
+            for lanes in KERNEL_LANES {
+                let mut singles = states_with_zeros(n, lanes, &mut rng);
+                let mut batch = StateBatch::from_states(&singles);
+                for q in 0..n {
+                    let u = dense_1q(&mut rng);
+                    batch.apply_1q(&u, q);
+                    for psi in &mut singles {
+                        psi.apply_1q(&u, q);
+                    }
+                    assert_lanes_bitwise(&batch, &singles, &format!("1q on {q} of {n}"));
+                }
+                // Every ordered pair: adjacent pairs, the lowest shift 0
+                // (qubit n-1) and the highest shift n-1 (qubit 0) included.
+                for a in 0..n {
+                    for b in (0..n).filter(|&b| b != a) {
+                        let u = dense_2q(&mut rng);
+                        batch.apply_2q(&u, a, b);
+                        for psi in &mut singles {
+                            psi.apply_2q(&u, a, b);
+                        }
+                        assert_lanes_bitwise(&batch, &singles, &format!("2q on ({a}, {b}) of {n}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_run_matches_per_state_gate_by_gate() {
+        let mut rng = StdRng::seed_from_u64(43);
+        for n in KERNEL_WIDTHS {
+            for lanes in KERNEL_LANES {
+                let mut singles = states_with_zeros(n, lanes, &mut rng);
+                let mut batch = StateBatch::from_states(&singles);
+                for len in [1usize, 2, 7, 28] {
+                    let gates: Vec<Gate> = (0..len)
+                        .map(|_| {
+                            let a = rng.gen_range(0..n);
+                            let b = (a + rng.gen_range(1..n)) % n;
+                            Gate::Unitary(vec![a, b], diagonal_2q(&mut rng))
+                        })
+                        .collect();
+                    let run: Vec<Diagonal2q> = gates
+                        .iter()
+                        .map(|g| Diagonal2q::of(g).expect("diagonal block"))
+                        .collect();
+                    batch.apply_diagonal_run(&run);
+                    for g in &gates {
+                        let Gate::Unitary(ts, u) = g else {
+                            unreachable!()
+                        };
+                        for psi in &mut singles {
+                            psi.apply_2q(u, ts[0], ts[1]);
+                        }
+                    }
+                    assert_lanes_bitwise(&batch, &singles, &format!("run of {len} on {n}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_two_qubit_unitaries_with_zero_off_diagonals_are_diagonal_runs() {
+        let mut rng = StdRng::seed_from_u64(47);
+        let diag = diagonal_2q(&mut rng);
+        assert!(Diagonal2q::of(&Gate::Unitary(vec![0, 1], diag.clone())).is_some());
+        let mut off = diag;
+        off[(2, 1)] = C64::new(1e-300, 0.0);
+        assert!(Diagonal2q::of(&Gate::Unitary(vec![0, 1], off)).is_none());
+        let phase_1q = matrices::phase(0.3);
+        assert!(Diagonal2q::of(&Gate::Unitary(vec![0], phase_1q)).is_none());
+        assert!(Diagonal2q::of(&Gate::CPhase(0, 1, 0.3)).is_none());
+        assert!(Diagonal2q::of(&Gate::CZ(0, 1)).is_none());
     }
 
     #[test]

@@ -699,14 +699,6 @@ impl DensityMatrix {
         });
     }
 
-    /// Two-qubit depolarizing channel with error probability `p`, applied as
-    /// independent single-qubit depolarizations of strength `p` on each
-    /// participant (the standard twirled approximation).
-    pub fn depolarize_pair(&mut self, q_a: usize, q_b: usize, p: f64) {
-        self.depolarize(q_a, p);
-        self.depolarize(q_b, p);
-    }
-
     /// Phase-damping (pure dephasing) channel with strength `lambda` on
     /// `qubit`: coherences shrink by `√(1−λ)`, populations are untouched.
     pub fn phase_damp(&mut self, qubit: usize, lambda: f64) {
@@ -1010,7 +1002,8 @@ mod tests {
         let mut rho = DensityMatrix::zero_state(2);
         rho.apply_gate(&Gate::H(0));
         rho.apply_gate(&Gate::CX(0, 1));
-        rho.depolarize_pair(0, 1, 0.1);
+        rho.depolarize(0, 0.1);
+        rho.depolarize(1, 0.1);
         assert!((rho.matrix().trace().re - 1.0).abs() < 1e-12);
     }
 

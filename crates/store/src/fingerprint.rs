@@ -21,15 +21,6 @@ impl Fingerprint {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// The first 16 hex digits — enough to identify an artifact in logs,
-    /// protocol responses, and coalescing diagnostics without the noise of
-    /// the full 64-digit address.
-    pub fn short_hex(self) -> String {
-        let mut hex = self.to_hex();
-        hex.truncate(16);
-        hex
-    }
-
     /// Parses the 64-hex-digit rendering produced by [`Fingerprint::to_hex`].
     pub fn from_hex(text: &str) -> Option<Fingerprint> {
         if text.len() != 64 {
@@ -157,7 +148,6 @@ mod tests {
         assert_eq!(Fingerprint::from_hex(&fp.to_hex()), Some(fp));
         assert_eq!(Fingerprint::from_hex("zz"), None);
         assert_eq!(Fingerprint::from_hex(&"0".repeat(63)), None);
-        assert_eq!(fp.short_hex(), fp.to_hex()[..16].to_string());
     }
 
     #[test]

@@ -555,6 +555,148 @@ proptest! {
     }
 }
 
+/// A random diagonal two-qubit `Gate::Unitary` whose off-diagonal entries
+/// mix `+0.0` and `-0.0`.
+fn arb_diagonal_block(n: usize) -> impl Strategy<Value = Gate> {
+    let phases = proptest::collection::vec(-3.0..3.0f64, 4..5);
+    let signs = proptest::collection::vec(0u8..4, 16..17);
+    (arb_pair(n), phases, signs).prop_map(|((a, b), phases, signs)| {
+        let u = CMatrix::from_fn(4, 4, |r, c| {
+            if r == c {
+                C64::cis(phases[r])
+            } else {
+                let sign = signs[4 * r + c];
+                let re = if sign & 1 == 1 { -0.0 } else { 0.0 };
+                let im = if sign & 2 == 2 { -0.0 } else { 0.0 };
+                C64::new(re, im)
+            }
+        });
+        Gate::Unitary(vec![a, b], u)
+    })
+}
+
+/// A gate of the diagonal-run parity circuits: the QFT's phase gates, the
+/// Clifford and rotation gates around them, random dense two-qubit
+/// unitaries, and (most often, so runs form) random diagonal blocks.
+fn arb_run_gate(n: usize) -> impl Strategy<Value = Gate> {
+    let angle = -3.0..3.0f64;
+    let dense =
+        (arb_pair(n), angle.clone(), angle.clone(), angle.clone()).prop_map(|((a, b), x, y, z)| {
+            let u = matrices::controlled(&matrices::rx(x), 1)
+                .matmul(&matrices::ry(y).kron(&matrices::rx(z)));
+            Gate::Unitary(vec![a, b], u)
+        });
+    let cphase = || (arb_pair(n), -3.0..3.0f64).prop_map(|((a, b), t)| Gate::CPhase(a, b, t));
+    prop_oneof![
+        arb_diagonal_block(n),
+        arb_diagonal_block(n),
+        arb_diagonal_block(n),
+        cphase(),
+        cphase(),
+        arb_pair(n).prop_map(|(a, b)| Gate::CZ(a, b)),
+        ((0..n), angle).prop_map(|(q, a)| Gate::RZ(q, a)),
+        (0..n).prop_map(Gate::T),
+        (0..n).prop_map(Gate::S),
+        (0..n).prop_map(Gate::H),
+        arb_pair(n).prop_map(|(a, b)| Gate::CX(a, b)),
+        dense,
+    ]
+}
+
+/// A circuit over `steps`, where `None` is a tracepoint on `tp` placed
+/// wherever it falls — inside a would-be diagonal run, too.
+fn circuit_with_tracepoints(n: usize, steps: &[Option<Gate>], tp: &[usize]) -> Circuit {
+    let mut c = Circuit::new(n);
+    c.tracepoint(1, &[0]);
+    let mut id = 2;
+    for step in steps {
+        match step {
+            Some(g) => {
+                c.gate(g.clone());
+            }
+            None => {
+                c.tracepoint(id, tp);
+                id += 1;
+            }
+        }
+    }
+    c.tracepoint(id, &[n - 1]);
+    c
+}
+
+/// Lane `l`'s input: a basis, Pauli-product or Clifford preparation of the
+/// whole register, so amplitudes include exact zeros and `-0.0`.
+fn prepared_input(n: usize, rng: &mut rand::rngs::StdRng) -> StateVector {
+    use morphqpv_suite::clifford::{basis_prep, clifford_prep, pauli_product_prep};
+    use rand::Rng;
+    let prep = match rng.gen_range(0..3) {
+        0 => basis_prep(n, rng.gen_range(0..1usize << n)),
+        1 => pauli_product_prep(n, rng.gen_range(0..1usize << (2 * n))),
+        _ => {
+            let seed = rng.gen_range(0..1usize << n);
+            clifford_prep(n, seed, rng)
+        }
+    };
+    let mut psi = StateVector::zero_state(n);
+    for inst in prep.instructions() {
+        match inst {
+            Instruction::Gate(g) => g.apply(&mut psi),
+            other => panic!("unitary prep expected, got {other:?}"),
+        }
+    }
+    psi
+}
+
+/// Exact equality of two traces down to the sign of zero.
+fn bitwise_equal(a: &CMatrix, b: &CMatrix) -> bool {
+    a.rows() == b.rows()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The batched sweep, with its diagonal-run passes and span kernels,
+    /// against per-input `Executor::run_expected`, fused and unfused:
+    /// every trace bitwise equal, signs of zero included, at lane counts on
+    /// both sides of every vector width.
+    #[test]
+    fn batched_sweep_matches_per_input_run_expected_bitwise(
+        n in 2usize..10,
+        pick in 0usize..11,
+        seed in 0u64..u64::MAX,
+        fuse in 0u8..2,
+    ) {
+        use rand::Rng;
+        let lanes = [1usize, 3, 4, 7, 8, 9, 16, 17, 32, 33, 64][pick];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let gates = arb_run_gate(n);
+        let steps: Vec<Option<Gate>> = (0..rng.gen_range(1..40))
+            .map(|_| (!rng.gen_bool(1.0 / 7.0)).then(|| gates.new_value(&mut rng)))
+            .collect();
+        let tp = arb_pair(n).new_value(&mut rng);
+        let c = circuit_with_tracepoints(n, &steps, &[tp.0, tp.1]);
+        let inputs: Vec<StateVector> = (0..lanes).map(|_| prepared_input(n, &mut rng)).collect();
+        let ex = Executor::builder().fusion(fuse == 1).build();
+        let batched = ex.run_expected_batch_prefused(&ex.fuse_for_run(&c), &inputs);
+        prop_assert_eq!(batched.len(), lanes);
+        for (lane, (rec, input)) in batched.iter().zip(&inputs).enumerate() {
+            let oracle = ex.run_expected(&c, input);
+            prop_assert_eq!(rec.tracepoints.len(), oracle.tracepoints.len());
+            for (id, want) in &oracle.tracepoints {
+                prop_assert!(
+                    bitwise_equal(&rec.tracepoints[id], want),
+                    "lane {} of {}, tracepoint {}: {:?} != {:?}",
+                    lane, lanes, id, rec.tracepoints[id], want
+                );
+            }
+        }
+    }
+}
+
 /// The characterization sweep against a per-input reference: every trace
 /// equals, bit for bit, what `Executor::run_expected` (noiseless) or
 /// `Executor::run_expected_noisy` (`ibm_cairo`) computes for that input
