@@ -37,13 +37,15 @@ pub fn sweep_until_found<F>(
 where
     F: Fn(usize) -> TrialOutcome + Sync,
 {
+    // Each wave runs on `wave` workers outright: with `0`, `parallel_map`
+    // would time a wave's first trial serially before fanning out the rest.
     let wave = morph_parallel::effective_workers(parallelism).max(1);
     let mut ledger = CostLedger::new();
     let mut start = 0usize;
     while start < limit {
         let end = (start + wave).min(limit);
         let indices: Vec<usize> = (start..end).collect();
-        let outcomes = morph_parallel::parallel_map(parallelism, &indices, |_, &i| trial(i));
+        let outcomes = morph_parallel::parallel_map(wave, &indices, |_, &i| trial(i));
         for outcome in outcomes {
             ledger.merge(&outcome.ledger);
             if outcome.bug {

@@ -1,14 +1,17 @@
 //! Characterization-sweep benches.
 //!
-//! - `characterize_parallel`: serial vs all-cores sweeps on a shot-readout
-//!   workload (8 qubits, 8 inputs, two traced half registers) whose
-//!   sampled traces and cost ledgers are bit-identical between the arms
-//!   (see DESIGN.md "Deterministic parallelism").
+//! - `characterize_parallel`: one sweep of four 32-lane ranges (10
+//!   qubits, 128 Clifford inputs on a 4-qubit subregister, shot readout of
+//!   two 2-qubit tracepoints) at worker count 1 (`serial`), 0 (`auto`:
+//!   all cores once the ranges after the first pay for the threads) and 2
+//!   (`two`). The sampled traces and cost ledgers are bit-identical
+//!   between the arms (see DESIGN.md "Deterministic parallelism"), so the
+//!   arms differ in wall-clock time only.
 //! - `characterize_batched`: the gate-major sweep at n = 10 qubits over 32
 //!   inputs (one full lane range), single-worker, so the figure tracks the
 //!   batched kernels themselves.
 //!
-//! Set `MORPH_BENCH_QUICK=1` for the CI smoke subset (fewer samples, fewer
+//! Set `MORPH_BENCH_QUICK=1` for the CI smoke subset (fewer layers, fewer
 //! timing repetitions).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -19,23 +22,20 @@ use morphqpv::{try_characterize, CancelToken, CharacterizationConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const N_QUBITS: usize = 8;
-const N_SAMPLES: usize = 8;
+const N_QUBITS: usize = 10;
+/// Four dense lane ranges of 32.
+const N_SAMPLES: usize = 128;
 
 fn quick() -> bool {
     std::env::var_os("MORPH_BENCH_QUICK").is_some()
 }
 
-/// A layered entangling circuit with a mid-point and an end tracepoint,
-/// each on a 4-qubit half register — the shape of the Table 4 target
-/// programs. Full-register shot tomography at 8 qubits would cost
-/// `4^8 - 1` measurement settings per tracepoint per input; the half
-/// registers keep the per-input work heavy (2 × 255 settings with PSD
-/// projection) but bounded.
-fn workload_circuit() -> Circuit {
+/// A layered entangling circuit with a mid-point and an end tracepoint on
+/// two qubits each, so the sweep's simulation dominates its readout.
+fn workload_circuit(layers: usize) -> Circuit {
     let n = N_QUBITS;
     let mut c = Circuit::new(n);
-    for layer in 0..3 {
+    for layer in 0..layers {
         for q in 0..n {
             c.h(q);
             c.rz(q, 0.37 * (layer as f64 + 1.0) * (q as f64 + 1.0));
@@ -43,12 +43,11 @@ fn workload_circuit() -> Circuit {
         for q in 0..n - 1 {
             c.cx(q, q + 1);
         }
+        if layer + 1 == layers / 2 {
+            c.tracepoint(1, &[0, 1]);
+        }
     }
-    c.tracepoint(1, &[0, 1, 2, 3]);
-    for q in 0..n {
-        c.h(q);
-    }
-    c.tracepoint(2, &[4, 5, 6, 7]);
+    c.tracepoint(2, &[n - 2, n - 1]);
     c
 }
 
@@ -56,8 +55,8 @@ fn config(parallelism: usize) -> CharacterizationConfig {
     CharacterizationConfig {
         n_samples: N_SAMPLES,
         ensemble: morph_clifford::InputEnsemble::Clifford,
-        readout: ReadoutMode::Shots(500),
-        input_qubits: (0..N_QUBITS).collect(),
+        readout: ReadoutMode::Shots(200),
+        input_qubits: (0..4).collect(),
         noise: NoiseModel::noiseless(),
         parallelism,
         // Pin the dense path: this bench measures the dense sweep's
@@ -67,10 +66,10 @@ fn config(parallelism: usize) -> CharacterizationConfig {
 }
 
 fn bench_characterize(c: &mut Criterion) {
-    let circuit = workload_circuit();
+    let circuit = workload_circuit(if quick() { 2 } else { 8 });
     let mut group = c.benchmark_group("characterize_parallel");
-    group.sample_size(10);
-    for (label, parallelism) in [("serial", 1usize), ("all_cores", 0)] {
+    group.sample_size(if quick() { 3 } else { 10 });
+    for (label, parallelism) in [("serial", 1usize), ("auto", 0), ("two", 2)] {
         group.bench_with_input(BenchmarkId::new(label, N_SAMPLES), &parallelism, |b, &p| {
             let cfg = config(p);
             b.iter(|| {

@@ -71,8 +71,10 @@ impl InputEnsemble {
     }
 
     /// [`Self::generate`] with the state preparations fanned out across
-    /// `workers` threads (`0` = all available cores, `1` = inline serial).
-    /// Output is identical at every worker count.
+    /// `workers` threads (`0` = all available cores once the preparations
+    /// would take over a millisecond serially, `1` = inline serial; see
+    /// [`morph_parallel::parallel_map`]). Output is identical at every
+    /// worker count.
     ///
     /// # Panics
     ///

@@ -47,12 +47,15 @@ pub struct CharacterizationConfig {
     pub input_qubits: Vec<usize>,
     /// Hardware noise model applied during sampling runs.
     pub noise: NoiseModel,
-    /// Worker threads for the per-input sampling sweep: `0` (the default)
-    /// uses all available cores, `1` runs serially on the caller's thread.
-    /// Results are bit-identical at every setting — each sampled input owns
-    /// an RNG stream derived from `(master seed, input index)`, so
-    /// scheduling never reaches the sampled data (see DESIGN.md
-    /// "Deterministic parallelism").
+    /// Worker threads for input preparation and the sampling sweep: `0`
+    /// (the default) uses all available cores where the work pays for
+    /// them — a sweep whose lane ranges after the first would take under
+    /// [`morph_parallel::FAN_OUT_PAYBACK`] serially runs on the caller's
+    /// thread alone; `1` runs serially on the caller's thread; `k` runs
+    /// exactly `k` workers. Results are bit-identical at every setting —
+    /// each sampled input owns an RNG stream derived from `(master seed,
+    /// input index)`, so scheduling never reaches the sampled data (see
+    /// DESIGN.md "Deterministic parallelism").
     pub parallelism: usize,
     /// Which simulation backend executes the sweep (default:
     /// [`BackendMode::Auto`]); the effective choice is recorded in
@@ -432,6 +435,15 @@ pub(crate) fn check_preconditions(
             return Err(Precondition::RepeatedTracepointQubit { id, qubit });
         }
     }
+    let non_finite = |inst: &Instruction| match inst {
+        Instruction::Gate(g) | Instruction::Conditional { gate: g, .. } => {
+            g.angle().is_some_and(|a| !a.is_finite())
+        }
+        _ => false,
+    };
+    if let Some(index) = circuit.instructions().iter().position(non_finite) {
+        return Err(Precondition::NonFiniteAngle { index });
+    }
     if config.input_qubits.is_empty() {
         return Err(Precondition::NoInputQubits);
     }
@@ -485,6 +497,7 @@ fn run_on_simulator<S: Simulator>(
 mod tests {
     use super::*;
     use morph_qprog::TracepointId;
+    use morph_qsim::Gate;
     use rand::{Rng, SeedableRng};
 
     /// Two-qubit program: input on qubit 0, tracepoint after an H–CX block.
@@ -710,6 +723,8 @@ mod tests {
         wide.tracepoint(1, &[0]);
         let mut repeated = sample_program();
         repeated.tracepoint(3, &[1, 0, 1]);
+        let mut non_finite = sample_program();
+        non_finite.rx(0, 0.5).gate(Gate::CRZ(0, 1, f64::NAN));
         let noisy = |config: CharacterizationConfig| CharacterizationConfig {
             noise: NoiseModel::ibm_cairo(),
             ..config
@@ -726,6 +741,13 @@ mod tests {
                 Precondition::RepeatedTracepointQubit {
                     id: TracepointId(3),
                     qubit: 1,
+                },
+            ),
+            (
+                non_finite,
+                CharacterizationConfig::exact(vec![0], 2),
+                Precondition::NonFiniteAngle {
+                    index: sample_program().instructions().len() + 1,
                 },
             ),
             (

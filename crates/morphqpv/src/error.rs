@@ -65,6 +65,13 @@ pub enum Precondition {
     },
     /// Nothing to sample: zero samples, or an empty explicit input set.
     NoSamples,
+    /// A gate's rotation angle is NaN or infinite, which would make the
+    /// simulated amplitudes depend on the kernel that applies it. The
+    /// parser rejects such angles; this catches circuits built in code.
+    NonFiniteAngle {
+        /// Index of the offending instruction.
+        index: usize,
+    },
     /// Channel noise needs density-matrix simulation, which is capped at
     /// 12 qubits.
     NoisyRegisterTooWide {
@@ -93,6 +100,9 @@ impl fmt::Display for Precondition {
                 "input qubit {qubit} out of range for a {n_qubits}-qubit program"
             ),
             Precondition::NoSamples => write!(f, "characterization needs at least one sample"),
+            Precondition::NonFiniteAngle { index } => {
+                write!(f, "instruction {index} has a non-finite gate angle")
+            }
             Precondition::NoisyRegisterTooWide { n_qubits } => write!(
                 f,
                 "noisy characterization needs density-matrix simulation \

@@ -34,7 +34,9 @@
 //! noiseless lanes share one gate-major pass, and one input per range on
 //! the stabilizer and sparse fast paths. Set
 //! [`CharacterizationConfig::parallelism`] to `0` for all available cores
-//! (the default), `1` for a serial run, or `k` for exactly `k` workers.
+//! where the work pays for them (the default: a sweep under a millisecond
+//! of serial work spawns no thread), `1` for a serial run, or `k` for
+//! exactly `k` workers.
 //! Each sampled input owns an RNG stream derived from one master seed and
 //! its input index, and per-range cost ledgers merge exactly, so the
 //! traces and the [`Characterization::ledger`] are **bit-identical at

@@ -17,7 +17,10 @@
 //! 2. **Deterministic fan-out** ([`parallel_map`]): a scoped-thread work
 //!    queue that evaluates `f(i, &items[i])` for every index and returns
 //!    results *in index order*. With per-task seeds, running with 1 worker
-//!    or N workers produces bit-identical output.
+//!    or N workers produces bit-identical output. A worker count of `0`
+//!    fans out only when the work pays for the threads: the first item
+//!    runs on the caller and is timed, and helpers start only if the rest
+//!    would take longer than [`FAN_OUT_PAYBACK`] serially.
 //!
 //! Combined with order-independent cost merging (`CostLedger` totals are
 //! sums of `u64`s), serial and parallel runs of characterization, solvers,
@@ -32,7 +35,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 pub mod pool;
 
@@ -76,12 +80,31 @@ pub fn child_rng(master: u64, index: u64) -> StdRng {
     StdRng::seed_from_u64(child_seed(master, index))
 }
 
-/// Resolves a requested worker count: `0` means "all available cores".
-pub fn effective_workers(requested: usize) -> usize {
-    if requested == 0 {
+/// Serial time above which `parallel_map(0, ..)` spreads the items after
+/// the first over helper threads.
+///
+/// A bare scoped spawn and join of one or two threads costs 15–30 µs on a
+/// 2-vCPU host, and a fan-out costs more than that once cold caches and
+/// scheduling are counted: preparing 16 inputs took 85 µs fanned out
+/// against 5 µs serially. A millisecond of serial work keeps the overhead
+/// to a few percent of the work it spreads.
+pub const FAN_OUT_PAYBACK: Duration = Duration::from_millis(1);
+
+/// The number of available cores, looked up once per process: the lookup
+/// reads the cgroup quota and costs about 12 µs.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
+    })
+}
+
+/// Resolves a requested worker count: `0` means "all available cores".
+pub fn effective_workers(requested: usize) -> usize {
+    if requested == 0 {
+        available_cores()
     } else {
         requested
     }
@@ -90,11 +113,21 @@ pub fn effective_workers(requested: usize) -> usize {
 /// Evaluates `f(i, &items[i])` for every index and returns the results in
 /// index order.
 ///
-/// `workers == 0` uses all available cores; `workers == 1` (or a single
-/// item) runs inline on the caller's thread with no synchronization. Work is
-/// distributed through a shared atomic cursor, so long and short tasks
-/// balance across threads; because each result lands in its input's slot,
-/// scheduling never affects output order or content.
+/// - `workers == 0` uses all available cores where the work pays for
+///   them: item 0 runs on the caller's thread and is timed, and the other
+///   items fan out only if that time, times their count, exceeds
+///   [`FAN_OUT_PAYBACK`] (and the host has more than one core). Otherwise
+///   they run serially on the caller, with no thread spawned. A call that
+///   fans out therefore pays at most one item's time before its helpers
+///   start.
+/// - `workers == 1` (or a single item) runs inline on the caller's thread
+///   with no synchronization.
+/// - `workers == k > 1` runs exactly `k` workers.
+///
+/// Fanned-out work is distributed through a shared atomic cursor, so long
+/// and short tasks balance across threads, and the caller is one of the
+/// workers. Because each result lands in its input's slot, scheduling
+/// never affects output order or content.
 ///
 /// # Panics
 ///
@@ -105,36 +138,70 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = effective_workers(workers).min(items.len());
-    if workers <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
+    if workers != 0 {
+        let workers = workers.min(items.len());
+        if workers <= 1 {
+            return items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| f(i, item))
+                .collect();
+        }
+        return fan_out(workers, items, Vec::new(), &f);
     }
 
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let Some(first_item) = items.first() else {
+        return Vec::new();
+    };
+    let started = Instant::now();
+    let first = f(0, first_item);
+    let rest = items.len() - 1;
+    let serial_estimate = started.elapsed().as_nanos().saturating_mul(rest as u128);
+    let mut done = vec![first];
+    if rest == 0 || serial_estimate <= FAN_OUT_PAYBACK.as_nanos() || available_cores() == 1 {
+        done.extend(items.iter().enumerate().skip(1).map(|(i, item)| f(i, item)));
+        return done;
+    }
+    fan_out(available_cores().min(rest), items, done, &f)
+}
+
+/// Runs `f` on the items after the `done` prefix with `workers` workers:
+/// the caller and `workers - 1` scoped helper threads.
+fn fan_out<T, R, F>(workers: usize, items: &[T], done: Vec<R>, f: &F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    let cursor = AtomicUsize::new(done.len());
+    let work = || {
+        let mut results = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                return results;
+            }
+            results.push((i, f(i, &items[i])));
+        }
+    };
+    let mut slots: Vec<Option<R>> = done.into_iter().map(Some).collect();
+    slots.resize_with(items.len(), || None);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let result = f(i, &items[i]);
-                *lock_or_recover(&slots[i]) = Some(result);
-            });
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut results = work();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => results.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        for (i, result) in results {
+            slots[i] = Some(result);
         }
     });
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every index was visited by exactly one worker")
-        })
+        .map(|slot| slot.expect("every index was visited by exactly one worker"))
         .collect()
 }
 
@@ -276,6 +343,63 @@ mod tests {
     fn effective_workers_resolves_zero_to_cores() {
         assert!(effective_workers(0) >= 1);
         assert_eq!(effective_workers(3), 3);
+    }
+
+    #[test]
+    fn cheap_auto_map_runs_every_item_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ran_on = parallel_map(0, &[1u32, 2, 3], |_, _| std::thread::current().id());
+        assert_eq!(ran_on, vec![caller; 3]);
+    }
+
+    #[test]
+    fn auto_map_past_the_payback_fans_out_in_order() {
+        let caller = std::thread::current().id();
+        let items: Vec<u64> = (0..8).collect();
+        let results = parallel_map(0, &items, |i, &x| {
+            // Item 0 alone exceeds the payback; the rest take long enough
+            // that a helper claims some before the caller drains the queue.
+            let pause = if i == 0 {
+                FAN_OUT_PAYBACK * 2
+            } else {
+                Duration::from_millis(2)
+            };
+            std::thread::sleep(pause);
+            (x * 3 + i as u64, std::thread::current().id())
+        });
+        let values: Vec<u64> = results.iter().map(|&(v, _)| v).collect();
+        assert_eq!(values, (0..8).map(|x| x * 4).collect::<Vec<_>>());
+        assert_eq!(results[0].1, caller, "item 0 runs on the caller");
+        if available_cores() >= 2 {
+            assert!(
+                results.iter().any(|&(_, id)| id != caller),
+                "some item ran on a helper thread"
+            );
+        }
+    }
+
+    #[test]
+    fn panics_propagate_from_every_branch() {
+        let slow_first_then_panic = |i: usize, _: &u8| {
+            if i == 0 {
+                std::thread::sleep(FAN_OUT_PAYBACK * 2);
+            }
+            assert!(i != 3, "item 3 fails");
+            i
+        };
+        let items = [0u8; 6];
+        for workers in [0, 1, 2] {
+            let cheap = std::panic::catch_unwind(|| {
+                parallel_map(workers, &items, |i, _| {
+                    assert!(i != 3, "item 3 fails");
+                    i
+                })
+            });
+            assert!(cheap.is_err(), "workers={workers}, cheap items");
+            let slow =
+                std::panic::catch_unwind(|| parallel_map(workers, &items, slow_first_then_panic));
+            assert!(slow.is_err(), "workers={workers}, slow first item");
+        }
     }
 
     #[test]

@@ -68,12 +68,19 @@ pub enum Instruction {
 impl Instruction {
     /// Qubits touched by the instruction.
     pub fn qubits(&self) -> Vec<usize> {
+        let mut qubits = Vec::new();
+        self.for_each_qubit(|q| qubits.push(q));
+        qubits
+    }
+
+    /// Calls `f` on each qubit the instruction touches, in
+    /// [`Self::qubits`] order, without allocating.
+    pub fn for_each_qubit(&self, mut f: impl FnMut(usize)) {
         match self {
-            Instruction::Gate(g) => g.qubits(),
-            Instruction::Tracepoint { qubits, .. } => qubits.clone(),
-            Instruction::Measure { qubit, .. } | Instruction::Reset(qubit) => vec![*qubit],
-            Instruction::Conditional { gate, .. } => gate.qubits(),
-            Instruction::Barrier => Vec::new(),
+            Instruction::Gate(g) | Instruction::Conditional { gate: g, .. } => g.for_each_qubit(f),
+            Instruction::Tracepoint { qubits, .. } => qubits.iter().copied().for_each(f),
+            Instruction::Measure { qubit, .. } | Instruction::Reset(qubit) => f(*qubit),
+            Instruction::Barrier => {}
         }
     }
 }
@@ -143,13 +150,10 @@ impl Circuit {
     ///
     /// Panics if any referenced qubit or classical bit is out of range.
     pub fn push(&mut self, instruction: Instruction) -> &mut Self {
-        for q in instruction.qubits() {
-            assert!(
-                q < self.n_qubits,
-                "qubit {q} out of range ({} qubits)",
-                self.n_qubits
-            );
-        }
+        let n_qubits = self.n_qubits;
+        instruction.for_each_qubit(|q| {
+            assert!(q < n_qubits, "qubit {q} out of range ({n_qubits} qubits)")
+        });
         match &instruction {
             Instruction::Measure { cbit, .. } | Instruction::Conditional { cbit, .. }
                 if *cbit >= self.n_cbits =>
@@ -160,6 +164,23 @@ impl Circuit {
         }
         self.instructions.push(instruction);
         self
+    }
+
+    /// Sets the classical register to `n_cbits` bits, widened to cover
+    /// every classical bit an instruction already uses — the register that
+    /// re-pushing the instructions onto `Circuit::with_cbits(.., n_cbits)`
+    /// would give.
+    pub(crate) fn declare_cbits(&mut self, n_cbits: usize) {
+        self.n_cbits = self
+            .instructions
+            .iter()
+            .filter_map(|inst| match inst {
+                Instruction::Measure { cbit, .. } | Instruction::Conditional { cbit, .. } => {
+                    Some(cbit + 1)
+                }
+                _ => None,
+            })
+            .fold(n_cbits, usize::max);
     }
 
     /// Appends a gate.

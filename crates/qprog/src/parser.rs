@@ -19,7 +19,13 @@
 //! ```
 //!
 //! Qubit indices are 0-based. `//` comments run to end of line. Statements
-//! are `;`-terminated.
+//! are `;`-terminated. Angles must be finite.
+//!
+//! The parser works on slices of the source: gate names are matched in
+//! place, angles and indices are parsed from their text, and operands go
+//! to one buffer reused across statements, so a statement allocates only
+//! what the circuit keeps (its instruction, and the qubit list of a
+//! tracepoint or multi-controlled gate).
 
 use morph_qsim::Gate;
 
@@ -47,7 +53,8 @@ impl std::error::Error for ParseProgramError {}
 /// # Errors
 ///
 /// Returns [`ParseProgramError`] with the offending line on any syntax or
-/// range violation.
+/// range violation, and on an angle that is not finite (`nan`, `inf`,
+/// `1e400`, `pi/0`).
 ///
 /// # Examples
 ///
@@ -69,317 +76,402 @@ pub fn parse_program(source: &str) -> Result<Circuit, ParseProgramError> {
     let mut parser = Parser {
         circuit: None,
         n_qubits: 0,
+        operands: Operands::default(),
     };
-    for (line_idx, raw_line) in source.lines().enumerate() {
-        let line_no = line_idx + 1;
-        let line = strip_comment(raw_line).trim();
-        if line.is_empty() {
-            continue;
-        }
-        for stmt in line.split(';') {
-            let stmt = stmt.trim();
-            if stmt.is_empty() {
+    // One pass over the bytes: a statement ends at `;`, at a line break or
+    // where a `//` comment starts, and a comment runs to the line break.
+    let bytes = source.as_bytes();
+    let mut line = 1;
+    let mut start = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b';' | b'\n' => {
+                parser.statement(&source[start..i], line)?;
+                if bytes[i] == b'\n' {
+                    line += 1;
+                }
+                start = i + 1;
+            }
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                parser.statement(&source[start..i], line)?;
+                i = bytes[i..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |n| i + n);
+                start = i;
                 continue;
             }
-            parser.statement(stmt, line_no)?;
+            _ => {}
         }
+        i += 1;
     }
-    parser.circuit.ok_or_else(|| ParseProgramError {
-        line: 0,
-        message: "missing qreg declaration".into(),
-    })
+    parser.statement(&source[start..], line)?;
+    parser
+        .circuit
+        .ok_or_else(|| err(0, "missing qreg declaration"))
 }
 
-fn strip_comment(line: &str) -> &str {
-    match line.find("//") {
-        Some(pos) => &line[..pos],
-        None => line,
+fn err(line: usize, message: impl Into<String>) -> ParseProgramError {
+    ParseProgramError {
+        line,
+        message: message.into(),
     }
+}
+
+fn before_qreg(line: usize) -> ParseProgramError {
+    err(line, "statement before qreg declaration")
+}
+
+/// The qubit operands of one statement: comma-separated `q[..]` groups,
+/// flattened in order.
+#[derive(Default)]
+struct Operands {
+    qubits: Vec<usize>,
+    /// Number of groups read.
+    groups: usize,
+    /// Length of the first group.
+    first_len: usize,
+}
+
+impl Operands {
+    /// Reads `q[0,1],q[2]`-style groups, splitting at commas outside
+    /// brackets. Empty text has no groups.
+    fn read(&mut self, s: &str) -> Result<(), String> {
+        if self.read_plain(s.as_bytes()) {
+            return Ok(());
+        }
+        self.clear();
+        let s = s.trim();
+        if s.is_empty() {
+            return Ok(());
+        }
+        let mut depth = 0usize;
+        let mut start = 0usize;
+        for (i, byte) in s.bytes().enumerate() {
+            match byte {
+                b'[' => depth += 1,
+                b']' => depth = depth.saturating_sub(1),
+                b',' if depth == 0 => {
+                    self.read_group(&s[start..i])?;
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        self.read_group(&s[start..])
+    }
+
+    /// Reads operands written as `write_program` writes them — `q[..]`
+    /// lists of decimal digits joined by commas, without whitespace — in
+    /// one pass, and returns `false` for any other text. Where it returns
+    /// `true`, [`Self::read`]'s general reading gives the same groups.
+    fn read_plain(&mut self, s: &[u8]) -> bool {
+        self.clear();
+        let mut i = 0;
+        loop {
+            if s.get(i..i + 2) != Some(b"q[") {
+                return false;
+            }
+            i += 2;
+            loop {
+                let digits = s[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+                let index = s[i..i + digits].iter().try_fold(0usize, |v, &d| {
+                    v.checked_mul(10)?.checked_add(usize::from(d - b'0'))
+                });
+                match index {
+                    Some(q) if digits > 0 => self.qubits.push(q),
+                    _ => return false,
+                }
+                i += digits + 1;
+                match s.get(i - 1) {
+                    Some(b',') => {}
+                    Some(b']') => break,
+                    _ => return false,
+                }
+            }
+            self.end_group();
+            match s.get(i) {
+                None => return true,
+                Some(b',') => i += 1,
+                Some(_) => return false,
+            }
+        }
+    }
+
+    /// Reads one `q[..]` list as the only group.
+    fn read_list(&mut self, s: &str) -> Result<(), String> {
+        self.clear();
+        self.read_group(s)
+    }
+
+    fn read_group(&mut self, s: &str) -> Result<(), String> {
+        for_each_index(s, 'q', |q| self.qubits.push(q))?;
+        self.end_group();
+        Ok(())
+    }
+
+    fn clear(&mut self) {
+        self.qubits.clear();
+        self.groups = 0;
+    }
+
+    fn end_group(&mut self) {
+        self.groups += 1;
+        if self.groups == 1 {
+            self.first_len = self.qubits.len();
+        }
+    }
+}
+
+/// What a gate statement applies.
+enum GateStmt {
+    /// `ctor(q, angle)` on every operand, in order (single-qubit gates
+    /// broadcast over their operands).
+    Each(fn(usize, f64) -> Gate, f64),
+    /// One gate.
+    One(Gate),
 }
 
 struct Parser {
     circuit: Option<Circuit>,
     n_qubits: usize,
+    operands: Operands,
 }
 
 impl Parser {
-    fn err(&self, line: usize, message: impl Into<String>) -> ParseProgramError {
-        ParseProgramError {
-            line,
-            message: message.into(),
+    /// Parses one statement's text; blank text is no statement.
+    fn statement(&mut self, text: &str, line: usize) -> Result<(), ParseProgramError> {
+        let stmt = text.trim();
+        if stmt.is_empty() {
+            return Ok(());
         }
-    }
-
-    fn circuit_mut(&mut self, line: usize) -> Result<&mut Circuit, ParseProgramError> {
-        if self.circuit.is_none() {
-            return Err(self.err(line, "statement before qreg declaration"));
-        }
-        Ok(self.circuit.as_mut().expect("checked above"))
-    }
-
-    fn statement(&mut self, stmt: &str, line: usize) -> Result<(), ParseProgramError> {
         let (head, rest) = split_head(stmt);
         match head {
             "qreg" => {
-                let n = parse_reg_decl(rest, 'q').map_err(|m| self.err(line, m))?;
+                let n = parse_reg_decl(rest, 'q').map_err(|m| err(line, m))?;
                 if self.circuit.is_some() {
-                    return Err(self.err(line, "duplicate qreg declaration"));
+                    return Err(err(line, "duplicate qreg declaration"));
                 }
                 self.n_qubits = n;
                 self.circuit = Some(Circuit::new(n));
-                Ok(())
             }
             "creg" => {
-                let n = parse_reg_decl(rest, 'c').map_err(|m| self.err(line, m))?;
-                let nq = self.n_qubits;
-                let old = self.circuit_mut(line)?;
-                let mut fresh = Circuit::with_cbits(nq, n);
-                for inst in old.instructions() {
-                    fresh.push(inst.clone());
-                }
-                *old = fresh;
-                Ok(())
+                let n = parse_reg_decl(rest, 'c').map_err(|m| err(line, m))?;
+                let circuit = self.circuit.as_mut().ok_or_else(|| before_qreg(line))?;
+                circuit.declare_cbits(n);
             }
             "T" => {
                 let (id_str, qubit_str) = split_head(rest);
                 let id: u32 = id_str
                     .parse()
-                    .map_err(|_| self.err(line, format!("invalid tracepoint id {id_str:?}")))?;
-                let qubits = parse_qubit_list(qubit_str).map_err(|m| self.err(line, m))?;
-                self.validate_qubits(&qubits, line)?;
-                if let Some(q) = repeated_qubit(&qubits) {
-                    return Err(self.err(line, format!("tracepoint T{id} names qubit {q} twice")));
+                    .map_err(|_| err(line, format!("invalid tracepoint id {id_str:?}")))?;
+                self.operands
+                    .read_list(qubit_str)
+                    .map_err(|m| err(line, m))?;
+                let qubits = &self.operands.qubits;
+                self.validate_qubits(qubits, line)?;
+                if let Some(q) = repeated_qubit(qubits) {
+                    return Err(err(line, format!("tracepoint T{id} names qubit {q} twice")));
                 }
-                self.circuit_mut(line)?.push(Instruction::Tracepoint {
+                let circuit = self.circuit.as_mut().ok_or_else(|| before_qreg(line))?;
+                circuit.push(Instruction::Tracepoint {
                     id: TracepointId(id),
-                    qubits,
+                    qubits: qubits.clone(),
                 });
-                Ok(())
             }
             "barrier" => {
-                self.circuit_mut(line)?.push(Instruction::Barrier);
-                Ok(())
+                let circuit = self.circuit.as_mut().ok_or_else(|| before_qreg(line))?;
+                circuit.push(Instruction::Barrier);
             }
             "measure" => {
                 // measure q[i] -> c[j]
-                let parts: Vec<&str> = rest.split("->").collect();
-                if parts.len() != 2 {
-                    return Err(self.err(line, "measure requires 'q[i] -> c[j]'"));
-                }
-                let qubits = parse_qubit_list(parts[0].trim()).map_err(|m| self.err(line, m))?;
-                let cbits = parse_indexed(parts[1].trim(), 'c').map_err(|m| self.err(line, m))?;
-                if qubits.len() != 1 || cbits.len() != 1 {
-                    return Err(self.err(line, "measure takes exactly one qubit and one cbit"));
-                }
-                self.validate_qubits(&qubits, line)?;
-                self.circuit_mut(line)?.push(Instruction::Measure {
-                    qubit: qubits[0],
-                    cbit: cbits[0],
-                });
-                Ok(())
+                let (qubit_str, cbit_str) = match rest.split_once("->") {
+                    Some((q, c)) if !c.contains("->") => (q, c),
+                    _ => return Err(err(line, "measure requires 'q[i] -> c[j]'")),
+                };
+                let qubit = single_index(qubit_str, 'q').map_err(|m| err(line, m))?;
+                let cbit = single_index(cbit_str, 'c').map_err(|m| err(line, m))?;
+                let (Some(qubit), Some(cbit)) = (qubit, cbit) else {
+                    return Err(err(line, "measure takes exactly one qubit and one cbit"));
+                };
+                self.validate_qubits(&[qubit], line)?;
+                let circuit = self.circuit.as_mut().ok_or_else(|| before_qreg(line))?;
+                circuit.push(Instruction::Measure { qubit, cbit });
             }
             "reset" => {
-                let qubits = parse_qubit_list(rest).map_err(|m| self.err(line, m))?;
-                self.validate_qubits(&qubits, line)?;
-                let c = self.circuit_mut(line)?;
-                for q in qubits {
-                    c.push(Instruction::Reset(q));
+                self.operands.read_list(rest).map_err(|m| err(line, m))?;
+                self.validate_qubits(&self.operands.qubits, line)?;
+                let circuit = self.circuit.as_mut().ok_or_else(|| before_qreg(line))?;
+                for &q in &self.operands.qubits {
+                    circuit.push(Instruction::Reset(q));
                 }
-                Ok(())
             }
             "if" => {
                 // if (c[j]==v) <gate stmt>
                 let rest = rest.trim();
                 if !rest.starts_with('(') {
-                    return Err(self.err(line, "if requires a parenthesized condition"));
+                    return Err(err(line, "if requires a parenthesized condition"));
                 }
                 let close = rest
                     .find(')')
-                    .ok_or_else(|| self.err(line, "unterminated if condition"))?;
+                    .ok_or_else(|| err(line, "unterminated if condition"))?;
                 let cond = &rest[1..close];
                 let body = rest[close + 1..].trim();
-                let parts: Vec<&str> = cond.split("==").collect();
-                if parts.len() != 2 {
-                    return Err(self.err(line, "condition must be 'c[j]==v'"));
-                }
-                let cbits = parse_indexed(parts[0].trim(), 'c').map_err(|m| self.err(line, m))?;
-                let value: u8 = parts[1]
+                let (cbit_str, value_str) = match cond.split_once("==") {
+                    Some((c, v)) if !v.contains("==") => (c, v),
+                    _ => return Err(err(line, "condition must be 'c[j]==v'")),
+                };
+                let cbit = single_index(cbit_str, 'c').map_err(|m| err(line, m))?;
+                let value: u8 = value_str
                     .trim()
                     .parse()
-                    .map_err(|_| self.err(line, "condition value must be 0 or 1"))?;
-                if cbits.len() != 1 || value > 1 {
-                    return Err(self.err(line, "condition must test one cbit against 0 or 1"));
+                    .map_err(|_| err(line, "condition value must be 0 or 1"))?;
+                let (Some(cbit), 0..=1) = (cbit, value) else {
+                    return Err(err(line, "condition must test one cbit against 0 or 1"));
+                };
+                let (name, operands) = split_head(body);
+                let gate = match self.gate_statement(name, operands, line)? {
+                    GateStmt::One(gate) => Some(gate),
+                    GateStmt::Each(ctor, angle) => match self.operands.qubits[..] {
+                        [q] => Some(ctor(q, angle)),
+                        _ => None,
+                    },
                 }
-                let gates = self.parse_gate_statement(body, line)?;
-                if gates.len() != 1 {
-                    return Err(self.err(line, "conditional body must be a single gate"));
-                }
-                let gate = gates.into_iter().next().expect("length checked");
-                self.circuit_mut(line)?.push(Instruction::Conditional {
-                    cbit: cbits[0],
-                    value,
-                    gate,
-                });
-                Ok(())
+                .ok_or_else(|| err(line, "conditional body must be a single gate"))?;
+                let circuit = self.circuit.as_mut().ok_or_else(|| before_qreg(line))?;
+                circuit.push(Instruction::Conditional { cbit, value, gate });
             }
             _ => {
-                self.circuit_mut(line)?;
-                let gates = self.parse_gate_statement(stmt, line)?;
-                let c = self.circuit_mut(line)?;
-                for g in gates {
-                    c.gate(g);
+                if self.circuit.is_none() {
+                    return Err(before_qreg(line));
                 }
-                Ok(())
-            }
-        }
-    }
-
-    fn validate_qubits(&self, qubits: &[usize], line: usize) -> Result<(), ParseProgramError> {
-        for &q in qubits {
-            if q >= self.n_qubits {
-                return Err(self.err(line, format!("qubit {q} out of range")));
+                let stmt = self.gate_statement(head, rest, line)?;
+                let circuit = self.circuit.as_mut().expect("checked above");
+                match stmt {
+                    GateStmt::Each(ctor, angle) => {
+                        for &q in &self.operands.qubits {
+                            circuit.gate(ctor(q, angle));
+                        }
+                    }
+                    GateStmt::One(gate) => {
+                        circuit.gate(gate);
+                    }
+                }
             }
         }
         Ok(())
     }
 
-    /// Parses a gate application like `rx(0.5) q[0]` or `cx q[0],q[1]`,
-    /// broadcasting single-qubit gates over qubit lists.
-    fn parse_gate_statement(
-        &self,
-        stmt: &str,
-        line: usize,
-    ) -> Result<Vec<Gate>, ParseProgramError> {
-        let (mut name, rest) = split_head(stmt);
-        let mut angle: Option<f64> = None;
-        // Angle may be attached without whitespace: rx(0.5)
-        let combined;
-        if let Some(open) = name.find('(') {
-            let close = name
-                .rfind(')')
-                .ok_or_else(|| self.err(line, "unterminated angle parameter"))?;
-            angle = Some(
-                eval_angle(&name[open + 1..close])
-                    .ok_or_else(|| self.err(line, "invalid angle expression"))?,
-            );
-            combined = name[..open].to_string();
-            name = &combined;
-        } else if rest.starts_with('(') {
-            // or separated: rx (0.5) q[0] — handled by re-splitting below
-            let close = rest
-                .find(')')
-                .ok_or_else(|| self.err(line, "unterminated angle parameter"))?;
-            angle = Some(
-                eval_angle(&rest[1..close])
-                    .ok_or_else(|| self.err(line, "invalid angle expression"))?,
-            );
+    fn validate_qubits(&self, qubits: &[usize], line: usize) -> Result<(), ParseProgramError> {
+        match qubits.iter().find(|&&q| q >= self.n_qubits) {
+            Some(q) => Err(err(line, format!("qubit {q} out of range"))),
+            None => Ok(()),
         }
-        let operand_str = if angle.is_some() && rest.starts_with('(') {
-            rest[rest.find(')').expect("checked") + 1..].trim()
-        } else {
-            rest
+    }
+
+    /// Parses a gate application like `rx(0.5) q[0]` or `cx q[0],q[1]`,
+    /// given its first word and the rest, into `self.operands`.
+    fn gate_statement(
+        &mut self,
+        word: &str,
+        rest: &str,
+        line: usize,
+    ) -> Result<GateStmt, ParseProgramError> {
+        let unterminated = || err(line, "unterminated angle parameter");
+        let mut name = word;
+        let mut angle: Option<f64> = None;
+        let mut operand_str = rest;
+        if let Some(open) = word.find('(') {
+            // Angle attached to the name: rx(0.5). Text after the last `)`
+            // is ignored, and so is a detached parenthesis that follows.
+            let close = open + word[open..].rfind(')').ok_or_else(unterminated)?;
+            angle = Some(angle_value(&word[open + 1..close], line)?);
+            name = &word[..open];
+            if rest.starts_with('(') {
+                let close = rest.find(')').ok_or_else(unterminated)?;
+                operand_str = rest[close + 1..].trim();
+            }
+        } else if rest.starts_with('(') {
+            // Detached: rx (0.5) q[0].
+            let close = rest.find(')').ok_or_else(unterminated)?;
+            angle = Some(angle_value(&rest[1..close], line)?);
+            operand_str = rest[close + 1..].trim();
+        }
+
+        self.operands.read(operand_str).map_err(|m| err(line, m))?;
+        let ops = &self.operands;
+        let qubits = &ops.qubits[..];
+        self.validate_qubits(qubits, line)?;
+
+        let need_angle =
+            || angle.ok_or_else(|| err(line, format!("gate {name} requires an angle")));
+        let single = |ctor: fn(usize, f64) -> Gate| {
+            if qubits.is_empty() {
+                return Err(err(line, format!("gate {name} requires qubits")));
+            }
+            Ok(GateStmt::Each(ctor, 0.0))
+        };
+        let pair = |gate: &str, ctor: fn(usize, usize, f64) -> Gate, angle: f64| match *qubits {
+            [a, b] => Ok(GateStmt::One(ctor(a, b, angle))),
+            _ => Err(err(line, format!("{gate} requires exactly two qubits"))),
+        };
+        let controlled = |gate: &str, ctor: fn(Vec<usize>, usize, f64) -> Gate| {
+            let angle = need_angle()?;
+            if ops.groups != 2 || qubits.len() != ops.first_len + 1 {
+                return Err(err(
+                    line,
+                    format!("{gate} requires 'q[controls],q[target]'"),
+                ));
+            }
+            let (controls, target) = qubits.split_at(ops.first_len);
+            Ok(GateStmt::One(ctor(controls.to_vec(), target[0], angle)))
         };
 
-        // Operands: comma-separated q[..] groups.
-        let groups = parse_qubit_groups(operand_str).map_err(|m| self.err(line, m))?;
-        let flat: Vec<usize> = groups.iter().flatten().copied().collect();
-        self.validate_qubits(&flat, line)?;
-
-        let need_angle = || -> Result<f64, ParseProgramError> {
-            angle.ok_or_else(|| self.err(line, format!("gate {name} requires an angle")))
+        // Every gate name fits in 8 bytes; a longer word is no gate.
+        let mut buf = [0u8; 8];
+        let lower: &[u8] = match buf.get_mut(..name.len()) {
+            Some(lower) => {
+                lower.copy_from_slice(name.as_bytes());
+                lower.make_ascii_lowercase();
+                lower
+            }
+            None => b"",
         };
-
-        let single = |ctor: fn(usize) -> Gate| -> Result<Vec<Gate>, ParseProgramError> {
-            if flat.is_empty() {
-                return Err(self.err(line, format!("gate {name} requires qubits")));
-            }
-            Ok(flat.iter().map(|&q| ctor(q)).collect())
-        };
-
-        match name.to_ascii_lowercase().as_str() {
-            "h" => single(Gate::H),
-            "x" => single(Gate::X),
-            "y" => single(Gate::Y),
-            "z" => single(Gate::Z),
-            "s" => single(Gate::S),
-            "sdg" => single(Gate::Sdg),
-            "t" => single(Gate::T),
-            "tdg" => single(Gate::Tdg),
-            "rx" => {
-                let a = need_angle()?;
-                Ok(flat.iter().map(|&q| Gate::RX(q, a)).collect())
-            }
-            "ry" => {
-                let a = need_angle()?;
-                Ok(flat.iter().map(|&q| Gate::RY(q, a)).collect())
-            }
-            "rz" => {
-                let a = need_angle()?;
-                Ok(flat.iter().map(|&q| Gate::RZ(q, a)).collect())
-            }
-            "p" | "phase" | "u1" => {
-                let a = need_angle()?;
-                Ok(flat.iter().map(|&q| Gate::Phase(q, a)).collect())
-            }
-            "cx" | "cnot" => {
-                if flat.len() != 2 {
-                    return Err(self.err(line, "cx requires exactly two qubits"));
+        match lower {
+            b"h" => single(|q, _| Gate::H(q)),
+            b"x" => single(|q, _| Gate::X(q)),
+            b"y" => single(|q, _| Gate::Y(q)),
+            b"z" => single(|q, _| Gate::Z(q)),
+            b"s" => single(|q, _| Gate::S(q)),
+            b"sdg" => single(|q, _| Gate::Sdg(q)),
+            b"t" => single(|q, _| Gate::T(q)),
+            b"tdg" => single(|q, _| Gate::Tdg(q)),
+            b"rx" => Ok(GateStmt::Each(Gate::RX, need_angle()?)),
+            b"ry" => Ok(GateStmt::Each(Gate::RY, need_angle()?)),
+            b"rz" => Ok(GateStmt::Each(Gate::RZ, need_angle()?)),
+            b"p" | b"phase" | b"u1" => Ok(GateStmt::Each(Gate::Phase, need_angle()?)),
+            b"cx" | b"cnot" => pair("cx", |c, t, _| Gate::CX(c, t), 0.0),
+            b"cz" => pair("cz", |a, b, _| Gate::CZ(a, b), 0.0),
+            b"crz" => pair("crz", Gate::CRZ, need_angle()?),
+            b"cp" | b"cphase" => pair("cp", Gate::CPhase, need_angle()?),
+            b"swap" => pair("swap", |a, b, _| Gate::Swap(a, b), 0.0),
+            b"ccx" | b"toffoli" => match *qubits {
+                [c1, c2, t] => Ok(GateStmt::One(Gate::CCX(c1, c2, t))),
+                _ => Err(err(line, "ccx requires exactly three qubits")),
+            },
+            b"mcz" => {
+                if qubits.len() < 2 {
+                    return Err(err(line, "mcz requires at least two qubits"));
                 }
-                Ok(vec![Gate::CX(flat[0], flat[1])])
+                Ok(GateStmt::One(Gate::MCZ(qubits.to_vec())))
             }
-            "cz" => {
-                if flat.len() != 2 {
-                    return Err(self.err(line, "cz requires exactly two qubits"));
-                }
-                Ok(vec![Gate::CZ(flat[0], flat[1])])
-            }
-            "crz" => {
-                let a = need_angle()?;
-                if flat.len() != 2 {
-                    return Err(self.err(line, "crz requires exactly two qubits"));
-                }
-                Ok(vec![Gate::CRZ(flat[0], flat[1], a)])
-            }
-            "cp" | "cphase" => {
-                let a = need_angle()?;
-                if flat.len() != 2 {
-                    return Err(self.err(line, "cp requires exactly two qubits"));
-                }
-                Ok(vec![Gate::CPhase(flat[0], flat[1], a)])
-            }
-            "swap" => {
-                if flat.len() != 2 {
-                    return Err(self.err(line, "swap requires exactly two qubits"));
-                }
-                Ok(vec![Gate::Swap(flat[0], flat[1])])
-            }
-            "ccx" | "toffoli" => {
-                if flat.len() != 3 {
-                    return Err(self.err(line, "ccx requires exactly three qubits"));
-                }
-                Ok(vec![Gate::CCX(flat[0], flat[1], flat[2])])
-            }
-            "mcz" => {
-                if flat.len() < 2 {
-                    return Err(self.err(line, "mcz requires at least two qubits"));
-                }
-                Ok(vec![Gate::MCZ(flat)])
-            }
-            "mcrx" => {
-                let a = need_angle()?;
-                if groups.len() != 2 || groups[1].len() != 1 {
-                    return Err(self.err(line, "mcrx requires 'q[controls],q[target]'"));
-                }
-                Ok(vec![Gate::MCRX(groups[0].clone(), groups[1][0], a)])
-            }
-            "mcry" => {
-                let a = need_angle()?;
-                if groups.len() != 2 || groups[1].len() != 1 {
-                    return Err(self.err(line, "mcry requires 'q[controls],q[target]'"));
-                }
-                Ok(vec![Gate::MCRY(groups[0].clone(), groups[1][0], a)])
-            }
-            other => Err(self.err(line, format!("unknown gate {other:?}"))),
+            b"mcrx" => controlled("mcrx", Gate::MCRX),
+            b"mcry" => controlled("mcry", Gate::MCRY),
+            _ => Err(err(
+                line,
+                format!("unknown gate {:?}", name.to_ascii_lowercase()),
+            )),
         }
     }
 }
@@ -392,72 +484,70 @@ fn split_head(s: &str) -> (&str, &str) {
     }
 }
 
+/// The text between `reg[` and a closing `]` that ends `s`.
+fn bracketed(s: &str, reg: char) -> Option<&str> {
+    s.strip_prefix(reg)?.strip_prefix('[')?.strip_suffix(']')
+}
+
 fn parse_reg_decl(s: &str, reg: char) -> Result<usize, String> {
     // "q[4]"
-    let s = s.trim().trim_end_matches(';').trim();
-    let expected_prefix = format!("{reg}[");
-    if !s.starts_with(&expected_prefix) || !s.ends_with(']') {
-        return Err(format!("expected '{reg}[N]', found {s:?}"));
-    }
-    s[expected_prefix.len()..s.len() - 1]
-        .parse()
+    let s = s.trim();
+    let size = bracketed(s, reg).ok_or_else(|| format!("expected '{reg}[N]', found {s:?}"))?;
+    size.parse()
         .map_err(|_| format!("invalid register size in {s:?}"))
 }
 
-fn parse_indexed(s: &str, reg: char) -> Result<Vec<usize>, String> {
+/// Calls `f` on every index of a `reg[i,j,..]` list, in order.
+fn for_each_index(s: &str, reg: char, mut f: impl FnMut(usize)) -> Result<(), String> {
     let s = s.trim();
-    let expected_prefix = format!("{reg}[");
-    if !s.starts_with(&expected_prefix) || !s.ends_with(']') {
-        return Err(format!("expected '{reg}[..]', found {s:?}"));
+    let list = bracketed(s, reg).ok_or_else(|| format!("expected '{reg}[..]', found {s:?}"))?;
+    for part in list.split(',') {
+        f(part
+            .trim()
+            .parse()
+            .map_err(|_| format!("invalid index {part:?}"))?);
     }
-    s[expected_prefix.len()..s.len() - 1]
-        .split(',')
-        .map(|part| {
-            part.trim()
-                .parse()
-                .map_err(|_| format!("invalid index {part:?}"))
-        })
-        .collect()
+    Ok(())
 }
 
-fn parse_qubit_list(s: &str) -> Result<Vec<usize>, String> {
-    parse_indexed(s, 'q')
-}
-
-/// Splits `q[0,1],q[2]` into groups, respecting brackets.
-fn parse_qubit_groups(s: &str) -> Result<Vec<Vec<usize>>, String> {
-    let s = s.trim();
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut groups = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, ch) in s.char_indices() {
-        match ch {
-            '[' => depth += 1,
-            ']' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                groups.push(parse_qubit_list(&s[start..i])?);
-                start = i + 1;
-            }
-            _ => {}
+/// The index of a `reg[..]` list, or `None` unless it names exactly one.
+fn single_index(s: &str, reg: char) -> Result<Option<usize>, String> {
+    let mut count = 0usize;
+    let mut first = 0usize;
+    for_each_index(s, reg, |i| {
+        if count == 0 {
+            first = i;
         }
+        count += 1;
+    })?;
+    Ok((count == 1).then_some(first))
+}
+
+/// The value of an angle expression, which must be finite.
+fn angle_value(text: &str, line: usize) -> Result<f64, ParseProgramError> {
+    match eval_angle(text) {
+        Some(a) if a.is_finite() => Ok(a),
+        Some(_) => Err(err(line, format!("angle {:?} is not finite", text.trim()))),
+        None => Err(err(line, "invalid angle expression")),
     }
-    groups.push(parse_qubit_list(&s[start..])?);
-    Ok(groups)
 }
 
 /// Evaluates simple angle expressions: a float literal, `pi`, `pi/N`,
-/// `N*pi`, `-pi/N`, or `N*pi/M`.
+/// `N*pi`, `-pi/N`, or `N*pi/M`. Whitespace anywhere is ignored.
 fn eval_angle(s: &str) -> Option<f64> {
-    let s: String = s.chars().filter(|c| !c.is_whitespace()).collect();
+    let compact: String;
+    let s = if s.contains(char::is_whitespace) {
+        compact = s.chars().filter(|c| !c.is_whitespace()).collect();
+        &compact
+    } else {
+        s
+    };
     if let Ok(v) = s.parse::<f64>() {
         return Some(v);
     }
     let (neg, body) = match s.strip_prefix('-') {
         Some(rest) => (true, rest),
-        None => (false, s.as_str()),
+        None => (false, s),
     };
     let value = eval_pi_expr(body)?;
     Some(if neg { -value } else { value })
@@ -579,6 +669,21 @@ if (c[0]==1) x q[1];
         let err = parse_program("qreg q[2];\nbogus q[0];").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("bogus"));
+    }
+
+    #[test]
+    fn rejects_non_finite_angles_with_their_line() {
+        for angle in ["nan", "inf", "-inf", "1e400", "pi/0", "-pi/0", "0*pi/0"] {
+            let src = format!("qreg q[2];\nh q[0];\ncrz({angle}) q[0],q[1];");
+            let err = parse_program(&src).unwrap_err();
+            assert_eq!(err.line, 3, "{angle}");
+            assert_eq!(err.message, format!("angle {angle:?} is not finite"));
+        }
+        let err = parse_program("qreg q[1];\nrx (pi / 0) q[0];").unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (2, r#"angle "pi / 0" is not finite"#)
+        );
     }
 
     #[test]

@@ -72,6 +72,14 @@ pub enum Gate {
 impl Gate {
     /// Qubits the gate acts on (controls first where applicable).
     pub fn qubits(&self) -> Vec<usize> {
+        let mut qubits = Vec::new();
+        self.for_each_qubit(|q| qubits.push(q));
+        qubits
+    }
+
+    /// Calls `f` on each qubit the gate acts on, in [`Self::qubits`] order,
+    /// without allocating.
+    pub fn for_each_qubit(&self, mut f: impl FnMut(usize)) {
         match self {
             Gate::H(q)
             | Gate::X(q)
@@ -84,22 +92,40 @@ impl Gate {
             | Gate::RX(q, _)
             | Gate::RY(q, _)
             | Gate::RZ(q, _)
-            | Gate::Phase(q, _) => vec![*q],
+            | Gate::Phase(q, _) => f(*q),
             Gate::CX(c, t)
             | Gate::CZ(c, t)
             | Gate::CRZ(c, t, _)
             | Gate::CPhase(c, t, _)
             | Gate::Swap(c, t) => {
-                vec![*c, *t]
+                f(*c);
+                f(*t);
             }
-            Gate::CCX(c1, c2, t) => vec![*c1, *c2, *t],
-            Gate::MCZ(qs) => qs.clone(),
+            Gate::CCX(c1, c2, t) => {
+                f(*c1);
+                f(*c2);
+                f(*t);
+            }
+            Gate::MCZ(qs) | Gate::Unitary(qs, _) => qs.iter().copied().for_each(f),
             Gate::MCRX(cs, t, _) | Gate::MCRY(cs, t, _) => {
-                let mut v = cs.clone();
-                v.push(*t);
-                v
+                cs.iter().copied().for_each(&mut f);
+                f(*t);
             }
-            Gate::Unitary(qs, _) => qs.clone(),
+        }
+    }
+
+    /// The rotation angle of a parameterized gate, `None` for the others.
+    pub fn angle(&self) -> Option<f64> {
+        match self {
+            Gate::RX(_, a)
+            | Gate::RY(_, a)
+            | Gate::RZ(_, a)
+            | Gate::Phase(_, a)
+            | Gate::CRZ(_, _, a)
+            | Gate::CPhase(_, _, a)
+            | Gate::MCRX(_, _, a)
+            | Gate::MCRY(_, _, a) => Some(*a),
+            _ => None,
         }
     }
 

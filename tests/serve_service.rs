@@ -280,8 +280,9 @@ fn invalid_requests_are_rejected_in_band() {
 /// `verification` errors, not as panics contained by the worker: a
 /// 13-qubit register under `ibm_cairo` channel noise (wider than
 /// density-matrix simulation allows), a program with an assertion but
-/// no tracepoint, one asserting on an undeclared tracepoint, and one
-/// whose tracepoint names a qubit twice (refused by the parser).
+/// no tracepoint, one asserting on an undeclared tracepoint, one whose
+/// tracepoint names a qubit twice and one with a `nan` angle (both
+/// refused by the parser).
 #[test]
 fn unrunnable_characterizations_are_verification_errors() {
     let _g = serial();
@@ -309,12 +310,20 @@ fn unrunnable_characterizations_are_verification_errors() {
          // assert assume is_pure(T1) guarantee is_pure(T2)\n",
         vec![0],
     );
+    let non_finite = JobRequest::new(
+        "non-finite",
+        "qreg q[3];\nh q[0];\nh q[1];\nh q[2];\nT 1 q[0,1,2];\n\
+         crz(nan) q[0],q[1];\ncz q[0],q[2];\nT 2 q[0];\n\
+         // assert guarantee prob_at_least(T2, 0, 0.4)\n",
+        vec![0, 1, 2],
+    );
     let service = service_with(2, 8);
     for (request, reason) in [
         (wide_noisy, "at most 12 qubits"),
         (untraced, "no tracepoints"),
         (undeclared, "tracepoint T9"),
         (repeated, "line 4: tracepoint T2 names qubit 1 twice"),
+        (non_finite, r#"line 6: angle \"nan\" is not finite"#),
     ] {
         let line = service
             .submit(request)
