@@ -146,15 +146,22 @@ fn tracepoint_naming_a_qubit_twice_is_a_parse_error_exit_one() {
 fn closed_stdout_is_an_error_exit_one() {
     let dir = scratch("closed-stdout");
     let program = write_program(&dir, PASSING);
-    let mut child = Command::new(VERIFY)
+    // A pipe whose reader is gone before `verify` starts: `true` holds the
+    // read end as its stdin and exits. Closing the reader after the spawn
+    // instead would race a fast run that writes its report first.
+    let mut reader = Command::new("true")
+        .stdin(Stdio::piped())
+        .spawn()
+        .expect("true runs");
+    let pipe = reader.stdin.take().expect("piped stdin");
+    reader.wait().expect("true exits");
+    let out = Command::new(VERIFY)
         .arg(&program)
         .env_remove("MORPH_TRACE")
-        .stdout(Stdio::piped())
+        .stdout(pipe)
         .stderr(Stdio::piped())
-        .spawn()
+        .output()
         .expect("verify binary runs");
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("verify exits");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(!stderr.contains("panicked"), "{stderr}");

@@ -436,13 +436,11 @@ pub(crate) fn check_preconditions(
         }
     }
     let non_finite = |inst: &Instruction| match inst {
-        Instruction::Gate(g) | Instruction::Conditional { gate: g, .. } => {
-            g.angle().is_some_and(|a| !a.is_finite())
-        }
+        Instruction::Gate(g) | Instruction::Conditional { gate: g, .. } => !g.is_finite(),
         _ => false,
     };
     if let Some(index) = circuit.instructions().iter().position(non_finite) {
-        return Err(Precondition::NonFiniteAngle { index });
+        return Err(Precondition::NonFiniteGate { index });
     }
     if config.input_qubits.is_empty() {
         return Err(Precondition::NoInputQubits);
@@ -496,6 +494,7 @@ fn run_on_simulator<S: Simulator>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use morph_linalg::C64;
     use morph_qprog::TracepointId;
     use morph_qsim::Gate;
     use rand::{Rng, SeedableRng};
@@ -725,6 +724,9 @@ mod tests {
         repeated.tracepoint(3, &[1, 0, 1]);
         let mut non_finite = sample_program();
         non_finite.rx(0, 0.5).gate(Gate::CRZ(0, 1, f64::NAN));
+        let mut non_finite_unitary = sample_program();
+        let diagonal = [C64::ONE, C64::ONE, C64::ONE, C64::new(f64::INFINITY, 0.0)];
+        non_finite_unitary.gate(Gate::Unitary(vec![0, 1], CMatrix::from_diag(&diagonal)));
         let noisy = |config: CharacterizationConfig| CharacterizationConfig {
             noise: NoiseModel::ibm_cairo(),
             ..config
@@ -746,8 +748,15 @@ mod tests {
             (
                 non_finite,
                 CharacterizationConfig::exact(vec![0], 2),
-                Precondition::NonFiniteAngle {
+                Precondition::NonFiniteGate {
                     index: sample_program().instructions().len() + 1,
+                },
+            ),
+            (
+                non_finite_unitary,
+                CharacterizationConfig::exact(vec![0], 2),
+                Precondition::NonFiniteGate {
+                    index: sample_program().instructions().len(),
                 },
             ),
             (

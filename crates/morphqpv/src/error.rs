@@ -65,10 +65,11 @@ pub enum Precondition {
     },
     /// Nothing to sample: zero samples, or an empty explicit input set.
     NoSamples,
-    /// A gate's rotation angle is NaN or infinite, which would make the
-    /// simulated amplitudes depend on the kernel that applies it. The
-    /// parser rejects such angles; this catches circuits built in code.
-    NonFiniteAngle {
+    /// A gate's rotation angle or a matrix entry is NaN or infinite, which
+    /// would make the simulated amplitudes depend on the kernel that
+    /// applies it. The parser rejects such angles; this catches circuits
+    /// built in code.
+    NonFiniteGate {
         /// Index of the offending instruction.
         index: usize,
     },
@@ -100,8 +101,8 @@ impl fmt::Display for Precondition {
                 "input qubit {qubit} out of range for a {n_qubits}-qubit program"
             ),
             Precondition::NoSamples => write!(f, "characterization needs at least one sample"),
-            Precondition::NonFiniteAngle { index } => {
-                write!(f, "instruction {index} has a non-finite gate angle")
+            Precondition::NonFiniteGate { index } => {
+                write!(f, "instruction {index} has a non-finite gate parameter")
             }
             Precondition::NoisyRegisterTooWide { n_qubits } => write!(
                 f,

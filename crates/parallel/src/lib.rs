@@ -83,11 +83,15 @@ pub fn child_rng(master: u64, index: u64) -> StdRng {
 /// Serial time above which `parallel_map(0, ..)` spreads the items after
 /// the first over helper threads.
 ///
-/// A bare scoped spawn and join of one or two threads costs 15–30 µs on a
-/// 2-vCPU host, and a fan-out costs more than that once cold caches and
-/// scheduling are counted: preparing 16 inputs took 85 µs fanned out
-/// against 5 µs serially. A millisecond of serial work keeps the overhead
-/// to a few percent of the work it spreads.
+/// Measured on a 2-vCPU host, the only one measured. In a hot loop, two
+/// workers broke even at 0.03–0.05 ms of serial work after the first
+/// item, on uniform arithmetic and on whole characterization sweeps
+/// alike. Inside a verification the helpers start cold, and calls that
+/// fanned out a few microseconds of input preparation cost 0.08–0.24 ms
+/// more than serial. Two cores save at most half the remaining time, so
+/// the constant is set where that half, 0.5 ms, is twice the worst cost
+/// seen. The `corpus` benchmark read the same at 0.25 ms. More cores
+/// start more helpers, whose spawn cost was not measured.
 pub const FAN_OUT_PAYBACK: Duration = Duration::from_millis(1);
 
 /// The number of available cores, looked up once per process: the lookup

@@ -75,7 +75,7 @@ impl Instruction {
 
     /// Calls `f` on each qubit the instruction touches, in
     /// [`Self::qubits`] order, without allocating.
-    pub fn for_each_qubit(&self, mut f: impl FnMut(usize)) {
+    pub(crate) fn for_each_qubit(&self, mut f: impl FnMut(usize)) {
         match self {
             Instruction::Gate(g) | Instruction::Conditional { gate: g, .. } => g.for_each_qubit(f),
             Instruction::Tracepoint { qubits, .. } => qubits.iter().copied().for_each(f),

@@ -138,11 +138,8 @@ impl Operands {
     /// Reads `q[0,1],q[2]`-style groups, splitting at commas outside
     /// brackets. Empty text has no groups.
     fn read(&mut self, s: &str) -> Result<(), String> {
-        if self.read_plain(s.as_bytes()) {
-            return Ok(());
-        }
         self.clear();
-        let s = s.trim();
+        let s = trim(s);
         if s.is_empty() {
             return Ok(());
         }
@@ -160,43 +157,6 @@ impl Operands {
             }
         }
         self.read_group(&s[start..])
-    }
-
-    /// Reads operands written as `write_program` writes them — `q[..]`
-    /// lists of decimal digits joined by commas, without whitespace — in
-    /// one pass, and returns `false` for any other text. Where it returns
-    /// `true`, [`Self::read`]'s general reading gives the same groups.
-    fn read_plain(&mut self, s: &[u8]) -> bool {
-        self.clear();
-        let mut i = 0;
-        loop {
-            if s.get(i..i + 2) != Some(b"q[") {
-                return false;
-            }
-            i += 2;
-            loop {
-                let digits = s[i..].iter().take_while(|b| b.is_ascii_digit()).count();
-                let index = s[i..i + digits].iter().try_fold(0usize, |v, &d| {
-                    v.checked_mul(10)?.checked_add(usize::from(d - b'0'))
-                });
-                match index {
-                    Some(q) if digits > 0 => self.qubits.push(q),
-                    _ => return false,
-                }
-                i += digits + 1;
-                match s.get(i - 1) {
-                    Some(b',') => {}
-                    Some(b']') => break,
-                    _ => return false,
-                }
-            }
-            self.end_group();
-            match s.get(i) {
-                None => return true,
-                Some(b',') => i += 1,
-                Some(_) => return false,
-            }
-        }
     }
 
     /// Reads one `q[..]` list as the only group.
@@ -242,7 +202,7 @@ struct Parser {
 impl Parser {
     /// Parses one statement's text; blank text is no statement.
     fn statement(&mut self, text: &str, line: usize) -> Result<(), ParseProgramError> {
-        let stmt = text.trim();
+        let stmt = trim(text);
         if stmt.is_empty() {
             return Ok(());
         }
@@ -309,7 +269,7 @@ impl Parser {
             }
             "if" => {
                 // if (c[j]==v) <gate stmt>
-                let rest = rest.trim();
+                let rest = trim(rest);
                 if !rest.starts_with('(') {
                     return Err(err(line, "if requires a parenthesized condition"));
                 }
@@ -317,14 +277,13 @@ impl Parser {
                     .find(')')
                     .ok_or_else(|| err(line, "unterminated if condition"))?;
                 let cond = &rest[1..close];
-                let body = rest[close + 1..].trim();
+                let body = trim(&rest[close + 1..]);
                 let (cbit_str, value_str) = match cond.split_once("==") {
                     Some((c, v)) if !v.contains("==") => (c, v),
                     _ => return Err(err(line, "condition must be 'c[j]==v'")),
                 };
                 let cbit = single_index(cbit_str, 'c').map_err(|m| err(line, m))?;
-                let value: u8 = value_str
-                    .trim()
+                let value: u8 = trim(value_str)
                     .parse()
                     .map_err(|_| err(line, "condition value must be 0 or 1"))?;
                 let (Some(cbit), 0..=1) = (cbit, value) else {
@@ -390,13 +349,13 @@ impl Parser {
             name = &word[..open];
             if rest.starts_with('(') {
                 let close = rest.find(')').ok_or_else(unterminated)?;
-                operand_str = rest[close + 1..].trim();
+                operand_str = trim(&rest[close + 1..]);
             }
         } else if rest.starts_with('(') {
             // Detached: rx (0.5) q[0].
             let close = rest.find(')').ok_or_else(unterminated)?;
             angle = Some(angle_value(&rest[1..close], line)?);
-            operand_str = rest[close + 1..].trim();
+            operand_str = trim(&rest[close + 1..]);
         }
 
         self.operands.read(operand_str).map_err(|m| err(line, m))?;
@@ -476,9 +435,24 @@ impl Parser {
     }
 }
 
+/// `s.trim()`, without the search when `s` starts and ends with visible
+/// ASCII.
+fn trim(s: &str) -> &str {
+    match (s.as_bytes().first(), s.as_bytes().last()) {
+        (Some(a), Some(b)) if a.is_ascii_graphic() && b.is_ascii_graphic() => s,
+        _ => s.trim(),
+    }
+}
+
 fn split_head(s: &str) -> (&str, &str) {
-    let s = s.trim();
-    match s.find(char::is_whitespace) {
+    let s = trim(s);
+    let head_end = if s.is_ascii() {
+        // The ASCII characters that `char::is_whitespace` accepts.
+        s.bytes().position(|b| matches!(b, b' ' | b'\t'..=b'\r'))
+    } else {
+        s.find(char::is_whitespace)
+    };
+    match head_end {
         Some(pos) => (&s[..pos], s[pos..].trim_start()),
         None => (s, ""),
     }
@@ -491,7 +465,7 @@ fn bracketed(s: &str, reg: char) -> Option<&str> {
 
 fn parse_reg_decl(s: &str, reg: char) -> Result<usize, String> {
     // "q[4]"
-    let s = s.trim();
+    let s = trim(s);
     let size = bracketed(s, reg).ok_or_else(|| format!("expected '{reg}[N]', found {s:?}"))?;
     size.parse()
         .map_err(|_| format!("invalid register size in {s:?}"))
@@ -499,11 +473,10 @@ fn parse_reg_decl(s: &str, reg: char) -> Result<usize, String> {
 
 /// Calls `f` on every index of a `reg[i,j,..]` list, in order.
 fn for_each_index(s: &str, reg: char, mut f: impl FnMut(usize)) -> Result<(), String> {
-    let s = s.trim();
+    let s = trim(s);
     let list = bracketed(s, reg).ok_or_else(|| format!("expected '{reg}[..]', found {s:?}"))?;
     for part in list.split(',') {
-        f(part
-            .trim()
+        f(trim(part)
             .parse()
             .map_err(|_| format!("invalid index {part:?}"))?);
     }
@@ -527,7 +500,7 @@ fn single_index(s: &str, reg: char) -> Result<Option<usize>, String> {
 fn angle_value(text: &str, line: usize) -> Result<f64, ParseProgramError> {
     match eval_angle(text) {
         Some(a) if a.is_finite() => Ok(a),
-        Some(_) => Err(err(line, format!("angle {:?} is not finite", text.trim()))),
+        Some(_) => Err(err(line, format!("angle {:?} is not finite", trim(text)))),
         None => Err(err(line, "invalid angle expression")),
     }
 }
@@ -535,6 +508,10 @@ fn angle_value(text: &str, line: usize) -> Result<f64, ParseProgramError> {
 /// Evaluates simple angle expressions: a float literal, `pi`, `pi/N`,
 /// `N*pi`, `-pi/N`, or `N*pi/M`. Whitespace anywhere is ignored.
 fn eval_angle(s: &str) -> Option<f64> {
+    // `f64` parsing rejects whitespace, so a float literal parses as written.
+    if let Ok(v) = s.parse::<f64>() {
+        return Some(v);
+    }
     let compact: String;
     let s = if s.contains(char::is_whitespace) {
         compact = s.chars().filter(|c| !c.is_whitespace()).collect();

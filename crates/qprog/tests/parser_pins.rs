@@ -313,6 +313,15 @@ fn accepted_quirks_give_their_circuits() {
         // Gate names match case-insensitively; indices take a sign.
         ("qreg q[2];\nCX q[ +0 ], q[1];", one(Gate::CX(0, 1))),
         ("qreg q[2];\ncnot q[1],q[0];", one(Gate::CX(1, 0))),
+        // Any Unicode whitespace separates words, vertical tab included.
+        (
+            "qreg q[2];\nh\u{a0}q[0];\nx\u{b}q[1];\ncx\u{2003}q[0],\u{b}q[1];",
+            {
+                let mut c = Circuit::new(2);
+                c.h(0).x(1).cx(0, 1);
+                c
+            },
+        ),
         ("qreg q[2];\ncp(-pi/4) q[0],q[1];", {
             one(Gate::CPhase(0, 1, -std::f64::consts::PI / 4.0))
         }),

@@ -114,8 +114,9 @@ impl Gate {
         }
     }
 
-    /// The rotation angle of a parameterized gate, `None` for the others.
-    pub fn angle(&self) -> Option<f64> {
+    /// Whether the gate's parameters — its rotation angle, or the entries
+    /// of its matrix — are all finite.
+    pub fn is_finite(&self) -> bool {
         match self {
             Gate::RX(_, a)
             | Gate::RY(_, a)
@@ -124,8 +125,9 @@ impl Gate {
             | Gate::CRZ(_, _, a)
             | Gate::CPhase(_, _, a)
             | Gate::MCRX(_, _, a)
-            | Gate::MCRY(_, _, a) => Some(*a),
-            _ => None,
+            | Gate::MCRY(_, _, a) => a.is_finite(),
+            Gate::Unitary(_, u) => u.as_slice().iter().all(|z| z.is_finite()),
+            _ => true,
         }
     }
 
