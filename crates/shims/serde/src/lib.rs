@@ -372,26 +372,23 @@ pub mod json {
                 }
                 Some(&b) if b < 0x20 => return Err(err(*pos, "control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 code point.
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one piece. Those bytes are ASCII, so
+                    // the run never splits a UTF-8 code point.
                     let start = *pos;
-                    let len = utf8_len(bytes[start]);
-                    let end = (start + len).min(bytes.len());
+                    let end = bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(bytes.len(), |n| start + n);
                     match std::str::from_utf8(&bytes[start..end]) {
                         Ok(s) => out.push_str(s),
-                        Err(_) => return Err(err(start, "invalid UTF-8 in string")),
+                        Err(e) => {
+                            return Err(err(start + e.valid_up_to(), "invalid UTF-8 in string"))
+                        }
                     }
                     *pos = end;
                 }
             }
-        }
-    }
-
-    fn utf8_len(first: u8) -> usize {
-        match first {
-            0x00..=0x7F => 1,
-            0xC0..=0xDF => 2,
-            0xE0..=0xEF => 3,
-            _ => 4,
         }
     }
 
@@ -764,6 +761,19 @@ mod tests {
         // Escaped supplementary-plane character (surrogate pair).
         let v = parse(r#""💡""#).unwrap();
         assert_eq!(v, Value::Str("💡".to_string()));
+    }
+
+    #[test]
+    fn string_runs_stop_at_escapes_and_control_bytes() {
+        let v = parse("\"ab é\\n💡c\\\"d\"").unwrap();
+        assert_eq!(v, Value::Str("ab é\n💡c\"d".to_string()));
+        assert_eq!(
+            parse("\"abc\u{1}d\""),
+            Err(JsonError::Parse {
+                offset: 4,
+                message: "control character in string".to_string(),
+            })
+        );
     }
 
     #[test]
